@@ -12,12 +12,12 @@ from .channel_graph import ChannelGraph, LinkForecast, SlotGrid, link_forecast, 
 from .echelon import EchelonView, GainForecast, WorldState, error_report, forecast_gain
 from .harness import (FlowRequest, MetricsReport, ScenarioConfig, draw_flows,
                       gen_default_scenario, replay_metrics, run, sweep)
-from .operational import LinkBudget, PowerDecision, PowerPolicy, build_policy, cap_power, min_power_outage
+from .operational import LinkBudget, PowerDecision, cap_power, min_power_outage
 from .radio_env import (ChannelSample, GroundTruthChannel, LargeScaleStats, PathLossParams,
                         RadioMap, build_map, sample_along, true_gain_db)
 from .scene import CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city, los_blocked
-from .strategic import (HopReservation, InterferenceCost, PathReservation, TimeExpandedState,
-                        hop_interference, reserve_path)
+from .strategic import (HopReservation, InterferenceCost, PathReservation, hop_interference,
+                        reserve_path)
 from .tactical import LocalCluster, Schedule, detect_blockage, reroute_local, schedule_timing
 from .trajectory import DeviationParams, Trajectory4D, Waypoint, position_at, realize
 

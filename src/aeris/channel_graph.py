@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownNode
-from .radio_env import LargeScaleStats, RadioMap
+from .radio_env import RadioMap
 from .trajectory import positions_at
 
 
@@ -51,11 +51,6 @@ class LinkForecast:
     std_db: np.ndarray
     available: np.ndarray
 
-    def stats_at(self, slot: int) -> LargeScaleStats | None:
-        if not self.available[slot]:
-            return None
-        return LargeScaleStats(float(self.mean_db[slot]), float(self.std_db[slot]), 0.5)
-
 
 @dataclass(frozen=True)
 class ChannelGraph:
@@ -77,9 +72,6 @@ class ChannelGraph:
     def weight(self, i: str, j: str, slot: int) -> float:
         """Stored expected gain in dB; NaN when the edge is absent."""
         return float(self.weights[slot, self.index_of(i), self.index_of(j)])
-
-    def has_edge(self, i: str, j: str, slot: int) -> bool:
-        return bool(np.isfinite(self.weights[slot, self.index_of(i), self.index_of(j)]))
 
     def position_of(self, node_id: str, slot: int) -> np.ndarray:
         return self.positions[slot, self.index_of(node_id)]

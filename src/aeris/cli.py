@@ -20,18 +20,20 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="Predictive low-altitude network simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-scenario", help="generate a scenario config document")
+    # flags left out fall back to gen_default_scenario's own defaults
+    g = sub.add_parser("gen-scenario", help="generate a scenario config document",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--buildings", type=int, default=20)
-    g.add_argument("--aircraft", type=int, default=12)
-    g.add_argument("--sensitive", type=int, default=5)
-    g.add_argument("--sources", type=int, default=3)
-    g.add_argument("--destinations", type=int, default=3)
-    g.add_argument("--horizon", type=float, default=120.0)
-    g.add_argument("--dt", type=float, default=0.1)
-    g.add_argument("--load", type=float, default=4.0)
-    g.add_argument("--frac-short", type=float, default=0.5)
+    g.add_argument("--buildings", dest="n_buildings", type=int)
+    g.add_argument("--aircraft", dest="n_aircraft", type=int)
+    g.add_argument("--sensitive", dest="n_sensitive", type=int)
+    g.add_argument("--sources", dest="n_sources", type=int)
+    g.add_argument("--destinations", dest="n_destinations", type=int)
+    g.add_argument("--horizon", dest="horizon_s", type=float)
+    g.add_argument("--dt", type=float)
+    g.add_argument("--load", dest="load_per_min", type=float)
+    g.add_argument("--frac-short", dest="frac_short_deadline", type=float)
 
     r = sub.add_parser("run", help="run one scenario with one method")
     r.add_argument("--config", required=True)
@@ -57,12 +59,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen-scenario":
-            cfg = gen_default_scenario(
-                args.seed, n_buildings=args.buildings, n_aircraft=args.aircraft,
-                n_sensitive=args.sensitive, n_sources=args.sources,
-                n_destinations=args.destinations, horizon_s=args.horizon, dt=args.dt,
-                load_per_min=args.load, frac_short_deadline=args.frac_short,
-            )
+            opts = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+            cfg = gen_default_scenario(**opts)
             with open(args.out, "w") as f:
                 f.write(cfg.to_json())
         elif args.command == "run":
@@ -79,14 +77,17 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             with open(args.config) as f:
                 cfg = ScenarioConfig.from_json(f.read())
-            loads = [float(x) for x in args.loads.split(",")]
+            try:
+                loads = [float(x) for x in args.loads.split(",")]
+            except ValueError:
+                raise ConfigInvalid("loads", f"not a number list: {args.loads!r}") from None
             methods = list(METHODS) if args.methods == "all" else args.methods.split(",")
             rows = sweep(cfg, loads, methods, args.seeds)
             sweep_to_csv(rows, args.out)
         elif args.command == "plot-data":
             rows = sweep_from_csv(args.infile)
             plot_data_to_csv(plot_data(rows), args.out)
-    except (ConfigInvalid, ValueError) as e:
+    except ConfigInvalid as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (GenerationFailed, NoFeasiblePath) as e:

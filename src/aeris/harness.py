@@ -17,10 +17,12 @@ full deadline window.
 
 from __future__ import annotations
 
+import concurrent.futures
+import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -32,7 +34,8 @@ from .operational import LinkBudget, cap_power, required_power_dbm
 from .radio_env import (GroundTruthChannel, PathLossParams, build_map, sample_along,
                         sample_between, sample_ground_pairs)
 from .scene import CityParams, Position3, Scene, SceneNode, gen_city
-from .strategic import PathReservation, prepare_planner, reserve_path, min_delay_reservation
+from .strategic import (HopReservation, PathReservation, prepare_planner, reserve_path,
+                        min_delay_reservation)
 from .trajectory import DeviationParams, Trajectory4D, Waypoint
 from .units import db_to_lin, lin_to_db
 
@@ -90,50 +93,20 @@ class ScenarioConfig:
             raise ConfigInvalid("scene", "need at least one source and one destination")
 
     def to_json_dict(self) -> dict:
-        return {
-            "scene": self.scene.to_json_dict(),
-            "trajectories": [
-                {
-                    "aircraft_id": t.aircraft_id,
-                    "v_max": t.v_max,
-                    "waypoints": [[w.t, w.pos.x, w.pos.y, w.pos.z] for w in t.waypoints],
-                }
-                for t in self.trajectories
-            ],
-            "deviation": {"sigma_dev": self.deviation.sigma_dev,
-                          "reversion_rate": self.deviation.reversion_rate},
-            "grid": {"t0": self.grid.t0, "dt": self.grid.dt, "n_slots": self.grid.n_slots},
-            "pathloss": {
-                "pl0_db": self.pathloss.pl0_db, "d0": self.pathloss.d0,
-                "n_los": self.pathloss.n_los, "n_nlos": self.pathloss.n_nlos,
-                "sigma_sh_los_db": self.pathloss.sigma_sh_los_db,
-                "sigma_sh_nlos_db": self.pathloss.sigma_sh_nlos_db,
-                "decorr_dist": self.pathloss.decorr_dist, "noise_dbm": self.pathloss.noise_dbm,
-            },
-            "budget": {
-                "snr_threshold_db": self.budget.snr_threshold_db,
-                "outage_eps": self.budget.outage_eps,
-                "noise_dbm": self.budget.noise_dbm, "p_max_dbm": self.budget.p_max_dbm,
-            },
-            "sensitive_cap_dbm": self.sensitive_cap_dbm,
-            "range_cutoff_m": self.range_cutoff_m,
-            "plan_shield_margin_db": self.plan_shield_margin_db,
-            "sampling_period_s": self.sampling_period_s,
-            "map_k_neighbors": self.map_k_neighbors,
-            "map_idw_exponent": self.map_idw_exponent,
-            "map_residual_std_db": self.map_residual_std_db,
-            "shadow_terms": self.shadow_terms,
-            "central_horizon_s": self.central_horizon_s,
-            "local_horizon_s": self.local_horizon_s,
-            "individual_horizon_s": self.individual_horizon_s,
-            "region_radius_m": self.region_radius_m,
-            "blockage_threshold_db": self.blockage_threshold_db,
-            "load_per_min": self.load_per_min,
-            "frac_short_deadline": self.frac_short_deadline,
-            "deadline_short_s": self.deadline_short_s,
-            "deadline_long_s": self.deadline_long_s,
-            "seed": self.seed,
-        }
+        # past scene and trajectories, every field is a JSON value or a flat
+        # parameter dataclass
+        d = {f.name: getattr(self, f.name) for f in fields(self)[2:]}
+        d = {k: asdict(v) if is_dataclass(v) else v for k, v in d.items()}
+        d["scene"] = self.scene.to_json_dict()
+        d["trajectories"] = [
+            {
+                "aircraft_id": t.aircraft_id,
+                "v_max": t.v_max,
+                "waypoints": [[w.t, w.pos.x, w.pos.y, w.pos.z] for w in t.waypoints],
+            }
+            for t in self.trajectories
+        ]
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
@@ -149,23 +122,9 @@ class ScenarioConfig:
                 )
                 for td in d["trajectories"]
             )
-            cfg = ScenarioConfig(
-                scene=Scene.from_json_dict(d["scene"]),
-                trajectories=trajs,
-                deviation=DeviationParams(**d["deviation"]),
-                grid=SlotGrid(**d["grid"]),
-                pathloss=PathLossParams(**d["pathloss"]),
-                budget=LinkBudget(**d["budget"]),
-                **{k: d[k] for k in (
-                    "sensitive_cap_dbm", "range_cutoff_m", "plan_shield_margin_db",
-                    "sampling_period_s",
-                    "map_k_neighbors", "map_idw_exponent", "map_residual_std_db",
-                    "shadow_terms", "central_horizon_s", "local_horizon_s",
-                    "individual_horizon_s", "region_radius_m", "blockage_threshold_db",
-                    "load_per_min", "frac_short_deadline", "deadline_short_s",
-                    "deadline_long_s", "seed",
-                )},
-            )
+            kw = {f.name: type(f.default)(**d[f.name]) if is_dataclass(f.default)
+                  else d[f.name] for f in fields(ScenarioConfig)[2:]}
+            cfg = ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, **kw)
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigInvalid("config", f"malformed scenario document: {e}") from None
         cfg.validate()
@@ -173,7 +132,11 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(s: str) -> "ScenarioConfig":
-        return ScenarioConfig.from_json_dict(json.loads(s))
+        try:
+            d = json.loads(s)
+        except ValueError as e:
+            raise ConfigInvalid("config", f"not a JSON document: {e}") from None
+        return ScenarioConfig.from_json_dict(d)
 
 
 @dataclass(frozen=True)
@@ -205,16 +168,7 @@ class MetricsReport:
         return lin_to_db(self.interference_mw_s) if self.interference_mw_s > 0 else float("-inf")
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n_flows": self.n_flows,
-            "n_delivered": self.n_delivered,
-            "interference_mw_s": self.interference_mw_s,
-            "interference_db": self.interference_db,
-            "delivery_rate": self.delivery_rate,
-            "mean_delay_s": self.mean_delay_s,
-            "mean_energy_mj": self.mean_energy_mj,
-        }
+        return {**asdict(self), "interference_db": self.interference_db}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -352,12 +306,15 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
     """The documented desk-scale scenario: a 1000 x 1000 x 150 m city block,
     west-side sources, east-side destinations, a mid-field belt of sensitive
     receivers, and twelve aircraft on crossing shuttle/orbit/survey routes."""
-    params = CityParams(n_buildings=n_buildings, n_sources=n_sources,
-                        n_destinations=n_destinations, n_sensitive=n_sensitive)
+    try:
+        params = CityParams(n_buildings=n_buildings, n_sources=n_sources,
+                            n_destinations=n_destinations, n_sensitive=n_sensitive)
+        grid = SlotGrid(0.0, dt, int(round(horizon_s / dt)))
+    except ValueError as e:
+        raise ConfigInvalid("scenario", str(e)) from None
     scene = _corridor_scene(seed, params, n_sensitive)
     trajs = _corridor_trajectories(scene, n_aircraft, horizon_s,
                                    np.random.SeedSequence([seed, 202]))
-    grid = SlotGrid(0.0, dt, int(round(horizon_s / dt)))
     # p_max is set so the direct ground hop between the pads does not close,
     # which is what makes the corridor a relaying problem in the first place
     cfg = ScenarioConfig(scene=scene, trajectories=trajs, grid=grid,
@@ -383,9 +340,6 @@ class World:
     realized: dict
     ground_positions: dict
     base_state: WorldState
-
-    def state_at(self, now_s: float) -> WorldState:
-        return self.base_state.at_time(now_s)
 
 
 def _stream(config: ScenarioConfig, run_seed: int, *tags) -> np.random.SeedSequence:
@@ -531,8 +485,7 @@ class _Accounting:
 
 
 def _local_view(world: World, center: np.ndarray, radius: float,
-                cfg: ScenarioConfig = None) -> EchelonView:
-    cfg = cfg or world.config
+                cfg: ScenarioConfig) -> EchelonView:
     return EchelonView(
         tier=LOCAL, trajectory_source="realized-within-region",
         map_snapshot=world.radio_map, staleness_s=0.0,
@@ -554,8 +507,7 @@ def _build_slice(world: World, cfg: ScenarioConfig, state: WorldState, view: Ech
     slots = np.arange(span[0], span[1] + 1)
     mean = {}
     entities = set()
-    for a, b in links:
-        key = (a, b)
+    for key in links:
         mean[key] = _forecast_series(world, state, view, key, slots)
         entities.update(key)
     sens = {}
@@ -587,40 +539,34 @@ def _cluster_members(world: World, state: WorldState, center: np.ndarray, radius
     return tuple(sorted(members))
 
 
-def _execute_predictive(world: World, cfg: ScenarioConfig, flow: FlowRequest, flow_idx: int,
-                        fade_rng, acct: _Accounting) -> None:
-    grid = cfg.grid
-    deadline_slots = int(math.floor(flow.deadline_s / grid.dt + 1e-9))
-    final_slot = flow.injection_slot + min(deadline_slots, grid.n_slots - 1 - flow.injection_slot)
-    try:
-        res = reserve_path(world.graph, world.radio_map, flow.source, flow.dest,
-                           flow.deadline_s, cfg.scene.sensitive_nodes, cfg.budget,
-                           injection_slot=flow.injection_slot, tables=world.tables,
-                           use_caps=True)
-    except NoFeasiblePath:
-        acct.finish_flow(flow_idx, flow, False, None, 0.0)
-        return
-    acct.events.append({"type": "reservation", "flow": flow_idx,
-                        "reservation": res.to_json_dict()})
-    hops = list(res.hops)
-    energy = 0.0
-    k = 0
-    revision = 0
-    last_slot = flow.injection_slot - 1
-    skip_blockage = False
-    while k < len(hops):
+@dataclass
+class _Cascade:
+    """The predictive method's tactical and operational layers for one flow."""
+
+    acct: _Accounting
+    flow: FlowRequest
+    flow_idx: int
+    final_slot: int
+    revision: int = 0
+    skip_blockage: bool = False
+
+    def choose(self, hops: list, k: int, last_slot: int):
+        """Blockage check (local two-hop detour, or escalation to a strategic
+        replan), hop timing, then the cap-power scan for hop k."""
+        acct, world, cfg = self.acct, self.acct.world, self.acct.config
+        grid = cfg.grid
         hop = hops[k]
         now_slot = max(hop.window[0], last_slot + 1)
         now = grid.t_of(now_slot)
-        state = world.state_at(now)
+        state = world.base_state.at_time(now)
         tx_pos = state.realized_pos(hop.tx, now)
         rx_pos = state.realized_pos(hop.rx, now)
         center = 0.5 * (tx_pos + rx_pos)
         radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
         view = _local_view(world, center, radius, cfg)
-        blocked = (not skip_blockage) and tactical.detect_blockage(
+        blocked = (not self.skip_blockage) and tactical.detect_blockage(
             view, state, hop, cfg.blockage_threshold_db)
-        skip_blockage = False
+        self.skip_blockage = False
         if blocked:
             tail = hops[k + 1:k + 2]
             reconnect = tail[0].rx if tail else hop.rx
@@ -644,44 +590,35 @@ def _execute_predictive(world: World, cfg: ScenarioConfig, flow: FlowRequest, fl
                 slc = _build_slice(world, cfg, state, view, links, span)
                 repl = tactical.reroute_local(cluster, hop, tail, slc)
                 hops[k:k + 1 + len(tail)] = list(repl)
-                revision += 1
-                acct.events.append({"type": "reroute", "flow": flow_idx, "hop": k,
-                                    "revision": revision,
-                                    "route": [h.tx for h in hops[k:]] + [hops[-1].rx]})
+                self._log_reroute(hops, k, hops[-1].rx)
                 hop = hops[k]
             except EscalateToStrategic:
                 try:
-                    remaining_s = (final_slot - now_slot) * grid.dt
-                    res2 = reserve_path(world.graph, world.radio_map, hop.tx, flow.dest,
-                                        max(remaining_s, grid.dt), cfg.scene.sensitive_nodes,
-                                        cfg.budget, injection_slot=now_slot,
-                                        tables=world.tables, use_caps=True)
+                    remaining_s = (self.final_slot - now_slot) * grid.dt
+                    res = reserve_path(world.graph, world.radio_map, hop.tx, self.flow.dest,
+                                       max(remaining_s, grid.dt), cfg.scene.sensitive_nodes,
+                                       cfg.budget, injection_slot=now_slot,
+                                       tables=world.tables, use_caps=True)
                 except (NoFeasiblePath, ValueError):
-                    acct.finish_flow(flow_idx, flow, False, None, energy)
-                    return
-                hops[k:] = list(res2.hops)
-                revision += 1
-                acct.events.append({"type": "reroute", "flow": flow_idx, "hop": k,
-                                    "revision": revision,
-                                    "route": [h.tx for h in hops[k:]] + [flow.dest]})
-                skip_blockage = True
-                continue
+                    return None
+                hops[k:] = list(res.hops)
+                self._log_reroute(hops, k, self.flow.dest)
+                self.skip_blockage = True
+                return _REPLANNED
         window_lo = max(hop.window[0], last_slot + 1)
         slots = np.arange(window_lo, hop.window[1] + 1)
         if slots.size == 0:
-            acct.finish_flow(flow_idx, flow, False, None, energy)
-            return
+            return None
         series = _forecast_series(world, state, view, (hop.tx, hop.rx), slots)
         try:
             sched = tactical.schedule_timing(
                 [replace(hop, window=(window_lo, hop.window[1]))],
-                [(slots, series)], deadline_slot=final_slot)
+                [(slots, series)], deadline_slot=self.final_slot)
             chosen = sched.hop_slots[0]
         except InfeasibleSchedule:
             chosen = int(slots[0])
-        acct.events.append({"type": "schedule", "flow": flow_idx, "hop": k,
-                            "slot": int(chosen), "revision": revision})
-        sent = False
+        acct.events.append({"type": "schedule", "flow": self.flow_idx, "hop": k,
+                            "slot": int(chosen), "revision": self.revision})
         for s in range(int(chosen), hop.window[1] + 1):
             measured = acct.measured_gain(hop.tx, hop.rx, s)
             required = required_power_dbm(measured, cfg.budget)
@@ -691,21 +628,15 @@ def _execute_predictive(world: World, cfg: ScenarioConfig, flow: FlowRequest, fl
                 np.maximum(acct.realized_position(hop.tx, s), 0.0)),
                 cfg.scene.sensitive_nodes, cfg.sensitive_cap_dbm, world.radio_map,
                 cfg.budget.p_max_dbm)
-            if not decision.transmit:
-                continue
-            ok = acct.transmit(flow_idx, k, s, hop.tx, hop.rx, decision.power_dbm, fade_rng)
-            energy += db_to_lin(decision.power_dbm) * grid.dt
-            if not ok:
-                acct.finish_flow(flow_idx, flow, False, None, energy)
-                return
-            last_slot = s
-            sent = True
-            break
-        if not sent:
-            acct.finish_flow(flow_idx, flow, False, None, energy)
-            return
-        k += 1
-    acct.finish_flow(flow_idx, flow, True, last_slot + 1, energy)
+            if decision.transmit:
+                return s, decision.power_dbm
+        return None
+
+    def _log_reroute(self, hops: list, k: int, dest: str) -> None:
+        self.revision += 1
+        self.acct.events.append({"type": "reroute", "flow": self.flow_idx, "hop": k,
+                                 "revision": self.revision,
+                                 "route": [h.tx for h in hops[k:]] + [dest]})
 
 
 # ---------------------------------------------------------------------------
@@ -770,54 +701,68 @@ def baseline_spacetime(world: World, flow: FlowRequest) -> PathReservation:
                                  tables=world.tables)
 
 
-def _execute_aggregate(world: World, cfg: ScenarioConfig, flow: FlowRequest, flow_idx: int,
-                       fade_rng, acct: _Accounting) -> None:
-    grid = cfg.grid
-    try:
+# ---------------------------------------------------------------------------
+# the run loop shared by every method
+
+
+def _strategic(acct: _Accounting, method: str, flow: FlowRequest, flow_idx: int):
+    """The method's strategic stage: its hops, and its choice of (slot, power_dbm)
+    for hop k as choose(hops, k, last_slot). choose returns None to drop the
+    flow, or _REPLANNED after rewriting hops[k:] to be asked again for hop k."""
+    world, cfg = acct.world, acct.config
+    if method == "baseline_aggregate":
         route, powers = baseline_aggregate(world, flow, cfg)
-    except NoFeasiblePath:
-        acct.finish_flow(flow_idx, flow, False, None, 0.0)
-        return
-    energy = 0.0
+        s = flow.injection_slot
+        return [HopReservation(tx, rx, (s + k, s + k), float(p))
+                for k, (tx, rx, p) in enumerate(zip(route, route[1:], powers))], _planned
+    if method == "baseline_spacetime":
+        return list(baseline_spacetime(world, flow).hops), _planned
+    res = reserve_path(world.graph, world.radio_map, flow.source, flow.dest,
+                       flow.deadline_s, cfg.scene.sensitive_nodes, cfg.budget,
+                       injection_slot=flow.injection_slot, tables=world.tables,
+                       use_caps=True)
+    acct.events.append({"type": "reservation", "flow": flow_idx,
+                        "reservation": res.to_json_dict()})
+    deadline_slots = int(math.floor(flow.deadline_s / cfg.grid.dt + 1e-9))
+    final_slot = min(flow.injection_slot + deadline_slots, cfg.grid.n_slots - 1)
+    return list(res.hops), _Cascade(acct, flow, flow_idx, final_slot).choose
+
+
+def _planned(hops: list, k: int, last_slot: int):
+    """The baselines send each hop at its first slot with its planned power."""
+    return hops[k].window[0], hops[k].nominal_power_dbm
+
+
+_REPLANNED = object()
+
+
+def _execute(acct: _Accounting, method: str, flow: FlowRequest, flow_idx: int,
+             fade_rng) -> None:
+    """Send one flow. No transmission may fall after the deadline slot; the
+    payload is delivered the slot after its last transmission."""
+    grid = acct.config.grid
     deadline_slots = int(math.floor(flow.deadline_s / grid.dt + 1e-9))
-    for k, (tx, rx) in enumerate(zip(route, route[1:])):
-        slot = flow.injection_slot + k
-        if slot >= grid.n_slots or slot - flow.injection_slot >= deadline_slots:
-            acct.finish_flow(flow_idx, flow, False, None, energy)
-            return
-        ok = acct.transmit(flow_idx, k, slot, tx, rx, float(powers[k]), fade_rng)
-        energy += db_to_lin(float(powers[k])) * grid.dt
-        if not ok:
-            acct.finish_flow(flow_idx, flow, False, None, energy)
-            return
-    acct.finish_flow(flow_idx, flow, True, flow.injection_slot + len(powers), energy)
-
-
-def _execute_spacetime(world: World, cfg: ScenarioConfig, flow: FlowRequest, flow_idx: int,
-                       fade_rng, acct: _Accounting) -> None:
-    try:
-        res = baseline_spacetime(world, flow)
-    except NoFeasiblePath:
-        acct.finish_flow(flow_idx, flow, False, None, 0.0)
-        return
+    last_allowed = min(flow.injection_slot + deadline_slots, grid.n_slots) - 1
     energy = 0.0
-    last = flow.injection_slot
-    for k, hop in enumerate(res.hops):
-        slot = hop.window[0]
-        ok = acct.transmit(flow_idx, k, slot, hop.tx, hop.rx, hop.nominal_power_dbm, fade_rng)
-        energy += db_to_lin(hop.nominal_power_dbm) * cfg.grid.dt
-        last = slot
-        if not ok:
-            acct.finish_flow(flow_idx, flow, False, None, energy)
-            return
-    acct.finish_flow(flow_idx, flow, True, last + 1 if res.hops else flow.injection_slot, energy)
-
-
-_EXECUTORS = {
-    "predictive": _execute_predictive,
-    "baseline_aggregate": _execute_aggregate,
-    "baseline_spacetime": _execute_spacetime,
-}
+    last_slot = flow.injection_slot - 1
+    k = 0
+    try:
+        hops, choose = _strategic(acct, method, flow, flow_idx)
+        ok = True
+    except NoFeasiblePath:
+        hops, ok = [], False
+    while ok and k < len(hops):
+        choice = choose(hops, k, last_slot)
+        if choice is _REPLANNED:
+            continue
+        if choice is None or choice[0] > last_allowed:
+            ok = False
+            break
+        last_slot, power = choice
+        ok = acct.transmit(flow_idx, k, last_slot, hops[k].tx, hops[k].rx, power, fade_rng)
+        energy += db_to_lin(power) * grid.dt
+        k += 1
+    acct.finish_flow(flow_idx, flow, ok, last_slot + 1, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -838,14 +783,13 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
                         "dt_s": config.grid.dt})
     flows = draw_flows(config, seed, load_per_min)
     acct = _Accounting(world, config, events_list)
-    execute = _EXECUTORS[method]
     for idx, flow in enumerate(flows):
         events_list.append({
             "type": "flow", "flow": idx, "src": flow.source, "dst": flow.dest,
             "injection_slot": flow.injection_slot, "deadline_s": flow.deadline_s,
         })
         fade_rng = np.random.default_rng(_stream(config, seed, 4, idx))
-        execute(world, config, flow, idx, fade_rng, acct)
+        _execute(acct, method, flow, idx, fade_rng)
     return acct.report(method)
 
 
@@ -916,8 +860,6 @@ def sweep(config: ScenarioConfig, loads, methods, n_seeds: int) -> list:
         for t in tasks:
             rows.extend(_seed_rows(t))
     else:
-        import concurrent.futures
-
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             for part in ex.map(_seed_rows, tasks):
                 rows.extend(part)
@@ -931,10 +873,8 @@ SWEEP_COLUMNS = ("load", "method", "seed", "interference_mw_s", "interference_db
 
 
 def sweep_to_csv(rows, path) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(SWEEP_COLUMNS)
         for r in rows:
             w.writerow([r["method"] if c == "method" else repr(r[c]) if isinstance(r[c], float)
@@ -942,18 +882,20 @@ def sweep_to_csv(rows, path) -> None:
 
 
 def sweep_from_csv(path) -> list:
-    import csv as _csv
-
     rows = []
     with open(path, newline="") as f:
-        r = _csv.reader(f)
-        header = next(r)
+        r = csv.reader(f)
+        header = next(r, [])
+        if not set(SWEEP_COLUMNS) <= set(header):
+            raise ConfigInvalid("sweep csv", f"header must hold {','.join(SWEEP_COLUMNS)}")
         for line in r:
             d = dict(zip(header, line))
-            for k in header:
-                if k == "method":
-                    continue
-                d[k] = int(d[k]) if k == "seed" else float(d[k])
+            try:
+                for k in header:
+                    if k != "method":
+                        d[k] = int(d[k]) if k == "seed" else float(d[k])
+            except (KeyError, ValueError) as e:
+                raise ConfigInvalid("sweep csv", f"malformed row {line}: {e}") from None
             rows.append(d)
     return rows
 
@@ -986,10 +928,8 @@ PLOT_COLUMNS = ("load", "method", "interference_mw_s_median", "interference_mw_s
 
 
 def plot_data_to_csv(rows, path) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="") as f:
-        w = _csv.writer(f)
+        w = csv.writer(f)
         w.writerow(PLOT_COLUMNS)
         for r in rows:
             w.writerow([r[c] if c == "method" else repr(float(r[c])) for c in PLOT_COLUMNS])

@@ -1,6 +1,5 @@
 """Link-level power control: minimum transmit power meeting an outage target
-under Rayleigh fading, per-sensitive-node received-power caps, and precomputed
-measured-gain -> power policies.
+under Rayleigh fading, and per-sensitive-node received-power caps.
 
 With received SNR = p * G * h / N and h a unit-mean exponential (Rayleigh
 power), the outage constraint P(SNR < gamma) <= eps has the closed form
@@ -9,7 +8,6 @@ p = gamma * N / (G * (-ln(1 - eps))).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -84,57 +82,3 @@ def cap_power(required_p_dbm: float, tx_pos: Position3, sensitive_nodes, per_nod
     if p_allowed >= required_p_dbm:
         return PowerDecision(required_p_dbm)
     return PowerDecision.defer()
-
-@dataclass(frozen=True)
-class PowerPolicy:
-    """Measured-gain bins -> transmit power table; NaN entries mean defer.
-
-    Powers are computed at each bin's lower gain edge, so the table is
-    conservative and monotone non-increasing across increasing gain bins.
-    """
-
-    bin_edges: np.ndarray
-    powers_dbm: np.ndarray
-
-    def __post_init__(self):
-        finite = self.powers_dbm[np.isfinite(self.powers_dbm)]
-        if finite.size > 1 and np.any(np.diff(finite) > 1e-12):
-            raise ValueError("policy powers must be non-increasing in gain")
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.powers_dbm)
-
-    def lookup(self, measured_gain_db: float) -> PowerDecision:
-        k = int(np.clip(np.searchsorted(self.bin_edges, measured_gain_db, side="right") - 1,
-                        0, self.n_bins - 1))
-        p = self.powers_dbm[k]
-        return PowerDecision(float(p)) if np.isfinite(p) else PowerDecision.defer()
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["bin_low_db", "bin_high_db", "power_dbm"])
-            for k in range(self.n_bins):
-                p = self.powers_dbm[k]
-                w.writerow([repr(float(self.bin_edges[k])), repr(float(self.bin_edges[k + 1])),
-                            repr(float(p)) if np.isfinite(p) else "defer"])
-
-def build_policy(forecast, budget: LinkBudget, n_bins: int) -> PowerPolicy:
-    """Precompute the power table over the forecast's mean +/- 4 std range.
-
-    `forecast` needs mean_db and std_db attributes. Bins whose lower-edge
-    requirement exceeds p_max defer.
-    """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    lo = forecast.mean_db - 4.0 * forecast.std_db
-    hi = forecast.mean_db + 4.0 * forecast.std_db
-    if hi == lo:
-        edges = np.array([lo, lo])
-        n_bins = 1
-    else:
-        edges = np.linspace(lo, hi, n_bins + 1)
-    powers = required_power_dbm(edges[:-1], budget)
-    powers = np.where(powers <= budget.p_max_dbm, powers, np.nan)
-    return PowerPolicy(edges, np.atleast_1d(powers))

@@ -139,13 +139,6 @@ class GroundTruthChannel:
     def gain_db(self, tx: Position3, rx: Position3, with_shadow: bool = True) -> float:
         return float(self.gain_db_many(tx.as_array()[None], rx.as_array()[None], with_shadow)[0])
 
-    def stats(self, tx: Position3, rx: Position3) -> LargeScaleStats:
-        """Deterministic mean and per-state shadow std; los_prob is 0 or 1."""
-        los = not los_blocked(self.scene, tx, rx)
-        mean = self.gain_db(tx, rx, with_shadow=False)
-        std = self.params.sigma_sh_los_db if los else self.params.sigma_sh_nlos_db
-        return LargeScaleStats(mean, std, 1.0 if los else 0.0)
-
 
 def true_gain_db(scene: Scene, params: PathLossParams, shadow_seed, tx: Position3, rx: Position3) -> float:
     """One-shot ground-truth gain; deterministic for a fixed shadow_seed."""

@@ -43,10 +43,6 @@ class Position3:
         return Position3(float(a[0]), float(a[1]), float(a[2]))
 
 
-def distance(a: Position3, b: Position3) -> float:
-    return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
-
-
 @dataclass(frozen=True)
 class ObstacleBox:
     """Axis-aligned box given by its min and max corners (strict in every axis)."""
@@ -112,12 +108,6 @@ class Scene:
 
     def all_nodes(self):
         return tuple(self.ground_sources) + tuple(self.ground_destinations) + tuple(self.sensitive_nodes)
-
-    def node_position(self, node_id: str) -> Position3:
-        for n in self.all_nodes():
-            if n.id == node_id:
-                return n.pos
-        raise KeyError(node_id)
 
     def to_json_dict(self) -> dict:
         def box(b):

@@ -34,14 +34,6 @@ _BIG = np.iinfo(np.int64).max // 4
 
 
 @dataclass(frozen=True)
-class TimeExpandedState:
-    """One search state: an entity holding the payload during a slot."""
-
-    entity: str
-    slot: int
-
-
-@dataclass(frozen=True)
 class InterferenceCost:
     """Aggregate received energy at the sensitive nodes, in mW*s."""
 
@@ -226,22 +218,16 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
                          sens_lin, graph.grid.dt, budget.p_max_dbm)
 
 
-def _forward_sweep(cost, feas, carry_cost, src, t_slots):
-    """Layered DP over relative slots 0..T. Returns (F, H) with F[t, i] the
-    minimum path cost reaching (i, t) and H the hop count among those paths."""
-    n = cost.shape[1]
-    F = np.full((t_slots + 1, n), np.inf)
-    H = np.full((t_slots + 1, n), _BIG, dtype=np.int64)
-    F[0, src] = 0.0
-    H[0, src] = 0
-    return F, H
-
-
 def _search(cost, feas, carry_cost, src, dst, t_slots):
     """Find the tie-break-optimal schedule. Returns (transmissions, F*, H*, t*)
     with transmissions a list of (relative_slot, i, j) or raises NoFeasiblePath."""
     n = cost.shape[1]
-    F, H = _forward_sweep(cost, feas, carry_cost, src, t_slots)
+    # layered DP over relative slots 0..T: F[t, i] is the minimum path cost
+    # reaching (i, t), H the hop count among those paths
+    F = np.full((t_slots + 1, n), np.inf)
+    H = np.full((t_slots + 1, n), _BIG, dtype=np.int64)
+    F[0, src] = 0.0
+    H[0, src] = 0
     for t in range(t_slots):
         base = F[t].copy()
         base[dst] = np.inf  # destination absorbs

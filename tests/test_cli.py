@@ -4,7 +4,7 @@ import pytest
 
 from aeris import cli
 from aeris.errors import GenerationFailed
-from aeris.harness import ScenarioConfig
+from aeris.harness import ScenarioConfig, gen_default_scenario
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,16 @@ class TestGenScenario:
         assert cli.main(["gen-scenario", "--out", str(a), "--seed", "7"]) == 0
         assert cli.main(["gen-scenario", "--out", str(b), "--seed", "7"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_defaults_are_the_library_scenario(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert cli.main(["gen-scenario", "--out", str(out), "--seed", "0"]) == 0
+        assert out.read_text() == gen_default_scenario(0).to_json()
+
+    def test_out_of_range_value_exit_code(self, tmp_path):
+        code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",
+                         "--dt", "-0.1"])
+        assert code == 2
 
     def test_generation_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*a, **k):
@@ -61,6 +71,22 @@ class TestRunCommand:
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_non_json_config_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("scene: {}")
+        code = cli.main(["run", "--config", str(bad), "--method", "predictive",
+                         "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+
+    def test_internal_value_error_propagates(self, config_file, tmp_path, monkeypatch):
+        def broken(*a, **k):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "run", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["run", "--config", str(config_file), "--method", "predictive",
+                      "--seed", "0", "--out", str(tmp_path / "m.json")])
+
     def test_determinism_bit_identical_files(self, config_file, tmp_path):
         outs = []
         for name in ("m1.json", "m2.json"):
@@ -87,6 +113,23 @@ class TestSweepAndPlot:
         assert code == 0
         plines = plot_csv.read_text().strip().splitlines()
         assert len(plines) == 1 + 2
+
+    def test_bad_loads_exit_code(self, config_file, tmp_path):
+        code = cli.main(["sweep", "--config", str(config_file), "--loads", "6,x",
+                         "--methods", "all", "--seeds", "1", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("body", [
+        "",
+        "load,method,seed\n6.0,predictive,0\n",
+        "load,method,seed,interference_mw_s,interference_db,delivery_rate,mean_delay_s,"
+        "energy_mj\nsix,predictive,0,1.0,0.0,1.0,1.0,1.0\n",
+    ])
+    def test_malformed_sweep_csv_exit_code(self, tmp_path, body):
+        bad = tmp_path / "sweep.csv"
+        bad.write_text(body)
+        code = cli.main(["plot-data", "--in", str(bad), "--out", str(tmp_path / "f.csv")])
+        assert code == 2
 
     def test_methods_all(self, config_file, tmp_path):
         out = tmp_path / "sweep_all.csv"

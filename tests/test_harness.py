@@ -129,6 +129,22 @@ class TestRun:
                                                           node.pos.as_array()[None])[0])
                 assert t["power_dbm"] + g <= mini_config.sensitive_cap_dbm + 1e-9
 
+    def test_one_slot_deadline(self, mini_config, mini_world):
+        # the direct ground hop does not close, so no route fits in one slot:
+        # the snapshot baseline sends its first hop and is then out of time,
+        # the planners find nothing to send
+        tight = replace(mini_config, frac_short_deadline=1.0,
+                        deadline_short_s=mini_config.grid.dt)
+        sent = {}
+        for method in METHODS:
+            events = []
+            rep = run(tight, method, 0, events=events, world=mini_world)
+            assert rep.n_flows > 0
+            assert rep.n_delivered == 0
+            sent[method] = [e["flow"] for e in events if e["type"] == "transmission"]
+        assert sent["baseline_aggregate"] == list(range(rep.n_flows))
+        assert sent["predictive"] == sent["baseline_spacetime"] == []
+
     def test_delivery_within_deadline(self, mini_config, mini_world):
         for method in METHODS:
             events = []

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from aeris.errors import ExceedsPMax
-from aeris.operational import (LinkBudget, PowerDecision, build_policy, cap_power,
-                               min_power_outage, required_power_dbm)
+from aeris.operational import (LinkBudget, PowerDecision, cap_power, min_power_outage,
+                               required_power_dbm)
 from aeris.radio_env import ChannelSample, build_map
 from aeris.scene import Position3, SceneNode
 from aeris.units import db_to_lin
@@ -112,69 +112,6 @@ class TestCapPower:
         loose = cap_power(15.0, tx, [a], {"a": -50.0}, rmap, 30.0)
         assert not tight.transmit
         assert loose.transmit
-
-
-class FixedForecast:
-    def __init__(self, mean_db, std_db):
-        self.mean_db = mean_db
-        self.std_db = std_db
-
-
-class TestBuildPolicy:
-    BUDGET = LinkBudget(p_max_dbm=40.0)
-
-    def test_zero_std_single_bin(self):
-        pol = build_policy(FixedForecast(-80.0, 0.0), self.BUDGET, 8)
-        assert pol.n_bins == 1
-        assert pol.lookup(-80.0).power_dbm == pytest.approx(
-            min_power_outage(-80.0, self.BUDGET))
-
-    def test_monotone_non_increasing(self):
-        pol = build_policy(FixedForecast(-85.0, 5.0), self.BUDGET, 16)
-        finite = pol.powers_dbm[np.isfinite(pol.powers_dbm)]
-        assert np.all(np.diff(finite) <= 1e-12)
-
-    def test_low_gain_bins_defer_under_tight_cap(self):
-        tight = LinkBudget(p_max_dbm=12.0)
-        pol = build_policy(FixedForecast(-85.0, 6.0), tight, 12)
-        decisions = [pol.lookup(g) for g in np.linspace(-109, -61, 30)]
-        assert any(not d.transmit for d in decisions)
-        assert any(d.transmit for d in decisions)
-
-    def test_policy_never_exceeds_outage_target(self):
-        # conservative binning: realized outage at the policy power stays <= eps
-        budget = LinkBudget(snr_threshold_db=10.0, outage_eps=0.1, noise_dbm=-90.0,
-                            p_max_dbm=60.0)
-        pol = build_policy(FixedForecast(-80.0, 4.0), budget, 10)
-        rng = np.random.default_rng(3)
-        gains = rng.normal(-80.0, 4.0, 4000)
-        for g in gains[:200]:
-            d = pol.lookup(float(g))
-            if not d.transmit:
-                continue
-            assert outage_probability(d.power_dbm, float(g), budget) <= budget.outage_eps + 1e-12 \
-                or g < pol.bin_edges[0]
-
-    def test_expected_power_beats_non_adaptive(self):
-        budget = LinkBudget(p_max_dbm=60.0)
-        mean, std = -80.0, 4.0
-        pol = build_policy(FixedForecast(mean, std), budget, 12)
-        fixed = db_to_lin(min_power_outage(mean - 4 * std, budget))
-        rng = np.random.default_rng(21)
-        gains = rng.normal(mean, std, 10_000)
-        powers = []
-        for g in gains:
-            d = pol.lookup(float(g))
-            powers.append(db_to_lin(d.power_dbm) if d.transmit else 0.0)
-        assert np.mean(powers) <= fixed
-
-    def test_csv_dump(self, tmp_path):
-        pol = build_policy(FixedForecast(-85.0, 5.0), LinkBudget(p_max_dbm=18.0), 6)
-        out = tmp_path / "policy.csv"
-        pol.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "bin_low_db,bin_high_db,power_dbm"
-        assert len(lines) == 1 + pol.n_bins
 
 
 class TestRequiredPowerVectorized:

@@ -341,6 +341,12 @@ class World:
     ground_positions: dict
     base_state: WorldState
 
+    def realized_position(self, node_id: str, slot: int) -> np.ndarray:
+        """Where a node is at a slot: an aircraft's realized track, else its ground site."""
+        if node_id in self.realized:
+            return self.realized[node_id][slot]
+        return self.ground_positions[node_id].as_array()
+
 
 def _stream(config: ScenarioConfig, run_seed: int, *tags) -> np.random.SeedSequence:
     return np.random.SeedSequence([config.seed, run_seed, *tags])
@@ -426,21 +432,16 @@ class _Accounting:
             [n.pos.as_array() for n in config.scene.sensitive_nodes]
         ).reshape(-1, 3)
 
-    def realized_position(self, node_id: str, slot: int) -> np.ndarray:
-        if node_id in self.world.realized:
-            return self.world.realized[node_id][slot]
-        return self.world.ground_positions[node_id].as_array()
-
     def measured_gain(self, tx: str, rx: str, slot: int) -> float:
-        a = self.realized_position(tx, slot)
-        b = self.realized_position(rx, slot)
+        a = self.world.realized_position(tx, slot)
+        b = self.world.realized_position(rx, slot)
         return float(self.world.truth.gain_db_many(a[None], b[None])[0])
 
     def transmit(self, flow_idx: int, hop_idx: int, slot: int, tx: str, rx: str,
                  power_dbm: float, fade_rng) -> bool:
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
-        tx_pos = self.realized_position(tx, slot)
+        tx_pos = self.world.realized_position(tx, slot)
         contrib = 0.0
         if self._sens_pos.shape[0]:
             gains = self.world.truth.gain_db_many(
@@ -532,9 +533,7 @@ def _cluster_members(world: World, state: WorldState, center: np.ndarray, radius
     for e in sorted(world.realized) + sorted(n.id for n in
                                              tuple(world.config.scene.ground_sources)
                                              + tuple(world.config.scene.ground_destinations)):
-        pos = state.realized_pos(e, state.now_s) if e in world.realized \
-            else world.ground_positions[e].as_array()
-        if np.linalg.norm(pos - center) <= radius:
+        if np.linalg.norm(state.realized_pos(e, state.now_s) - center) <= radius:
             members.add(e)
     return tuple(sorted(members))
 
@@ -625,7 +624,7 @@ class _Cascade:
             if required > cfg.budget.p_max_dbm:
                 continue
             decision = cap_power(required, Position3.from_array(
-                np.maximum(acct.realized_position(hop.tx, s), 0.0)),
+                np.maximum(world.realized_position(hop.tx, s), 0.0)),
                 cfg.scene.sensitive_nodes, cfg.sensitive_cap_dbm, world.radio_map,
                 cfg.budget.p_max_dbm)
             if decision.transmit:
@@ -648,48 +647,33 @@ def baseline_aggregate(world: World, flow: FlowRequest, cfg: ScenarioConfig = No
     per-hop powers from the measured gains; no foresight, no interference term,
     no caps. Returns (node sequence, powers) or raises NoFeasiblePath."""
     cfg = cfg or world.config
-    acct_pos = lambda e: (world.realized[e][flow.injection_slot] if e in world.realized
-                          else world.ground_positions[e].as_array())
-    entities = sorted(world.realized) + [n.id for n in
-                                         tuple(cfg.scene.ground_sources)
-                                         + tuple(cfg.scene.ground_destinations)]
-    pos = {e: acct_pos(e) for e in entities}
-    gain = {}
-    feasible = {e: [] for e in entities}
-    ids = sorted(entities)
-    arr = np.array([pos[e] for e in ids])
-    for i, a in enumerate(ids):
-        others = [b for b in ids if b != a]
-        txs = np.broadcast_to(arr[i], (len(others), 3))
-        rxs = np.array([pos[b] for b in others])
-        keep = np.linalg.norm(txs - rxs, axis=1) > 0
-        g = np.full(len(others), -np.inf)
-        if np.any(keep):
-            g[keep] = world.truth.gain_db_many(txs[keep], rxs[keep])
-        for b, gv in zip(others, g):
-            gain[(a, b)] = float(gv)
-            if np.isfinite(gv) and required_power_dbm(gv, cfg.budget) <= cfg.budget.p_max_dbm:
-                feasible[a].append(b)
-    # min-hop BFS from dest, then lexicographic forward walk
-    dist = {flow.dest: 0}
-    frontier = [flow.dest]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in ids:
-                if u in feasible[v] and v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    if flow.source not in dist:
+    ids = sorted(list(world.realized) + [n.id for n in tuple(cfg.scene.ground_sources)
+                                         + tuple(cfg.scene.ground_destinations)])
+    if flow.source not in ids or flow.dest not in ids:
+        raise NoFeasiblePath("flow endpoint is not a communicating node")
+    pos = np.array([world.realized_position(e, flow.injection_slot) for e in ids])
+    tx, rx = np.nonzero(~np.eye(len(ids), dtype=bool))
+    keep = np.linalg.norm(pos[tx] - pos[rx], axis=1) > 0
+    gain = np.full((len(ids), len(ids)), -np.inf)
+    gain[tx[keep], rx[keep]] = world.truth.gain_db_many(pos[tx[keep]], pos[rx[keep]])
+    power = required_power_dbm(gain, cfg.budget)
+    feasible = power <= cfg.budget.p_max_dbm
+    # hop counts to dest by BFS over feasible[tx, rx], then a forward walk that
+    # takes the lowest sorted-id next hop: the lexicographically least min-hop route
+    src, dst = ids.index(flow.source), ids.index(flow.dest)
+    dist = np.full(len(ids), -1)
+    frontier, level = np.arange(len(ids)) == dst, 0
+    while frontier.any():
+        dist[frontier] = level
+        frontier = feasible[:, frontier].any(axis=1) & (dist < 0)
+        level += 1
+    if dist[src] < 0:
         raise NoFeasiblePath("snapshot topology does not connect the flow")
-    route = [flow.source]
-    while route[-1] != flow.dest:
+    route = [src]
+    while route[-1] != dst:
         u = route[-1]
-        cand = sorted(v for v in feasible[u] if dist.get(v, 1 << 30) == dist[u] - 1)
-        route.append(cand[0])
-    powers = [required_power_dbm(gain[(a, b)], cfg.budget) for a, b in zip(route, route[1:])]
-    return route, powers
+        route.append(int(np.flatnonzero(feasible[u] & (dist == dist[u] - 1))[0]))
+    return [ids[i] for i in route], [float(power[a, b]) for a, b in zip(route, route[1:])]
 
 
 def baseline_spacetime(world: World, flow: FlowRequest) -> PathReservation:

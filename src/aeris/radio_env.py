@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateLink, EmptySampleSet
-from .scene import Position3, Scene, los_blocked
+from .scene import Position3, Scene, los_clear
 from .trajectory import positions_at
 
 _EXACT_EPS = 1e-9
@@ -111,33 +111,24 @@ class GroundTruthChannel:
         self.params = params
         self.field = ShadowField(params.decorr_dist, shadow_seed, n_terms)
 
-    def _los_mask(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-        out = np.empty(tx.shape[0], dtype=bool)
-        for i in range(tx.shape[0]):
-            out[i] = not los_blocked(
-                self.scene, Position3.from_array(tx[i]), Position3.from_array(rx[i])
-            )
-        return out
-
-    def gain_db_many(self, tx: np.ndarray, rx: np.ndarray, with_shadow: bool = True) -> np.ndarray:
+    def gain_db_many(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
         """Large-scale gains for (m, 3) position pairs, reciprocal by construction."""
         tx = np.atleast_2d(np.asarray(tx, dtype=float))
         rx = np.atleast_2d(np.asarray(rx, dtype=float))
         d = np.linalg.norm(tx - rx, axis=1)
         if np.any(d == 0.0):
             raise DegenerateLink("tx and rx coincide")
+        if not (np.isfinite(d) & (tx[:, 2] >= 0) & (rx[:, 2] >= 0)).all():
+            raise ValueError("positions must be finite with z >= 0")
         p = self.params
-        los = self._los_mask(tx, rx)
+        los = los_clear(self.scene, tx, rx)
         n_exp = np.where(los, p.n_los, p.n_nlos)
         pl = p.pl0_db + 10.0 * n_exp * np.log10(np.maximum(d, p.d0) / p.d0)
-        if with_shadow:
-            sigma = np.where(los, p.sigma_sh_los_db, p.sigma_sh_nlos_db)
-            mid = 0.5 * (tx + rx)
-            pl = pl + sigma * self.field.unit(mid)
-        return -pl
+        sigma = np.where(los, p.sigma_sh_los_db, p.sigma_sh_nlos_db)
+        return -(pl + sigma * self.field.unit(0.5 * (tx + rx)))
 
-    def gain_db(self, tx: Position3, rx: Position3, with_shadow: bool = True) -> float:
-        return float(self.gain_db_many(tx.as_array()[None], rx.as_array()[None], with_shadow)[0])
+    def gain_db(self, tx: Position3, rx: Position3) -> float:
+        return float(self.gain_db_many(tx.as_array()[None], rx.as_array()[None])[0])
 
 
 def true_gain_db(scene: Scene, params: PathLossParams, shadow_seed, tx: Position3, rx: Position3) -> float:

@@ -147,43 +147,32 @@ class Scene:
         return Scene.from_json_dict(json.loads(s))
 
 
-def _segment_box_params(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Open parameter interval (tlo, thi) per box where a + t*d is strictly inside.
+def los_clear(scene: Scene, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """(m,) bool: True where the open segment (tx[i], rx[i]) crosses no obstacle.
 
-    lo/hi have shape (n_boxes, 3). Returns two (n_boxes,) arrays; an empty
-    interval is encoded as tlo >= thi.
+    Slab method over rows x boxes x axes with strict inequalities: tangent
+    grazes and endpoints lying exactly on a face do not count as blockage. On
+    an axis where the segment does not move, it is inside the slab only when
+    strictly between the box faces.
     """
-    n = lo.shape[0]
-    tlo = np.full((n, 3), -np.inf)
-    thi = np.full((n, 3), np.inf)
-    for ax in range(3):
-        da = d[ax]
-        if da != 0.0:
-            t1 = (lo[:, ax] - a[ax]) / da
-            t2 = (hi[:, ax] - a[ax]) / da
-            tlo[:, ax] = np.minimum(t1, t2)
-            thi[:, ax] = np.maximum(t1, t2)
-        else:
-            inside = (a[ax] > lo[:, ax]) & (a[ax] < hi[:, ax])
-            tlo[:, ax] = np.where(inside, -np.inf, np.inf)
-            thi[:, ax] = np.where(inside, np.inf, -np.inf)
-    return tlo.max(axis=1), thi.min(axis=1)
+    a = np.atleast_2d(np.asarray(tx, dtype=float))[:, None, :]
+    d = np.atleast_2d(np.asarray(rx, dtype=float))[:, None, :] - a
+    lo, hi = scene._obs_lo[None], scene._obs_hi[None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - a) / d
+        t2 = (hi - a) / d
+    flat = d == 0.0
+    inside = (a > lo) & (a < hi)
+    tlo = np.where(flat, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    thi = np.where(flat, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    enter = np.maximum(tlo.max(axis=2), 0.0)
+    leave = np.minimum(thi.min(axis=2), 1.0)
+    return ~np.any(enter < leave, axis=1)
 
 
 def los_blocked(scene: Scene, a: Position3, b: Position3) -> bool:
-    """True iff the open segment (a, b) crosses the interior of any obstacle.
-
-    Slab method with strict inequalities: tangent grazes and endpoints lying
-    exactly on a face do not count as blockage.
-    """
-    if scene._obs_lo.shape[0] == 0:
-        return False
-    av = a.as_array()
-    d = b.as_array() - av
-    tlo, thi = _segment_box_params(av, d, scene._obs_lo, scene._obs_hi)
-    enter = np.maximum(tlo, 0.0)
-    leave = np.minimum(thi, 1.0)
-    return bool(np.any(enter < leave))
+    """True iff the open segment (a, b) crosses the interior of any obstacle."""
+    return not los_clear(scene, a.as_array()[None], b.as_array()[None])[0]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -10,7 +11,7 @@ from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, baseline_spacetime, build_world, draw_flows,
                            gen_default_scenario, plot_data, replay_metrics, run, sweep,
                            sweep_from_csv, sweep_to_csv)
-from aeris.operational import LinkBudget
+from aeris.operational import LinkBudget, required_power_dbm
 from aeris.units import db_to_lin
 
 
@@ -169,6 +170,37 @@ class TestBaselines:
         flows = draw_flows(mini_config, 0, 12.0)
         with pytest.raises(NoFeasiblePath):
             baseline_aggregate(mini_world, flows[0], starved)
+
+    def test_aggregate_route_is_least_min_hop_on_truth_snapshot(self, mini_config, mini_world):
+        # each ordered pair's gain from its own truth call at the injection slot;
+        # routes from an enumeration that tries fewer hops first and, within a hop
+        # count, relays in lexicographic order
+        budget = mini_config.budget
+        ground = mini_config.scene.ground_sources + mini_config.scene.ground_destinations
+        nodes = sorted(list(mini_world.realized) + [n.id for n in ground])
+        multi_hop = 0
+        for f in draw_flows(mini_config, 0, 12.0):
+            pos = {e: (mini_world.realized[e][f.injection_slot] if e in mini_world.realized
+                       else mini_world.ground_positions[e].as_array()) for e in nodes}
+            gain = {(a, b): float(mini_world.truth.gain_db_many(pos[a][None], pos[b][None])[0])
+                    for a, b in itertools.permutations(nodes, 2)}
+            ok = lambda a, b: required_power_dbm(gain[(a, b)], budget) <= budget.p_max_dbm
+            relays = [e for e in nodes if e not in (f.source, f.dest)]
+            want = next((r for k in range(len(relays) + 1)
+                         for mid in itertools.permutations(relays, k)
+                         for r in [[f.source, *mid, f.dest]]
+                         if all(ok(a, b) for a, b in zip(r, r[1:]))), None)
+            if want is None:
+                with pytest.raises(NoFeasiblePath):
+                    baseline_aggregate(mini_world, f)
+                continue
+            route, powers = baseline_aggregate(mini_world, f)
+            assert route == want
+            hops = list(zip(route, route[1:]))
+            assert powers == pytest.approx([required_power_dbm(gain[h], budget) for h in hops],
+                                           rel=0.0, abs=1e-9)
+            multi_hop += len(hops) > 1
+        assert multi_hop > 0
 
     def test_spacetime_delay_no_worse_than_predictive(self, mini_config, mini_world):
         flows = draw_flows(mini_config, 0, 12.0)

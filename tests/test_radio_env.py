@@ -50,6 +50,13 @@ class TestTrueGain:
         with pytest.raises(DegenerateLink):
             ch.gain_db(P(5, 5, 5), P(5, 5, 5))
 
+    @pytest.mark.parametrize("bad", [(np.nan, 0, 10), (0, -np.inf, 10), (0, 0, -1)])
+    def test_rejects_invalid_positions(self, bad):
+        ch = GroundTruthChannel(EMPTY, NOSHADOW, 0)
+        with pytest.raises(ValueError):
+            ch.gain_db_many(np.array([bad, (0, 0, 10)], dtype=float),
+                            np.array([(50, 0, 10), (60, 0, 10)], dtype=float))
+
     def test_los_flip_switches_exponent(self):
         wall = ObstacleBox(P(40, -10, 0), P(60, 10, 40))
         sc = Scene(ObstacleBox(P(-100, -100, 0), P(500, 500, 300)), (wall,))

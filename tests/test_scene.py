@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeris.errors import GenerationFailed
 from aeris.scene import (CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city,
-                         los_blocked)
+                         los_blocked, los_clear)
 
 
 def box(x0, y0, z0, x1, y1, z1):
@@ -29,6 +31,68 @@ def sampled_blocked(obstacles, a, b, n=10_000):
         if np.any(inside):
             return True
     return False
+
+
+def scalar_blocked(scene, a, b):
+    """Scalar slab oracle: one segment, one axis at a time, with the same
+    strict inequalities and zero-direction rule as the batched kernel."""
+    lo, hi = scene._obs_lo, scene._obs_hi
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(b, dtype=float) - a
+    tlo = np.full(lo.shape, -np.inf)
+    thi = np.full(lo.shape, np.inf)
+    for ax in range(3):
+        if d[ax] != 0.0:
+            t1 = (lo[:, ax] - a[ax]) / d[ax]
+            t2 = (hi[:, ax] - a[ax]) / d[ax]
+            tlo[:, ax] = np.minimum(t1, t2)
+            thi[:, ax] = np.maximum(t1, t2)
+        else:
+            inside = (a[ax] > lo[:, ax]) & (a[ax] < hi[:, ax])
+            tlo[:, ax] = np.where(inside, -np.inf, np.inf)
+            thi[:, ax] = np.where(inside, np.inf, -np.inf)
+    enter = np.maximum(tlo.max(axis=1), 0.0)
+    leave = np.minimum(thi.min(axis=1), 1.0)
+    return bool(np.any(enter < leave))
+
+
+# Coordinates on the boxes' own grid make segments that graze faces, end on
+# faces and run along edges; free floats fill in general position.
+_GRID = (-2.0, 0.0, 1.0, 2.5, 4.0, 5.0, 7.5, 9.0, 10.0, 12.0)
+_coord = st.one_of(st.sampled_from(_GRID), st.floats(-2.0, 12.0, allow_subnormal=False))
+_point = st.tuples(_coord, _coord, _coord.map(abs))
+
+
+@st.composite
+def _grid_box(draw):
+    corners = [sorted(draw(st.lists(st.sampled_from(_GRID[1:]), min_size=2, max_size=2,
+                                    unique=True))) for _ in range(3)]
+    return box(*(c[0] for c in corners), *(c[1] for c in corners))
+
+
+@st.composite
+def _segment(draw):
+    """A segment whose endpoints share a random subset of coordinates, so
+    axis-parallel, zero-length-axis and fully degenerate segments all occur."""
+    a = np.array(draw(_point))
+    b = np.array(draw(_point))
+    same = np.array(draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
+    return a, np.where(same, a, b)
+
+
+class TestLosClear:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_grid_box(), max_size=4), st.lists(_segment(), min_size=1, max_size=24),
+           st.integers(0, 2**32 - 1))
+    def test_matches_scalar_oracle_row_for_row(self, boxes, segments, seed):
+        # the drawn edge cases plus rows in general position
+        rng = np.random.default_rng(seed)
+        tx = np.vstack([[a for a, _ in segments], rng.uniform([-2, -2, 0], [12, 12, 12], (32, 3))])
+        rx = np.vstack([[b for _, b in segments], rng.uniform([-2, -2, 0], [12, 12, 12], (32, 3))])
+        for sc in (scene_with(*boxes), scene_with()):
+            got = los_clear(sc, tx, rx)
+            assert got.shape == (len(tx),)
+            assert got.tolist() == [not scalar_blocked(sc, a, b) for a, b in zip(tx, rx)]
 
 
 class TestPosition3:

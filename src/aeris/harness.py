@@ -598,7 +598,7 @@ class _Cascade:
                                        max(remaining_s, grid.dt), cfg.scene.sensitive_nodes,
                                        cfg.budget, injection_slot=now_slot,
                                        tables=world.tables, use_caps=True)
-                except (NoFeasiblePath, ValueError):
+                except NoFeasiblePath:
                     return None
                 hops[k:] = list(res.hops)
                 self._log_reroute(hops, k, self.flow.dest)
@@ -836,9 +836,10 @@ def sweep(config: ScenarioConfig, loads, methods, n_seeds: int) -> list:
             raise ConfigInvalid("method", f"unknown method {m!r}")
     config.validate()
     tasks = [(config, tuple(loads), tuple(methods), s) for s in range(n_seeds)]
-    workers = os.environ.get("AERIS_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
-    workers = max(1, min(workers, n_seeds))
+    threads = os.environ.get("AERIS_THREADS") or str(os.cpu_count() or 1)
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ConfigInvalid("AERIS_THREADS", f"must be a positive integer, not {threads!r}")
+    workers = min(int(threads), n_seeds)
     rows = []
     if workers == 1:
         for t in tasks:

@@ -9,9 +9,9 @@ seed. It is indexed at the link midpoint, which keeps the ground truth
 reciprocal by construction.
 
 The map is k-nearest-neighbour inverse-distance weighting over the raw 6D
-(tx, rx) sample coordinates. Samples are stored in both orientations and the
-query averages the (tx, rx) and (rx, tx) lookups, so queries are reciprocal
-and reproduce training samples exactly.
+(tx, rx) sample coordinates. Samples are stored in both orientations, and each
+query pair makes one lookup with its lexicographically smaller endpoint first,
+so queries are reciprocal bit for bit and reproduce training samples exactly.
 """
 
 from __future__ import annotations
@@ -265,12 +265,13 @@ class RadioMap:
         return out
 
     def query_many(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-        """Mean gains for (m, 3) position pair arrays, symmetrized."""
+        """Mean gains for (m, 3) position pair arrays. Each pair makes one lookup with
+        its (x, y, z)-smaller endpoint first, so (rx, tx) makes the same query."""
         tx = np.atleast_2d(np.asarray(tx, dtype=float))
         rx = np.atleast_2d(np.asarray(rx, dtype=float))
-        q = np.concatenate([tx, rx], axis=1)
-        qs = np.concatenate([rx, tx], axis=1)
-        return 0.5 * (self._idw(q) + self._idw(qs))
+        ax = np.argmax(tx != rx, axis=1)[:, None]  # first coordinate where they differ
+        swap = np.take_along_axis(tx, ax, axis=1) > np.take_along_axis(rx, ax, axis=1)
+        return self._idw(np.where(swap, np.hstack([rx, tx]), np.hstack([tx, rx])))
 
     def query(self, tx: Position3, rx: Position3) -> LargeScaleStats:
         """Expected large-scale stats between two points.
@@ -284,8 +285,6 @@ class RadioMap:
 
 def build_map(samples, idw_exponent: float = 2.0, k_neighbors: int = 8, built_at: float = 0.0,
               residual_std_db: float = 4.0) -> RadioMap:
-    if not samples:
-        raise EmptySampleSet("a radio map needs at least one sample")
     return RadioMap(tuple(samples), idw_exponent, k_neighbors, built_at, residual_std_db)
 
 

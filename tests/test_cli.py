@@ -119,6 +119,12 @@ class TestSweepAndPlot:
                          "--methods", "all", "--seeds", "1", "--out", str(tmp_path / "s.csv")])
         assert code == 2
 
+    def test_malformed_thread_count_exit_code(self, config_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("AERIS_THREADS", "two")
+        code = cli.main(["sweep", "--config", str(config_file), "--loads", "6",
+                         "--methods", "all", "--seeds", "1", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+
     @pytest.mark.parametrize("body", [
         "",
         "load,method,seed\n6.0,predictive,0\n",

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aeris import harness
 from aeris.errors import ConfigInvalid, NoFeasiblePath
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, baseline_spacetime, build_world, draw_flows,
@@ -146,6 +148,22 @@ class TestRun:
         assert sent["baseline_aggregate"] == list(range(rep.n_flows))
         assert sent["predictive"] == sent["baseline_spacetime"] == []
 
+    def test_replan_error_propagates(self, mini_config, mini_world, monkeypatch):
+        # a low blockage threshold and a small region force escalations to a
+        # strategic replan; an error there other than NoFeasiblePath is a fault,
+        # not a reason to drop the flow
+        eager = replace(mini_config, blockage_threshold_db=-70.0, region_radius_m=50.0)
+        plan = harness.reserve_path
+
+        def failing_replan(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "choose":
+                raise ValueError("replan fault")
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reserve_path", failing_replan)
+        with pytest.raises(ValueError, match="replan fault"):
+            run(eager, "predictive", 0, world=mini_world)
+
     def test_delivery_within_deadline(self, mini_config, mini_world):
         for method in METHODS:
             events = []
@@ -241,6 +259,12 @@ class TestSweep:
         sweep_to_csv(a, pa)
         sweep_to_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["two", "1.5", "0", "-2"])
+    def test_malformed_thread_count_rejected(self, mini_config, monkeypatch, threads):
+        monkeypatch.setenv("AERIS_THREADS", threads)
+        with pytest.raises(ConfigInvalid, match="AERIS_THREADS"):
+            sweep(mini_config, [6.0], ["baseline_aggregate"], 1)
 
     def test_csv_roundtrip(self, mini_config, tmp_path):
         rows = sweep(mini_config, [6.0], ["baseline_spacetime"], 1)

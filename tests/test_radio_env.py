@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeris.errors import DegenerateLink, EmptySampleSet
 from aeris.radio_env import (ChannelSample, GroundTruthChannel, PathLossParams, RadioMap,
@@ -213,6 +215,69 @@ class TestRadioMap:
         want = np.array([s.gain_db for s in test])
         rmse = float(np.sqrt(np.mean((pred - want) ** 2)))
         assert rmse <= params.sigma_sh_los_db
+
+
+def brute_idw(samples, tx, rx, k=8, p=2.0):
+    """Brute-force oracle of the map: distances from each (tx, rx) row to every
+    stored 6D point (each sample in both orientations), the k nearest, then the
+    anchored inverse-distance weights and the exact-hit rule."""
+    fwd = np.array([[*s.tx.as_array(), *s.rx.as_array()] for s in samples])
+    pts = np.vstack([fwd, fwd[:, [3, 4, 5, 0, 1, 2]]])
+    gains = np.tile([s.gain_db for s in samples], 2)
+    out = []
+    for q in np.hstack([tx, rx]):
+        dist = np.sqrt(((pts - q) ** 2).sum(axis=1))
+        near = np.argsort(dist, kind="stable")[:k]
+        d, g = dist[near], gains[near]
+        if d[0] <= 1e-9:
+            out.append(g[0])
+        else:
+            w = d ** -p
+            out.append(g[0] + np.sum(w * (g - g[0])) / np.sum(w))
+    return np.array(out)
+
+
+class TestQueryOrientation:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_matches_oracle_reciprocal_and_row_independent(self, n_samples, k, seed):
+        # uniform floats: distances tie only where a row's endpoints coincide, between
+        # the two orientations of one sample, which carry the same gain
+        rng = np.random.default_rng(seed)
+        tx, rx = rng.uniform([0, 0, 0], [100, 100, 40], (2, n_samples + 24, 3))
+        samples = [ChannelSample(P(*a), P(*b), float(g))
+                   for a, b, g in zip(tx, rx, rng.uniform(-120, -60, n_samples))]
+        m = build_map(samples, k_neighbors=k)
+        tx, rx = tx[n_samples:], rx[n_samples:]
+        # endpoints sharing x, sharing x and y, and coinciding run every branch
+        # of the canonical order; rows on samples run the exact-hit rule
+        rx[4:8, 0] = tx[4:8, 0]
+        rx[8:12, :2] = tx[8:12, :2]
+        rx[12:16] = tx[12:16]
+        for i, s in zip(range(16, 20), samples):
+            tx[i], rx[i] = s.tx.as_array(), s.rx.as_array()
+        for i, s in zip(range(20, 24), samples):
+            tx[i], rx[i] = s.rx.as_array(), s.tx.as_array()
+        got = m.query_many(tx, rx)
+        assert np.allclose(got, brute_idw(samples, tx, rx, k=k), rtol=0.0, atol=1e-9)
+        assert got.tobytes() == m.query_many(rx, tx).tobytes()
+        rows = np.array([m.query_many(tx[i:i + 1], rx[i:i + 1])[0] for i in range(len(tx))])
+        assert got.tobytes() == rows.tobytes()
+
+    def test_reciprocal_under_exact_distance_ties(self):
+        # samples every 10 m along a straight track against one ground peer;
+        # a query at a midpoint is equally far from the two samples beside it,
+        # and with k = 3 an interior midpoint's third neighbour is one of two
+        # equally far samples
+        peer = np.array([50.0, 30.0, 0.0])
+        track = np.array([[x, 0.0, 50.0] for x in range(0, 101, 10)])
+        samples = [ChannelSample(P(*t), P(*peer), -80.0 - 0.3 * i + 0.01 * i * i)
+                   for i, t in enumerate(track)]
+        m = build_map(samples, k_neighbors=3)
+        mid = 0.5 * (track[:-1] + track[1:])
+        peers = np.broadcast_to(peer, mid.shape)
+        got = m.query_many(mid, peers)
+        assert got.tobytes() == m.query_many(peers, mid).tobytes()
 
 
 class TestSampleCsv:

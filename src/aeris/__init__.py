@@ -16,8 +16,7 @@ from .operational import LinkBudget, PowerDecision, cap_power, min_power_outage
 from .radio_env import (ChannelSample, GroundTruthChannel, LargeScaleStats, PathLossParams,
                         RadioMap, build_map, sample_along, true_gain_db)
 from .scene import CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city, los_blocked
-from .strategic import (HopReservation, InterferenceCost, PathReservation, hop_interference,
-                        reserve_path)
+from .strategic import HopReservation, InterferenceCost, PathReservation, reserve_path
 from .tactical import LocalCluster, Schedule, detect_blockage, reroute_local, schedule_timing
 from .trajectory import DeviationParams, Trajectory4D, Waypoint, position_at, realize
 

@@ -14,6 +14,12 @@ non-negative, so costs along any path are non-decreasing. Ties are broken by
 fewer hops, then earlier delivery, then lexicographically smallest node-id
 sequence, then earliest transmit slots; the destination absorbs (delivery is
 the first arrival).
+
+The min-delay objective charges every edge, carry or transmit, the same slot
+length, so every state reachable at slot t costs the same t-fold sum and that
+sum rises strictly with t. The first slot that reaches the destination is then
+the unique optimal delivery, and the sweep stops there: later layers could
+only hold costlier arrivals.
 """
 
 from __future__ import annotations
@@ -126,30 +132,6 @@ class PathReservation:
                                InterferenceCost(d["predicted_cost_mw_s"]))
 
 
-def hop_interference(radio_map: RadioMap, tx_positions, power_dbm: float, window,
-                     sensitive_nodes, dt_s: float) -> InterferenceCost:
-    """Predicted interference energy of transmitting at power_dbm over a window.
-
-    Sums p_lin * gain_lin(tx(t), g) * dt over the window's slots and every
-    sensitive node g, with gains taken from the map. tx_positions maps a slot
-    index to the transmitter position.
-    """
-    start, end = window
-    p_lin = db_to_lin(power_dbm)
-    nodes = list(sensitive_nodes)
-    if not nodes or p_lin == 0.0:
-        return InterferenceCost(0.0)
-    sens_pos = np.array([n.pos.as_array() for n in nodes])
-    total = 0.0
-    for slot in range(start, end + 1):
-        pos = tx_positions(slot) if callable(tx_positions) else tx_positions[slot]
-        tx = np.broadcast_to(pos.as_array(), sens_pos.shape)
-        gains = radio_map.query_many(tx, sens_pos)
-        sens = np.sum(db_to_lin(gains))
-        total = total + (p_lin * sens) * dt_s
-    return InterferenceCost(total)
-
-
 @dataclass(frozen=True)
 class PlannerTables:
     """Per-scenario precomputation shared by every reservation query.
@@ -219,9 +201,22 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
 
 
 def _search(cost, feas, carry_cost, src, dst, t_slots):
-    """Find the tie-break-optimal schedule. Returns (transmissions, F*, H*, t*)
-    with transmissions a list of (relative_slot, i, j) or raises NoFeasiblePath."""
-    n = cost.shape[1]
+    """Find the tie-break-optimal schedule's cost f*, hop count h* and relative
+    delivery slot t*, with the optimal subgraph that realizes them.
+
+    cost[t, i, j] prices the transmit edge (i, t) -> (j, t + 1) where feas[t, i, j]
+    holds; every carry edge costs carry_cost. cost None is the min-delay
+    objective: every edge costs carry_cost, and the sweep stops at the first
+    arrival. Returns (keep_carry, keep_trans, reach, f*, h*, t*): keep_carry
+    (t*, n) and keep_trans (t*, n, n) mark the edges that keep each state's
+    optimal cost, and reach[t][i, h] for t = 0..t* marks the states (i, t)
+    reached with h hops that complete to (dst, t*) with h* hops. Raises
+    NoFeasiblePath when nothing reaches dst within t_slots.
+    """
+    n = feas.shape[1]
+    first_arrival = cost is None
+    if first_arrival:
+        cost = np.broadcast_to(carry_cost, feas.shape)
     # layered DP over relative slots 0..T: F[t, i] is the minimum path cost
     # reaching (i, t), H the hop count among those paths
     F = np.full((t_slots + 1, n), np.inf)
@@ -241,6 +236,8 @@ def _search(cost, feas, carry_cost, src, dst, t_slots):
         hn[~np.isfinite(fn)] = _BIG
         F[t + 1] = fn
         H[t + 1] = hn
+        if first_arrival and np.isfinite(fn[dst]):
+            break
 
     fd = F[:, dst]
     finite = np.isfinite(fd)
@@ -253,22 +250,22 @@ def _search(cost, feas, carry_cost, src, dst, t_slots):
     h_star = int(h_star)
 
     # Optimal-subgraph edges (these preserve per-state optimal cost exactly).
-    keep_carry = np.zeros((t_slots, n), dtype=bool)
-    keep_trans = np.zeros((t_slots, n, n), dtype=bool)
-    for t in range(min(t_star, t_slots)):
-        ok = np.isfinite(F[t])
-        ok[dst] = False
-        keep_carry[t] = ok & (F[t] + carry_cost == F[t + 1])
-        keep_trans[t] = feas[t] & ok[:, None] & (F[t][:, None] + cost[t] == F[t + 1][None, :])
+    f_now, f_next = F[:t_star], F[1:t_star + 1]
+    ok = np.isfinite(f_now)
+    ok[:, dst] = False
+    keep_carry = ok & (f_now + carry_cost == f_next)
+    keep_trans = (feas[:t_star] & ok[:, :, None]
+                  & (f_now[:, :, None] + cost[:t_star] == f_next[:, None, :]))
 
     # reach[t][i, h]: completable to (dst, t*) with exactly h_star - h more hops.
+    trans8 = keep_trans.view(np.uint8)
     reach = [np.zeros((n, h_star + 2), dtype=bool) for _ in range(t_star + 1)]
     reach[t_star][dst, h_star] = True
     for t in range(t_star - 1, -1, -1):
         nxt = reach[t + 1]
         shifted = np.zeros_like(nxt)
         shifted[:, :-1] = nxt[:, 1:]
-        trans = (keep_trans[t].astype(np.uint8) @ shifted.astype(np.uint8)) > 0
+        trans = (trans8[t] @ shifted.view(np.uint8)) > 0
         reach[t] = (keep_carry[t][:, None] & nxt) | trans
     if not reach[0][src, 0]:
         raise AssertionError("optimal-subgraph reconstruction lost the source")
@@ -308,7 +305,7 @@ def _lex_sequence(keep_carry, keep_trans, reach, id_rank, src, dst, h_star, t_st
     return seq
 
 
-def _earliest_slots(keep_carry, keep_trans, seq, t_star, t_slots):
+def _earliest_slots(keep_carry, keep_trans, seq, t_star):
     """Earliest transmit slots realizing the fixed sequence and delivery t*."""
     k_hops = len(seq) - 1
     can = np.zeros((k_hops + 1, t_star + 1), dtype=bool)
@@ -333,8 +330,9 @@ def _earliest_slots(keep_carry, keep_trans, seq, t_star, t_slots):
 
 
 def _plan(tables: PlannerTables, source: str, dest: str, injection_slot: int,
-          deadline_slots: int, carry_cost: float, cost=None, use_caps: bool = False):
-    """Shared engine. Returns (transmissions abs slots, total cost, delivery_slot)."""
+          deadline_slots: int, min_delay: bool = False, use_caps: bool = False):
+    """Shared engine: least predicted interference, or with min_delay earliest
+    delivery. Returns (transmissions abs slots, total cost, delivery_slot)."""
     try:
         src = tables.node_ids.index(source)
         dst = tables.node_ids.index(dest)
@@ -349,13 +347,13 @@ def _plan(tables: PlannerTables, source: str, dest: str, injection_slot: int,
     if t_slots < 1:
         raise NoFeasiblePath("no slots left before the deadline")
     sl = slice(injection_slot, injection_slot + t_slots)
-    cost_slice = (cost if cost is not None else tables.edge_cost)[sl]
     feas_slice = (tables.feasible_capped if use_caps else tables.feasible)[sl]
     keep_carry, keep_trans, reach, f_star, h_star, t_star = _search(
-        cost_slice, feas_slice, carry_cost, src, dst, t_slots
+        None if min_delay else tables.edge_cost[sl], feas_slice,
+        tables.dt if min_delay else 0.0, src, dst, t_slots
     )
     seq = _lex_sequence(keep_carry, keep_trans, reach, tables.id_rank, src, dst, h_star, t_star)
-    rel = _earliest_slots(keep_carry, keep_trans, seq, t_star, t_slots)
+    rel = _earliest_slots(keep_carry, keep_trans, seq, t_star)
     transmissions = [
         (injection_slot + rel[k], seq[k], seq[k + 1]) for k in range(len(rel))
     ]
@@ -392,8 +390,7 @@ def reserve_path(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: st
         tables = prepare_planner(graph, radio_map, sensitive_nodes, budget)
     deadline_slots = int(math.floor(deadline_s / graph.grid.dt + 1e-9))
     transmissions, cost_value, delivery = _plan(
-        tables, source, dest, injection_slot, deadline_slots, carry_cost=0.0,
-        use_caps=use_caps,
+        tables, source, dest, injection_slot, deadline_slots, use_caps=use_caps,
     )
     return _reservation_from(tables, transmissions, cost_value, injection_slot, delivery,
                              deadline_slots)
@@ -412,10 +409,8 @@ def min_delay_reservation(graph: ChannelGraph, radio_map: RadioMap, source: str,
     if tables is None:
         tables = prepare_planner(graph, radio_map, sensitive_nodes, budget)
     deadline_slots = int(math.floor(deadline_s / graph.grid.dt + 1e-9))
-    delay_cost = np.where(tables.feasible, tables.dt, np.inf)
     transmissions, _, delivery = _plan(
-        tables, source, dest, injection_slot, deadline_slots, carry_cost=tables.dt,
-        cost=delay_cost,
+        tables, source, dest, injection_slot, deadline_slots, min_delay=True,
     )
     interference = 0.0
     for s, i, j in transmissions:

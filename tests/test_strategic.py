@@ -1,19 +1,116 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aeris import strategic
 from aeris.channel_graph import SlotGrid, synthesize
 from aeris.errors import ExceedsPMax, NoFeasiblePath
 from aeris.operational import LinkBudget, min_power_outage
-from aeris.radio_env import ChannelSample, PathLossParams, build_map, sample_along, \
+from aeris.radio_env import ChannelSample, PathLossParams, RadioMap, build_map, sample_along, \
     sample_between, sample_ground_pairs
 from aeris.scene import ObstacleBox, Position3, Scene, SceneNode
 from aeris.strategic import (HopReservation, InterferenceCost, PathReservation,
-                             hop_interference, min_delay_reservation, reserve_path)
+                             min_delay_reservation, reserve_path)
 from aeris.trajectory import Trajectory4D, Waypoint
+from aeris.units import db_to_lin
 
 
 def P(x, y, z):
     return Position3(x, y, z)
+
+
+def hop_interference(radio_map: RadioMap, tx_positions, power_dbm: float, window,
+                     sensitive_nodes, dt_s: float) -> InterferenceCost:
+    """Predicted interference energy of transmitting at power_dbm over a window.
+
+    Sums p_lin * gain_lin(tx(t), g) * dt over the window's slots and every
+    sensitive node g, with gains taken from the map. tx_positions maps a slot
+    index to the transmitter position.
+    """
+    start, end = window
+    p_lin = db_to_lin(power_dbm)
+    nodes = list(sensitive_nodes)
+    if not nodes or p_lin == 0.0:
+        return InterferenceCost(0.0)
+    sens_pos = np.array([n.pos.as_array() for n in nodes])
+    total = 0.0
+    for slot in range(start, end + 1):
+        pos = tx_positions(slot) if callable(tx_positions) else tx_positions[slot]
+        tx = np.broadcast_to(pos.as_array(), sens_pos.shape)
+        gains = radio_map.query_many(tx, sens_pos)
+        sens = np.sum(db_to_lin(gains))
+        total = total + (p_lin * sens) * dt_s
+    return InterferenceCost(total)
+
+
+_BIG = np.iinfo(np.int64).max // 4
+
+
+def full_window_search(cost, feas, carry_cost, src, dst, t_slots):
+    """Reference for strategic._search: the forward sweep over the whole window
+    and the optimal-subgraph masks built slot by slot, sized t_slots. cost is
+    always a tensor (the min-delay objective passes dt on feasible edges)."""
+    n = cost.shape[1]
+    # layered DP over relative slots 0..T: F[t, i] is the minimum path cost
+    # reaching (i, t), H the hop count among those paths
+    F = np.full((t_slots + 1, n), np.inf)
+    H = np.full((t_slots + 1, n), _BIG, dtype=np.int64)
+    F[0, src] = 0.0
+    H[0, src] = 0
+    for t in range(t_slots):
+        base = F[t].copy()
+        base[dst] = np.inf  # destination absorbs
+        carry = base + carry_cost
+        m = base[:, None] + cost[t]
+        m[~feas[t]] = np.inf
+        fn = np.minimum(carry, m.min(axis=0))
+        hc = np.where(carry == fn, H[t], _BIG)
+        hm = np.where(m == fn[None, :], H[t][:, None] + 1, _BIG).min(axis=0)
+        hn = np.minimum(hc, hm)
+        hn[~np.isfinite(fn)] = _BIG
+        F[t + 1] = fn
+        H[t + 1] = hn
+
+    fd = F[:, dst]
+    finite = np.isfinite(fd)
+    if not np.any(finite):
+        raise NoFeasiblePath("no schedule reaches the destination within the deadline")
+    f_star = fd[finite].min()
+    cand = np.flatnonzero(finite & (fd == f_star))
+    h_star = H[cand, dst].min()
+    t_star = int(cand[H[cand, dst] == h_star].min())
+    h_star = int(h_star)
+
+    # Optimal-subgraph edges (these preserve per-state optimal cost exactly).
+    keep_carry = np.zeros((t_slots, n), dtype=bool)
+    keep_trans = np.zeros((t_slots, n, n), dtype=bool)
+    for t in range(min(t_star, t_slots)):
+        ok = np.isfinite(F[t])
+        ok[dst] = False
+        keep_carry[t] = ok & (F[t] + carry_cost == F[t + 1])
+        keep_trans[t] = feas[t] & ok[:, None] & (F[t][:, None] + cost[t] == F[t + 1][None, :])
+
+    # reach[t][i, h]: completable to (dst, t*) with exactly h_star - h more hops.
+    reach = [np.zeros((n, h_star + 2), dtype=bool) for _ in range(t_star + 1)]
+    reach[t_star][dst, h_star] = True
+    for t in range(t_star - 1, -1, -1):
+        nxt = reach[t + 1]
+        shifted = np.zeros_like(nxt)
+        shifted[:, :-1] = nxt[:, 1:]
+        trans = (keep_trans[t].astype(np.uint8) @ shifted.astype(np.uint8)) > 0
+        reach[t] = (keep_carry[t][:, None] & nxt) | trans
+    if not reach[0][src, 0]:
+        raise AssertionError("optimal-subgraph reconstruction lost the source")
+    return keep_carry, keep_trans, reach, f_star, h_star, t_star
+
+
+def oracle_search(cost, feas, carry_cost, src, dst, t_slots):
+    """full_window_search behind strategic._search's signature (cost None: every
+    edge costs carry_cost)."""
+    if cost is None:
+        cost = np.where(feas, carry_cost, np.inf)
+    return full_window_search(cost, feas, carry_cost, src, dst, t_slots)
 
 
 def enumerate_schedules(graph, rmap, src, dst, deadline_slots, sens, budget,
@@ -143,6 +240,63 @@ class TestHopInterference:
         assert InterferenceCost(1e-7).db == pytest.approx(-70.0, abs=1e-9)
 
 
+@st.composite
+def _dp_instance(draw):
+    """A random layered-DP input, often with a planted src -> dst chain of up to
+    three hops that arrives by slot `arrive`. The window is at least ten times
+    `arrive`, so with the chain the min-delay t* is at most a tenth of it."""
+    n = draw(st.integers(2, 6))
+    nodes = draw(st.permutations(range(n)))
+    src, dst = nodes[0], nodes[1]
+    arrive = draw(st.integers(1, 4))
+    t_slots = draw(st.integers(10 * arrive, 10 * arrive + 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feas = rng.random((t_slots, n, n)) < draw(st.sampled_from([0.0, 0.05, 0.15, 0.4]))
+    feas[:, np.arange(n), np.arange(n)] = False
+    hops = draw(st.integers(0, min(3, n - 1, arrive)))
+    chain = [src] + list(nodes[2:hops + 1]) + [dst]
+    slots = sorted(rng.choice(arrive, size=hops, replace=False))
+    for t, i, j in zip(slots, chain, chain[1:]):
+        feas[t, i, j] = True
+    # few distinct costs, so equal-cost ties between schedules are common
+    cost = rng.choice([0.0, 0.1, 0.25, 1.0, 3.0], size=feas.shape)
+    return feas, cost, src, dst, t_slots, hops > 0
+
+
+class TestSearch:
+    def check_against_oracle(self, cost, feas, carry_cost, src, dst, t_slots):
+        try:
+            want = oracle_search(cost, feas, carry_cost, src, dst, t_slots)
+        except NoFeasiblePath:
+            with pytest.raises(NoFeasiblePath):
+                strategic._search(cost, feas, carry_cost, src, dst, t_slots)
+            return None
+        keep_carry, keep_trans, reach, f_star, h_star, t_star = strategic._search(
+            cost, feas, carry_cost, src, dst, t_slots)
+        w_carry, w_trans, w_reach, w_f, w_h, w_t = want
+        assert (t_star, h_star, f_star) == (w_t, w_h, w_f)
+        np.testing.assert_array_equal(keep_carry, w_carry[:t_star])
+        np.testing.assert_array_equal(keep_trans, w_trans[:t_star])
+        assert len(reach) == len(w_reach) == t_star + 1
+        for got, ref in zip(reach, w_reach):
+            np.testing.assert_array_equal(got, ref)
+        return t_star
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dp_instance(), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    def test_min_delay_matches_full_window_oracle(self, inst, dt):
+        feas, _, src, dst, t_slots, plant = inst
+        t_star = self.check_against_oracle(None, feas, dt, src, dst, t_slots)
+        if plant:
+            assert 10 * t_star <= t_slots
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dp_instance())
+    def test_interference_matches_full_window_oracle(self, inst):
+        feas, cost, src, dst, t_slots, _ = inst
+        self.check_against_oracle(cost, feas, 0.0, src, dst, t_slots)
+
+
 class TestReservePath:
     def test_source_equals_dest(self):
         graph, rmap, src, dst, dl, sens, budget = random_instance(0)
@@ -224,11 +378,19 @@ class TestReservePath:
 
 class TestMinDelay:
     def test_matches_min_delay_enumeration(self):
-        matched = 0
+        self.check_enumeration(whole_grid=False)
+
+    def test_whole_grid_deadline_matches_min_delay_enumeration(self):
+        self.check_enumeration(whole_grid=True)
+
+    def check_enumeration(self, whole_grid):
+        matched = early = 0
         for seed in range(200):
             if matched >= 60:
                 break
             graph, rmap, src, dst, dl, sens, budget = random_instance(seed)
+            if whole_grid:
+                dl = graph.grid.n_slots - 1
             want = enumerate_schedules(graph, rmap, src, dst, dl, sens, budget,
                                        carry_cost=graph.grid.dt, delay_objective=True)
             try:
@@ -243,7 +405,11 @@ class TestMinDelay:
             assert tuple([src] + [h.rx for h in res.hops]) == seq
             assert tuple(h.window[0] for h in res.hops) == slots
             matched += 1
+            early += delivery < dl
         assert matched >= 60
+        if whole_grid:
+            # most deliveries leave later slots of the window unswept
+            assert early >= 40
 
 
 def corridor(seed):
@@ -291,6 +457,21 @@ class TestDelayToleranceBehavior:
         assert tight.transmit_only
         assert len(tight.hops) >= 2
         assert tight.predicted_cost.value >= loose.predicted_cost.value
+
+
+class TestCorridorOracle:
+    @pytest.mark.parametrize("planner", [min_delay_reservation, reserve_path])
+    @pytest.mark.parametrize("injection", [0, 12])
+    def test_20s_reservation_matches_full_window_oracle(self, planner, injection,
+                                                         monkeypatch):
+        graph, rmap, scene, budget = corridor(0)
+        args = (graph, rmap, "src", "dst", 20.0, scene.sensitive_nodes, budget, injection)
+        got = planner(*args)
+        monkeypatch.setattr(strategic, "_search", oracle_search)
+        assert got == planner(*args)
+        if planner is min_delay_reservation:
+            # the first arrival leaves most of the 40-slot window unswept
+            assert got.delivery_slot - injection < 10
 
 
 class TestReservationJson:

@@ -8,16 +8,16 @@ reactive baselines.
 
 from . import (channel_graph, cli, echelon, errors, harness, operational, radio_env,
                scene, strategic, tactical, trajectory)
-from .channel_graph import ChannelGraph, LinkForecast, SlotGrid, link_forecast, synthesize
-from .echelon import EchelonView, GainForecast, WorldState, error_report, forecast_gain
+from .channel_graph import ChannelGraph, SlotGrid, synthesize
+from .echelon import EchelonView, GainForecast, WorldState, forecast_gain
 from .harness import (FlowRequest, MetricsReport, ScenarioConfig, draw_flows,
                       gen_default_scenario, replay_metrics, run, sweep)
 from .operational import LinkBudget, PowerDecision, cap_power, min_power_outage
 from .radio_env import (ChannelSample, GroundTruthChannel, LargeScaleStats, PathLossParams,
-                        RadioMap, build_map, sample_along, true_gain_db)
-from .scene import CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city, los_blocked
+                        RadioMap, build_map, sample_along)
+from .scene import CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city
 from .strategic import HopReservation, InterferenceCost, PathReservation, reserve_path
 from .tactical import LocalCluster, Schedule, detect_blockage, reroute_local, schedule_timing
-from .trajectory import DeviationParams, Trajectory4D, Waypoint, position_at, realize
+from .trajectory import DeviationParams, Trajectory4D, Waypoint, realize
 
 __version__ = "0.1.0"

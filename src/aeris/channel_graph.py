@@ -7,12 +7,10 @@ spot recomputation of any stored weight reproduces it bit-exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownNode
 from .radio_env import RadioMap
 from .trajectory import positions_at
 
@@ -43,43 +41,20 @@ class SlotGrid:
 
 
 @dataclass(frozen=True)
-class LinkForecast:
-    """Per-slot expected gain series for one pair; NaN marks unavailable slots."""
-
-    pair: tuple
-    mean_db: np.ndarray
-    std_db: np.ndarray
-    available: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChannelGraph:
-    """Time-indexed symmetric link-gain table over aircraft and ground nodes."""
+    """Time-indexed symmetric link-gain table over aircraft and ground nodes:
+    weights[slot, i, j] is the expected gain in dB (NaN when the edge is absent)
+    and positions[slot, i] the planned position, indexed in node_ids order."""
 
     grid: SlotGrid
     node_ids: tuple
-    range_cutoff: float
     weights: np.ndarray = field(repr=False, compare=False)
     positions: np.ndarray = field(repr=False, compare=False)
-    residual_std_db: float = 4.0
-
-    def index_of(self, node_id: str) -> int:
-        try:
-            return self.node_ids.index(node_id)
-        except ValueError:
-            raise UnknownNode(node_id) from None
-
-    def weight(self, i: str, j: str, slot: int) -> float:
-        """Stored expected gain in dB; NaN when the edge is absent."""
-        return float(self.weights[slot, self.index_of(i), self.index_of(j)])
-
-    def position_of(self, node_id: str, slot: int) -> np.ndarray:
-        return self.positions[slot, self.index_of(node_id)]
 
 
 def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
                range_cutoff: float = 1500.0) -> ChannelGraph:
-    """Build the graph: weight(i, j, t) = map mean gain at the planned slot-t
+    """Build the graph: weights[t, i, j] = map mean gain at the planned slot-t
     positions for every pair within range_cutoff; ground nodes are static."""
     trajs = list(trajs)
     ground_nodes = list(ground_nodes)
@@ -115,29 +90,4 @@ def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
         jj = np.concatenate(jjs)
         weights[ks, ii, jj] = means
         weights[ks, jj, ii] = means
-    return ChannelGraph(grid, ids, range_cutoff, weights, pos, radio_map.residual_std_db)
-
-
-def link_forecast(graph: ChannelGraph, i: str, j: str) -> LinkForecast:
-    """Per-slot forecast series for the (i, j) link; symmetric in pair order."""
-    if i == j:
-        raise UnknownNode(f"link endpoints must differ: {i}")
-    ii, jj = graph.index_of(i), graph.index_of(j)
-    mean = graph.weights[:, ii, jj].copy()
-    avail = np.isfinite(mean)
-    std = np.where(avail, graph.residual_std_db, np.nan)
-    return LinkForecast((i, j), mean, std, avail)
-
-
-def graph_to_csv(graph: ChannelGraph, path) -> None:
-    """Dump present edges as rows (t, i, j, gain_db), i < j in id order."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "i", "j", "gain_db"])
-        for k in range(graph.grid.n_slots):
-            t = graph.grid.t_of(k)
-            for a in range(len(graph.node_ids)):
-                for b in range(a + 1, len(graph.node_ids)):
-                    v = graph.weights[k, a, b]
-                    if np.isfinite(v):
-                        w.writerow([repr(t), graph.node_ids[a], graph.node_ids[b], repr(float(v))])
+    return ChannelGraph(grid, ids, weights, pos)

@@ -15,7 +15,6 @@ Uncertainty composes additively in variance across sources.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import OutOfRange, OutOfRegion
 from .radio_env import GroundTruthChannel, RadioMap
 from .scene import Position3, Scene
-from .trajectory import DeviationParams, positions_at, realize
+from .trajectory import DeviationParams, positions_at
 
 CENTRAL = "central"
 LOCAL = "local"
@@ -36,9 +35,7 @@ class EchelonView:
     """Immutable descriptor of what one tier can see."""
 
     tier: str
-    trajectory_source: str
     map_snapshot: RadioMap
-    staleness_s: float
     horizon_s: float
     region_center: Position3 | None = None
     region_radius: float | None = None
@@ -50,8 +47,6 @@ class EchelonView:
         has_region = self.region_center is not None and self.region_radius is not None
         if (self.tier == LOCAL) != has_region:
             raise ValueError("region fields are required exactly for the local tier")
-        if self.staleness_s < 0:
-            raise ValueError("staleness must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -232,58 +227,3 @@ def _extrapolated_many(world: WorldState, node_id: str, times: np.ndarray) -> np
     now = world.realized_pos(node_id, world.now_s)
     planned_now = world.planned_pos(node_id, world.now_s)
     return now + (_planned_many(world, node_id, times) - planned_now)
-
-
-def error_report(views, world: WorldState, n_trials: int, seed,
-                 lead_times=(0.0,)) -> list:
-    """Empirical forecast RMSE per (tier, lead time) over randomized trials.
-
-    Each trial redraws the deviation realization, picks a random
-    aircraft-to-node link and measurement instant, and scores every view's
-    forecast against the ground truth at the realized target positions.
-    Deterministic for a fixed seed. Returns rows (tier, lead_time_s, rmse_db).
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    aircraft = sorted(world.trajectories)
-    others = sorted(world.ground_positions) + aircraft
-    grid = world.grid
-    t_max_lead = max(lead_times)
-    errors = {(v.tier, lt): [] for v in views for lt in lead_times}
-    for trial in range(n_trials):
-        realized = {
-            a: realize(world.trajectories[a], world.deviation, grid, rng.integers(2 ** 63))
-            for a in aircraft
-        }
-        i = aircraft[rng.integers(len(aircraft))]
-        j = others[rng.integers(len(others))]
-        while j == i:
-            j = others[rng.integers(len(others))]
-        now = float(rng.uniform(grid.t0, grid.t0 + grid.dt * (grid.n_slots - 1) - t_max_lead))
-        w = replace(world, now_s=now, realized=realized)
-        for lt in lead_times:
-            target = now + lt
-            tx = w.realized_pos(i, target)
-            rx = w.realized_pos(j, target)
-            if np.array_equal(tx, rx):
-                continue
-            truth_gain = float(world.truth.gain_db_many(tx[None], rx[None])[0])
-            for view in views:
-                fc = forecast_gain(view, w, (i, j), target)
-                errors[(view.tier, lt)].append(fc.mean_db - truth_gain)
-    rows = []
-    for view in views:
-        for lt in lead_times:
-            e = np.array(errors[(view.tier, lt)])
-            rmse = float(np.sqrt(np.mean(e ** 2))) if e.size else float("nan")
-            rows.append((view.tier, lt, rmse))
-    return rows
-
-
-def error_report_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["tier", "lead_time_s", "rmse_db"])
-        for tier, lt, rmse in rows:
-            w.writerow([tier, repr(float(lt)), repr(float(rmse))])

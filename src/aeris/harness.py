@@ -370,7 +370,7 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
                               config.sampling_period_s)
     samples += sample_ground_pairs(config.scene, config.pathloss, shadow_ss, peers)
     radio_map = build_map(samples, config.map_idw_exponent, config.map_k_neighbors,
-                          built_at=config.grid.t0, residual_std_db=config.map_residual_std_db)
+                          residual_std_db=config.map_residual_std_db)
     graph = synthesize(config.trajectories, comm_ground, radio_map, config.grid,
                        config.range_cutoff_m)
     tables = prepare_planner(graph, radio_map, config.scene.sensitive_nodes, config.budget,
@@ -488,9 +488,7 @@ class _Accounting:
 def _local_view(world: World, center: np.ndarray, radius: float,
                 cfg: ScenarioConfig) -> EchelonView:
     return EchelonView(
-        tier=LOCAL, trajectory_source="realized-within-region",
-        map_snapshot=world.radio_map, staleness_s=0.0,
-        horizon_s=cfg.local_horizon_s,
+        tier=LOCAL, map_snapshot=world.radio_map, horizon_s=cfg.local_horizon_s,
         region_center=Position3.from_array(np.maximum(center, 0.0)),
         region_radius=radius,
     )
@@ -511,19 +509,19 @@ def _build_slice(world: World, cfg: ScenarioConfig, state: WorldState, view: Ech
     for key in links:
         mean[key] = _forecast_series(world, state, view, key, slots)
         entities.update(key)
-    sens = {}
+    ents = sorted(entities)
     times = cfg.grid.t0 + cfg.grid.dt * slots.astype(float)
     sens_pos = np.array([n.pos.as_array() for n in cfg.scene.sensitive_nodes])
-    for e in sorted(entities):
-        pos = echelon._extrapolated_many(state, e, times)
-        if sens_pos.size:
-            cols = []
-            for gp in sens_pos:
-                rx = np.broadcast_to(gp, pos.shape)
-                cols.append(world.radio_map.query_many(pos, rx))
-            sens[e] = np.sum(db_to_lin(np.stack(cols, axis=1)), axis=1)
-        else:
-            sens[e] = np.zeros(slots.size)
+    if sens_pos.size:
+        # one lookup for every (entity, slot, sensitive node) row
+        pos = np.concatenate([echelon._extrapolated_many(state, e, times) for e in ents])
+        n_sens = sens_pos.shape[0]
+        gains = world.radio_map.query_many(np.repeat(pos, n_sens, axis=0),
+                                           np.tile(sens_pos, (pos.shape[0], 1)))
+        lin = db_to_lin(gains.reshape(len(ents), slots.size, n_sens))
+        sens = dict(zip(ents, np.sum(lin, axis=2)))
+    else:
+        sens = {e: np.zeros(slots.size) for e in ents}
     return tactical.LocalGraphSlice(slots, mean, sens, cfg.budget, cfg.grid.dt)
 
 

@@ -16,7 +16,6 @@ so queries are reciprocal bit for bit and reproduce training samples exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -58,13 +57,10 @@ class PathLossParams:
 class LargeScaleStats:
     mean_gain_db: float
     shadow_std_db: float
-    los_prob: float
 
     def __post_init__(self):
         if self.shadow_std_db < 0:
             raise ValueError("shadow_std_db must be non-negative")
-        if not 0.0 <= self.los_prob <= 1.0:
-            raise ValueError("los_prob must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -126,14 +122,6 @@ class GroundTruthChannel:
         pl = p.pl0_db + 10.0 * n_exp * np.log10(np.maximum(d, p.d0) / p.d0)
         sigma = np.where(los, p.sigma_sh_los_db, p.sigma_sh_nlos_db)
         return -(pl + sigma * self.field.unit(0.5 * (tx + rx)))
-
-    def gain_db(self, tx: Position3, rx: Position3) -> float:
-        return float(self.gain_db_many(tx.as_array()[None], rx.as_array()[None])[0])
-
-
-def true_gain_db(scene: Scene, params: PathLossParams, shadow_seed, tx: Position3, rx: Position3) -> float:
-    """One-shot ground-truth gain; deterministic for a fixed shadow_seed."""
-    return GroundTruthChannel(scene, params, shadow_seed).gain_db(tx, rx)
 
 
 def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampling_period: float,
@@ -214,7 +202,6 @@ class RadioMap:
     samples: tuple
     idw_exponent: float = 2.0
     k_neighbors: int = 8
-    built_at: float = 0.0
     residual_std_db: float = 4.0
     _points: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _gains: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -274,34 +261,11 @@ class RadioMap:
         return self._idw(np.where(swap, np.hstack([rx, tx]), np.hstack([tx, rx])))
 
     def query(self, tx: Position3, rx: Position3) -> LargeScaleStats:
-        """Expected large-scale stats between two points.
-
-        los_prob is an uninformative 0.5: occlusion state is not part of the
-        sampled data, so the map cannot infer it.
-        """
+        """Expected large-scale stats between two points."""
         mean = float(self.query_many(tx.as_array()[None], rx.as_array()[None])[0])
-        return LargeScaleStats(mean, self.residual_std_db, 0.5)
+        return LargeScaleStats(mean, self.residual_std_db)
 
 
-def build_map(samples, idw_exponent: float = 2.0, k_neighbors: int = 8, built_at: float = 0.0,
+def build_map(samples, idw_exponent: float = 2.0, k_neighbors: int = 8,
               residual_std_db: float = 4.0) -> RadioMap:
-    return RadioMap(tuple(samples), idw_exponent, k_neighbors, built_at, residual_std_db)
-
-
-def samples_to_csv(samples, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["tx_x", "tx_y", "tx_z", "rx_x", "rx_y", "rx_z", "gain_db"])
-        for s in samples:
-            w.writerow([repr(v) for v in (s.tx.x, s.tx.y, s.tx.z, s.rx.x, s.rx.y, s.rx.z, s.gain_db)])
-
-
-def samples_from_csv(path) -> list:
-    out = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        next(r)
-        for row in r:
-            vals = [float(v) for v in row]
-            out.append(ChannelSample(Position3(*vals[:3]), Position3(*vals[3:6]), vals[6]))
-    return out
+    return RadioMap(tuple(samples), idw_exponent, k_neighbors, residual_std_db)

@@ -170,11 +170,6 @@ def los_clear(scene: Scene, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return ~np.any(enter < leave, axis=1)
 
 
-def los_blocked(scene: Scene, a: Position3, b: Position3) -> bool:
-    """True iff the open segment (a, b) crosses the interior of any obstacle."""
-    return not los_clear(scene, a.as_array()[None], b.as_array()[None])[0]
-
-
 @dataclass(frozen=True)
 class CityParams:
     """Knobs for the synthetic urban stand-in used by gen_city."""

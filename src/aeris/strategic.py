@@ -81,14 +81,6 @@ class PathReservation:
             if a.window[1] >= b.window[0]:
                 raise ValueError("hop windows must be disjoint and ordered")
 
-    def check(self, deadline_slots: int, p_max_dbm: float) -> None:
-        """Validate the full reservation contract against its flow context."""
-        if self.delivery_slot - self.injection_slot > deadline_slots:
-            raise ValueError("delivery exceeds the deadline")
-        for h in self.hops:
-            if h.nominal_power_dbm > p_max_dbm + 1e-12:
-                raise ValueError("hop power exceeds p_max")
-
     def carry_intervals(self) -> list:
         """Maximal holding intervals (entity, first_slot, last_slot) implied by
         the chosen transmit slots (window starts); empty when transmit-only."""

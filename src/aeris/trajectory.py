@@ -61,13 +61,9 @@ class Trajectory4D:
         return float(self._t[-1])
 
 
-def position_at(traj: Trajectory4D, t: float) -> Position3:
-    """Planned position at time t; clamps to the terminal pads outside the plan."""
-    return Position3.from_array(positions_at(traj, np.array([t]))[0])
-
-
 def positions_at(traj: Trajectory4D, times) -> np.ndarray:
-    """Vectorized planned positions, shape (len(times), 3). Exact at waypoints."""
+    """Planned positions, shape (len(times), 3). Exact at waypoints; clamps to
+    the terminal pads outside the plan."""
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, 3))
     for ax in range(3):

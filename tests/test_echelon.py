@@ -5,8 +5,7 @@ import pytest
 
 from aeris.channel_graph import SlotGrid
 from aeris.echelon import (CENTRAL, INDIVIDUAL, LOCAL, EchelonView, GainForecast,
-                           WorldState, error_report, error_report_to_csv, forecast_gain,
-                           local_mean_series, validate_horizons)
+                           WorldState, forecast_gain, local_mean_series, validate_horizons)
 from aeris.errors import OutOfRange, OutOfRegion
 from aeris.radio_env import GroundTruthChannel, PathLossParams, build_map, sample_along
 from aeris.scene import ObstacleBox, Position3, Scene, SceneNode
@@ -48,7 +47,7 @@ def small_world(seed=0, sigma_dev=3.0, stale_until=30.0):
     stale = sample_along([crop(t, stale_until) for t in trajs], scene, params, shadow,
                          1.0, peers)
     fresh_map = build_map(fresh)
-    stale_map = build_map(stale, built_at=0.0)
+    stale_map = build_map(stale)
     grid = SlotGrid(0.0, 0.5, 240)
     dev = DeviationParams(sigma_dev=sigma_dev, reversion_rate=0.2)
     realized = {t.aircraft_id: realize(t, dev, grid, np.random.SeedSequence([seed, 6, k]))
@@ -61,12 +60,11 @@ def small_world(seed=0, sigma_dev=3.0, stale_until=30.0):
     )
     center = P(400, 400, 0)
     views = {
-        CENTRAL: EchelonView(CENTRAL, "planned", stale_map, staleness_s=60.0,
-                             horizon_s=600.0),
-        LOCAL: EchelonView(LOCAL, "realized-within-region", fresh_map, staleness_s=0.0,
-                           horizon_s=30.0, region_center=center, region_radius=1500.0),
-        INDIVIDUAL: EchelonView(INDIVIDUAL, "self-only", fresh_map, staleness_s=0.0,
-                                horizon_s=2.0, measurement_access="own-links-instantaneous"),
+        CENTRAL: EchelonView(CENTRAL, stale_map, horizon_s=600.0),
+        LOCAL: EchelonView(LOCAL, fresh_map, horizon_s=30.0, region_center=center,
+                           region_radius=1500.0),
+        INDIVIDUAL: EchelonView(INDIVIDUAL, fresh_map, horizon_s=2.0,
+                                measurement_access="own-links-instantaneous"),
     }
     return world, views, fresh_map, stale_map
 
@@ -82,10 +80,9 @@ class TestViewValidation:
     def test_region_fields_local_only(self):
         m = build_map([__import__("aeris").radio_env.ChannelSample(P(0, 0, 1), P(1, 1, 1), -80.0)])
         with pytest.raises(ValueError):
-            EchelonView(CENTRAL, "planned", m, 0.0, 600.0, region_center=P(0, 0, 0),
-                        region_radius=10.0)
+            EchelonView(CENTRAL, m, 600.0, region_center=P(0, 0, 0), region_radius=10.0)
         with pytest.raises(ValueError):
-            EchelonView(LOCAL, "realized-within-region", m, 0.0, 30.0)
+            EchelonView(LOCAL, m, 30.0)
 
     def test_gain_forecast_std_validation(self):
         with pytest.raises(ValueError):
@@ -105,9 +102,9 @@ class TestForecastGain:
     def test_central_equals_local_when_degenerate(self):
         # sigma_dev = 0 and the same (fresh) snapshot on both tiers
         world, views, fresh_map, _ = small_world(sigma_dev=0.0)
-        central = EchelonView(CENTRAL, "planned", fresh_map, 0.0, 600.0)
-        local = EchelonView(LOCAL, "realized-within-region", fresh_map, 0.0, 30.0,
-                            region_center=P(400, 400, 0), region_radius=1500.0)
+        central = EchelonView(CENTRAL, fresh_map, 600.0)
+        local = EchelonView(LOCAL, fresh_map, 30.0, region_center=P(400, 400, 0),
+                            region_radius=1500.0)
         t = world.now_s + 10.0
         a = forecast_gain(central, world, ("a0", "g1"), t)
         b = forecast_gain(local, world, ("a0", "g1"), t)
@@ -133,8 +130,7 @@ class TestForecastGain:
 
     def test_out_of_region(self):
         world, views, fresh_map, _ = small_world()
-        tight = EchelonView(LOCAL, "realized-within-region", fresh_map, 0.0, 30.0,
-                            region_center=P(0, 0, 0), region_radius=10.0)
+        tight = EchelonView(LOCAL, fresh_map, 30.0, region_center=P(0, 0, 0), region_radius=10.0)
         with pytest.raises(OutOfRegion):
             forecast_gain(tight, world, ("a0", "g1"), world.now_s + 1.0)
 
@@ -182,39 +178,6 @@ class TestAccuracyOrdering:
         # central vs local, local vs individual at 95% one-sided
         assert one_sided_t(np.array(sq[CENTRAL]) - np.array(sq[LOCAL])) > 1.645
         assert one_sided_t(np.array(sq[LOCAL]) - np.array(sq[INDIVIDUAL])) > 1.645
-
-
-class TestErrorReport:
-    def test_individual_zero_at_lead_zero(self):
-        world, views, *_ = small_world()
-        rows = error_report(list(views.values()), world, n_trials=5, seed=1,
-                            lead_times=(0.0,))
-        ind = [r for r in rows if r[0] == INDIVIDUAL and r[1] == 0.0][0]
-        assert ind[2] == 0.0
-
-    def test_deterministic(self):
-        world, views, *_ = small_world()
-        a = error_report(list(views.values()), world, n_trials=20, seed=9)
-        b = error_report(list(views.values()), world, n_trials=20, seed=9)
-        assert a == b
-
-    def test_estimates_converge_with_trials(self):
-        world, views, *_ = small_world()
-        vals = {}
-        for n in (50, 100, 200, 400):
-            rows = error_report([views[CENTRAL]], world, n_trials=n, seed=2)
-            vals[n] = rows[0][2]
-        assert abs(vals[400] - vals[200]) < abs(vals[100] - vals[50]) + 0.5
-
-    def test_csv_emission(self, tmp_path):
-        world, views, *_ = small_world()
-        rows = error_report(list(views.values()), world, n_trials=5, seed=1,
-                            lead_times=(0.0, 1.0))
-        out = tmp_path / "report.csv"
-        error_report_to_csv(rows, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "tier,lead_time_s,rmse_db"
-        assert len(lines) == 1 + len(rows)
 
 
 class TestDetectBlockage:

@@ -1,0 +1,81 @@
+"""Guard against unreached public code in src/aeris.
+
+Every public top-level function or class, and every public method, of an aeris
+module must be referenced from live code: another line of src/aeris (not
+`__init__.py`, whose re-exports do not count), `tests/test_acceptance.py` or
+the benchmark in `perfbench/`. Unit tests do not count; a behaviour only they
+need belongs in the test that needs it.
+
+A reference is an identifier of the same name: a variable, an attribute, an
+imported name, or a string constant such as an attribute the benchmark patches
+by name. References from inside an unreached definition do not count, so a
+helper whose only callers are unreached is unreached too. Matching is by name,
+not by type: a method that shares its name with a live attribute is not caught.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names(nodes) -> Counter:
+    out = Counter()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                out[n.attr] += 1
+            elif isinstance(n, ast.alias):
+                out[n.name.rpartition(".")[2]] += 1
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+                out[n.value] += 1
+    return out
+
+
+def _units(path: Path) -> list:
+    """(qualified name or None, references) per definition of a module; None
+    marks module-level code. Methods are units of their own, apart from their
+    class's body."""
+    out, rest = [], []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((stmt.name, _names([stmt])))
+        elif isinstance(stmt, ast.ClassDef):
+            methods = [m for m in stmt.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            body = [s for s in stmt.body if s not in methods]
+            out.append((stmt.name, _names(stmt.bases + stmt.keywords + stmt.decorator_list + body)))
+            out += [(f"{stmt.name}.{m.name}", _names([m])) for m in methods]
+        else:
+            rest.append(stmt)
+    return out + [(None, _names(rest))]
+
+
+def unreached() -> list:
+    units = [u for p in sorted((ROOT / "src" / "aeris").glob("*.py")) if p.name != "__init__.py"
+             for u in _units(p)]
+    outside = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    units += [(None, _names([ast.parse(p.read_text())])) for p in outside]
+
+    def public(q):
+        return q is not None and not q.rpartition(".")[2].startswith("_")
+
+    dead = set()
+    while True:
+        live = Counter()
+        for q, refs in units:
+            if q not in dead:
+                live.update(refs)
+        newly = {q for q, refs in units if public(q) and q not in dead
+                 and live[q.rpartition(".")[2]] == refs[q.rpartition(".")[2]]}
+        if not newly:
+            return sorted(dead)
+        dead |= newly
+
+
+def test_every_public_name_is_reached():
+    assert unreached() == []

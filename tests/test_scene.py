@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from aeris.errors import GenerationFailed
 from aeris.scene import (CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city,
-                         los_blocked, los_clear)
+                         los_clear)
 
 
 def box(x0, y0, z0, x1, y1, z1):
@@ -17,6 +17,11 @@ BOUNDS = box(-100, -100, 0, 200, 200, 100)
 
 def scene_with(*obstacles):
     return Scene(bounds=BOUNDS, obstacles=tuple(obstacles))
+
+
+def los_blocked(scene, a, b):
+    """True iff the open segment (a, b) crosses the interior of any obstacle."""
+    return not los_clear(scene, a.as_array()[None], b.as_array()[None])[0]
 
 
 def sampled_blocked(obstacles, a, b, n=10_000):

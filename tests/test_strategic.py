@@ -125,18 +125,18 @@ def enumerate_schedules(graph, rmap, src, dst, deadline_slots, sens, budget,
     t_end = injection + min(deadline_slots, graph.grid.n_slots - 1 - injection)
     edges = {}
     for t in range(injection, t_end):
-        for i in ids:
-            for j in ids:
+        for a, i in enumerate(ids):
+            for b, j in enumerate(ids):
                 if i == j:
                     continue
-                w = graph.weight(i, j, t)
+                w = float(graph.weights[t, a, b])
                 if not np.isfinite(w):
                     continue
                 try:
                     p = min_power_outage(w, budget)
                 except ExceedsPMax:
                     continue
-                pos = Position3.from_array(np.maximum(graph.position_of(i, t), 0.0))
+                pos = Position3.from_array(np.maximum(graph.positions[t, a], 0.0))
                 cost = hop_interference(rmap, {t: pos}, p, (t, t), sens, dt).value
                 if delay_objective:
                     cost = dt
@@ -357,7 +357,8 @@ class TestReservePath:
                 res = reserve_path(graph, rmap, src, dst, dl * graph.grid.dt, sens, budget)
             except NoFeasiblePath:
                 continue
-            res.check(dl, budget.p_max_dbm)
+            assert res.delivery_slot - res.injection_slot <= dl
+            assert all(h.nominal_power_dbm <= budget.p_max_dbm + 1e-12 for h in res.hops)
             if res.hops:
                 assert res.hops[0].tx == src
                 assert res.hops[-1].rx == dst

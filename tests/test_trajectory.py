@@ -6,7 +6,7 @@ import pytest
 from aeris.channel_graph import SlotGrid
 from aeris.scene import Position3
 from aeris.trajectory import (DeviationParams, Trajectory4D, Waypoint, ou_offsets,
-                              position_at, positions_at, realize)
+                              positions_at, realize)
 
 
 def traj(points, v_max=60.0):
@@ -47,16 +47,16 @@ class TestTrajectory4D:
 
 class TestPositionAt:
     def test_exact_at_waypoints(self):
-        for w in STRAIGHT.waypoints:
-            assert position_at(STRAIGHT, w.t) == w.pos
+        got = positions_at(STRAIGHT, [w.t for w in STRAIGHT.waypoints])
+        assert np.array_equal(got, [w.pos.as_array() for w in STRAIGHT.waypoints])
 
     def test_segment_midpoint_is_mean(self):
-        mid = position_at(STRAIGHT, 5.0)
-        assert mid == Position3(50.0, 0.0, 100.0)
+        assert np.array_equal(positions_at(STRAIGHT, [5.0])[0], [50.0, 0.0, 100.0])
 
     def test_clamps_outside_horizon(self):
-        assert position_at(STRAIGHT, -5.0) == STRAIGHT.waypoints[0].pos
-        assert position_at(STRAIGHT, 99.0) == STRAIGHT.waypoints[-1].pos
+        first, last = positions_at(STRAIGHT, [-5.0, 99.0])
+        assert np.array_equal(first, STRAIGHT.waypoints[0].pos.as_array())
+        assert np.array_equal(last, STRAIGHT.waypoints[-1].pos.as_array())
 
     def test_matches_independent_lerp_oracle(self):
         points = [(0.0, (0, 0, 100)), (10.0, (100, 0, 100)), (30.0, (100, 200, 80)),

@@ -135,6 +135,7 @@ def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampl
         raise ValueError("sampling_period must be positive")
     channel = GroundTruthChannel(scene, params, shadow_seed)
     peers = [p.as_array() if isinstance(p, Position3) else np.asarray(p, dtype=float) for p in peer_points]
+    peer_pos = [Position3.from_array(p) for p in peers]
     samples = []
     for traj in trajs:
         span = traj.t_end - traj.t_start
@@ -143,12 +144,10 @@ def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampl
             continue
         times = traj.t_start + sampling_period * np.arange(n)
         pos = positions_at(traj, times)
-        for peer in peers:
-            rx = np.broadcast_to(peer, pos.shape)
-            gains = channel.gain_db_many(pos, rx)
+        for peer, rx_pos in zip(peers, peer_pos):
+            gains = channel.gain_db_many(pos, np.broadcast_to(peer, pos.shape))
             for i in range(n):
-                samples.append(ChannelSample(Position3.from_array(pos[i]), Position3.from_array(peer),
-                                             float(gains[i])))
+                samples.append(ChannelSample(Position3.from_array(pos[i]), rx_pos, float(gains[i])))
     return samples
 
 

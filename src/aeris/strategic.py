@@ -163,21 +163,24 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
     nodes = list(sensitive_nodes)
     allowed = np.full((n_slots, n), np.inf)
     if nodes:
-        flat_tx = graph.positions.reshape(n_slots * n, 3)
-        cols = []
-        for node in nodes:
-            rx = np.broadcast_to(node.pos.as_array(), flat_tx.shape)
-            g = radio_map.query_many(flat_tx, rx)
-            if shield_margin_db is not None and pathloss is not None:
-                d = np.linalg.norm(flat_tx - rx, axis=1)
-                los = -(pathloss.pl0_db + 10.0 * pathloss.n_los
-                        * np.log10(np.maximum(d, pathloss.d0) / pathloss.d0))
-                g = np.maximum(g, los - shield_margin_db)
-            cols.append(g)
-        gains = np.stack(cols, axis=1)
-        sens_lin = np.sum(db_to_lin(gains), axis=1).reshape(n_slots, n)
+        # one lookup per distinct (position, sensitive node): ground nodes sit at
+        # one position in every slot
+        uniq, inverse = np.unique(graph.positions.reshape(n_slots * n, 3), axis=0,
+                                  return_inverse=True)
+        sens_pos = np.array([node.pos.as_array() for node in nodes])
+        tx = np.repeat(uniq, len(nodes), axis=0)
+        rx = np.tile(sens_pos, (len(uniq), 1))
+        g = radio_map.query_many(tx, rx)
+        if shield_margin_db is not None and pathloss is not None:
+            d = np.linalg.norm(tx - rx, axis=1)
+            los = -(pathloss.pl0_db + 10.0 * pathloss.n_los
+                    * np.log10(np.maximum(d, pathloss.d0) / pathloss.d0))
+            g = np.maximum(g, los - shield_margin_db)
+        gains = g.reshape(len(uniq), len(nodes))
+        inverse = inverse.reshape(-1)
+        sens_lin = np.sum(db_to_lin(gains), axis=1)[inverse].reshape(n_slots, n)
         if per_node_cap_dbm is not None:
-            allowed = (per_node_cap_dbm - gains.max(axis=1)).reshape(n_slots, n)
+            allowed = (per_node_cap_dbm - gains.max(axis=1))[inverse].reshape(n_slots, n)
     else:
         sens_lin = np.zeros((n_slots, n))
     with np.errstate(invalid="ignore"):

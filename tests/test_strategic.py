@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aeris import strategic
 from aeris.channel_graph import SlotGrid, synthesize
 from aeris.errors import ExceedsPMax, NoFeasiblePath
-from aeris.operational import LinkBudget, min_power_outage
+from aeris.operational import LinkBudget, min_power_outage, required_power_dbm
 from aeris.radio_env import ChannelSample, PathLossParams, RadioMap, build_map, sample_along, \
     sample_between, sample_ground_pairs
 from aeris.scene import ObstacleBox, Position3, Scene, SceneNode
@@ -473,6 +473,58 @@ class TestCorridorOracle:
         if planner is min_delay_reservation:
             # the first arrival leaves most of the 40-slot window unswept
             assert got.delivery_slot - injection < 10
+
+
+def per_node_tables(graph, radio_map, nodes, budget, cap, margin, pathloss):
+    """Reference for prepare_planner's sensitive-node tables: one map lookup per
+    sensitive node over every (slot, entity) position, clamped column by column.
+    Returns (sens_lin, feasible_capped, edge_cost)."""
+    w = graph.weights
+    n_slots, n, _ = w.shape
+    with np.errstate(invalid="ignore"):
+        power = required_power_dbm(w, budget)
+        feasible = np.isfinite(w) & (power <= budget.p_max_dbm)
+    allowed = np.full((n_slots, n), np.inf)
+    sens_lin = np.zeros((n_slots, n))
+    if nodes:
+        flat_tx = graph.positions.reshape(n_slots * n, 3)
+        cols = []
+        for node in nodes:
+            rx = np.broadcast_to(node.pos.as_array(), flat_tx.shape)
+            g = radio_map.query_many(flat_tx, rx)
+            if margin is not None:
+                d = np.linalg.norm(flat_tx - rx, axis=1)
+                los = -(pathloss.pl0_db + 10.0 * pathloss.n_los
+                        * np.log10(np.maximum(d, pathloss.d0) / pathloss.d0))
+                g = np.maximum(g, los - margin)
+            cols.append(g)
+        gains = np.stack(cols, axis=1)
+        sens_lin = np.sum(db_to_lin(gains), axis=1).reshape(n_slots, n)
+        if cap is not None:
+            allowed = (cap - gains.max(axis=1)).reshape(n_slots, n)
+    with np.errstate(invalid="ignore"):
+        feasible_capped = feasible & (power <= allowed[:, :, None])
+        edge_cost = (db_to_lin(power) * sens_lin[:, :, None]) * graph.grid.dt
+    return sens_lin, feasible_capped, np.where(feasible, edge_cost, np.inf)
+
+
+class TestPlannerTables:
+    @pytest.mark.parametrize("which", ["none", "sensitive", "all"])
+    @pytest.mark.parametrize("margin", [None, 6.0])
+    @pytest.mark.parametrize("cap", [None, -75.0])
+    def test_matches_per_node_oracle(self, which, margin, cap):
+        graph, rmap, scene, budget = corridor(0)
+        nodes = {"none": (), "sensitive": scene.sensitive_nodes,
+                 "all": scene.all_nodes()}[which]
+        pathloss = PathLossParams()
+        got = strategic.prepare_planner(graph, rmap, nodes, budget, per_node_cap_dbm=cap,
+                                        shield_margin_db=margin, pathloss=pathloss)
+        want = per_node_tables(graph, rmap, nodes, budget, cap, margin, pathloss)
+        for a, b in zip((got.sens_lin, got.feasible_capped, got.edge_cost), want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if cap is not None and nodes:
+            # the cap binds somewhere, so the comparison covers it
+            assert (got.feasible_capped != got.feasible).any()
 
 
 class TestReservationJson:

@@ -12,6 +12,9 @@ The map is k-nearest-neighbour inverse-distance weighting over the raw 6D
 (tx, rx) sample coordinates. Samples are stored in both orientations, and each
 query pair makes one lookup with its lexicographically smaller endpoint first,
 so queries are reciprocal bit for bit and reproduce training samples exactly.
+A query's neighbours are ordered by (distance, index of the point in the
+canonically sorted point set), so equal-distance ties are broken the same way
+whatever the kd-tree's build options and whatever the order of query rows.
 """
 
 from __future__ import annotations
@@ -230,13 +233,42 @@ class RadioMap:
         gains /= counts
         object.__setattr__(self, "_points", uniq)
         object.__setattr__(self, "_gains", gains)
-        object.__setattr__(self, "_tree", cKDTree(uniq))
+        # sliding-midpoint tree: the tie order makes results independent of how
+        # the tree is built, so it is chosen for speed (leaf size by measurement)
+        object.__setattr__(self, "_tree", cKDTree(uniq, leafsize=16, balanced_tree=False))
+
+    def _knn(self, q: np.ndarray, k: int):
+        """(dist, idx) of each row's k nearest points, ordered by (distance, index)."""
+        dist, idx = self._tree.query(q, k=k)
+        dist, idx = dist.reshape(q.shape[0], k), idx.reshape(q.shape[0], k)
+        tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+        if tied.size:  # rare; skipping it keeps small calls cheap
+            order = np.lexsort((idx[tied], dist[tied]))
+            dist[tied] = np.take_along_axis(dist[tied], order, axis=1)
+            idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
+        return dist, idx
+
+    def _neighbours(self, q: np.ndarray):
+        """Each row's k nearest points in (distance, index in _points) order.
+
+        One neighbour more than k settles a row whose k-th and (k+1)-th
+        distances differ. A row where they tie is asked again with twice as
+        many neighbours until the tie group ends, or every point is in.
+        """
+        n = self._points.shape[0]
+        k = min(self.k_neighbors, n)
+        dist, idx = self._knn(q, min(k + 1, n))
+        rows = np.flatnonzero(dist[:, k - 1] == dist[:, k]) if k + 1 < n else []
+        wide = k + 1
+        while len(rows):
+            wide = min(2 * wide, n)
+            d, i = self._knn(q[rows], wide)
+            dist[rows, :k], idx[rows, :k] = d[:, :k], i[:, :k]
+            rows = rows[(d[:, -1] == d[:, k - 1]) & (wide < n)]
+        return dist[:, :k], idx[:, :k]
 
     def _idw(self, q: np.ndarray) -> np.ndarray:
-        k = min(self.k_neighbors, self._points.shape[0])
-        dist, idx = self._tree.query(q, k=k)
-        dist = np.atleast_2d(dist.reshape(q.shape[0], k))
-        idx = np.atleast_2d(idx.reshape(q.shape[0], k))
+        dist, idx = self._neighbours(q)
         g = self._gains[idx]
         with np.errstate(divide="ignore"):
             w = dist ** (-self.idw_exponent)

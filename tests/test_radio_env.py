@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.spatial import cKDTree
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aeris.errors import DegenerateLink, EmptySampleSet
@@ -221,16 +223,22 @@ class TestRadioMap:
 
 
 def brute_idw(samples, tx, rx, k=8, p=2.0):
-    """Brute-force oracle of the map: distances from each (tx, rx) row to every
-    stored 6D point (each sample in both orientations), the k nearest, then the
-    anchored inverse-distance weights and the exact-hit rule."""
+    """Brute-force oracle of the map: each sample stored in both orientations,
+    exact-duplicate points merged (mean gain) and sorted canonically; each query
+    pair with its (x, y, z)-smaller endpoint first, its distances to every point,
+    the k nearest in (distance, index) order, then the anchored inverse-distance
+    weights and the exact-hit rule."""
     fwd = np.array([[*s.tx.as_array(), *s.rx.as_array()] for s in samples])
-    pts = np.vstack([fwd, fwd[:, [3, 4, 5, 0, 1, 2]]])
-    gains = np.tile([s.gain_db for s in samples], 2)
+    pts, inverse = np.unique(np.vstack([fwd, fwd[:, [3, 4, 5, 0, 1, 2]]]), axis=0,
+                             return_inverse=True)
+    inverse = inverse.reshape(-1)
+    gains = (np.bincount(inverse, weights=np.tile([s.gain_db for s in samples], 2))
+             / np.bincount(inverse))
     out = []
-    for q in np.hstack([tx, rx]):
+    for a, b in zip(tx, rx):
+        q = np.concatenate([b, a] if tuple(b) < tuple(a) else [a, b])
         dist = np.sqrt(((pts - q) ** 2).sum(axis=1))
-        near = np.argsort(dist, kind="stable")[:k]
+        near = np.argsort(dist, kind="stable")[:k]  # stable: ties keep index order
         d, g = dist[near], gains[near]
         if d[0] <= 1e-9:
             out.append(g[0])
@@ -238,6 +246,13 @@ def brute_idw(samples, tx, rx, k=8, p=2.0):
             w = d ** -p
             out.append(g[0] + np.sum(w * (g - g[0])) / np.sum(w))
     return np.array(out)
+
+
+def with_tree(radio_map, **options):
+    """A copy of radio_map whose kd-tree is built with other cKDTree options."""
+    other = copy.copy(radio_map)
+    object.__setattr__(other, "_tree", cKDTree(radio_map._points, **options))
+    return other
 
 
 class TestQueryOrientation:
@@ -281,3 +296,47 @@ class TestQueryOrientation:
         peers = np.broadcast_to(peer, mid.shape)
         got = m.query_many(mid, peers)
         assert got.tobytes() == m.query_many(peers, mid).tobytes()
+
+
+# six unit steps in 6D: a query at CENTRE is at distance 1 from all twelve
+# CENTRE +- step points, a tie group longer than 2 (k + 1) for k <= 4
+CENTRE = np.array([1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+BALL = np.vstack([CENTRE + np.eye(6), CENTRE - np.eye(6)])
+
+
+class TestTieOrder:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 2**32 - 1), st.booleans())
+    @example(1, 10, 0, False)  # two points against k = 10
+    @example(2, 3, 1, False)  # at most k + 1 points
+    @example(3, 1, 2, True)  # a twelve-point tie group against k + 1 = 2
+    @example(10, 4, 3, True)
+    def test_tree_and_row_order_independent(self, n_samples, k, seed, ball):
+        # small-integer coordinates: squared distances are exact, so every distance
+        # formula agrees bit for bit and equal distances tie exactly
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 5, (n_samples, 6)).astype(float)
+        if ball:
+            pts = np.vstack([pts, BALL])
+        samples = [ChannelSample(P(*r[:3]), P(*r[3:]), float(g))
+                   for r, g in zip(pts, rng.uniform(-120, -60, len(pts)))]
+        m = build_map(samples, k_neighbors=k)
+        q = np.vstack([rng.integers(0, 5, (40, 6)).astype(float), CENTRE, pts[:5]])
+        tx, rx = q[:, :3], q[:, 3:]
+        got = m.query_many(tx, rx)
+        assert np.allclose(got, brute_idw(samples, tx, rx, k=k), rtol=0.0, atol=1e-9)
+        for options in ({}, {"leafsize": 1}, {"leafsize": 1, "balanced_tree": False}):
+            assert got.tobytes() == with_tree(m, **options).query_many(tx, rx).tobytes()
+        perm = rng.permutation(len(q))
+        assert got[perm].tobytes() == m.query_many(tx[perm], rx[perm]).tobytes()
+
+    def test_long_tie_group_takes_lowest_indices(self):
+        # all twelve ball points are at distance 1, so the k = 3 estimate is the
+        # plain mean of the gains of the three canonically smallest points
+        gains = np.arange(12) * -1.5 - 70.0
+        samples = [ChannelSample(P(*r[:3]), P(*r[3:]), float(g)) for r, g in zip(BALL, gains)]
+        m = build_map(samples, k_neighbors=3)
+        first = np.lexsort(BALL.T[::-1])[:3]
+        want = gains[first[0]] + np.sum(gains[first] - gains[first[0]]) / 3.0
+        got = m.query_many(CENTRE[None, :3], CENTRE[None, 3:])[0]
+        assert got == pytest.approx(want, abs=1e-12)

@@ -10,7 +10,10 @@ A reference is an identifier of the same name: a variable, an attribute, an
 imported name, or a string constant such as an attribute the benchmark patches
 by name. References from inside an unreached definition do not count, so a
 helper whose only callers are unreached is unreached too. Matching is by name,
-not by type: a method that shares its name with a live attribute is not caught.
+not by type, so a method that shares its name with a live attribute would look
+reached; a second check closes that gap for dataclass fields, the attributes
+such a method would hide behind: no public method of an aeris class may share
+its name with a dataclass field of any aeris class.
 """
 
 from __future__ import annotations
@@ -79,3 +82,31 @@ def unreached() -> list:
 
 def test_every_public_name_is_reached():
     assert unreached() == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def field_method_collisions() -> list:
+    """(name, field owners, method owners) for each public method name that is
+    also a dataclass field name, over every class of src/aeris."""
+    fields, methods = {}, {}
+    for p in sorted((ROOT / "src" / "aeris").glob("*.py")):
+        for cls in ast.parse(p.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for s in cls.body:
+                if (_is_dataclass(cls) and isinstance(s, ast.AnnAssign)
+                        and isinstance(s.target, ast.Name)):
+                    fields.setdefault(s.target.id, []).append(f"{p.stem}.{cls.name}")
+                elif (isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not s.name.startswith("_")):
+                    methods.setdefault(s.name, []).append(f"{p.stem}.{cls.name}")
+    return [(n, fields[n], methods[n]) for n in sorted(set(fields) & set(methods))]
+
+
+def test_no_method_shares_a_field_name():
+    assert field_method_collisions() == []

@@ -177,7 +177,6 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
                     * np.log10(np.maximum(d, pathloss.d0) / pathloss.d0))
             g = np.maximum(g, los - shield_margin_db)
         gains = g.reshape(len(uniq), len(nodes))
-        inverse = inverse.reshape(-1)
         sens_lin = np.sum(db_to_lin(gains), axis=1)[inverse].reshape(n_slots, n)
         if per_node_cap_dbm is not None:
             allowed = (per_node_cap_dbm - gains.max(axis=1))[inverse].reshape(n_slots, n)

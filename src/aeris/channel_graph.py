@@ -7,6 +7,7 @@ spot recomputation of any stored weight reproduces it bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,11 @@ class SlotGrid:
     def slot_of(self, t: float) -> int:
         k = int(np.floor((t - self.t0) / self.dt + 1e-9))
         return min(max(k, 0), self.n_slots - 1)
+
+    def slots_in(self, span_s: float) -> int:
+        """Whole slots in a span of span_s seconds, such as a deadline; the 1e-9
+        guard keeps 2.0 s at dt 0.1 from flooring to 19 slots."""
+        return int(math.floor(span_s / self.dt + 1e-9))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
@@ -35,7 +34,7 @@ from .radio_env import (GroundTruthChannel, PathLossParams, build_map, sample_al
                         sample_between, sample_ground_pairs)
 from .scene import CityParams, Position3, Scene, SceneNode, gen_city
 from .strategic import (HopReservation, PathReservation, prepare_planner, reserve_path,
-                        min_delay_reservation)
+                        reserve_paths, min_delay_reservation)
 from .trajectory import DeviationParams, Trajectory4D, Waypoint
 from .units import db_to_lin, lin_to_db
 
@@ -687,27 +686,39 @@ def baseline_spacetime(world: World, flow: FlowRequest) -> PathReservation:
 # the run loop shared by every method
 
 
-def _strategic(acct: _Accounting, method: str, flow: FlowRequest, flow_idx: int):
-    """The method's strategic stage: its hops, and its choice of (slot, power_dbm)
-    for hop k as choose(hops, k, last_slot). choose returns None to drop the
-    flow, or _REPLANNED after rewriting hops[k:] to be asked again for hop k."""
+def _strategic_stage(acct: _Accounting, method: str, flows: list):
+    """The method's strategic stage for a run's flows: stage(flow, flow_idx)
+    returns the flow's hops and its choice of (slot, power_dbm) for hop k as
+    choose(hops, k, last_slot). choose returns None to drop the flow, or
+    _REPLANNED after rewriting hops[k:] to be asked again for hop k.
+
+    A predictive flow's first reservation reads only the static planner tables,
+    so the stage plans every flow's at once, here; each reservation event, or
+    planning error, still comes at its flow's own turn."""
     world, cfg = acct.world, acct.config
     if method == "baseline_aggregate":
-        route, powers = baseline_aggregate(world, flow, cfg)
-        s = flow.injection_slot
-        return [HopReservation(tx, rx, (s + k, s + k), float(p))
-                for k, (tx, rx, p) in enumerate(zip(route, route[1:], powers))], _planned
+        def aggregate(flow, flow_idx):
+            route, powers = baseline_aggregate(world, flow, cfg)
+            s = flow.injection_slot
+            return [HopReservation(tx, rx, (s + k, s + k), float(p))
+                    for k, (tx, rx, p) in enumerate(zip(route, route[1:], powers))], _planned
+        return aggregate
     if method == "baseline_spacetime":
-        return list(baseline_spacetime(world, flow).hops), _planned
-    res = reserve_path(world.graph, world.radio_map, flow.source, flow.dest,
-                       flow.deadline_s, cfg.scene.sensitive_nodes, cfg.budget,
-                       injection_slot=flow.injection_slot, tables=world.tables,
-                       use_caps=True)
-    acct.events.append({"type": "reservation", "flow": flow_idx,
-                        "reservation": res.to_json_dict()})
-    deadline_slots = int(math.floor(flow.deadline_s / cfg.grid.dt + 1e-9))
-    final_slot = min(flow.injection_slot + deadline_slots, cfg.grid.n_slots - 1)
-    return list(res.hops), _Cascade(acct, flow, flow_idx, final_slot).choose
+        return lambda flow, flow_idx: (list(baseline_spacetime(world, flow).hops), _planned)
+    plans = reserve_paths(world.graph,
+                          [(f.source, f.dest, f.deadline_s, f.injection_slot) for f in flows],
+                          world.tables, use_caps=True)
+
+    def predictive(flow, flow_idx):
+        res = plans[flow_idx]
+        if isinstance(res, Exception):
+            raise res
+        acct.events.append({"type": "reservation", "flow": flow_idx,
+                            "reservation": res.to_json_dict()})
+        final_slot = min(flow.injection_slot + cfg.grid.slots_in(flow.deadline_s),
+                         cfg.grid.n_slots - 1)
+        return list(res.hops), _Cascade(acct, flow, flow_idx, final_slot).choose
+    return predictive
 
 
 def _planned(hops: list, k: int, last_slot: int):
@@ -718,18 +729,17 @@ def _planned(hops: list, k: int, last_slot: int):
 _REPLANNED = object()
 
 
-def _execute(acct: _Accounting, method: str, flow: FlowRequest, flow_idx: int,
-             fade_rng) -> None:
-    """Send one flow. No transmission may fall after the deadline slot; the
-    payload is delivered the slot after its last transmission."""
+def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rng) -> None:
+    """Send one flow through the method's strategic stage. No transmission may
+    fall after the deadline slot; the payload is delivered the slot after its
+    last transmission."""
     grid = acct.config.grid
-    deadline_slots = int(math.floor(flow.deadline_s / grid.dt + 1e-9))
-    last_allowed = min(flow.injection_slot + deadline_slots, grid.n_slots) - 1
+    last_allowed = min(flow.injection_slot + grid.slots_in(flow.deadline_s), grid.n_slots) - 1
     energy = 0.0
     last_slot = flow.injection_slot - 1
     k = 0
     try:
-        hops, choose = _strategic(acct, method, flow, flow_idx)
+        hops, choose = stage(flow, flow_idx)
         ok = True
     except NoFeasiblePath:
         hops, ok = [], False
@@ -765,13 +775,14 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
                         "dt_s": config.grid.dt})
     flows = draw_flows(config, seed, load_per_min)
     acct = _Accounting(world, config, events_list)
+    stage = _strategic_stage(acct, method, flows)
     for idx, flow in enumerate(flows):
         events_list.append({
             "type": "flow", "flow": idx, "src": flow.source, "dst": flow.dest,
             "injection_slot": flow.injection_slot, "deadline_s": flow.deadline_s,
         })
         fade_rng = np.random.default_rng(_stream(config, seed, 4, idx))
-        _execute(acct, method, flow, idx, fade_rng)
+        _execute(acct, stage, flow, idx, fade_rng)
     return acct.report(method)
 
 

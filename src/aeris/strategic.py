@@ -20,17 +20,27 @@ length, so every state reachable at slot t costs the same t-fold sum and that
 sum rises strictly with t. The first slot that reaches the destination is then
 the unique optimal delivery, and the sweep stops there: later layers could
 only hold costlier arrivals.
+
+The forward sweep has a flow axis. `reserve_paths` plans many flows on shared
+tables in one sweep: step t gathers, for each flow whose window is still
+open, the step prices at its own injection slot + t, so each flow's layers are
+bit for bit those of a sweep of it alone. A predictive run plans all its first
+reservations this way. `reserve_path` (and with it every escalation replan)
+and `min_delay_reservation` run the same sweep as a batch of one; over a
+batch, the min-delay sweep stops once every flow has arrived. The backward
+pass, the node sequence and the transmit slots stay per flow.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_graph import ChannelGraph
+from .channel_graph import ChannelGraph, SlotGrid
 from .errors import NoFeasiblePath, UnknownNode
 from .operational import LinkBudget, required_power_dbm
 from .radio_env import RadioMap
@@ -130,7 +140,13 @@ class PlannerTables:
 
     `feasible` enforces p_max only (the default edge model);
     `feasible_capped` additionally respects predicted per-sensitive-node
-    received-power caps, for proactively cap-aware planning.
+    received-power caps, for proactively cap-aware planning. `edge_cost` is
+    inf off `feasible`. `capped_price` and `delay_price` are what a step of the
+    DP reads: [t, i, j] prices the transmit edge (i, t) -> (j, t + 1), inf off
+    the edges, and [t, i, i] the carry (i, t) -> (i, t + 1). `capped_price`
+    holds the interference costs of the `feasible_capped` edges, with free
+    carries; `delay_price` charges one slot length for every `feasible` edge
+    and every carry.
     """
 
     node_ids: tuple
@@ -139,6 +155,8 @@ class PlannerTables:
     feasible: np.ndarray
     feasible_capped: np.ndarray
     edge_cost: np.ndarray
+    capped_price: np.ndarray
+    delay_price: np.ndarray
     sens_lin: np.ndarray
     dt: float
     p_max_dbm: float
@@ -190,78 +208,127 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
         raise AssertionError("edge costs must be non-negative")
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(np.array(graph.node_ids))] = np.arange(n)
+    dt = graph.grid.dt
     return PlannerTables(graph.node_ids, rank, power, feasible, feasible_capped, edge_cost,
-                         sens_lin, graph.grid.dt, budget.p_max_dbm)
+                         _with_carry(np.where(feasible_capped, edge_cost, np.inf), 0.0),
+                         _with_carry(np.where(feasible, dt, np.inf), dt), sens_lin, dt,
+                         budget.p_max_dbm)
 
 
-def _search(cost, feas, carry_cost, src, dst, t_slots):
+def _with_carry(price: np.ndarray, carry_cost: float) -> np.ndarray:
+    """Write the carry cost onto the diagonal of each slot of price, in place.
+    No transmit edge joins a node to itself, so the diagonal is free for it."""
+    n = price.shape[-1]
+    price.reshape(-1, n * n)[:, ::n + 1] = carry_cost
+    return price
+
+
+@functools.lru_cache(maxsize=None)
+def _hops(n: int) -> np.ndarray:
+    """The hop count each (i, j) entry of a step adds: none for the carry."""
+    hops = 1 - np.eye(n, dtype=np.int64)
+    hops.flags.writeable = False
+    return hops
+
+
+def _forward(price, src, dst, start, t_slots, first_arrival=False):
+    """The layered DP's forward pass for a batch of flows, one step per slot.
+
+    Flows come longest window first (t_slots non-increasing). Flow b enters at
+    (src[b], start[b]) and may use the t_slots[b] slots after it. price[s] is
+    the step matrix at absolute slot s: [s, i, j] prices the transmit edge
+    (i, s) -> (j, s + 1), inf where there is none, and [s, i, i] the carry.
+    Step t gathers the matrices at start + t of the flows whose window is still
+    open, a prefix of the batch, so a flow's rows are those of a sweep of it
+    alone. With first_arrival (the min-delay objective) the pass ends once
+    every flow has reached its destination. Returns F and H, (batch, T + 1, n)
+    for the last step swept T: F[b, t, i] is the minimum path cost reaching
+    (i, start[b] + t), H the hop count among those paths (inf and _BIG where
+    nothing reaches); rows past a flow's own window are left unset.
+    """
+    src, dst, start = np.array([src, dst, start], dtype=np.int64)
+    ends = [int(e) for e in t_slots]
+    rows = np.arange(src.size)
+    F = np.empty((src.size, ends[0] + 1, price.shape[-1]))
+    H = np.empty(F.shape, dtype=np.int64)
+    F[:, 0], H[:, 0] = np.inf, _BIG
+    F[rows, 0, src] = 0.0
+    H[rows, 0, src] = 0
+    absorb = np.zeros(F[:, 0].shape)
+    absorb[rows, dst] = np.inf  # adding it makes the destination absorb
+    hops = _hops(price.shape[-1])
+    k, sink, done = src.size, (rows, dst), np.zeros(src.size, dtype=bool)
+    for t in range(F.shape[1] - 1):
+        if ends[k - 1] <= t:
+            while ends[k - 1] <= t:
+                k -= 1
+            sink, done = (rows[:k], dst[:k]), done[:k]
+        m = (F[:k, t] + absorb[:k])[:, :, None] + price[start[:k] + t]
+        fn = m.min(axis=1)
+        hn = np.where(m == fn[:, None, :], H[:k, t][:, :, None] + hops, _BIG).min(axis=1)
+        F[:k, t + 1] = fn
+        H[:k, t + 1] = np.where(np.isfinite(fn), hn, _BIG)
+        if first_arrival and np.count_nonzero(
+                np.logical_or(done, np.isfinite(fn[sink]), out=done)) == k:
+            return F[:, :t + 2], H[:, :t + 2]
+    return F, H
+
+
+def _search(cost, feas, carry_cost, src, dst, t_slots, forward=None):
     """Find the tie-break-optimal schedule's cost f*, hop count h* and relative
     delivery slot t*, with the optimal subgraph that realizes them.
 
     cost[t, i, j] prices the transmit edge (i, t) -> (j, t + 1) where feas[t, i, j]
     holds; every carry edge costs carry_cost. cost None is the min-delay
     objective: every edge costs carry_cost, and the sweep stops at the first
-    arrival. Returns (keep_carry, keep_trans, reach, f*, h*, t*): keep_carry
-    (t*, n) and keep_trans (t*, n, n) mark the edges that keep each state's
-    optimal cost, and reach[t][i, h] for t = 0..t* marks the states (i, t)
-    reached with h hops that complete to (dst, t*) with h* hops. Raises
-    NoFeasiblePath when nothing reaches dst within t_slots.
+    arrival. forward is the flow's (F, H) from a batched _forward, cut to its
+    window; without it the search runs the forward pass as a batch of one.
+    Returns (keep_carry, keep_trans, reach, f*, h*, t*): keep_carry (t*, n) and
+    keep_trans (t*, n, n) mark the edges that keep each state's optimal cost,
+    and reach[t, i, h] for t = 0..t* marks the states (i, t) reached with h hops
+    that complete to (dst, t*) with h* hops. Raises NoFeasiblePath when nothing
+    reaches dst within t_slots.
     """
     n = feas.shape[1]
-    first_arrival = cost is None
-    if first_arrival:
-        cost = np.broadcast_to(carry_cost, feas.shape)
-    # layered DP over relative slots 0..T: F[t, i] is the minimum path cost
-    # reaching (i, t), H the hop count among those paths
-    F = np.full((t_slots + 1, n), np.inf)
-    H = np.full((t_slots + 1, n), _BIG, dtype=np.int64)
-    F[0, src] = 0.0
-    H[0, src] = 0
-    for t in range(t_slots):
-        base = F[t].copy()
-        base[dst] = np.inf  # destination absorbs
-        carry = base + carry_cost
-        m = base[:, None] + cost[t]
-        m[~feas[t]] = np.inf
-        fn = np.minimum(carry, m.min(axis=0))
-        hc = np.where(carry == fn, H[t], _BIG)
-        hm = np.where(m == fn[None, :], H[t][:, None] + 1, _BIG).min(axis=0)
-        hn = np.minimum(hc, hm)
-        hn[~np.isfinite(fn)] = _BIG
-        F[t + 1] = fn
-        H[t + 1] = hn
-        if first_arrival and np.isfinite(fn[dst]):
-            break
+    if forward is None:
+        price = _with_carry(np.where(feas, carry_cost if cost is None else cost, np.inf),
+                            carry_cost)
+        F, H = (a[0] for a in _forward(price, [src], [dst], [0], [t_slots], cost is None))
+    else:
+        F, H = forward
 
     fd = F[:, dst]
-    finite = np.isfinite(fd)
-    if not np.any(finite):
+    f_star = fd.min()
+    if not np.isfinite(f_star):
         raise NoFeasiblePath("no schedule reaches the destination within the deadline")
-    f_star = fd[finite].min()
-    cand = np.flatnonzero(finite & (fd == f_star))
-    h_star = H[cand, dst].min()
-    t_star = int(cand[H[cand, dst] == h_star].min())
-    h_star = int(h_star)
+    cand = np.flatnonzero(fd == f_star)
+    hd = H[cand, dst]
+    h_star = int(hd.min())
+    t_star = int(cand[hd == h_star][0])
 
     # Optimal-subgraph edges (these preserve per-state optimal cost exactly).
     f_now, f_next = F[:t_star], F[1:t_star + 1]
     ok = np.isfinite(f_now)
     ok[:, dst] = False
     keep_carry = ok & (f_now + carry_cost == f_next)
+    trans_cost = carry_cost if cost is None else cost[:t_star]
     keep_trans = (feas[:t_star] & ok[:, :, None]
-                  & (f_now[:, :, None] + cost[:t_star] == f_next[:, None, :]))
+                  & (f_now[:, :, None] + trans_cost == f_next[:, None, :]))
 
-    # reach[t][i, h]: completable to (dst, t*) with exactly h_star - h more hops.
-    trans8 = keep_trans.view(np.uint8)
-    reach = [np.zeros((n, h_star + 2), dtype=bool) for _ in range(t_star + 1)]
-    reach[t_star][dst, h_star] = True
-    for t in range(t_star - 1, -1, -1):
-        nxt = reach[t + 1]
-        shifted = np.zeros_like(nxt)
-        shifted[:, :-1] = nxt[:, 1:]
-        trans = (trans8[t] @ shifted.view(np.uint8)) > 0
-        reach[t] = (keep_carry[t][:, None] & nxt) | trans
-    if not reach[0][src, 0]:
+    # reach[t, i, h]: (i, t) reached with h hops completes to (dst, t*) with exactly
+    # h* - h more hops. Level by level down from h*: (i, t) completes at level h
+    # when a kept transmission into level h + 1 leaves i at a slot of its carry
+    # chain from t, which ends at the first slot whose carry is not kept.
+    reach = np.zeros((t_star + 1, n, h_star + 2), dtype=bool)
+    reach[t_star, dst, h_star] = True
+    slots = np.arange(t_star)[:, None]
+    chain_end = np.minimum.accumulate(np.where(keep_carry, t_star - 1, slots)[::-1],
+                                      axis=0)[::-1]
+    for h in range(h_star - 1, -1, -1):
+        into = (keep_trans & reach[1:, None, :, h + 1]).any(axis=2)
+        first = np.minimum.accumulate(np.where(into, slots, t_star)[::-1], axis=0)[::-1]
+        reach[:-1, :, h] = first <= chain_end
+    if not reach[0, src, 0]:
         raise AssertionError("optimal-subgraph reconstruction lost the source")
     return keep_carry, keep_trans, reach, f_star, h_star, t_star
 
@@ -323,10 +390,11 @@ def _earliest_slots(keep_carry, keep_trans, seq, t_star):
     return slots
 
 
-def _plan(tables: PlannerTables, source: str, dest: str, injection_slot: int,
-          deadline_slots: int, min_delay: bool = False, use_caps: bool = False):
-    """Shared engine: least predicted interference, or with min_delay earliest
-    delivery. Returns (transmissions abs slots, total cost, delivery_slot)."""
+def _window(grid: SlotGrid, tables: PlannerTables, source: str, dest: str,
+            deadline_s: float, injection_slot: int):
+    """A request's node indices and its window length in slots, or its error."""
+    if deadline_s < grid.dt:
+        raise ValueError("deadline must cover at least one slot")
     try:
         src = tables.node_ids.index(source)
         dst = tables.node_ids.index(dest)
@@ -335,30 +403,68 @@ def _plan(tables: PlannerTables, source: str, dest: str, injection_slot: int,
     n_slots = tables.edge_cost.shape[0]
     if injection_slot < 0 or injection_slot >= n_slots:
         raise ValueError("injection slot outside the grid")
-    if source == dest:
-        return [], 0.0, injection_slot
-    t_slots = min(deadline_slots, n_slots - 1 - injection_slot)
-    if t_slots < 1:
+    t_slots = min(grid.slots_in(deadline_s), n_slots - 1 - injection_slot)
+    if source != dest and t_slots < 1:
         raise NoFeasiblePath("no slots left before the deadline")
-    sl = slice(injection_slot, injection_slot + t_slots)
-    feas_slice = (tables.feasible_capped if use_caps else tables.feasible)[sl]
-    keep_carry, keep_trans, reach, f_star, h_star, t_star = _search(
-        None if min_delay else tables.edge_cost[sl], feas_slice,
-        tables.dt if min_delay else 0.0, src, dst, t_slots
-    )
-    seq = _lex_sequence(keep_carry, keep_trans, reach, tables.id_rank, src, dst, h_star, t_star)
-    rel = _earliest_slots(keep_carry, keep_trans, seq, t_star)
-    transmissions = [
-        (injection_slot + rel[k], seq[k], seq[k + 1]) for k in range(len(rel))
-    ]
-    return transmissions, float(f_star), injection_slot + t_star
+    return src, dst, t_slots
 
 
-def _reservation_from(tables: PlannerTables, transmissions, cost_value, injection_slot,
-                      delivery_slot, deadline_slots) -> PathReservation:
+def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay: bool = False,
+                  use_caps: bool = False) -> list:
+    """Shared engine: least predicted interference, or with min_delay earliest
+    delivery, for each (source, dest, deadline_s, injection_slot) request, with
+    one forward pass over every request that needs a search. Each entry of the
+    result is the request's PathReservation, or the NoFeasiblePath, UnknownNode
+    or ValueError that planning it alone raises."""
+    out = [None] * len(requests)
+    todo = []
+    for k, (source, dest, deadline_s, injection_slot) in enumerate(requests):
+        try:
+            src, dst, t_slots = _window(grid, tables, source, dest, deadline_s, injection_slot)
+        except (NoFeasiblePath, UnknownNode, ValueError) as e:
+            out[k] = e
+            continue
+        if src == dst:
+            out[k] = PathReservation((), injection_slot, injection_slot, InterferenceCost(0.0))
+        else:
+            todo.append((k, src, dst, injection_slot, t_slots))
+    if not todo:
+        return out
+    todo.sort(key=lambda job: -job[4])  # stable: longest window first, as _forward needs
+    feas = tables.feasible_capped if use_caps else tables.feasible
+    if min_delay:
+        price, carry_cost = tables.delay_price, tables.dt
+    elif use_caps:
+        price, carry_cost = tables.capped_price, 0.0
+    else:
+        price, carry_cost = _with_carry(tables.edge_cost.copy(), 0.0), 0.0
+    F, H = _forward(price, *zip(*(job[1:] for job in todo)), first_arrival=min_delay)
+    for b, (k, src, dst, start, t_slots) in enumerate(todo):
+        sl = slice(start, start + t_slots)
+        try:
+            keep_carry, keep_trans, reach, f_star, h_star, t_star = _search(
+                None if min_delay else price[sl], feas[sl], carry_cost, src, dst, t_slots,
+                forward=(F[b, :t_slots + 1], H[b, :t_slots + 1]))
+            seq = _lex_sequence(keep_carry, keep_trans, reach, tables.id_rank, src, dst,
+                                h_star, t_star)
+            rel = _earliest_slots(keep_carry, keep_trans, seq, t_star)
+            transmissions = [(start + rel[h], seq[h], seq[h + 1]) for h in range(len(rel))]
+            if min_delay:
+                # the reported cost is the schedule's interference, for comparison
+                f_star = 0.0
+                for s, i, j in transmissions:
+                    f_star = f_star + float(tables.edge_cost[s, i, j])
+            out[k] = _reservation(tables, transmissions, float(f_star), start,
+                                  start + t_star, t_slots)
+        except (NoFeasiblePath, ValueError) as e:
+            out[k] = e
+    return out
+
+
+def _reservation(tables: PlannerTables, transmissions, cost_value, injection_slot,
+                 delivery_slot, t_slots) -> PathReservation:
     hops = []
-    n_slots = tables.edge_cost.shape[0]
-    last_window_end = injection_slot + min(deadline_slots, n_slots - 1 - injection_slot) - 1
+    last_window_end = injection_slot + t_slots - 1
     for k, (s, i, j) in enumerate(transmissions):
         end = transmissions[k + 1][0] - 1 if k + 1 < len(transmissions) else last_window_end
         hops.append(
@@ -366,6 +472,22 @@ def _reservation_from(tables: PlannerTables, transmissions, cost_value, injectio
                            float(tables.power_dbm[s, i, j]))
         )
     return PathReservation(tuple(hops), injection_slot, delivery_slot, InterferenceCost(cost_value))
+
+
+def _one(results: list) -> PathReservation:
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def reserve_paths(graph: ChannelGraph, requests, tables: PlannerTables,
+                  use_caps: bool = False) -> list:
+    """reserve_path for many (source, dest, deadline_s, injection_slot) requests
+    on shared tables, in one flow-batched forward pass. Entry k is request k's
+    PathReservation, or the NoFeasiblePath, UnknownNode or ValueError that
+    reserve_path raises for it alone, returned rather than raised."""
+    return _reserve_many(graph.grid, tables, requests, use_caps=use_caps)
 
 
 def reserve_path(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: str,
@@ -377,17 +499,12 @@ def reserve_path(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: st
     Pass precomputed tables to amortize the per-scenario setup across flows;
     use_caps additionally excludes edges whose nominal power would violate the
     predicted per-sensitive-node received-power caps baked into the tables.
+    This is reserve_paths for one request.
     """
-    if deadline_s < graph.grid.dt:
-        raise ValueError("deadline must cover at least one slot")
     if tables is None:
         tables = prepare_planner(graph, radio_map, sensitive_nodes, budget)
-    deadline_slots = int(math.floor(deadline_s / graph.grid.dt + 1e-9))
-    transmissions, cost_value, delivery = _plan(
-        tables, source, dest, injection_slot, deadline_slots, use_caps=use_caps,
-    )
-    return _reservation_from(tables, transmissions, cost_value, injection_slot, delivery,
-                             deadline_slots)
+    return _one(reserve_paths(graph, [(source, dest, deadline_s, injection_slot)], tables,
+                              use_caps))
 
 
 def min_delay_reservation(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: str,
@@ -398,16 +515,7 @@ def min_delay_reservation(graph: ChannelGraph, radio_map: RadioMap, source: str,
     Every edge (carry or transmit) costs one slot of delay; the reported
     predicted cost is the interference of the chosen schedule, for comparison.
     """
-    if deadline_s < graph.grid.dt:
-        raise ValueError("deadline must cover at least one slot")
     if tables is None:
         tables = prepare_planner(graph, radio_map, sensitive_nodes, budget)
-    deadline_slots = int(math.floor(deadline_s / graph.grid.dt + 1e-9))
-    transmissions, _, delivery = _plan(
-        tables, source, dest, injection_slot, deadline_slots, min_delay=True,
-    )
-    interference = 0.0
-    for s, i, j in transmissions:
-        interference = interference + float(tables.edge_cost[s, i, j])
-    return _reservation_from(tables, transmissions, interference, injection_slot, delivery,
-                             deadline_slots)
+    return _one(_reserve_many(graph.grid, tables, [(source, dest, deadline_s, injection_slot)],
+                              min_delay=True))

@@ -51,6 +51,7 @@ class TestSlotGrid:
         g = SlotGrid(0.0, 0.1, 100)
         assert int(np.floor(2.0 / g.dt + 1e-9)) == 20
         assert int(np.floor(20.0 / g.dt + 1e-9)) == 200
+        assert (g.slots_in(2.0), g.slots_in(20.0), g.slots_in(0.05)) == (20, 200, 0)
 
 
 class TestSynthesize:

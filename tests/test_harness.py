@@ -6,15 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aeris import harness
-from aeris.errors import ConfigInvalid, NoFeasiblePath
+from aeris import harness, strategic
+from aeris.errors import ConfigInvalid, NoFeasiblePath, UnknownNode
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, baseline_spacetime, build_world, draw_flows,
                            gen_default_scenario, plot_data, replay_metrics, run, sweep,
                            sweep_from_csv, sweep_to_csv)
 from aeris.operational import LinkBudget, required_power_dbm
 from aeris.units import db_to_lin
+from test_strategic import oracle_search
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,113 @@ class TestRun:
                 f = flows[out["flow"]]
                 slots = int(np.floor(f["deadline_s"] / mini_config.grid.dt + 1e-9))
                 assert out["delivery_slot"] - f["injection_slot"] <= slots
+
+
+PLAN_ERRORS = (NoFeasiblePath, UnknownNode, ValueError)
+
+
+def plan_each(graph, requests, tables, use_caps=False):
+    """strategic.reserve_paths as one reserve_path call per request."""
+    out = []
+    for source, dest, deadline_s, slot in requests:
+        try:
+            out.append(strategic.reserve_path(graph, None, source, dest, deadline_s, (), None,
+                                              injection_slot=slot, tables=tables,
+                                              use_caps=use_caps))
+        except PLAN_ERRORS as e:
+            out.append(e)
+    return out
+
+
+def same_plans(got, want):
+    for g, w in zip(got, want, strict=True):
+        if isinstance(w, Exception):
+            assert (type(g), str(g)) == (type(w), str(w))
+        else:
+            assert g.to_json() == w.to_json()
+
+
+@st.composite
+def _requests(draw, ids, n_slots):
+    """Flow requests on the mini world: known and unknown nodes, source == dest,
+    both deadline classes and one under a slot, injection slots across the grid,
+    near its end (no slot left) and outside it."""
+    node = st.sampled_from(ids + ["nowhere"])
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        source = draw(node)
+        dest = source if draw(st.integers(0, 5)) == 0 else draw(node)
+        deadline = draw(st.sampled_from([2.0, 20.0, 0.05]))
+        slot = draw(st.one_of(st.integers(0, n_slots - 1), st.integers(n_slots - 3, n_slots),
+                              st.just(-1)))
+        out.append((source, dest, deadline, slot))
+    return out
+
+
+class TestBatchedPlanning:
+    """The predictive run plans its flows' first reservations in one batch."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_batch_equals_per_flow_plans(self, mini_world, data):
+        graph, tables = mini_world.graph, mini_world.tables
+        requests = data.draw(_requests(list(graph.node_ids), graph.grid.n_slots))
+        got = strategic.reserve_paths(graph, requests, tables, use_caps=True)
+        same_plans(got, plan_each(graph, requests, tables, use_caps=True))
+        # and with the search replaced by the full-window oracle, which runs no
+        # batched forward pass of its own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategic, "_search", oracle_search)
+            same_plans(got, plan_each(graph, requests, tables, use_caps=True))
+
+    def test_batch_covers_each_outcome(self, mini_config, mini_world):
+        graph, tables = mini_world.graph, mini_world.tables
+        last = graph.grid.n_slots - 1
+        requests = [(f.source, f.dest, f.deadline_s, f.injection_slot)
+                    for f in draw_flows(mini_config, 0, 30.0)]
+        requests += [("src0", "dst0", 20.0, last), ("src0", "dst0", 2.0, last - 1),
+                     ("src0", "src0", 2.0, last), ("src0", "nowhere", 20.0, 0),
+                     ("src0", "dst0", 0.05, 0), ("src0", "dst0", 20.0, last + 1)]
+        got = strategic.reserve_paths(graph, requests, tables, use_caps=True)
+        same_plans(got, plan_each(graph, requests, tables, use_caps=True))
+        kinds = [type(r) for r in got]
+        assert kinds[-6:] == [NoFeasiblePath, NoFeasiblePath, strategic.PathReservation,
+                              UnknownNode, ValueError, ValueError]
+        assert str(got[-6]) == "no slots left before the deadline" != str(got[-5])
+        assert got[-4].hops == ()
+        assert {r[2] for r in requests[:-6]} == {2.0, 20.0}
+        assert sum(isinstance(r, strategic.PathReservation) and r.hops != () for r in got) > 10
+
+    @pytest.mark.parametrize("eager", [False, True])
+    @pytest.mark.parametrize("load", [12.0, 30.0])
+    def test_run_logs_match_per_flow_planning(self, mini_config, mini_world, monkeypatch,
+                                              eager, load):
+        cfg = mini_config
+        if eager:
+            # a low blockage threshold and a small region force escalation replans
+            cfg = replace(cfg, blockage_threshold_db=-70.0, region_radius_m=50.0)
+        replans = []
+        replan = harness.reserve_path
+
+        def counted(*args, **kwargs):
+            replans.append(args[2:4])
+            return replan(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reserve_path", counted)
+        batched = []
+        run(cfg, "predictive", 0, events=batched, world=mini_world, load_per_min=load)
+        planned = []
+
+        def per_flow(graph, requests, tables, use_caps=False):
+            planned.append(len(requests))
+            return plan_each(graph, requests, tables, use_caps)
+
+        monkeypatch.setattr(harness, "reserve_paths", per_flow)
+        reference = []
+        run(cfg, "predictive", 0, events=reference, world=mini_world, load_per_min=load)
+        assert planned == [sum(ev["type"] == "flow" for ev in reference)]
+        assert json.dumps(batched, sort_keys=True) == json.dumps(reference, sort_keys=True)
+        assert bool(replans) == eager
 
 
 class TestBaselines:

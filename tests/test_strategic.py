@@ -47,10 +47,9 @@ def hop_interference(radio_map: RadioMap, tx_positions, power_dbm: float, window
 _BIG = np.iinfo(np.int64).max // 4
 
 
-def full_window_search(cost, feas, carry_cost, src, dst, t_slots):
-    """Reference for strategic._search: the forward sweep over the whole window
-    and the optimal-subgraph masks built slot by slot, sized t_slots. cost is
-    always a tensor (the min-delay objective passes dt on feasible edges)."""
+def full_window_forward(cost, feas, carry_cost, src, dst, t_slots):
+    """Reference for strategic._forward: one flow's forward sweep over its whole
+    window, one slot at a time. Returns F and H, (t_slots + 1, n)."""
     n = cost.shape[1]
     # layered DP over relative slots 0..T: F[t, i] is the minimum path cost
     # reaching (i, t), H the hop count among those paths
@@ -71,6 +70,15 @@ def full_window_search(cost, feas, carry_cost, src, dst, t_slots):
         hn[~np.isfinite(fn)] = _BIG
         F[t + 1] = fn
         H[t + 1] = hn
+    return F, H
+
+
+def full_window_search(cost, feas, carry_cost, src, dst, t_slots):
+    """Reference for strategic._search: the forward sweep over the whole window
+    and the optimal-subgraph masks built slot by slot, sized t_slots. cost is
+    always a tensor (the min-delay objective passes dt on feasible edges)."""
+    n = cost.shape[1]
+    F, H = full_window_forward(cost, feas, carry_cost, src, dst, t_slots)
 
     fd = F[:, dst]
     finite = np.isfinite(fd)
@@ -105,9 +113,9 @@ def full_window_search(cost, feas, carry_cost, src, dst, t_slots):
     return keep_carry, keep_trans, reach, f_star, h_star, t_star
 
 
-def oracle_search(cost, feas, carry_cost, src, dst, t_slots):
+def oracle_search(cost, feas, carry_cost, src, dst, t_slots, forward=None):
     """full_window_search behind strategic._search's signature (cost None: every
-    edge costs carry_cost)."""
+    edge costs carry_cost). It runs its own forward pass and ignores forward."""
     if cost is None:
         cost = np.where(feas, carry_cost, np.inf)
     return full_window_search(cost, feas, carry_cost, src, dst, t_slots)
@@ -295,6 +303,85 @@ class TestSearch:
     def test_interference_matches_full_window_oracle(self, inst):
         feas, cost, src, dst, t_slots, _ = inst
         self.check_against_oracle(cost, feas, 0.0, src, dst, t_slots)
+
+
+@st.composite
+def _dp_batch(draw):
+    """A random layered-DP input and a batch of flows on it, each with its own
+    entry slot and window, longest window first as strategic._forward takes
+    them."""
+    n = draw(st.integers(2, 6))
+    n_slots = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feas = rng.random((n_slots, n, n)) < draw(st.sampled_from([0.05, 0.15, 0.4]))
+    feas[:, np.arange(n), np.arange(n)] = False
+    cost = rng.choice([0.0, 0.1, 0.25, 1.0, 3.0], size=feas.shape)
+    flows = []
+    for _ in range(draw(st.integers(1, 8))):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        start = draw(st.integers(0, n_slots - 2))
+        flows.append((src, dst, start, draw(st.integers(1, n_slots - 1 - start))))
+    flows.sort(key=lambda f: -f[3])
+    return feas, cost, flows
+
+
+def step_prices(feas, cost, carry_cost):
+    """The forward pass's step tensor: cost on the feasible edges (carry_cost
+    when cost is None), inf off them, and the carry on the diagonal."""
+    price = np.where(feas, carry_cost if cost is None else cost, np.inf)
+    price[:, np.arange(feas.shape[1]), np.arange(feas.shape[1])] = carry_cost
+    return price
+
+
+def swept_rows(F_ref, dst, t_slots, first_arrival):
+    """How many rows of a flow's forward pass are swept: the whole window, or
+    with first_arrival up to the first slot that reaches dst."""
+    arrived = np.flatnonzero(np.isfinite(F_ref[:, dst]))
+    return arrived[0] + 1 if first_arrival and arrived.size else t_slots + 1
+
+
+class TestForward:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dp_instance(), st.sampled_from([None, 0.1, 0.5]))
+    def test_batch_of_one_matches_full_window_forward(self, inst, dt):
+        feas, cost, src, dst, t_slots, _ = inst
+        carry = 0.0 if dt is None else dt
+        tensor = cost if dt is None else np.where(feas, dt, np.inf)
+        F, H = strategic._forward(step_prices(feas, tensor, carry), [src], [dst], [0],
+                                  [t_slots], first_arrival=dt is not None)
+        want_F, want_H = full_window_forward(tensor, feas, carry, src, dst, t_slots)
+        rows = swept_rows(want_F, dst, t_slots, dt is not None)
+        # the min-delay pass stops at the first arrival
+        assert F.shape[1] == H.shape[1] == rows
+        assert F[0].tobytes() == want_F[:rows].tobytes()
+        assert H[0].tobytes() == want_H[:rows].tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dp_batch(), st.booleans())
+    def test_batch_rows_match_each_flow_alone(self, inst, min_delay):
+        feas, cost, flows = inst
+        carry = 0.5 if min_delay else 0.0
+        F, H = strategic._forward(step_prices(feas, None if min_delay else cost, carry),
+                                  *zip(*flows), first_arrival=min_delay)
+        for b, (src, dst, start, t_slots) in enumerate(flows):
+            sl = slice(start, start + t_slots)
+            tensor = np.where(feas[sl], carry, np.inf) if min_delay else cost[sl]
+            want_F, want_H = full_window_forward(tensor, feas[sl], carry, src, dst, t_slots)
+            rows = swept_rows(want_F, dst, t_slots, min_delay)
+            assert F[b, :rows].tobytes() == want_F[:rows].tobytes()
+            assert H[b, :rows].tobytes() == want_H[:rows].tobytes()
+            # the search over the batch's rows is the search of the flow alone
+            args = (None if min_delay else cost[sl], feas[sl], carry, src, dst, t_slots)
+            forward = (F[b, :t_slots + 1], H[b, :t_slots + 1])
+            try:
+                alone = strategic._search(*args)
+            except NoFeasiblePath:
+                with pytest.raises(NoFeasiblePath):
+                    strategic._search(*args, forward=forward)
+                continue
+            batched = strategic._search(*args, forward=forward)
+            for got, ref in zip(batched, alone):
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestReservePath:

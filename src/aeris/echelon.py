@@ -208,19 +208,24 @@ def local_mean_series(view: EchelonView, world: WorldState, link, times) -> np.n
     Same positions and map as forecast_gain on the local tier, batched into a
     single map lookup; used by the tactical layer for window-sized series.
     """
+    tx, rx = local_positions(view, world, link, times)
+    return view.map_snapshot.query_many(tx, rx)
+
+
+def local_positions(view: EchelonView, world: WorldState, nodes, times) -> np.ndarray:
+    """Where the local tier places each node at many target times, shaped
+    (nodes, times, 3): realized now, extrapolated along the plan. Every node
+    must be inside the view's region and every time inside its horizon."""
     if view.tier != LOCAL:
         raise ValueError("series helper is for the local tier")
-    i, j = link
     times = np.asarray(times, dtype=float)
     if times.size and float(times.max()) - world.now_s > view.horizon_s + 1e-9:
         raise OutOfRange("series extends beyond the local horizon")
     center = view.region_center.as_array()
-    for node in (i, j):
+    for node in nodes:
         if np.linalg.norm(world.realized_pos(node, world.now_s) - center) > view.region_radius:
             raise OutOfRegion(f"{node} outside local region")
-    tx = _extrapolated_many(world, i, times)
-    rx = _extrapolated_many(world, j, times)
-    return view.map_snapshot.query_many(tx, rx)
+    return np.array([_extrapolated_many(world, node, times) for node in nodes])
 
 
 def _extrapolated_many(world: WorldState, node_id: str, times: np.ndarray) -> np.ndarray:

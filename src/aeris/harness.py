@@ -437,7 +437,9 @@ class _Accounting:
         return float(self.world.truth.gain_db_many(a[None], b[None])[0])
 
     def transmit(self, flow_idx: int, hop_idx: int, slot: int, tx: str, rx: str,
-                 power_dbm: float, fade_rng) -> bool:
+                 power_dbm: float, fade_rng, gain_db) -> bool:
+        """Send one hop. gain_db is the link's measured_gain at the slot, or None
+        when the caller has not measured it."""
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
         tx_pos = self.world.realized_position(tx, slot)
@@ -448,7 +450,7 @@ class _Accounting:
             )
             contrib = float((p_lin * np.sum(db_to_lin(gains))) * cfg.grid.dt)
         self.interference += contrib
-        g_true = self.measured_gain(tx, rx, slot)
+        g_true = self.measured_gain(tx, rx, slot) if gain_db is None else gain_db
         h = float(fade_rng.standard_exponential())
         snr = p_lin * db_to_lin(g_true) * h / db_to_lin(cfg.budget.noise_dbm)
         success = bool(snr >= db_to_lin(cfg.budget.snr_threshold_db))
@@ -493,35 +495,48 @@ def _local_view(world: World, center: np.ndarray, radius: float,
     )
 
 
-def _forecast_series(world: World, state: WorldState, view: EchelonView, link, slots):
-    grid = world.base_state.grid
-    times = grid.t0 + grid.dt * np.asarray(slots, dtype=float)
-    return echelon.local_mean_series(view, state, link, times)
-
-
 def _build_slice(world: World, cfg: ScenarioConfig, state: WorldState, view: EchelonView,
-                 links, span):
-    """Local per-slot gains and interference weights for candidate links."""
-    slots = np.arange(span[0], span[1] + 1)
+                 members: tuple, hop: HopReservation, tail: list) -> tactical.LocalGraphSlice:
+    """Local per-slot predictions for a detour around hop, looked up in one
+    map call at only the rows tactical.reroute_local reads: over the first
+    half-span the gains from hop.tx to each relay and hop.tx's sensitive-node
+    weight, over the second the gains from each relay to the reconnect node
+    and the relay's weight. Every other row is NaN. Every member is held to
+    the local tier's region and horizon checks over the whole span."""
+    reconnect, (lo, mid), (_, hi) = tactical.detour_halves(hop, tail)
+    relays = [m for m in members if m not in (hop.tx, hop.rx, reconnect)]
+    slots = np.arange(lo, hi + 1)
+    pos = echelon.local_positions(view, state, members,
+                                  cfg.grid.t0 + cfg.grid.dt * slots.astype(float))
+    at = dict(zip(members, pos))
+    h, n_relay = mid + 1 - lo, len(relays)  # slots in the first half-span, relays
+    tx_first, rc_second = at[hop.tx][:h], at[reconnect][h:]
+    relay_first = np.array([at[m][:h] for m in relays]).reshape(-1, 3)
+    relay_second = np.array([at[m][h:] for m in relays]).reshape(-1, 3)
+    senders = np.concatenate([tx_first, relay_second])
+    sens_pos = np.array([n.pos.as_array() for n in cfg.scene.sensitive_nodes]).reshape(-1, 3)
+    n_sens = sens_pos.shape[0]
+    # rows: the tx -> relay and relay -> reconnect links, then a sensitive-node
+    # row per (sender, slot, node) for tx over the first half-span and each
+    # relay over the second
+    gains = world.radio_map.query_many(
+        np.concatenate([np.tile(tx_first, (n_relay, 1)), relay_second,
+                        np.repeat(senders, n_sens, axis=0)]),
+        np.concatenate([relay_first, np.tile(rc_second, (n_relay, 1)),
+                        np.tile(sens_pos, (senders.shape[0], 1))]))
+    n_link = n_relay * slots.size
+    link = np.full((2, n_relay, slots.size), np.nan)  # tx -> relay, relay -> reconnect
+    link[0, :, :h] = gains[:n_relay * h].reshape(n_relay, h)
+    link[1, :, h:] = gains[n_relay * h:n_link].reshape(n_relay, slots.size - h)
+    weight = np.full((1 + n_relay, slots.size), np.nan)  # tx, then each relay
+    sent = np.sum(db_to_lin(gains[n_link:].reshape(senders.shape[0], n_sens)), axis=1)
+    weight[0, :h] = sent[:h]
+    weight[1:, h:] = sent[h:].reshape(n_relay, slots.size - h)
     mean = {}
-    entities = set()
-    for key in links:
-        mean[key] = _forecast_series(world, state, view, key, slots)
-        entities.update(key)
-    ents = sorted(entities)
-    times = cfg.grid.t0 + cfg.grid.dt * slots.astype(float)
-    sens_pos = np.array([n.pos.as_array() for n in cfg.scene.sensitive_nodes])
-    if sens_pos.size:
-        # one lookup for every (entity, slot, sensitive node) row
-        pos = np.concatenate([echelon._extrapolated_many(state, e, times) for e in ents])
-        n_sens = sens_pos.shape[0]
-        gains = world.radio_map.query_many(np.repeat(pos, n_sens, axis=0),
-                                           np.tile(sens_pos, (pos.shape[0], 1)))
-        lin = db_to_lin(gains.reshape(len(ents), slots.size, n_sens))
-        sens = dict(zip(ents, np.sum(lin, axis=2)))
-    else:
-        sens = {e: np.zeros(slots.size) for e in ents}
-    return tactical.LocalGraphSlice(slots, mean, sens, cfg.budget, cfg.grid.dt)
+    for r, m in enumerate(relays):
+        mean[(hop.tx, m)], mean[(m, reconnect)] = link[0, r], link[1, r]
+    return tactical.LocalGraphSlice(slots, mean, dict(zip([hop.tx, *relays], weight)),
+                                    cfg.budget, cfg.grid.dt)
 
 
 def _cluster_members(world: World, state: WorldState, center: np.ndarray, radius: float,
@@ -560,12 +575,15 @@ class _Cascade:
         center = 0.5 * (tx_pos + rx_pos)
         radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
         view = _local_view(world, center, radius, cfg)
+        # one local forecast over the hop's window serves the blockage check and
+        # the timing
+        slots, series = tactical.hop_forecast(view, state, hop)
         blocked = (not self.skip_blockage) and tactical.detect_blockage(
-            view, state, hop, cfg.blockage_threshold_db)
+            view, series, cfg.blockage_threshold_db)
         self.skip_blockage = False
         if blocked:
             tail = hops[k + 1:k + 2]
-            reconnect = tail[0].rx if tail else hop.rx
+            reconnect = tactical.detour_halves(hop, tail)[0]
             anchor = np.array([state.realized_pos(e, now)
                                for e in (hop.tx, hop.rx, reconnect)])
             center = anchor.mean(axis=0)
@@ -575,15 +593,8 @@ class _Cascade:
                                        (hop.tx, hop.rx, reconnect))
             cluster = tactical.LocalCluster(members, {}, frozenset({(hop.tx, hop.rx)}),
                                             world.radio_map)
-            span = (hop.window[0], tail[0].window[1] if tail else hop.window[1])
-            links = []
-            for m in members:
-                if m not in (hop.tx, reconnect, hop.rx):
-                    links.append((hop.tx, m))
-                    links.append((m, reconnect))
-            links.append((hop.tx, hop.rx))
             try:
-                slc = _build_slice(world, cfg, state, view, links, span)
+                slc = _build_slice(world, cfg, state, view, members, hop, tail)
                 repl = tactical.reroute_local(cluster, hop, tail, slc)
                 hops[k:k + 1 + len(tail)] = list(repl)
                 self._log_reroute(hops, k, hops[-1].rx)
@@ -601,18 +612,18 @@ class _Cascade:
                 self._log_reroute(hops, k, self.flow.dest)
                 self.skip_blockage = True
                 return _REPLANNED
-        window_lo = max(hop.window[0], last_slot + 1)
-        slots = np.arange(window_lo, hop.window[1] + 1)
-        if slots.size == 0:
+            # the detour's first hop is a new link, with a forecast of its own
+            slots, series = tactical.hop_forecast(view, state, hop)
+        keep = slots >= now_slot
+        if not keep.any():
             return None
-        series = _forecast_series(world, state, view, (hop.tx, hop.rx), slots)
         try:
             sched = tactical.schedule_timing(
-                [replace(hop, window=(window_lo, hop.window[1]))],
-                [(slots, series)], deadline_slot=self.final_slot)
+                [replace(hop, window=(now_slot, hop.window[1]))],
+                [(slots[keep], series[keep])], deadline_slot=self.final_slot)
             chosen = sched.hop_slots[0]
         except InfeasibleSchedule:
-            chosen = int(slots[0])
+            chosen = now_slot
         acct.events.append({"type": "schedule", "flow": self.flow_idx, "hop": k,
                             "slot": int(chosen), "revision": self.revision})
         for s in range(int(chosen), hop.window[1] + 1):
@@ -625,7 +636,7 @@ class _Cascade:
                 cfg.scene.sensitive_nodes, cfg.sensitive_cap_dbm, world.radio_map,
                 cfg.budget.p_max_dbm)
             if decision.transmit:
-                return s, decision.power_dbm
+                return s, decision.power_dbm, measured
         return None
 
     def _log_reroute(self, hops: list, k: int, dest: str) -> None:
@@ -688,9 +699,10 @@ def baseline_spacetime(world: World, flow: FlowRequest) -> PathReservation:
 
 def _strategic_stage(acct: _Accounting, method: str, flows: list):
     """The method's strategic stage for a run's flows: stage(flow, flow_idx)
-    returns the flow's hops and its choice of (slot, power_dbm) for hop k as
-    choose(hops, k, last_slot). choose returns None to drop the flow, or
-    _REPLANNED after rewriting hops[k:] to be asked again for hop k.
+    returns the flow's hops and its choice for hop k as choose(hops, k,
+    last_slot): (slot, power_dbm, the link's measured gain at the slot or None
+    if not yet measured). choose returns None to drop the flow, or _REPLANNED
+    after rewriting hops[k:] to be asked again for hop k.
 
     A predictive flow's first reservation reads only the static planner tables,
     so the stage plans every flow's at once, here; each reservation event, or
@@ -723,7 +735,7 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
 
 def _planned(hops: list, k: int, last_slot: int):
     """The baselines send each hop at its first slot with its planned power."""
-    return hops[k].window[0], hops[k].nominal_power_dbm
+    return hops[k].window[0], hops[k].nominal_power_dbm, None
 
 
 _REPLANNED = object()
@@ -750,8 +762,9 @@ def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rn
         if choice is None or choice[0] > last_allowed:
             ok = False
             break
-        last_slot, power = choice
-        ok = acct.transmit(flow_idx, k, last_slot, hops[k].tx, hops[k].rx, power, fade_rng)
+        last_slot, power, gain = choice
+        ok = acct.transmit(flow_idx, k, last_slot, hops[k].tx, hops[k].rx, power, fade_rng,
+                           gain)
         energy += db_to_lin(power) * grid.dt
         k += 1
     acct.finish_flow(flow_idx, flow, ok, last_slot + 1, energy)

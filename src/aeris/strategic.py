@@ -432,18 +432,24 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay: bo
         return out
     todo.sort(key=lambda job: -job[4])  # stable: longest window first, as _forward needs
     feas = tables.feasible_capped if use_caps else tables.feasible
+    base = 0  # price[s] is the step matrix at absolute slot base + s
     if min_delay:
         price, carry_cost = tables.delay_price, tables.dt
     elif use_caps:
         price, carry_cost = tables.capped_price, 0.0
     else:
-        price, carry_cost = _with_carry(tables.edge_cost.copy(), 0.0), 0.0
-    F, H = _forward(price, *zip(*(job[1:] for job in todo)), first_arrival=min_delay)
+        # no precomputed table: price only the slots the batch's windows span
+        base = min(job[3] for job in todo)
+        end = max(job[3] + job[4] for job in todo)
+        price, carry_cost = _with_carry(tables.edge_cost[base:end].copy(), 0.0), 0.0
+    F, H = _forward(price, *zip(*((src, dst, start - base, t_slots)
+                                  for _, src, dst, start, t_slots in todo)),
+                    first_arrival=min_delay)
     for b, (k, src, dst, start, t_slots) in enumerate(todo):
-        sl = slice(start, start + t_slots)
+        sl, own = slice(start, start + t_slots), slice(start - base, start - base + t_slots)
         try:
             keep_carry, keep_trans, reach, f_star, h_star, t_star = _search(
-                None if min_delay else price[sl], feas[sl], carry_cost, src, dst, t_slots,
+                None if min_delay else price[own], feas[sl], carry_cost, src, dst, t_slots,
                 forward=(F[b, :t_slots + 1], H[b, :t_slots + 1]))
             seq = _lex_sequence(keep_carry, keep_trans, reach, tables.id_rank, src, dst,
                                 h_star, t_star)

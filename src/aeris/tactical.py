@@ -56,21 +56,30 @@ class Schedule:
                 raise ValueError("chosen slot outside the reserved window")
 
 
-def detect_blockage(view: EchelonView, world: WorldState, hop: HopReservation,
-                    gain_threshold_db: float) -> bool:
-    """True iff the local forecast mean over the hop's window is strictly below
-    the threshold (a forecast exactly at the threshold is not blocked)."""
-    if view.tier != LOCAL:
-        raise ValueError("blockage detection uses the local tier")
+def hop_forecast(view: EchelonView, world: WorldState, hop: HopReservation) -> tuple:
+    """The local forecast of the hop's link over its reserved window, as
+    aligned (slots, mean_db) arrays: the one series that both the blockage
+    check and the hop's timing read."""
     slots = np.arange(hop.window[0], hop.window[1] + 1)
     times = world.grid.t0 + world.grid.dt * slots
-    means = local_mean_series(view, world, (hop.tx, hop.rx), times)
+    return slots, local_mean_series(view, world, (hop.tx, hop.rx), times)
+
+
+def detect_blockage(view: EchelonView, means: np.ndarray, gain_threshold_db: float) -> bool:
+    """True iff the local forecast mean over a hop's window (the means of its
+    hop_forecast) is strictly below the threshold; a forecast exactly at the
+    threshold is not blocked."""
+    if view.tier != LOCAL:
+        raise ValueError("blockage detection uses the local tier")
     return bool(np.mean(means) < gain_threshold_db)
 
 
 @dataclass(frozen=True)
 class LocalGraphSlice:
-    """Per-slot local predictions for candidate links over a slot span."""
+    """Per-slot local predictions for candidate links over a slot span.
+
+    A row that was not looked up holds NaN; reading one is an error.
+    """
 
     slots: np.ndarray
     mean_gain_db: dict
@@ -82,6 +91,20 @@ class LocalGraphSlice:
         return self.mean_gain_db[(a, b) if (a, b) in self.mean_gain_db else (b, a)]
 
 
+def detour_halves(blocked_hop: HopReservation, directive_tail) -> tuple:
+    """Where a two-hop detour around blocked_hop reconnects to the directive
+    (the node after the blocked link), and the two half-spans of slots its
+    first and second hop must fit in: (reconnect, (lo, mid), (mid + 1, hi)).
+    The second half-span is empty when the span has a single slot."""
+    tail = list(directive_tail)
+    if tail:
+        reconnect, span = tail[0].rx, (blocked_hop.window[0], tail[0].window[1])
+    else:
+        reconnect, span = blocked_hop.rx, blocked_hop.window
+    mid = (span[0] + span[1]) // 2
+    return reconnect, (span[0], mid), (mid + 1, span[1])
+
+
 def _best_slot_cost(slice_: LocalGraphSlice, tx: str, rx: str, lo: int, hi: int):
     """Cheapest feasible transmit (interference) for tx->rx within [lo, hi].
 
@@ -91,12 +114,15 @@ def _best_slot_cost(slice_: LocalGraphSlice, tx: str, rx: str, lo: int, hi: int)
     if not np.any(mask):
         return None
     gains = slice_.gains(tx, rx)[mask]
+    sens = slice_.sens_lin[tx][mask]
+    if np.isnan(gains).any() or np.isnan(sens).any():
+        raise ValueError(f"no local prediction for {tx}->{rx} in slots {lo}..{hi}")
     power = required_power_dbm(gains, slice_.budget)
     ok = np.isfinite(gains) & (power <= slice_.budget.p_max_dbm)
     if not np.any(ok):
         return None
     slots = slice_.slots[mask]
-    cost = (db_to_lin(power) * slice_.sens_lin[tx][mask]) * slice_.dt_s
+    cost = (db_to_lin(power) * sens) * slice_.dt_s
     cost = np.where(ok, cost, np.inf)
     k = int(np.argmin(cost))
     return float(cost[k]), int(slots[k]), float(power[k])
@@ -106,6 +132,8 @@ def reroute_local(cluster: LocalCluster, blocked_hop: HopReservation, directive_
                   graph_slice: LocalGraphSlice):
     """Replace a blocked hop with the cheapest 2-hop detour through a cluster
     member, reconnecting to the directive at the node after the blocked link.
+    The detour's first hop takes a slot of the first half-span of
+    detour_halves, its second hop one of the second half-span.
 
     Returns the replacement hop tuple (identity when the hop is not actually
     flagged blocked); raises EscalateToStrategic when no detour fits.
@@ -113,24 +141,17 @@ def reroute_local(cluster: LocalCluster, blocked_hop: HopReservation, directive_
     a, b = blocked_hop.tx, blocked_hop.rx
     if not cluster.is_blocked(a, b):
         return (blocked_hop,)
-    tail = list(directive_tail)
-    if tail:
-        reconnect = tail[0].rx
-        span = (blocked_hop.window[0], tail[0].window[1])
-    else:
-        reconnect = b
-        span = blocked_hop.window
-    if span[1] - span[0] < 1:
+    reconnect, first_half, second_half = detour_halves(blocked_hop, directive_tail)
+    if second_half[1] - first_half[0] < 1:
         raise EscalateToStrategic("window too short for a two-hop detour")
-    mid = (span[0] + span[1]) // 2
     best = None
     for m in sorted(cluster.member_ids):
         if m in (a, b, reconnect):
             continue
         if cluster.is_blocked(a, m) or cluster.is_blocked(m, reconnect):
             continue
-        first = _best_slot_cost(graph_slice, a, m, span[0], mid)
-        second = _best_slot_cost(graph_slice, m, reconnect, mid + 1, span[1])
+        first = _best_slot_cost(graph_slice, a, m, *first_half)
+        second = _best_slot_cost(graph_slice, m, reconnect, *second_half)
         if first is None or second is None:
             continue
         added = first[0] + second[0]
@@ -140,8 +161,8 @@ def reroute_local(cluster: LocalCluster, blocked_hop: HopReservation, directive_
         raise EscalateToStrategic("no feasible detour relay in the cluster")
     _, m, first, second = best
     return (
-        HopReservation(a, m, (span[0], mid), first[2]),
-        HopReservation(m, reconnect, (mid + 1, span[1]), second[2]),
+        HopReservation(a, m, first_half, first[2]),
+        HopReservation(m, reconnect, second_half, second[2]),
     )
 
 

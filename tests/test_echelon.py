@@ -10,7 +10,7 @@ from aeris.errors import OutOfRange, OutOfRegion
 from aeris.radio_env import GroundTruthChannel, PathLossParams, build_map, sample_along
 from aeris.scene import ObstacleBox, Position3, Scene, SceneNode
 from aeris.strategic import HopReservation
-from aeris.tactical import detect_blockage
+from aeris.tactical import detect_blockage, hop_forecast
 from aeris.trajectory import DeviationParams, Trajectory4D, Waypoint, positions_at, realize
 
 
@@ -181,28 +181,30 @@ class TestAccuracyOrdering:
 
 
 class TestDetectBlockage:
-    def hop_and_view(self, threshold_probe):
+    def hop_and_view(self):
         world, views, *_ = small_world()
         hop = HopReservation("a0", "g1", (120, 130), 15.0)
-        slots = np.arange(120, 131)
-        times = world.grid.t0 + world.grid.dt * slots
-        series = local_mean_series(views[LOCAL], world, ("a0", "g1"), times)
-        return world, views[LOCAL], hop, float(np.mean(series))
+        slots, series = hop_forecast(views[LOCAL], world, hop)
+        times = world.grid.t0 + world.grid.dt * np.arange(120, 131)
+        assert slots.tolist() == list(range(120, 131))
+        assert series.tolist() == local_mean_series(views[LOCAL], world, ("a0", "g1"),
+                                                    times).tolist()
+        return views[LOCAL], series, float(np.mean(series))
 
     def test_far_above_threshold_clear(self):
-        world, view, hop, mean = self.hop_and_view(None)
-        assert not detect_blockage(view, world, hop, mean - 20.0)
+        view, series, mean = self.hop_and_view()
+        assert detect_blockage(view, series, mean - 20.0) is False
 
     def test_below_threshold_blocked(self):
-        world, view, hop, mean = self.hop_and_view(None)
-        assert detect_blockage(view, world, hop, mean + 20.0)
+        view, series, mean = self.hop_and_view()
+        assert detect_blockage(view, series, mean + 20.0) is True
 
     def test_boundary_is_not_blocked(self):
-        world, view, hop, mean = self.hop_and_view(None)
-        assert not detect_blockage(view, world, hop, mean)
+        view, series, mean = self.hop_and_view()
+        assert detect_blockage(view, series, mean) is False
 
     def test_requires_local_tier(self):
-        world, views, *_ = small_world()
-        hop = HopReservation("a0", "g1", (120, 130), 15.0)
+        _, views, *_ = small_world()
+        _, series, _ = self.hop_and_view()
         with pytest.raises(ValueError):
-            detect_blockage(views[CENTRAL], world, hop, -90.0)
+            detect_blockage(views[CENTRAL], series, -90.0)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeris import harness, strategic
+from aeris import echelon, harness, strategic, tactical
 from aeris.errors import ConfigInvalid, NoFeasiblePath, UnknownNode
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, baseline_spacetime, build_world, draw_flows,
                            gen_default_scenario, plot_data, replay_metrics, run, sweep,
                            sweep_from_csv, sweep_to_csv)
 from aeris.operational import LinkBudget, required_power_dbm
+from aeris.radio_env import GroundTruthChannel, RadioMap
 from aeris.units import db_to_lin
 from test_strategic import oracle_search
 
@@ -234,6 +235,13 @@ class TestBatchedPlanning:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strategic, "_search", oracle_search)
             same_plans(got, plan_each(graph, requests, tables, use_caps=True))
+        # uncapped plans price only the slots the batch spans; the same plans
+        # come from the whole table, put where the capped search reads it
+        uncapped = strategic.reserve_paths(graph, requests, tables)
+        whole = replace(tables, feasible_capped=tables.feasible,
+                        capped_price=strategic._with_carry(tables.edge_cost.copy(), 0.0))
+        same_plans(uncapped, strategic.reserve_paths(graph, requests, whole, use_caps=True))
+        same_plans(uncapped, plan_each(graph, requests, tables))
 
     def test_batch_covers_each_outcome(self, mini_config, mini_world):
         graph, tables = mini_world.graph, mini_world.tables
@@ -283,6 +291,135 @@ class TestBatchedPlanning:
         assert planned == [sum(ev["type"] == "flow" for ev in reference)]
         assert json.dumps(batched, sort_keys=True) == json.dumps(reference, sort_keys=True)
         assert bool(replans) == eager
+
+
+def full_span_slice(world, cfg, state, view, members, hop, tail):
+    """harness._build_slice's full-span oracle: one local_mean_series call per
+    candidate link and one for the blocked link, and every member's
+    sensitive-node weight, each over the detour's whole span."""
+    reconnect, (lo, _), (_, hi) = tactical.detour_halves(hop, tail)
+    slots = np.arange(lo, hi + 1)
+    times = cfg.grid.t0 + cfg.grid.dt * slots.astype(float)
+    links = []
+    for m in members:
+        if m not in (hop.tx, reconnect, hop.rx):
+            links += [(hop.tx, m), (m, reconnect)]
+    links.append((hop.tx, hop.rx))
+    mean = {key: echelon.local_mean_series(view, state, key, times) for key in links}
+    ents = sorted({e for key in links for e in key})
+    sens_pos = np.array([n.pos.as_array() for n in cfg.scene.sensitive_nodes])
+    if sens_pos.size:
+        pos = np.concatenate([echelon._extrapolated_many(state, e, times) for e in ents])
+        n_sens = sens_pos.shape[0]
+        gains = world.radio_map.query_many(np.repeat(pos, n_sens, axis=0),
+                                           np.tile(sens_pos, (pos.shape[0], 1)))
+        lin = db_to_lin(gains.reshape(len(ents), slots.size, n_sens))
+        sens = dict(zip(ents, np.sum(lin, axis=2)))
+    else:
+        sens = {e: np.zeros(slots.size) for e in ents}
+    return tactical.LocalGraphSlice(slots, mean, sens, cfg.budget, cfg.grid.dt)
+
+
+def _spy(monkeypatch, owner, name, before, after=None):
+    """Wrap owner.name: before(*args) runs ahead of each call, after(result)
+    once it returns."""
+    fn = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        before(*args)
+        out = fn(*args, **kwargs)
+        if after is not None:
+            after(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+class TestCascadeLookups:
+    """The cascade looks up each row once: one local forecast per hop, a detour
+    slice of only the rows reroute_local reads, one truth call per link."""
+
+    def test_run_logs_match_full_span_slice(self, mini_config, mini_world, monkeypatch):
+        replans = []
+        _spy(monkeypatch, harness, "reserve_path", lambda *a: replans.append(a[2:4]))
+        reroutes = 0
+        for threshold, radius, load in itertools.product((-70.0, -80.0, -88.0), (50.0, 400.0),
+                                                         (12.0, 30.0)):
+            cfg = replace(mini_config, blockage_threshold_db=threshold, region_radius_m=radius)
+            logs = []
+            for build in (harness._build_slice, full_span_slice):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(harness, "_build_slice", build)
+                    events = []
+                    run(cfg, "predictive", 0, events=events, world=mini_world,
+                        load_per_min=load)
+                logs.append(json.dumps(events, sort_keys=True))
+            assert logs[0] == logs[1], (threshold, radius, load)
+            reroutes += sum(ev["type"] == "reroute" for ev in json.loads(logs[0]))
+        escalations = len(replans) // 2
+        assert escalations > 0 and reroutes - escalations > 0
+
+    def test_one_lookup_per_hop_and_one_truth_call_per_transmission(
+            self, mini_config, mini_world, monkeypatch):
+        # a high threshold and a small region give local detours and escalations
+        cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
+        n_sens = len(cfg.scene.sensitive_nodes)
+        log = []
+        _spy(monkeypatch, tactical, "local_mean_series", lambda *a: log.append(("series",)))
+        _spy(monkeypatch, RadioMap, "query_many", lambda *a: log.append(("map",)))
+        _spy(monkeypatch, GroundTruthChannel, "gain_db_many",
+             lambda self, a, b: log.append(("truth", len(a))))
+        _spy(monkeypatch, harness._Accounting, "measured_gain",
+             lambda self, *key: log.append(("measure", *key)))
+        _spy(monkeypatch, harness._Accounting, "transmit",
+             lambda self, f, k, slot, tx, rx, *rest: log.append(("transmit", tx, rx, slot)),
+             lambda out: log.append(("sent",)))
+        _spy(monkeypatch, harness, "_build_slice", lambda *a: log.append(("slice",)),
+             lambda out: log.append(("sliced",)))
+        _spy(monkeypatch, harness._Cascade, "choose", lambda *a: log.append(("choose",)),
+             lambda out: log.append(("chosen",)))
+        _spy(monkeypatch, harness._Cascade, "_log_reroute", lambda *a: log.append(("reroute",)))
+        _spy(monkeypatch, harness, "reserve_path", lambda *a: log.append(("replan",)))
+        events = []
+        run(cfg, "predictive", 0, events=events, world=mini_world, load_per_min=30.0)
+
+        def between(open_, close):
+            """The log entries inside each open_ ... close pair."""
+            out, cur = [], None
+            for entry in log:
+                if entry[0] == open_:
+                    cur = []
+                elif entry[0] == close:
+                    out.append(cur)
+                    cur = None
+                elif cur is not None:
+                    cur.append(entry)
+            return out
+
+        outcomes = {"kept": 0, "detour": 0, "escalation": 0}
+        for calls in between("choose", "chosen"):
+            kind = ("escalation" if ("replan",) in calls
+                    else "detour" if ("reroute",) in calls else "kept")
+            outcomes[kind] += 1
+            # a hop decision looks up its own series once, and a detour's first
+            # hop once more
+            assert calls.count(("series",)) == 1 + (kind == "detour")
+            assert calls.count(("slice",)) == (kind != "kept")
+        assert min(outcomes.values()) > 0, outcomes
+        # the detour slice is one map lookup
+        assert all(calls.count(("map",)) == 1 for calls in between("slice", "sliced"))
+        # a transmission's only truth call is the sensitive nodes'; its link gain
+        # is the one the cap-power scan measured last
+        sends = between("transmit", "sent")
+        assert len(sends) == sum(ev["type"] == "transmission" for ev in events) > 0
+        for calls in sends:
+            assert [c for c in calls if c[0] == "truth"] == [("truth", n_sens)]
+        for k, entry in enumerate(log):
+            if entry[0] == "transmit":
+                last = next(e for e in reversed(log[:k]) if e[0] == "measure")
+                assert last[1:] == entry[1:]
+        measures = sum(e[0] == "measure" for e in log)
+        assert sum(e == ("truth", 1) for e in log) == measures
 
 
 class TestBaselines:

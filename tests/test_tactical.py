@@ -6,8 +6,8 @@ import pytest
 from aeris.errors import EscalateToStrategic, InfeasibleSchedule
 from aeris.operational import LinkBudget, required_power_dbm
 from aeris.strategic import HopReservation
-from aeris.tactical import (LocalCluster, LocalGraphSlice, Schedule, reroute_local,
-                            schedule_timing)
+from aeris.tactical import (LocalCluster, LocalGraphSlice, Schedule, detour_halves,
+                            reroute_local, schedule_timing)
 
 BUDGET = LinkBudget(p_max_dbm=30.0)
 
@@ -82,6 +82,35 @@ class TestRerouteLocal:
         with pytest.raises(EscalateToStrategic):
             reroute_local(self.cluster(["a", "b", "c", "m"], [("a", "b")]),
                           blocked_hop, tail, slc)
+
+    def test_reads_only_the_half_spans(self):
+        # a->m is read over the first half-span, m->c over the second: a slice
+        # that holds NaN on every other row gives the full-span detour
+        blocked_hop = HopReservation("a", "b", (3, 9), 15.0)
+        tail = [HopReservation("b", "c", (10, 16), 15.0)]
+        reconnect, (lo, mid), (lo2, hi) = detour_halves(blocked_hop, tail)
+        assert (reconnect, lo, mid, lo2, hi) == ("c", 3, 9, 10, 16)
+        rng = np.random.default_rng(5)
+        slots = np.arange(3, 17)
+        gains = {("a", "m"): rng.uniform(-90, -70, 14), ("m", "c"): rng.uniform(-90, -70, 14)}
+        sens = {"a": rng.uniform(0.5, 2.0, 14), "m": rng.uniform(0.5, 2.0, 14)}
+        cluster = self.cluster(["a", "b", "c", "m"], [("a", "b")])
+        full = reroute_local(cluster, blocked_hop, tail, make_slice(slots, gains, sens))
+        assert [h.window for h in full] == [(3, 9), (10, 16)]
+        first, second = slots <= mid, slots > mid
+        halves = make_slice(slots, {("a", "m"): np.where(first, gains[("a", "m")], np.nan),
+                                    ("m", "c"): np.where(second, gains[("m", "c")], np.nan)},
+                            {"a": np.where(first, sens["a"], np.nan),
+                             "m": np.where(second, sens["m"], np.nan)})
+        assert reroute_local(cluster, blocked_hop, tail, halves) == full
+        # a row it reads that was not looked up is an error, not a skipped slot
+        halves.sens_lin["m"][-1] = np.nan
+        with pytest.raises(ValueError, match="no local prediction"):
+            reroute_local(cluster, blocked_hop, tail, halves)
+
+    def test_single_slot_span_has_empty_second_half(self):
+        hop = HopReservation("a", "b", (5, 5), 15.0)
+        assert detour_halves(hop, []) == ("b", (5, 5), (6, 5))
 
     def test_escalates_when_window_too_short(self):
         blocked_hop = HopReservation("a", "b", (5, 5), 15.0)

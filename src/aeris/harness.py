@@ -612,8 +612,10 @@ class _Cascade:
                 self._log_reroute(hops, k, self.flow.dest)
                 self.skip_blockage = True
                 return _REPLANNED
-            # the detour's first hop is a new link, with a forecast of its own
-            slots, series = tactical.hop_forecast(view, state, hop)
+            # the detour's first hop is a new link; the slice holds its forecast
+            # over its window, the first half-span
+            inside = slc.slots <= hop.window[1]
+            slots, series = slc.slots[inside], slc.gains(hop.tx, hop.rx)[inside]
         keep = slots >= now_slot
         if not keep.any():
             return None
@@ -684,15 +686,6 @@ def baseline_aggregate(world: World, flow: FlowRequest, cfg: ScenarioConfig = No
     return [ids[i] for i in route], [float(power[a, b]) for a, b in zip(route, route[1:])]
 
 
-def baseline_spacetime(world: World, flow: FlowRequest) -> PathReservation:
-    """Delivery-time-optimal reservation on the predicted graph; powers are the
-    nominal outage-compliant powers at the predicted gains; interference-agnostic."""
-    return min_delay_reservation(world.graph, world.radio_map, flow.source, flow.dest,
-                                 flow.deadline_s, world.config.scene.sensitive_nodes,
-                                 world.config.budget, injection_slot=flow.injection_slot,
-                                 tables=world.tables)
-
-
 # ---------------------------------------------------------------------------
 # the run loop shared by every method
 
@@ -704,9 +697,10 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
     if not yet measured). choose returns None to drop the flow, or _REPLANNED
     after rewriting hops[k:] to be asked again for hop k.
 
-    A predictive flow's first reservation reads only the static planner tables,
-    so the stage plans every flow's at once, here; each reservation event, or
-    planning error, still comes at its flow's own turn."""
+    A reservation reads only the static planner tables, so the space-time and
+    predictive stages plan every flow's (the predictive flow's first) at once,
+    here, in one flow-batched call; each reservation event, or planning error,
+    still comes at its flow's own turn."""
     world, cfg = acct.world, acct.config
     if method == "baseline_aggregate":
         def aggregate(flow, flow_idx):
@@ -715,22 +709,30 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
             return [HopReservation(tx, rx, (s + k, s + k), float(p))
                     for k, (tx, rx, p) in enumerate(zip(route, route[1:], powers))], _planned
         return aggregate
+    requests = [(f.source, f.dest, f.deadline_s, f.injection_slot) for f in flows]
     if method == "baseline_spacetime":
-        return lambda flow, flow_idx: (list(baseline_spacetime(world, flow).hops), _planned)
-    plans = reserve_paths(world.graph,
-                          [(f.source, f.dest, f.deadline_s, f.injection_slot) for f in flows],
-                          world.tables, use_caps=True)
+        # delivery-time-optimal reservations on the predicted graph at their
+        # nominal powers: interference-agnostic
+        plans = min_delay_reservation(world.graph, requests, world.tables)
+        return lambda flow, flow_idx: (list(_reservation_of(plans, flow_idx).hops), _planned)
+    plans = reserve_paths(world.graph, requests, world.tables, use_caps=True)
 
     def predictive(flow, flow_idx):
-        res = plans[flow_idx]
-        if isinstance(res, Exception):
-            raise res
+        res = _reservation_of(plans, flow_idx)
         acct.events.append({"type": "reservation", "flow": flow_idx,
                             "reservation": res.to_json_dict()})
         final_slot = min(flow.injection_slot + cfg.grid.slots_in(flow.deadline_s),
                          cfg.grid.n_slots - 1)
         return list(res.hops), _Cascade(acct, flow, flow_idx, final_slot).choose
     return predictive
+
+
+def _reservation_of(plans: list, flow_idx: int) -> PathReservation:
+    """The flow's planned reservation; its planning error is raised here."""
+    res = plans[flow_idx]
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def _planned(hops: list, k: int, last_slot: int):

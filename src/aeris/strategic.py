@@ -21,14 +21,18 @@ sum rises strictly with t. The first slot that reaches the destination is then
 the unique optimal delivery, and the sweep stops there: later layers could
 only hold costlier arrivals.
 
-The forward sweep has a flow axis. `reserve_paths` plans many flows on shared
-tables in one sweep: step t gathers, for each flow whose window is still
-open, the step prices at its own injection slot + t, so each flow's layers are
-bit for bit those of a sweep of it alone. A predictive run plans all its first
-reservations this way. `reserve_path` (and with it every escalation replan)
-and `min_delay_reservation` run the same sweep as a batch of one; over a
-batch, the min-delay sweep stops once every flow has arrived. The backward
-pass, the node sequence and the transmit slots stay per flow.
+The DP has a flow axis, forward and backward. `reserve_paths` and
+`min_delay_reservation` plan many flows on shared tables in one batch: forward
+step t gathers, for each flow whose window is still open, the step prices at
+its own injection slot + t, so each flow's layers are bit for bit those of a
+sweep of it alone; over a batch, the min-delay sweep stops once every flow has
+arrived. The forward step also records, bit-packed, which edges are tight (carry
+the cost and hop count exactly), and the backward sweep, one slot per step,
+marks from each flow's own delivery the states on its optimal schedules. The
+node-sequence walk and the transmit-slot assignment then run hop by hop over
+the batch. A run plans all its first reservations (predictive) or all its
+reservations (space-time baseline) this way; `reserve_path`, and with it every
+escalation replan, is a batch of one.
 """
 
 from __future__ import annotations
@@ -158,8 +162,6 @@ class PlannerTables:
     capped_price: np.ndarray
     delay_price: np.ndarray
     sens_lin: np.ndarray
-    dt: float
-    p_max_dbm: float
 
 
 def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
@@ -211,8 +213,7 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
     dt = graph.grid.dt
     return PlannerTables(graph.node_ids, rank, power, feasible, feasible_capped, edge_cost,
                          _with_carry(np.where(feasible_capped, edge_cost, np.inf), 0.0),
-                         _with_carry(np.where(feasible, dt, np.inf), dt), sens_lin, dt,
-                         budget.p_max_dbm)
+                         _with_carry(np.where(feasible, dt, np.inf), dt), sens_lin)
 
 
 def _with_carry(price: np.ndarray, carry_cost: float) -> np.ndarray:
@@ -231,7 +232,7 @@ def _hops(n: int) -> np.ndarray:
     return hops
 
 
-def _forward(price, src, dst, start, t_slots, first_arrival=False):
+def _forward(price, src, dst, start, t_slots, first_arrival=False, tight=None):
     """The layered DP's forward pass for a batch of flows, one step per slot.
 
     Flows come longest window first (t_slots non-increasing). Flow b enters at
@@ -244,7 +245,10 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False):
     every flow has reached its destination. Returns F and H, (batch, T + 1, n)
     for the last step swept T: F[b, t, i] is the minimum path cost reaching
     (i, start[b] + t), H the hop count among those paths (inf and _BIG where
-    nothing reaches); rows past a flow's own window are left unset.
+    nothing reaches); rows past a flow's own window are left unset. With tight,
+    a uint8 array of shape (batch, t_slots[0], n, ceil(n / 8)), step t also
+    writes to tight[b, t] the edges of flow b whose price carries both F and
+    H exactly into their head, bit-packed along the head axis.
     """
     src, dst, start = np.array([src, dst, start], dtype=np.int64)
     ends = [int(e) for e in t_slots]
@@ -258,6 +262,9 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False):
     absorb[rows, dst] = np.inf  # adding it makes the destination absorb
     hops = _hops(price.shape[-1])
     k, sink, done = src.size, (rows, dst), np.zeros(src.size, dtype=bool)
+    if tight is not None:
+        # rows padded to whole bytes, so one flat packbits packs each row
+        bits = np.zeros((src.size, hops.shape[0], 8 * tight.shape[-1]), dtype=bool)
     for t in range(F.shape[1] - 1):
         if ends[k - 1] <= t:
             while ends[k - 1] <= t:
@@ -265,7 +272,11 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False):
             sink, done = (rows[:k], dst[:k]), done[:k]
         m = (F[:k, t] + absorb[:k])[:, :, None] + price[start[:k] + t]
         fn = m.min(axis=1)
-        hn = np.where(m == fn[:, None, :], H[:k, t][:, :, None] + hops, _BIG).min(axis=1)
+        hm = np.where(m == fn[:, None, :], H[:k, t][:, :, None] + hops, _BIG)
+        hn = hm.min(axis=1)
+        if tight is not None:
+            np.equal(hm, hn[:, None, :], out=bits[:k, :, :hops.shape[0]])
+            tight[:k, t] = np.packbits(bits[:k]).reshape(k, -1, tight.shape[-1])
         F[:k, t + 1] = fn
         H[:k, t + 1] = np.where(np.isfinite(fn), hn, _BIG)
         if first_arrival and np.count_nonzero(
@@ -274,120 +285,111 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False):
     return F, H
 
 
-def _search(cost, feas, carry_cost, src, dst, t_slots, forward=None):
-    """Find the tie-break-optimal schedule's cost f*, hop count h* and relative
-    delivery slot t*, with the optimal subgraph that realizes them.
+def _search(price, id_rank, src, dst, start, t_slots, first_arrival=False) -> list:
+    """Plan a batch of flows on the layered DP: the forward pass (see _forward,
+    whose arguments these are), then its backward half over the flow axis.
 
-    cost[t, i, j] prices the transmit edge (i, t) -> (j, t + 1) where feas[t, i, j]
-    holds; every carry edge costs carry_cost. cost None is the min-delay
-    objective: every edge costs carry_cost, and the sweep stops at the first
-    arrival. forward is the flow's (F, H) from a batched _forward, cut to its
-    window; without it the search runs the forward pass as a batch of one.
-    Returns (keep_carry, keep_trans, reach, f*, h*, t*): keep_carry (t*, n) and
-    keep_trans (t*, n, n) mark the edges that keep each state's optimal cost,
-    and reach[t, i, h] for t = 0..t* marks the states (i, t) reached with h hops
-    that complete to (dst, t*) with h* hops. Raises NoFeasiblePath when nothing
-    reaches dst within t_slots.
+    Flow b delivers at the least cost f* that reaches dst[b] within its own
+    rows, then with the fewest hops h*, then at the earliest slot t*. An edge
+    is tight when its price carries the forward cost and hop count exactly
+    into its head; none leaves the destination, which absorbs. A state lies on
+    an optimal schedule when a tight edge leads from it to such a state. Only
+    the least hop count H counts, as a state reached with more would give a
+    schedule with fewer than h* hops. A backward sweep, one slot per step,
+    marks those states from each flow's own (dst, t*). Then, one hop per step
+    over the batch, the walk takes the lowest-ranked next node among the
+    marked transmissions from the slots the payload can reach by marked
+    carries, and each hop takes the earliest transmit slot from which the rest
+    of that node sequence still arrives at t*.
+
+    Returns per flow a NoFeasiblePath when nothing reaches its destination,
+    else (f*, t*, node sequence, transmit slots relative to start).
     """
-    n = feas.shape[1]
-    if forward is None:
-        price = _with_carry(np.where(feas, carry_cost if cost is None else cost, np.inf),
-                            carry_cost)
-        F, H = (a[0] for a in _forward(price, [src], [dst], [0], [t_slots], cost is None))
-    else:
-        F, H = forward
+    nb, n = src.size, price.shape[-1]
+    tight = np.zeros((nb, int(t_slots[0]), n, (n + 7) // 8), dtype=np.uint8)
+    F, H = _forward(price, src, dst, start, t_slots, first_arrival, tight)
+    swept = np.arange(F.shape[1]) <= np.minimum(t_slots, F.shape[1] - 1)[:, None]
+    fd = np.where(swept, F[np.arange(nb), :, dst], np.inf)
+    f_star = fd.min(axis=1)
+    hd = np.where(fd == f_star[:, None], H[np.arange(nb), :, dst], _BIG)
+    h_star = hd.min(axis=1)
+    t_star = np.argmax(hd == h_star[:, None], axis=1)
 
-    fd = F[:, dst]
-    f_star = fd.min()
-    if not np.isfinite(f_star):
-        raise NoFeasiblePath("no schedule reaches the destination within the deadline")
-    cand = np.flatnonzero(fd == f_star)
-    hd = H[cand, dst]
-    h_star = int(hd.min())
-    t_star = int(cand[hd == h_star][0])
-
-    # Optimal-subgraph edges (these preserve per-state optimal cost exactly).
-    f_now, f_next = F[:t_star], F[1:t_star + 1]
-    ok = np.isfinite(f_now)
-    ok[:, dst] = False
-    keep_carry = ok & (f_now + carry_cost == f_next)
-    trans_cost = carry_cost if cost is None else cost[:t_star]
-    keep_trans = (feas[:t_star] & ok[:, :, None]
-                  & (f_now[:, :, None] + trans_cost == f_next[:, None, :]))
-
-    # reach[t, i, h]: (i, t) reached with h hops completes to (dst, t*) with exactly
-    # h* - h more hops. Level by level down from h*: (i, t) completes at level h
-    # when a kept transmission into level h + 1 leaves i at a slot of its carry
-    # chain from t, which ends at the first slot whose carry is not kept.
-    reach = np.zeros((t_star + 1, n, h_star + 2), dtype=bool)
-    reach[t_star, dst, h_star] = True
-    slots = np.arange(t_star)[:, None]
-    chain_end = np.minimum.accumulate(np.where(keep_carry, t_star - 1, slots)[::-1],
-                                      axis=0)[::-1]
-    for h in range(h_star - 1, -1, -1):
-        into = (keep_trans & reach[1:, None, :, h + 1]).any(axis=2)
-        first = np.minimum.accumulate(np.where(into, slots, t_star)[::-1], axis=0)[::-1]
-        reach[:-1, :, h] = first <= chain_end
-    if not reach[0, src, 0]:
+    b = np.flatnonzero(np.isfinite(f_star))
+    b = b[np.argsort(-t_star[b], kind="stable")]  # longest t* first: the swept flows are a prefix
+    ts, hs, first = t_star[b], h_star[b], src[b]
+    m, T = b.size, int(ts.max(initial=0))
+    rows = np.arange(m)
+    on = np.zeros((m, T + 1, n), dtype=bool)
+    on[rows, ts, dst[b]] = True
+    k = 0
+    for t in range(T - 1, -1, -1):
+        while k < m and ts[k] > t:
+            k += 1
+        ahead = np.packbits(on[:k, t + 1], axis=1)
+        on[:k, t] = (tight[b[:k], t] & ahead[:, None, :]).any(axis=2)
+    if not on[rows, 0, first].all():
         raise AssertionError("optimal-subgraph reconstruction lost the source")
-    return keep_carry, keep_trans, reach, f_star, h_star, t_star
 
-
-def _lex_sequence(keep_carry, keep_trans, reach, id_rank, src, dst, h_star, t_star):
-    """Lexicographically smallest node-id sequence among optimal schedules."""
-    seq = [src]
-    i, h = src, 0
-    t_set = {0}
-    while i != dst:
-        closure = set(t_set)
-        frontier = sorted(closure)
-        for t in frontier:
-            tt = t
-            while tt + 1 <= t_star and keep_carry[tt, i] and reach[tt + 1][i, h] and (tt + 1) not in closure:
-                closure.add(tt + 1)
-                tt += 1
-        best = None
-        for t in sorted(closure):
-            if t >= t_star:
-                continue
-            js = np.flatnonzero(keep_trans[t, i] & reach[t + 1][:, h + 1])
-            for j in js:
-                if best is None or id_rank[j] < id_rank[best]:
-                    best = int(j)
-        if best is None:
+    # the walk: at[p, t] marks the slots at which flow p's payload can be at
+    # its current node; carry and send hold each hop's marked carries at its
+    # sender and transmissions to its receiver
+    K, tt = int(hs.max(initial=0)), np.arange(T)
+    seq = np.zeros((m, K + 1), dtype=np.int64)
+    seq[:, 0] = first
+    carry = np.zeros((m, K, T), dtype=bool)
+    send = np.zeros((m, K, T), dtype=bool)
+    at = np.zeros((m, T + 1), dtype=bool)
+    at[:, 0] = True
+    for h in range(K):
+        a = np.flatnonzero(hs > h)
+        ka, i = np.arange(a.size), seq[a, h]
+        out = (np.unpackbits(tight[b[a, None], tt, i[:, None]], axis=2, count=n).view(bool)
+               & on[a, 1:])
+        carry[a, h] = out[ka, :, i]
+        # held[t]: some marked slot s <= t with marked carries over s..t-1
+        latest = np.maximum.accumulate(np.where(at[a], np.arange(T + 1), -1), axis=1)
+        gap = np.maximum.accumulate(np.where(carry[a, h], -1, tt), axis=1)
+        held = latest[:, :T] > np.concatenate([np.full((a.size, 1), -1), gap[:, :-1]], axis=1)
+        cand = (held[:, :, None] & out).any(axis=1)
+        cand[ka, i] = False
+        j = np.where(cand, id_rank, n).argmin(axis=1)
+        if not cand[ka, j].all():
             raise AssertionError("sequence reconstruction dead-ended")
-        t_set = {
-            t + 1
-            for t in closure
-            if t < t_star and keep_trans[t, i, best] and reach[t + 1][best, h + 1]
-        }
-        seq.append(best)
-        i, h = best, h + 1
-    return seq
+        seq[a, h + 1] = j
+        send[a, h] = out[ka, :, j]
+        at[a] = False
+        at[a, 1:] = held & send[a, h]
 
+    # slots: done[p, t] marks that the rest of the sequence from the current
+    # hop's sender at slot t arrives at t*; fire the slots the hop may use
+    done = np.zeros((m, T + 1), dtype=bool)
+    done[rows, ts] = True
+    fire = np.zeros((m, K, T), dtype=bool)
+    for h in range(K - 1, -1, -1):
+        a = np.flatnonzero(hs > h)
+        fire[a, h] = send[a, h] & done[a, 1:]
+        next_fire = np.minimum.accumulate(np.where(fire[a, h], tt, T + 1)[:, ::-1], axis=1)
+        next_gap = np.minimum.accumulate(np.where(carry[a, h], T, tt)[:, ::-1], axis=1)
+        done[a, :T] = (next_fire <= next_gap)[:, ::-1]
+        done[a, T] = False
+    slots = np.zeros((m, K), dtype=np.int64)
+    now = np.zeros(m, dtype=np.int64)
+    for h in range(K):
+        a = np.flatnonzero(hs > h)
+        ok = fire[a, h] & (tt >= now[a, None])
+        s = ok.argmax(axis=1)
+        if not ok[np.arange(a.size), s].all():
+            raise AssertionError("slot assignment dead-ended")
+        slots[a, h] = s
+        now[a] = s + 1
 
-def _earliest_slots(keep_carry, keep_trans, seq, t_star):
-    """Earliest transmit slots realizing the fixed sequence and delivery t*."""
-    k_hops = len(seq) - 1
-    can = np.zeros((k_hops + 1, t_star + 1), dtype=bool)
-    can[k_hops, t_star] = True
-    for k in range(k_hops - 1, -1, -1):
-        v, w = seq[k], seq[k + 1]
-        for t in range(t_star - 1, -1, -1):
-            trans_ok = keep_trans[t, v, w] and can[k + 1, t + 1]
-            carry_ok = keep_carry[t, v] and can[k, t + 1]
-            can[k, t] = trans_ok or carry_ok
-    slots = []
-    t = 0
-    for k in range(k_hops):
-        v, w = seq[k], seq[k + 1]
-        while not (keep_trans[t, v, w] and can[k + 1, t + 1]):
-            if not (keep_carry[t, v] and can[k, t + 1]):
-                raise AssertionError("slot assignment dead-ended")
-            t += 1
-        slots.append(t)
-        t += 1
-    return slots
+    res = [NoFeasiblePath("no schedule reaches the destination within the deadline")
+           for _ in range(nb)]
+    for p, fb in enumerate(b):
+        res[fb] = (float(f_star[fb]), int(ts[p]), seq[p, :hs[p] + 1].tolist(),
+                   slots[p, :hs[p]].tolist())
+    return res
 
 
 def _window(grid: SlotGrid, tables: PlannerTables, source: str, dest: str,
@@ -413,7 +415,7 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay: bo
                   use_caps: bool = False) -> list:
     """Shared engine: least predicted interference, or with min_delay earliest
     delivery, for each (source, dest, deadline_s, injection_slot) request, with
-    one forward pass over every request that needs a search. Each entry of the
+    one batched search over every request that needs one. Each entry of the
     result is the request's PathReservation, or the NoFeasiblePath, UnknownNode
     or ValueError that planning it alone raises."""
     out = [None] * len(requests)
@@ -431,39 +433,30 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay: bo
     if not todo:
         return out
     todo.sort(key=lambda job: -job[4])  # stable: longest window first, as _forward needs
-    feas = tables.feasible_capped if use_caps else tables.feasible
     base = 0  # price[s] is the step matrix at absolute slot base + s
     if min_delay:
-        price, carry_cost = tables.delay_price, tables.dt
+        price = tables.delay_price
     elif use_caps:
-        price, carry_cost = tables.capped_price, 0.0
+        price = tables.capped_price
     else:
         # no precomputed table: price only the slots the batch's windows span
         base = min(job[3] for job in todo)
         end = max(job[3] + job[4] for job in todo)
-        price, carry_cost = _with_carry(tables.edge_cost[base:end].copy(), 0.0), 0.0
-    F, H = _forward(price, *zip(*((src, dst, start - base, t_slots)
-                                  for _, src, dst, start, t_slots in todo)),
-                    first_arrival=min_delay)
-    for b, (k, src, dst, start, t_slots) in enumerate(todo):
-        sl, own = slice(start, start + t_slots), slice(start - base, start - base + t_slots)
-        try:
-            keep_carry, keep_trans, reach, f_star, h_star, t_star = _search(
-                None if min_delay else price[own], feas[sl], carry_cost, src, dst, t_slots,
-                forward=(F[b, :t_slots + 1], H[b, :t_slots + 1]))
-            seq = _lex_sequence(keep_carry, keep_trans, reach, tables.id_rank, src, dst,
-                                h_star, t_star)
-            rel = _earliest_slots(keep_carry, keep_trans, seq, t_star)
-            transmissions = [(start + rel[h], seq[h], seq[h + 1]) for h in range(len(rel))]
-            if min_delay:
-                # the reported cost is the schedule's interference, for comparison
-                f_star = 0.0
-                for s, i, j in transmissions:
-                    f_star = f_star + float(tables.edge_cost[s, i, j])
-            out[k] = _reservation(tables, transmissions, float(f_star), start,
-                                  start + t_star, t_slots)
-        except (NoFeasiblePath, ValueError) as e:
-            out[k] = e
+        price = _with_carry(tables.edge_cost[base:end].copy(), 0.0)
+    _, src, dst, start, t_slots = (np.array(c, dtype=np.int64) for c in zip(*todo))
+    plans = _search(price, tables.id_rank, src, dst, start - base, t_slots, min_delay)
+    for (k, _, _, start, t_slots), plan in zip(todo, plans):
+        if isinstance(plan, NoFeasiblePath):
+            out[k] = plan
+            continue
+        cost, t_star, seq, rel = plan
+        transmissions = [(start + s, i, j) for s, i, j in zip(rel, seq, seq[1:])]
+        if min_delay:
+            # the reported cost is the schedule's interference, for comparison
+            cost = 0.0
+            for s, i, j in transmissions:
+                cost = cost + float(tables.edge_cost[s, i, j])
+        out[k] = _reservation(tables, transmissions, cost, start, start + t_star, t_slots)
     return out
 
 
@@ -513,15 +506,14 @@ def reserve_path(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: st
                               use_caps))
 
 
-def min_delay_reservation(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: str,
-                          deadline_s: float, sensitive_nodes, budget: LinkBudget,
-                          injection_slot: int = 0, tables: PlannerTables = None) -> PathReservation:
-    """Delivery-time-minimizing reservation over the same time-expanded graph.
+def min_delay_reservation(graph: ChannelGraph, requests, tables: PlannerTables) -> list:
+    """Delivery-time-minimizing reservations over the same time-expanded graph,
+    for many (source, dest, deadline_s, injection_slot) requests in one
+    flow-batched pass that stops once every flow has arrived.
 
     Every edge (carry or transmit) costs one slot of delay; the reported
     predicted cost is the interference of the chosen schedule, for comparison.
+    Entry k is request k's PathReservation, or the NoFeasiblePath, UnknownNode
+    or ValueError that planning it alone raises, returned rather than raised.
     """
-    if tables is None:
-        tables = prepare_planner(graph, radio_map, sensitive_nodes, budget)
-    return _one(_reserve_many(graph.grid, tables, [(source, dest, deadline_s, injection_slot)],
-                              min_delay=True))
+    return _reserve_many(graph.grid, tables, requests, min_delay=True)

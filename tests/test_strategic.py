@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,12 +115,95 @@ def full_window_search(cost, feas, carry_cost, src, dst, t_slots):
     return keep_carry, keep_trans, reach, f_star, h_star, t_star
 
 
-def oracle_search(cost, feas, carry_cost, src, dst, t_slots, forward=None):
-    """full_window_search behind strategic._search's signature (cost None: every
-    edge costs carry_cost). It runs its own forward pass and ignores forward."""
-    if cost is None:
-        cost = np.where(feas, carry_cost, np.inf)
-    return full_window_search(cost, feas, carry_cost, src, dst, t_slots)
+def lex_sequence(keep_carry, keep_trans, reach, id_rank, src, dst, h_star, t_star):
+    """Scalar oracle for the walk of strategic._search: the lexicographically
+    smallest node-id sequence among optimal schedules, grown hop by hop from
+    Python sets of the slots the payload can be at its current node."""
+    seq = [src]
+    i, h = src, 0
+    t_set = {0}
+    while i != dst:
+        closure = set(t_set)
+        frontier = sorted(closure)
+        for t in frontier:
+            tt = t
+            while tt + 1 <= t_star and keep_carry[tt, i] and reach[tt + 1][i, h] and (tt + 1) not in closure:
+                closure.add(tt + 1)
+                tt += 1
+        best = None
+        for t in sorted(closure):
+            if t >= t_star:
+                continue
+            js = np.flatnonzero(keep_trans[t, i] & reach[t + 1][:, h + 1])
+            for j in js:
+                if best is None or id_rank[j] < id_rank[best]:
+                    best = int(j)
+        if best is None:
+            raise AssertionError("sequence reconstruction dead-ended")
+        t_set = {
+            t + 1
+            for t in closure
+            if t < t_star and keep_trans[t, i, best] and reach[t + 1][best, h + 1]
+        }
+        seq.append(best)
+        i, h = best, h + 1
+    return seq
+
+
+def earliest_slots(keep_carry, keep_trans, seq, t_star):
+    """Scalar oracle for the slot assignment of strategic._search: the earliest
+    transmit slots realizing the fixed sequence and delivery t*."""
+    k_hops = len(seq) - 1
+    can = np.zeros((k_hops + 1, t_star + 1), dtype=bool)
+    can[k_hops, t_star] = True
+    for k in range(k_hops - 1, -1, -1):
+        v, w = seq[k], seq[k + 1]
+        for t in range(t_star - 1, -1, -1):
+            trans_ok = keep_trans[t, v, w] and can[k + 1, t + 1]
+            carry_ok = keep_carry[t, v] and can[k, t + 1]
+            can[k, t] = trans_ok or carry_ok
+    slots = []
+    t = 0
+    for k in range(k_hops):
+        v, w = seq[k], seq[k + 1]
+        while not (keep_trans[t, v, w] and can[k + 1, t + 1]):
+            if not (keep_carry[t, v] and can[k, t + 1]):
+                raise AssertionError("slot assignment dead-ended")
+            t += 1
+        slots.append(t)
+        t += 1
+    return slots
+
+
+def oracle_search(price, id_rank, src, dst, start, t_slots, first_arrival=False):
+    """strategic._search flow by flow from the scalar oracles: the full-window
+    search over the flow's own slots of price (transmit edges where finite off
+    the diagonal, the carry cost on it), then lex_sequence and earliest_slots.
+    It sweeps every window whole, so it ignores first_arrival."""
+    out = []
+    for s, d, entry, t_slots_b in zip(src, dst, start, t_slots):
+        cost = price[entry:entry + t_slots_b]
+        n = cost.shape[1]
+        feas = np.isfinite(cost) & ~np.eye(n, dtype=bool)
+        try:
+            keep_carry, keep_trans, reach, f_star, h_star, t_star = full_window_search(
+                cost, feas, float(cost[0, 0, 0]), s, d, t_slots_b)
+        except NoFeasiblePath as e:
+            out.append(e)
+            continue
+        seq = lex_sequence(keep_carry, keep_trans, reach, id_rank, s, d, h_star, t_star)
+        out.append((float(f_star), t_star, [int(j) for j in seq],
+                    earliest_slots(keep_carry, keep_trans, seq, t_star)))
+    return out
+
+
+def same_searches(got, want):
+    """Per flow: the same error, or the same (f*, t*, sequence, slots)."""
+    for g, w in zip(got, want, strict=True):
+        if isinstance(w, Exception):
+            assert (type(g), str(g)) == (type(w), str(w))
+        else:
+            assert g == w
 
 
 def enumerate_schedules(graph, rmap, src, dst, deadline_slots, sens, budget,
@@ -273,22 +358,15 @@ def _dp_instance(draw):
 
 class TestSearch:
     def check_against_oracle(self, cost, feas, carry_cost, src, dst, t_slots):
-        try:
-            want = oracle_search(cost, feas, carry_cost, src, dst, t_slots)
-        except NoFeasiblePath:
-            with pytest.raises(NoFeasiblePath):
-                strategic._search(cost, feas, carry_cost, src, dst, t_slots)
-            return None
-        keep_carry, keep_trans, reach, f_star, h_star, t_star = strategic._search(
-            cost, feas, carry_cost, src, dst, t_slots)
-        w_carry, w_trans, w_reach, w_f, w_h, w_t = want
-        assert (t_star, h_star, f_star) == (w_t, w_h, w_f)
-        np.testing.assert_array_equal(keep_carry, w_carry[:t_star])
-        np.testing.assert_array_equal(keep_trans, w_trans[:t_star])
-        assert len(reach) == len(w_reach) == t_star + 1
-        for got, ref in zip(reach, w_reach):
-            np.testing.assert_array_equal(got, ref)
-        return t_star
+        """The batched search on a batch of one against the scalar oracles;
+        returns t* or None when nothing is routed."""
+        price = step_prices(feas, cost, carry_cost)
+        rank = np.arange(feas.shape[1])[::-1].copy()  # rank order is not index order
+        flows = [np.array([v]) for v in (src, dst, 0, t_slots)]
+        (got,) = strategic._search(price, rank, *flows, first_arrival=cost is None)
+        (want,) = oracle_search(price, rank, *flows)
+        same_searches([got], [want])
+        return None if isinstance(got, NoFeasiblePath) else got[1]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_dp_instance(), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
@@ -370,18 +448,13 @@ class TestForward:
             rows = swept_rows(want_F, dst, t_slots, min_delay)
             assert F[b, :rows].tobytes() == want_F[:rows].tobytes()
             assert H[b, :rows].tobytes() == want_H[:rows].tobytes()
-            # the search over the batch's rows is the search of the flow alone
-            args = (None if min_delay else cost[sl], feas[sl], carry, src, dst, t_slots)
-            forward = (F[b, :t_slots + 1], H[b, :t_slots + 1])
-            try:
-                alone = strategic._search(*args)
-            except NoFeasiblePath:
-                with pytest.raises(NoFeasiblePath):
-                    strategic._search(*args, forward=forward)
-                continue
-            batched = strategic._search(*args, forward=forward)
-            for got, ref in zip(batched, alone):
-                np.testing.assert_array_equal(got, ref)
+        # the search over the batch plans each flow as the scalar oracles do
+        # for it alone
+        price = step_prices(feas, None if min_delay else cost, carry)
+        rank = np.arange(feas.shape[1])[::-1].copy()
+        flows = [np.array(c) for c in zip(*flows)]
+        same_searches(strategic._search(price, rank, *flows, first_arrival=min_delay),
+                      oracle_search(price, rank, *flows))
 
 
 class TestReservePath:
@@ -479,21 +552,26 @@ class TestMinDelay:
             graph, rmap, src, dst, dl, sens, budget = random_instance(seed)
             if whole_grid:
                 dl = graph.grid.n_slots - 1
-            want = enumerate_schedules(graph, rmap, src, dst, dl, sens, budget,
-                                       carry_cost=graph.grid.dt, delay_objective=True)
-            try:
-                res = min_delay_reservation(graph, rmap, src, dst, dl * graph.grid.dt,
-                                            sens, budget)
-            except NoFeasiblePath:
-                assert want is None
-                continue
-            _, hops, delivery, seq, slots = want
-            assert res.delivery_slot == delivery
-            assert len(res.hops) == hops
-            assert tuple([src] + [h.rx for h in res.hops]) == seq
-            assert tuple(h.window[0] for h in res.hops) == slots
-            matched += 1
-            early += delivery < dl
+            # one batch: the flow, its reverse, and the flow a slot later, whose
+            # window the end of the grid may close before the deadline
+            flows = [(src, dst, 0), (dst, src, 0), (src, dst, 1)]
+            tables = strategic.prepare_planner(graph, rmap, sens, budget)
+            got = min_delay_reservation(graph, [(a, b, dl * graph.grid.dt, injection)
+                                                for a, b, injection in flows], tables)
+            for k, ((a, b, injection), res) in enumerate(zip(flows, got, strict=True)):
+                want = enumerate_schedules(graph, rmap, a, b, dl, sens, budget, injection,
+                                           carry_cost=graph.grid.dt, delay_objective=True)
+                if isinstance(res, NoFeasiblePath):
+                    assert want is None
+                    continue
+                _, hops, delivery, seq, slots = want
+                assert res.delivery_slot == delivery
+                assert len(res.hops) == hops
+                assert tuple([a] + [h.rx for h in res.hops]) == seq
+                assert tuple(h.window[0] for h in res.hops) == slots
+                if k == 0:
+                    matched += 1
+                    early += delivery < dl
         assert matched >= 60
         if whole_grid:
             # most deliveries leave later slots of the window unswept
@@ -548,18 +626,24 @@ class TestDelayToleranceBehavior:
 
 
 class TestCorridorOracle:
-    @pytest.mark.parametrize("planner", [min_delay_reservation, reserve_path])
+    @pytest.mark.parametrize("planner", ["min_delay_reservation", "reserve_path"])
     @pytest.mark.parametrize("injection", [0, 12])
     def test_20s_reservation_matches_full_window_oracle(self, planner, injection,
                                                          monkeypatch):
         graph, rmap, scene, budget = corridor(0)
-        args = (graph, rmap, "src", "dst", 20.0, scene.sensitive_nodes, budget, injection)
-        got = planner(*args)
+        tables = strategic.prepare_planner(graph, rmap, scene.sensitive_nodes, budget)
+        requests = [("src", "dst", 20.0, injection), ("dst", "src", 20.0, injection)]
+        if planner == "min_delay_reservation":
+            plan = functools.partial(min_delay_reservation, graph, requests, tables)
+        else:
+            plan = functools.partial(strategic.reserve_paths, graph, requests, tables)
+        got = plan()
+        assert all(isinstance(res, PathReservation) for res in got)
         monkeypatch.setattr(strategic, "_search", oracle_search)
-        assert got == planner(*args)
-        if planner is min_delay_reservation:
+        assert got == plan()
+        if planner == "min_delay_reservation":
             # the first arrival leaves most of the 40-slot window unswept
-            assert got.delivery_slot - injection < 10
+            assert got[0].delivery_slot - injection < 10
 
 
 def per_node_tables(graph, radio_map, nodes, budget, cap, margin, pathloss):

@@ -21,7 +21,6 @@ the sha256 of the metrics report with its floats as exact hex strings.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -37,22 +36,19 @@ THRESHOLDS_DB = (-70.0, -80.0, -88.0, -97.0)
 RADII_M = (50.0, 400.0)
 
 
-def _bits(report) -> tuple:
-    """The report's fields with floats as exact hex strings."""
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
-
-
 def _sha(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _perfbench_workloads() -> dict:
+def _perfbench():
+    """The benchmark's workloads and its report-to-hex function, so the digests
+    here are computed as the benchmark computes them."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from workloads import WORKLOADS
+        import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    return WORKLOADS
+    return workloads.WORKLOADS, workloads._bits
 
 
 def mini_config():
@@ -67,6 +63,7 @@ def compute() -> dict:
     """{"runs": {name: {"events", "metrics"}}, "perfbench": {workload: digest}}."""
     from aeris import harness
 
+    perfbench_workloads, _bits = _perfbench()
     runs, digests, worlds = {}, {}, {}
 
     def world_for(cfg, w):
@@ -84,7 +81,7 @@ def compute() -> dict:
         runs[name] = {"events": _sha(blob), "metrics": _sha(repr(_bits(report)).encode())}
         return report, blob
 
-    for wl_name, wl in sorted(_perfbench_workloads().items()):
+    for wl_name, wl in sorted(perfbench_workloads.items()):
         cfg = harness.gen_default_scenario(0, **wl.scenario)
         parts = []
         for w, run_seeds in wl.worlds:

@@ -204,6 +204,14 @@ def same_plans(got, want):
             assert g.to_json() == w.to_json()
 
 
+def batch_planner(graph, tables, objective):
+    """requests -> plans for one objective: min_delay, capped or uncapped."""
+    if objective == "min_delay":
+        return functools.partial(strategic.min_delay_reservation, graph, tables=tables)
+    return functools.partial(strategic.reserve_paths, graph, tables=tables,
+                             use_caps=objective == "capped")
+
+
 @st.composite
 def _requests(draw, ids, n_slots):
     """Flow requests on the mini world: known and unknown nodes, source == dest,
@@ -251,11 +259,7 @@ class TestBatchedPlanning:
         those of each request planned alone by the scalar oracles."""
         graph, tables = mini_world.graph, mini_world.tables
         requests = data.draw(_requests(list(graph.node_ids), graph.grid.n_slots))
-        if objective == "min_delay":
-            plan = functools.partial(strategic.min_delay_reservation, graph, tables=tables)
-        else:
-            plan = functools.partial(strategic.reserve_paths, graph, tables=tables,
-                                     use_caps=objective == "capped")
+        plan = batch_planner(graph, tables, objective)
         got = plan(requests)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strategic, "_search", oracle_search)
@@ -279,11 +283,7 @@ class TestBatchedPlanning:
                        capped_price=strategic._with_carry(no_edges.copy(), 0.0),
                        delay_price=strategic._with_carry(no_edges.copy(), mini_config.grid.dt))
         for tabs in (tables, dead):
-            if objective == "min_delay":
-                plan = functools.partial(strategic.min_delay_reservation, graph, tables=tabs)
-            else:
-                plan = functools.partial(strategic.reserve_paths, graph, tables=tabs,
-                                         use_caps=objective == "capped")
+            plan = batch_planner(graph, tabs, objective)
             got = plan(requests)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(strategic, "_search", oracle_search)

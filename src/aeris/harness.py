@@ -28,7 +28,8 @@ import numpy as np
 from . import echelon, strategic, tactical, trajectory
 from .channel_graph import ChannelGraph, SlotGrid, synthesize
 from .echelon import EchelonView, WorldState, LOCAL
-from .errors import (ConfigInvalid, EscalateToStrategic, InfeasibleSchedule, NoFeasiblePath)
+from .errors import (ConfigInvalid, EscalateToStrategic, GenerationFailed, InfeasibleSchedule,
+                     NoFeasiblePath)
 from .operational import LinkBudget, cap_power, required_power_dbm
 from .radio_env import (GroundTruthChannel, PathLossParams, build_map, sample_along,
                         sample_between, sample_ground_pairs)
@@ -58,7 +59,6 @@ class ScenarioConfig:
     map_k_neighbors: int = 8
     map_idw_exponent: float = 2.0
     map_residual_std_db: float = 4.0
-    shadow_terms: int = 192
     central_horizon_s: float = 600.0
     local_horizon_s: float = 30.0
     individual_horizon_s: float = 2.0
@@ -177,7 +177,8 @@ class MetricsReport:
 # scenario generation
 
 
-def _corridor_scene(seed: int, params: CityParams, n_sensitive: int) -> Scene:
+def _corridor_scene(seed: int, params: CityParams, n_src: int, n_dst: int,
+                    n_sensitive: int) -> Scene:
     """West-to-east delivery corridor with a protected mid-field campus.
 
     Sources sit on the west edge, destinations on the east edge, and the
@@ -185,7 +186,7 @@ def _corridor_scene(seed: int, params: CityParams, n_sensitive: int) -> Scene:
     so the straight crossing is radio-hot while wide flanks stay quiet.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    city = gen_city(replace(params, n_sources=0, n_destinations=0, n_sensitive=0), seed)
+    city = gen_city(params, seed)
     bx, by = city.bounds.hi.x, city.bounds.hi.y
     # the campus itself is open ground
     cx, cy = 0.5 * bx, 0.5 * by
@@ -200,9 +201,8 @@ def _corridor_scene(seed: int, params: CityParams, n_sensitive: int) -> Scene:
             y = rng.uniform(y_lo, y_hi)
             if not any(b.footprint_contains(x, y) for b in city.obstacles):
                 return Position3(x, y, 0.0)
-        raise ConfigInvalid("scene", "could not place a ground node clear of buildings")
+        raise GenerationFailed("could not place a ground node clear of buildings")
 
-    n_src, n_dst = params.n_sources, params.n_destinations
     lanes = (0.38, 0.62)
     sources = tuple(
         SceneNode(f"src{k}", clear_spot(0.13 * bx, 0.17 * bx,
@@ -306,12 +306,11 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
     west-side sources, east-side destinations, a mid-field belt of sensitive
     receivers, and twelve aircraft on crossing shuttle/orbit/survey routes."""
     try:
-        params = CityParams(n_buildings=n_buildings, n_sources=n_sources,
-                            n_destinations=n_destinations, n_sensitive=n_sensitive)
+        params = CityParams(n_buildings=n_buildings)
         grid = SlotGrid(0.0, dt, int(round(horizon_s / dt)))
     except ValueError as e:
         raise ConfigInvalid("scenario", str(e)) from None
-    scene = _corridor_scene(seed, params, n_sensitive)
+    scene = _corridor_scene(seed, params, n_sources, n_destinations, n_sensitive)
     trajs = _corridor_trajectories(scene, n_aircraft, horizon_s,
                                    np.random.SeedSequence([seed, 202]))
     # p_max is set so the direct ground hop between the pads does not close,
@@ -331,7 +330,6 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
 @dataclass
 class World:
     config: ScenarioConfig
-    run_seed: int
     truth: GroundTruthChannel
     radio_map: object
     graph: ChannelGraph
@@ -355,7 +353,7 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
     """Deterministic per-seed world: shadow field, realized paths, map, graph."""
     config.validate()
     shadow_ss = _stream(config, run_seed, 1)
-    truth = GroundTruthChannel(config.scene, config.pathloss, shadow_ss, config.shadow_terms)
+    truth = GroundTruthChannel(config.scene, config.pathloss, shadow_ss)
     realized = {}
     for a, traj in enumerate(config.trajectories):
         realized[traj.aircraft_id] = trajectory.realize(
@@ -387,7 +385,7 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
         realized=realized,
         ground_positions=ground_positions,
     )
-    return World(config, run_seed, truth, radio_map, graph, tables, realized,
+    return World(config, truth, radio_map, graph, tables, realized,
                  ground_positions, base_state)
 
 

@@ -63,11 +63,11 @@ class PowerDecision:
     def defer() -> "PowerDecision":
         return PowerDecision(None)
 
-def cap_power(required_p_dbm: float, tx_pos: Position3, sensitive_nodes, per_node_cap_dbm,
-              radio_map, p_max_dbm: float) -> PowerDecision:
-    """Clip the request against per-sensitive-node received-power caps.
+def cap_power(required_p_dbm: float, tx_pos: Position3, sensitive_nodes,
+              per_node_cap_dbm: float, radio_map, p_max_dbm: float) -> PowerDecision:
+    """Clip the request against the received-power cap at each sensitive node.
 
-    p_allowed = min(p_max, min_g cap_g - predicted_gain(tx, g)); transmit at
+    p_allowed = min(p_max, min_g cap - predicted_gain(tx, g)); transmit at
     required power when p_allowed >= required (equality admits), else defer.
     """
     p_allowed = p_max_dbm
@@ -76,9 +76,8 @@ def cap_power(required_p_dbm: float, tx_pos: Position3, sensitive_nodes, per_nod
         rx = np.array([n.pos.as_array() for n in nodes])
         tx = np.broadcast_to(tx_pos.as_array(), rx.shape)
         gains = radio_map.query_many(tx, rx)
-        for node, gain in zip(nodes, gains):
-            cap = per_node_cap_dbm[node.id] if isinstance(per_node_cap_dbm, dict) else per_node_cap_dbm
-            p_allowed = min(p_allowed, cap - float(gain))
+        for gain in gains:
+            p_allowed = min(p_allowed, per_node_cap_dbm - float(gain))
     if p_allowed >= required_p_dbm:
         return PowerDecision(required_p_dbm)
     return PowerDecision.defer()

@@ -105,10 +105,10 @@ class ShadowField:
 class GroundTruthChannel:
     """Deterministic large-scale ground truth for one shadowing realization."""
 
-    def __init__(self, scene: Scene, params: PathLossParams, shadow_seed, n_terms: int = 192):
+    def __init__(self, scene: Scene, params: PathLossParams, shadow_seed):
         self.scene = scene
         self.params = params
-        self.field = ShadowField(params.decorr_dist, shadow_seed, n_terms)
+        self.field = ShadowField(params.decorr_dist, shadow_seed)
 
     def gain_db_many(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
         """Large-scale gains for (m, 3) position pairs, reciprocal by construction."""

@@ -9,13 +9,10 @@ on a face (antennas mounted on a wall) still see outward.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import GenerationFailed
 
 
 @dataclass(frozen=True)
@@ -139,13 +136,6 @@ class Scene:
             sensitive_nodes=tuple(groups["sensitive"]),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "Scene":
-        return Scene.from_json_dict(json.loads(s))
-
 
 def los_clear(scene: Scene, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     """(m,) bool: True where the open segment (tx[i], rx[i]) crosses no obstacle.
@@ -182,10 +172,6 @@ class CityParams:
     footprint_max: float = 80.0
     height_min: float = 15.0
     height_max: float = 60.0
-    n_sources: int = 3
-    n_destinations: int = 3
-    n_sensitive: int = 5
-    max_node_retries: int = 1000
 
     def __post_init__(self):
         if self.n_buildings < 0:
@@ -197,11 +183,8 @@ class CityParams:
 
 
 def gen_city(params: CityParams, seed: int) -> Scene:
-    """Generate a random box city with ground nodes placed outside footprints.
-
-    Deterministic for a fixed (params, seed) pair. Raises GenerationFailed
-    when a node cannot be placed clear of buildings within the retry budget.
-    """
+    """Generate a random box city with no ground nodes; deterministic for a
+    fixed (params, seed) pair."""
     rng = np.random.default_rng(seed)
     bounds = ObstacleBox(Position3(0, 0, 0), Position3(params.extent_x, params.extent_y, params.extent_z))
     boxes = []
@@ -212,24 +195,4 @@ def gen_city(params: CityParams, seed: int) -> Scene:
         x0 = rng.uniform(0.0, params.extent_x - w)
         y0 = rng.uniform(0.0, params.extent_y - dth)
         boxes.append(ObstacleBox(Position3(x0, y0, 0.0), Position3(x0 + w, y0 + dth, h)))
-
-    def place(prefix, count):
-        nodes = []
-        for k in range(count):
-            for _ in range(params.max_node_retries):
-                x = rng.uniform(0.0, params.extent_x)
-                y = rng.uniform(0.0, params.extent_y)
-                if not any(b.footprint_contains(x, y) for b in boxes):
-                    nodes.append(SceneNode(f"{prefix}{k}", Position3(x, y, 0.0)))
-                    break
-            else:
-                raise GenerationFailed(f"could not place node {prefix}{k} outside buildings")
-        return tuple(nodes)
-
-    return Scene(
-        bounds=bounds,
-        obstacles=tuple(boxes),
-        ground_sources=place("src", params.n_sources),
-        ground_destinations=place("dst", params.n_destinations),
-        sensitive_nodes=place("sens", params.n_sensitive),
-    )
+    return Scene(bounds=bounds, obstacles=tuple(boxes))

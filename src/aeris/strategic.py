@@ -38,8 +38,6 @@ escalation replan, is a batch of one.
 from __future__ import annotations
 
 import functools
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +60,6 @@ class InterferenceCost:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("interference cost must be non-negative")
-
-    @property
-    def db(self) -> float:
-        """Cost relative to 1 mW*s; -inf for a silent schedule."""
-        return 10.0 * math.log10(self.value) if self.value > 0 else float("-inf")
 
 
 @dataclass(frozen=True)
@@ -124,44 +117,28 @@ class PathReservation:
             "predicted_cost_mw_s": self.predicted_cost.value,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "PathReservation":
-        d = json.loads(s)
-        hops = tuple(
-            HopReservation(h["tx"], h["rx"], (h["window"][0], h["window"][1]), h["power_dbm"])
-            for h in d["hops"]
-        )
-        return PathReservation(hops, d["injection_slot"], d["delivery_slot"],
-                               InterferenceCost(d["predicted_cost_mw_s"]))
-
 
 @dataclass(frozen=True)
 class PlannerTables:
     """Per-scenario precomputation shared by every reservation query.
 
-    `feasible` enforces p_max only (the default edge model);
-    `feasible_capped` additionally respects predicted per-sensitive-node
-    received-power caps, for proactively cap-aware planning. `edge_cost` is
-    inf off `feasible`. `capped_price` and `delay_price` are what a step of the
-    DP reads: [t, i, j] prices the transmit edge (i, t) -> (j, t + 1), inf off
-    the edges, and [t, i, i] the carry (i, t) -> (i, t + 1). `capped_price`
-    holds the interference costs of the `feasible_capped` edges, with free
-    carries; `delay_price` charges one slot length for every `feasible` edge
-    and every carry.
+    Three price tables, one per objective, are what a step of the DP reads:
+    [t, i, j] prices the transmit edge (i, t) -> (j, t + 1), inf where there
+    is none, and [t, i, i] the carry (i, t) -> (i, t + 1). An edge is feasible
+    when its nominal power `power_dbm` fits under p_max. `edge_cost` holds the
+    predicted interference energy of every feasible edge, with free carries;
+    `capped_price` keeps only the edges that also respect the predicted
+    per-sensitive-node received-power caps, for cap-aware planning;
+    `delay_price` charges one slot length for every feasible edge and every
+    carry.
     """
 
     node_ids: tuple
     id_rank: np.ndarray
     power_dbm: np.ndarray
-    feasible: np.ndarray
-    feasible_capped: np.ndarray
     edge_cost: np.ndarray
     capped_price: np.ndarray
     delay_price: np.ndarray
-    sens_lin: np.ndarray
 
 
 def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
@@ -211,9 +188,9 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(np.array(graph.node_ids))] = np.arange(n)
     dt = graph.grid.dt
-    return PlannerTables(graph.node_ids, rank, power, feasible, feasible_capped, edge_cost,
-                         _with_carry(np.where(feasible_capped, edge_cost, np.inf), 0.0),
-                         _with_carry(np.where(feasible, dt, np.inf), dt), sens_lin)
+    capped_price = _with_carry(np.where(feasible_capped, edge_cost, np.inf), 0.0)
+    return PlannerTables(graph.node_ids, rank, power, _with_carry(edge_cost, 0.0), capped_price,
+                         _with_carry(np.where(feasible, dt, np.inf), dt))
 
 
 def _with_carry(price: np.ndarray, carry_cost: float) -> np.ndarray:
@@ -433,18 +410,14 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay: bo
     if not todo:
         return out
     todo.sort(key=lambda job: -job[4])  # stable: longest window first, as _forward needs
-    base = 0  # price[s] is the step matrix at absolute slot base + s
     if min_delay:
         price = tables.delay_price
     elif use_caps:
         price = tables.capped_price
     else:
-        # no precomputed table: price only the slots the batch's windows span
-        base = min(job[3] for job in todo)
-        end = max(job[3] + job[4] for job in todo)
-        price = _with_carry(tables.edge_cost[base:end].copy(), 0.0)
+        price = tables.edge_cost
     _, src, dst, start, t_slots = (np.array(c, dtype=np.int64) for c in zip(*todo))
-    plans = _search(price, tables.id_rank, src, dst, start - base, t_slots, min_delay)
+    plans = _search(price, tables.id_rank, src, dst, start, t_slots, min_delay)
     for (k, _, _, start, t_slots), plan in zip(todo, plans):
         if isinstance(plan, NoFeasiblePath):
             out[k] = plan

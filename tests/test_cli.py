@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from aeris import cli
-from aeris.errors import GenerationFailed
+from aeris import cli, harness
 from aeris.harness import ScenarioConfig, gen_default_scenario
+from test_scene import west_strip_city
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +39,8 @@ class TestGenScenario:
         assert code == 2
 
     def test_generation_failure_exit_code(self, tmp_path, monkeypatch):
-        def boom(*a, **k):
-            raise GenerationFailed("no room")
-
-        monkeypatch.setattr(cli, "gen_default_scenario", boom)
+        # the corridor scene finds no clear spot for its source
+        monkeypatch.setattr(harness, "gen_city", west_strip_city)
         code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1"])
         assert code == 3
 

@@ -201,7 +201,7 @@ def same_plans(got, want):
         if isinstance(w, Exception):
             assert (type(g), str(g)) == (type(w), str(w))
         else:
-            assert g.to_json() == w.to_json()
+            assert g.to_json_dict() == w.to_json_dict()
 
 
 def batch_planner(graph, tables, objective):
@@ -244,11 +244,10 @@ class TestBatchedPlanning:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strategic, "_search", oracle_search)
             same_plans(got, plan_each(graph, requests, tables, use_caps=True))
-        # uncapped plans price only the slots the batch spans; the same plans
-        # come from the whole table, put where the capped search reads it
+        # uncapped plans read edge_cost; the same plans come from that table
+        # put where the capped search reads it
         uncapped = strategic.reserve_paths(graph, requests, tables)
-        whole = replace(tables, feasible_capped=tables.feasible,
-                        capped_price=strategic._with_carry(tables.edge_cost.copy(), 0.0))
+        whole = replace(tables, capped_price=tables.edge_cost)
         same_plans(uncapped, strategic.reserve_paths(graph, requests, whole, use_caps=True))
         same_plans(uncapped, plan_each(graph, requests, tables))
 
@@ -279,9 +278,9 @@ class TestBatchedPlanning:
                      ("src0", "src0", 2.0, 5), ("src0", "nowhere", 20.0, 0),
                      ("src0", "dst0", 0.05, 0), ("src0", "dst0", 20.0, last + 1)]
         no_edges = np.full_like(tables.edge_cost, np.inf)
-        dead = replace(tables, edge_cost=no_edges,
-                       capped_price=strategic._with_carry(no_edges.copy(), 0.0),
-                       delay_price=strategic._with_carry(no_edges.copy(), mini_config.grid.dt))
+        carry_only = strategic._with_carry(no_edges.copy(), 0.0)
+        dead = replace(tables, edge_cost=carry_only, capped_price=carry_only,
+                       delay_price=strategic._with_carry(no_edges, mini_config.grid.dt))
         for tabs in (tables, dead):
             plan = batch_planner(graph, tabs, objective)
             got = plan(requests)

@@ -8,12 +8,16 @@ need belongs in the test that needs it.
 
 A reference is an identifier of the same name: a variable, an attribute, an
 imported name, or a string constant such as an attribute the benchmark patches
-by name. References from inside an unreached definition do not count, so a
-helper whose only callers are unreached is unreached too. Matching is by name,
-not by type, so a method that shares its name with a live attribute would look
-reached; a second check closes that gap for dataclass fields, the attributes
-such a method would hide behind: no public method of an aeris class may share
-its name with a dataclass field of any aeris class.
+by name. A method is reached only through an attribute (`obj.m`) or a string
+constant, never through a bare name such as a parameter or a local variable.
+References from inside an unreached definition do not count, so a helper whose
+only callers are unreached is unreached too. Matching is by name, not by type,
+so a method that shares its name with a live attribute would look reached: a
+method name that several classes define (`to_json`, `to_json_dict`,
+`transmit`) is reached when any of them is. A second check closes that gap for
+dataclass fields, the attributes such a method would hide behind: no public
+method of an aeris class may share its name with a dataclass field of any
+aeris class.
 """
 
 from __future__ import annotations
@@ -26,18 +30,26 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _names(nodes) -> Counter:
+    """References per identifier; those through an attribute or a string
+    constant count once more under the key `.name`, which a method needs."""
     out = Counter()
     for node in nodes:
         for n in ast.walk(node):
             if isinstance(n, ast.Name):
                 out[n.id] += 1
-            elif isinstance(n, ast.Attribute):
-                out[n.attr] += 1
             elif isinstance(n, ast.alias):
                 out[n.name.rpartition(".")[2]] += 1
+            elif isinstance(n, ast.Attribute):
+                out.update((n.attr, "." + n.attr))
             elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-                out[n.value] += 1
+                out.update((n.value, "." + n.value))
     return out
+
+
+def _key(q: str) -> str:
+    """The reference key that reaches definition q: `.m` for a method `C.m`."""
+    _, dot, name = q.rpartition(".")
+    return dot + name
 
 
 def _units(path: Path) -> list:
@@ -74,7 +86,7 @@ def unreached() -> list:
             if q not in dead:
                 live.update(refs)
         newly = {q for q, refs in units if public(q) and q not in dead
-                 and live[q.rpartition(".")[2]] == refs[q.rpartition(".")[2]]}
+                 and live[_key(q)] == refs[_key(q)]}
         if not newly:
             return sorted(dead)
         dead |= newly

@@ -104,12 +104,12 @@ class TestCapPower:
         assert not d.transmit
         assert d == PowerDecision.defer()
 
-    def test_per_node_dict_caps(self):
+    def test_scalar_cap_tight_and_loose(self):
         tx = Position3(0, 0, 50)
         a = SceneNode("a", Position3(100, 0, 0))
         rmap = one_point_map(tx, a.pos, -70.0)
-        tight = cap_power(15.0, tx, [a], {"a": -60.0}, rmap, 30.0)
-        loose = cap_power(15.0, tx, [a], {"a": -50.0}, rmap, 30.0)
+        tight = cap_power(15.0, tx, [a], -60.0, rmap, 30.0)
+        loose = cap_power(15.0, tx, [a], -50.0, rmap, 30.0)
         assert not tight.transmit
         assert loose.transmit
 

@@ -327,11 +327,6 @@ class TestHopInterference:
             total += p_lin * s * 0.25
         assert got.value == pytest.approx(total, rel=1e-12)
 
-    def test_db_reporting(self):
-        assert InterferenceCost(1.0).db == 0.0
-        assert InterferenceCost(0.0).db == float("-inf")
-        assert InterferenceCost(1e-7).db == pytest.approx(-70.0, abs=1e-9)
-
 
 @st.composite
 def _dp_instance(draw):
@@ -649,7 +644,7 @@ class TestCorridorOracle:
 def per_node_tables(graph, radio_map, nodes, budget, cap, margin, pathloss):
     """Reference for prepare_planner's sensitive-node tables: one map lookup per
     sensitive node over every (slot, entity) position, clamped column by column.
-    Returns (sens_lin, feasible_capped, edge_cost)."""
+    Returns (edge_cost, capped_price), each with free carries on its diagonal."""
     w = graph.weights
     n_slots, n, _ = w.shape
     with np.errstate(invalid="ignore"):
@@ -676,7 +671,11 @@ def per_node_tables(graph, radio_map, nodes, budget, cap, margin, pathloss):
     with np.errstate(invalid="ignore"):
         feasible_capped = feasible & (power <= allowed[:, :, None])
         edge_cost = (db_to_lin(power) * sens_lin[:, :, None]) * graph.grid.dt
-    return sens_lin, feasible_capped, np.where(feasible, edge_cost, np.inf)
+    edge_cost = np.where(feasible, edge_cost, np.inf)
+    capped_price = np.where(feasible_capped, edge_cost, np.inf)
+    for price in (edge_cost, capped_price):
+        price[:, np.arange(n), np.arange(n)] = 0.0
+    return edge_cost, capped_price
 
 
 class TestPlannerTables:
@@ -691,24 +690,14 @@ class TestPlannerTables:
         got = strategic.prepare_planner(graph, rmap, nodes, budget, per_node_cap_dbm=cap,
                                         shield_margin_db=margin, pathloss=pathloss)
         want = per_node_tables(graph, rmap, nodes, budget, cap, margin, pathloss)
-        for a, b in zip((got.sens_lin, got.feasible_capped, got.edge_cost), want):
+        for a, b in zip((got.edge_cost, got.capped_price), want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         if cap is not None and nodes:
             # the cap binds somewhere, so the comparison covers it
-            assert (got.feasible_capped != got.feasible).any()
+            assert (got.capped_price != got.edge_cost).any()
 
 
 class TestReservationJson:
-    def test_roundtrip(self):
-        res = PathReservation(
-            hops=(HopReservation("a", "b", (3, 5), 12.5),
-                  HopReservation("b", "c", (6, 9), 17.0)),
-            injection_slot=2, delivery_slot=8,
-            predicted_cost=InterferenceCost(1.5e-7),
-        )
-        again = PathReservation.from_json(res.to_json())
-        assert again == res
-
     def test_window_ordering_enforced(self):
         with pytest.raises(ValueError):
             PathReservation(

@@ -660,10 +660,12 @@ def baseline_aggregate(world: World, flow: FlowRequest, cfg: ScenarioConfig = No
     if flow.source not in ids or flow.dest not in ids:
         raise NoFeasiblePath("flow endpoint is not a communicating node")
     pos = np.array([world.realized_position(e, flow.injection_slot) for e in ids])
-    tx, rx = np.nonzero(~np.eye(len(ids), dtype=bool))
+    # one truth row per unordered pair, mirrored: the truth is reciprocal bit for bit
+    tx, rx = np.triu_indices(len(ids), k=1)
     keep = np.linalg.norm(pos[tx] - pos[rx], axis=1) > 0
+    tx, rx = tx[keep], rx[keep]
     gain = np.full((len(ids), len(ids)), -np.inf)
-    gain[tx[keep], rx[keep]] = world.truth.gain_db_many(pos[tx[keep]], pos[rx[keep]])
+    gain[tx, rx] = gain[rx, tx] = world.truth.gain_db_many(pos[tx], pos[rx])
     power = required_power_dbm(gain, cfg.budget)
     feasible = power <= cfg.budget.p_max_dbm
     # hop counts to dest by BFS over feasible[tx, rx], then a forward walk that

@@ -5,8 +5,9 @@ and a queryable radio map interpolated from sparse geo-tagged gain samples.
 The shadowing term is a zero-mean Gaussian random field over 3D space with
 exponential spatial correlation exp(-delta / decorr_dist), realized by random
 Fourier features so that any point can be evaluated deterministically from a
-seed. It is indexed at the link midpoint, which keeps the ground truth
-reciprocal by construction.
+seed. It is indexed at the link midpoint, and the LoS test takes each pair
+with its lexicographically smaller endpoint first, which keeps the ground
+truth reciprocal bit for bit by construction.
 
 The map is k-nearest-neighbour inverse-distance weighting over the raw 6D
 (tx, rx) sample coordinates. Samples are stored in both orientations, and each
@@ -98,8 +99,21 @@ class ShadowField:
 
     def unit(self, points: np.ndarray) -> np.ndarray:
         """Field values at points, shape (m, 3) -> (m,)."""
-        pts = np.atleast_2d(points)
-        return self._scale * np.cos(pts @ self._freqs.T + self._phases).sum(axis=1)
+        arg = np.atleast_2d(points) @ self._freqs.T
+        arg += self._phases
+        return self._scale * np.cos(arg, out=arg).sum(axis=1)
+
+
+_LEX = np.array([4.0, 2.0, 1.0])  # each weight exceeds the sum of those after it
+
+
+def _canonical(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """(m, 6) rows of each pair's endpoints, the (x, y, z)-smaller one first: the
+    first coordinate where they differ decides; coincident endpoints keep their order.
+    The signs of tx - rx, weighted by _LEX, sum above 0 exactly when that coordinate
+    of tx is the larger (finite coordinates: a difference is 0 only between equals)."""
+    swap = (np.sign(tx - rx) @ _LEX > 0.0)[:, None]
+    return np.where(swap, np.hstack([rx, tx]), np.hstack([tx, rx]))
 
 
 class GroundTruthChannel:
@@ -111,7 +125,9 @@ class GroundTruthChannel:
         self.field = ShadowField(params.decorr_dist, shadow_seed)
 
     def gain_db_many(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-        """Large-scale gains for (m, 3) position pairs, reciprocal by construction."""
+        """Large-scale gains for (m, 3) position pairs, reciprocal by construction.
+        The LoS test sees each pair in its canonical orientation: rounding can make
+        the slab test's answer depend on the end it starts from."""
         tx = np.atleast_2d(np.asarray(tx, dtype=float))
         rx = np.atleast_2d(np.asarray(rx, dtype=float))
         d = np.linalg.norm(tx - rx, axis=1)
@@ -120,7 +136,8 @@ class GroundTruthChannel:
         if not (np.isfinite(d) & (tx[:, 2] >= 0) & (rx[:, 2] >= 0)).all():
             raise ValueError("positions must be finite with z >= 0")
         p = self.params
-        los = los_clear(self.scene, tx, rx)
+        pair = _canonical(tx, rx)
+        los = los_clear(self.scene, pair[:, :3], pair[:, 3:])
         n_exp = np.where(los, p.n_los, p.n_nlos)
         pl = p.pl0_db + 10.0 * n_exp * np.log10(np.maximum(d, p.d0) / p.d0)
         sigma = np.where(los, p.sigma_sh_los_db, p.sigma_sh_nlos_db)
@@ -287,9 +304,7 @@ class RadioMap:
         its (x, y, z)-smaller endpoint first, so (rx, tx) makes the same query."""
         tx = np.atleast_2d(np.asarray(tx, dtype=float))
         rx = np.atleast_2d(np.asarray(rx, dtype=float))
-        ax = np.argmax(tx != rx, axis=1)[:, None]  # first coordinate where they differ
-        swap = np.take_along_axis(tx, ax, axis=1) > np.take_along_axis(rx, ax, axis=1)
-        return self._idw(np.where(swap, np.hstack([rx, tx]), np.hstack([tx, rx])))
+        return self._idw(_canonical(tx, rx))
 
     def query(self, tx: Position3, rx: Position3) -> LargeScaleStats:
         """Expected large-scale stats between two points."""

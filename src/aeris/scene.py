@@ -143,20 +143,21 @@ def los_clear(scene: Scene, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     Slab method over rows x boxes x axes with strict inequalities: tangent
     grazes and endpoints lying exactly on a face do not count as blockage. On
     an axis where the segment does not move, it is inside the slab only when
-    strictly between the box faces.
+    strictly between the box faces. Division by that zero gives it: the slab is
+    (-inf, inf) strictly between the faces, empty (both ends +inf or -inf)
+    outside them, and nan (0/0) on a face, which no comparison passes.
     """
     a = np.atleast_2d(np.asarray(tx, dtype=float))[:, None, :]
     d = np.atleast_2d(np.asarray(rx, dtype=float))[:, None, :] - a
     lo, hi = scene._obs_lo[None], scene._obs_hi[None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t1 = (lo - a) / d
         t2 = (hi - a) / d
-    flat = d == 0.0
-    inside = (a > lo) & (a < hi)
-    tlo = np.where(flat, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
-    thi = np.where(flat, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
-    enter = np.maximum(tlo.max(axis=2), 0.0)
-    leave = np.minimum(thi.min(axis=2), 1.0)
+    tlo = np.minimum(t1, t2)
+    thi = np.maximum(t1, t2)
+    # elementwise over the three axes, cheaper than a size-3 reduction; nan propagates
+    enter = np.maximum(np.maximum(np.maximum(tlo[..., 0], tlo[..., 1]), tlo[..., 2]), 0.0)
+    leave = np.minimum(np.minimum(np.minimum(thi[..., 0], thi[..., 1]), thi[..., 2]), 1.0)
     return ~np.any(enter < leave, axis=1)
 
 

@@ -517,6 +517,34 @@ class TestBaselines:
             multi_hop += len(hops) > 1
         assert multi_hop > 0
 
+    def test_aggregate_snapshot_is_symmetric_and_matches_ordered_pair_call(
+            self, mini_config, mini_world, monkeypatch):
+        # the gain matrix the snapshot prices, caught on its way to
+        # required_power_dbm, against one truth call over all ordered pairs
+        snapshots = []
+
+        def spy(gain, budget):
+            snapshots.append(gain.copy())
+            return required_power_dbm(gain, budget)
+
+        monkeypatch.setattr(harness, "required_power_dbm", spy)
+        ground = mini_config.scene.ground_sources + mini_config.scene.ground_destinations
+        nodes = sorted(list(mini_world.realized) + [n.id for n in ground])
+        for f in draw_flows(mini_config, 0, 12.0):
+            snapshots.clear()
+            try:
+                baseline_aggregate(mini_world, f)
+            except NoFeasiblePath:
+                pass
+            (gain,) = snapshots
+            pos = np.array([mini_world.realized_position(e, f.injection_slot) for e in nodes])
+            tx, rx = np.nonzero(~np.eye(len(nodes), dtype=bool))
+            keep = np.linalg.norm(pos[tx] - pos[rx], axis=1) > 0
+            want = np.full((len(nodes), len(nodes)), -np.inf)
+            want[tx[keep], rx[keep]] = mini_world.truth.gain_db_many(pos[tx[keep]], pos[rx[keep]])
+            assert gain.tobytes() == gain.T.tobytes()
+            assert gain.tobytes() == want.tobytes()
+
     def test_spacetime_delay_no_worse_than_predictive(self, mini_config, mini_world):
         requests = [(f.source, f.dest, f.deadline_s, f.injection_slot)
                     for f in draw_flows(mini_config, 0, 12.0)]

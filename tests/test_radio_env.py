@@ -13,6 +13,7 @@ from aeris.radio_env import (ChannelSample, GroundTruthChannel, PathLossParams, 
                              sample_ground_pairs)
 from aeris.scene import ObstacleBox, Position3, Scene
 from aeris.trajectory import Trajectory4D, Waypoint
+from test_scene import _grid_box, _segment, scene_with
 
 EMPTY = Scene(ObstacleBox(Position3(-500, -500, 0), Position3(1500, 1500, 300)))
 NOSHADOW = PathLossParams(sigma_sh_los_db=0.0, sigma_sh_nlos_db=0.0)
@@ -47,6 +48,25 @@ class TestTrueGain:
         a = rng.uniform([0, 0, 0], [900, 900, 150], (50, 3))
         b = rng.uniform([0, 0, 0], [900, 900, 150], (50, 3))
         assert ch.gain_db_many(a, b).tobytes() == ch.gain_db_many(b, a).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_grid_box(), max_size=4), st.lists(_segment(), min_size=1, max_size=24),
+           st.integers(0, 2**32 - 1))
+    # the slab test alone reads this segment as clear from (4, -2, 5) and blocked from
+    # the far end, which sits on the top face and 1e-100 m inside the y-slab
+    @example([ObstacleBox(P(0, 0, 0), P(12, 9, 12))],
+             [(np.array([4.0, -2.0, 5.0]), np.array([5.0, 1e-100, 12.0]))], 0)
+    def test_reciprocity_on_obstructed_scenes(self, boxes, segments, seed):
+        # grazes, endpoints on faces and flat axes, plus rows in general position; a
+        # short decorrelation distance makes the field vary over the boxes' grid
+        rng = np.random.default_rng(seed)
+        a = np.vstack([[p for p, _ in segments], rng.uniform([-2, -2, 0], [12, 12, 12], (32, 3))])
+        b = np.vstack([[q for _, q in segments], rng.uniform([-2, -2, 0], [12, 12, 12], (32, 3))])
+        keep = np.linalg.norm(a - b, axis=1) > 0
+        a, b = a[keep], b[keep]
+        ch = GroundTruthChannel(scene_with(*boxes), PathLossParams(decorr_dist=5.0), seed)
+        ab, ba = ch.gain_db_many(a, b), ch.gain_db_many(b, a)
+        assert np.flatnonzero(ab.view(np.int64) != ba.view(np.int64)).tolist() == []
 
     def test_monotone_distance_decay(self):
         ch = GroundTruthChannel(EMPTY, NOSHADOW, 0)
@@ -103,6 +123,14 @@ class TestShadowField:
         a = ShadowField(50.0, 42).unit(pts)
         b = ShadowField(50.0, 42).unit(pts)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 91, 1000])
+    def test_unit_matches_out_of_place_oracle_bitwise(self, m):
+        # one row goes through BLAS gemv, more rows through gemm
+        f = ShadowField(50.0, m)
+        pts = np.random.default_rng(m).uniform([-500, -500, 0], [1500, 1500, 300], (m, 3))
+        want = f._scale * np.cos(pts @ f._freqs.T + f._phases).sum(axis=1)
+        assert f.unit(pts).tobytes() == want.tobytes()
 
 
 def straight(aircraft_id, p0, p1, t1=100.0):

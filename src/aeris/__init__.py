@@ -14,7 +14,7 @@ from .harness import (FlowRequest, MetricsReport, ScenarioConfig, draw_flows,
                       gen_default_scenario, replay_metrics, run, sweep)
 from .operational import LinkBudget, PowerDecision, cap_power, min_power_outage
 from .radio_env import (ChannelSample, GroundTruthChannel, LargeScaleStats, PathLossParams,
-                        RadioMap, build_map, sample_along)
+                        RadioMap, SampleSet, build_map, sample_along)
 from .scene import CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city
 from .strategic import HopReservation, InterferenceCost, PathReservation, reserve_path
 from .tactical import LocalCluster, Schedule, detect_blockage, reroute_local, schedule_timing

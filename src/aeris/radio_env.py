@@ -21,6 +21,7 @@ whatever the kd-tree's build options and whatever the order of query rows.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +76,25 @@ class ChannelSample:
     rx: Position3
     gain_db: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.gain_db):
+
+class SampleSet(Sequence):
+    """Geo-tagged gain samples as one (m, 7) float array of rows: tx xyz, rx xyz,
+    gain_db. Item i is row i as a ChannelSample; `+` concatenates two sets."""
+
+    def __init__(self, rows: np.ndarray):
+        if not np.isfinite(rows[:, 6]).all():
             raise ValueError("gain_db must be finite")
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, i) -> ChannelSample:
+        r = self.rows[i]
+        return ChannelSample(Position3.from_array(r[:3]), Position3.from_array(r[3:6]), float(r[6]))
+
+    def __add__(self, other: "SampleSet") -> "SampleSet":
+        return SampleSet(np.concatenate([self.rows, other.rows]))
 
 
 class ShadowField:
@@ -145,7 +162,7 @@ class GroundTruthChannel:
 
 
 def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampling_period: float,
-                 peer_points) -> list:
+                 peer_points) -> SampleSet:
     """Geo-tagged samples collected along each trajectory against static peers.
 
     Sampling instants are t_start + k*period for k = 0 .. floor(span/period)-1,
@@ -155,8 +172,7 @@ def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampl
         raise ValueError("sampling_period must be positive")
     channel = GroundTruthChannel(scene, params, shadow_seed)
     peers = [p.as_array() if isinstance(p, Position3) else np.asarray(p, dtype=float) for p in peer_points]
-    peer_pos = [Position3.from_array(p) for p in peers]
-    samples = []
+    blocks = [np.empty((0, 7))]
     for traj in trajs:
         span = traj.t_end - traj.t_start
         n = int(math.floor(span / sampling_period + 1e-12))
@@ -164,36 +180,34 @@ def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampl
             continue
         times = traj.t_start + sampling_period * np.arange(n)
         pos = positions_at(traj, times)
-        for peer, rx_pos in zip(peers, peer_pos):
-            gains = channel.gain_db_many(pos, np.broadcast_to(peer, pos.shape))
-            for i in range(n):
-                samples.append(ChannelSample(Position3.from_array(pos[i]), rx_pos, float(gains[i])))
-    return samples
+        for peer in peers:
+            rx = np.broadcast_to(peer, pos.shape)
+            blocks.append(np.column_stack((pos, rx, channel.gain_db_many(pos, rx))))
+    return SampleSet(np.concatenate(blocks))
 
 
-def sample_ground_pairs(scene: Scene, params: PathLossParams, shadow_seed, points) -> list:
+def sample_ground_pairs(scene: Scene, params: PathLossParams, shadow_seed, points) -> SampleSet:
     """One sample per static ground pair: fixed links have persistent large-scale
     gains, so a single site survey captures them exactly."""
     channel = GroundTruthChannel(scene, params, shadow_seed)
     pts = [p.as_array() if isinstance(p, Position3) else np.asarray(p, dtype=float) for p in points]
-    samples = []
+    blocks = [np.empty((0, 7))]
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
             if np.array_equal(pts[a], pts[b]):
                 continue
-            gain = float(channel.gain_db_many(pts[a][None], pts[b][None])[0])
-            samples.append(ChannelSample(Position3.from_array(pts[a]),
-                                         Position3.from_array(pts[b]), gain))
-    return samples
+            tx, rx = pts[a][None], pts[b][None]
+            blocks.append(np.column_stack((tx, rx, channel.gain_db_many(tx, rx))))
+    return SampleSet(np.concatenate(blocks))
 
 
 def sample_between(trajs, scene: Scene, params: PathLossParams, shadow_seed,
-                   sampling_period: float) -> list:
+                   sampling_period: float) -> SampleSet:
     """Air-to-air samples between every trajectory pair at the same cadence."""
     if sampling_period <= 0:
         raise ValueError("sampling_period must be positive")
     channel = GroundTruthChannel(scene, params, shadow_seed)
-    samples = []
+    blocks = [np.empty((0, 7))]
     trajs = list(trajs)
     for a in range(len(trajs)):
         for b in range(a + 1, len(trajs)):
@@ -206,19 +220,16 @@ def sample_between(trajs, scene: Scene, params: PathLossParams, shadow_seed,
             pa = positions_at(trajs[a], times)
             pb = positions_at(trajs[b], times)
             keep = np.linalg.norm(pa - pb, axis=1) > 0
-            gains = channel.gain_db_many(pa[keep], pb[keep])
-            idx = np.flatnonzero(keep)
-            for g, i in zip(gains, idx):
-                samples.append(ChannelSample(Position3.from_array(pa[i]), Position3.from_array(pb[i]),
-                                             float(g)))
-    return samples
+            pa, pb = pa[keep], pb[keep]
+            blocks.append(np.column_stack((pa, pb, channel.gain_db_many(pa, pb))))
+    return SampleSet(np.concatenate(blocks))
 
 
 @dataclass(frozen=True)
 class RadioMap:
     """k-NN inverse-distance-weighted interpolator over 6D (tx, rx) samples."""
 
-    samples: tuple
+    samples: SampleSet
     idw_exponent: float = 2.0
     k_neighbors: int = 8
     residual_std_db: float = 4.0
@@ -233,21 +244,20 @@ class RadioMap:
             raise ValueError("k_neighbors must be >= 1")
         if self.idw_exponent <= 0:
             raise ValueError("idw_exponent must be positive")
-        raw = np.array(
-            [[s.tx.x, s.tx.y, s.tx.z, s.rx.x, s.rx.y, s.rx.z, s.gain_db] for s in self.samples]
-        )
+        raw = self.samples.rows
         mirrored = np.concatenate([raw, raw[:, [3, 4, 5, 0, 1, 2, 6]]], axis=0)
         # Canonical sort, then merge exact-duplicate 6D points (mean gain) so
-        # query results are independent of sample order and duplicates.
+        # query results are independent of sample order and duplicates. Sorted,
+        # points equal under == are adjacent: a group starts where a row differs
+        # from the one before it, and its gains are summed in sorted order.
         order = np.lexsort(mirrored.T[::-1])
         mirrored = mirrored[order]
         pts = mirrored[:, :6]
-        uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-        gains = np.zeros(len(uniq))
-        counts = np.zeros(len(uniq))
-        np.add.at(gains, inverse, mirrored[:, 6])
-        np.add.at(counts, inverse, 1.0)
-        gains /= counts
+        first = np.ones(len(pts), dtype=bool)
+        first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        inverse = np.cumsum(first) - 1
+        gains = np.bincount(inverse, weights=mirrored[:, 6]) / np.bincount(inverse)
+        uniq = pts[first]
         object.__setattr__(self, "_points", uniq)
         object.__setattr__(self, "_gains", gains)
         # sliding-midpoint tree: the tie order makes results independent of how
@@ -314,4 +324,8 @@ class RadioMap:
 
 def build_map(samples, idw_exponent: float = 2.0, k_neighbors: int = 8,
               residual_std_db: float = 4.0) -> RadioMap:
-    return RadioMap(tuple(samples), idw_exponent, k_neighbors, residual_std_db)
+    """A radio map over a SampleSet, or over any sequence of ChannelSamples."""
+    if not isinstance(samples, SampleSet):
+        samples = SampleSet(np.array([(s.tx.x, s.tx.y, s.tx.z, s.rx.x, s.rx.y, s.rx.z, s.gain_db)
+                                      for s in samples], dtype=float).reshape(-1, 7))
+    return RadioMap(samples, idw_exponent, k_neighbors, residual_std_db)

@@ -94,12 +94,15 @@ def ou_offsets(dev: DeviationParams, dt: float, n_slots: int, seed) -> np.ndarra
     rng = np.random.default_rng(seed)
     rho = math.exp(-dev.reversion_rate * dt)
     q = dev.sigma_dev * math.sqrt(1.0 - rho * rho)
-    x = np.empty((n_slots, 3))
-    x[0] = dev.sigma_dev * rng.standard_normal(3)
-    noise = rng.standard_normal((n_slots - 1, 3)) if n_slots > 1 else None
-    for k in range(1, n_slots):
-        x[k] = rho * x[k - 1] + q * noise[k - 1]
-    return x
+    a, b, c = (dev.sigma_dev * rng.standard_normal(3)).tolist()
+    x = [(a, b, c)]
+    if n_slots > 1:
+        # Python floats: per step the same one multiply and one add per axis as
+        # numpy row arithmetic, without its per-call overhead
+        for qa, qb, qc in (q * rng.standard_normal((n_slots - 1, 3))).tolist():
+            a, b, c = rho * a + qa, rho * b + qb, rho * c + qc
+            x.append((a, b, c))
+    return np.array(x)
 
 
 def realize(traj: Trajectory4D, dev: DeviationParams, grid, seed) -> np.ndarray:

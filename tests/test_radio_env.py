@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from aeris.errors import DegenerateLink, EmptySampleSet
+from aeris.harness import gen_default_scenario
 from aeris.radio_env import (ChannelSample, GroundTruthChannel, PathLossParams, RadioMap,
-                             ShadowField, build_map, sample_along, sample_between,
-                             sample_ground_pairs)
-from aeris.scene import ObstacleBox, Position3, Scene
-from aeris.trajectory import Trajectory4D, Waypoint
+                             SampleSet, ShadowField, _canonical, build_map, sample_along,
+                             sample_between, sample_ground_pairs)
+from aeris.scene import ObstacleBox, Position3, Scene, los_clear
+from aeris.trajectory import Trajectory4D, Waypoint, positions_at
 from test_scene import _grid_box, _segment, scene_with
 
 EMPTY = Scene(ObstacleBox(Position3(-500, -500, 0), Position3(1500, 1500, 300)))
@@ -169,6 +170,116 @@ class TestSampleAlong:
         assert len(got) == 3
 
 
+def mini_world_inputs():
+    """The harness tests' mini world (obstructed scene, 8 aircraft) and its map peers."""
+    cfg = gen_default_scenario(seed=1, n_aircraft=8, n_buildings=8, horizon_s=40.0)
+    scene = cfg.scene
+    peers = [n.pos for n in tuple(scene.ground_sources) + tuple(scene.ground_destinations)
+             + tuple(scene.sensitive_nodes)]
+    return cfg, peers
+
+
+# The per-sample loops the sampling functions ran before they returned row arrays,
+# kept as oracles: one ChannelSample per row, built from the same truth calls.
+def along_oracle(trajs, scene, params, shadow_seed, sampling_period, peer_points):
+    channel = GroundTruthChannel(scene, params, shadow_seed)
+    peers = [p.as_array() for p in peer_points]
+    peer_pos = [Position3.from_array(p) for p in peers]
+    samples = []
+    for traj in trajs:
+        n = int(math.floor((traj.t_end - traj.t_start) / sampling_period + 1e-12))
+        if n <= 0:
+            continue
+        pos = positions_at(traj, traj.t_start + sampling_period * np.arange(n))
+        for peer, rx_pos in zip(peers, peer_pos):
+            gains = channel.gain_db_many(pos, np.broadcast_to(peer, pos.shape))
+            for i in range(n):
+                samples.append(ChannelSample(Position3.from_array(pos[i]), rx_pos, float(gains[i])))
+    return samples
+
+
+def between_oracle(trajs, scene, params, shadow_seed, sampling_period):
+    channel = GroundTruthChannel(scene, params, shadow_seed)
+    samples = []
+    for a in range(len(trajs)):
+        for b in range(a + 1, len(trajs)):
+            t0 = max(trajs[a].t_start, trajs[b].t_start)
+            t1 = min(trajs[a].t_end, trajs[b].t_end)
+            n = int(math.floor((t1 - t0) / sampling_period + 1e-12))
+            if n <= 0:
+                continue
+            times = t0 + sampling_period * np.arange(n)
+            pa, pb = positions_at(trajs[a], times), positions_at(trajs[b], times)
+            keep = np.linalg.norm(pa - pb, axis=1) > 0
+            gains = channel.gain_db_many(pa[keep], pb[keep])
+            for g, i in zip(gains, np.flatnonzero(keep)):
+                samples.append(ChannelSample(Position3.from_array(pa[i]),
+                                             Position3.from_array(pb[i]), float(g)))
+    return samples
+
+
+def ground_pairs_oracle(scene, params, shadow_seed, points):
+    channel = GroundTruthChannel(scene, params, shadow_seed)
+    pts = [p.as_array() for p in points]
+    samples = []
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            if np.array_equal(pts[a], pts[b]):
+                continue
+            gain = float(channel.gain_db_many(pts[a][None], pts[b][None])[0])
+            samples.append(ChannelSample(Position3.from_array(pts[a]),
+                                         Position3.from_array(pts[b]), gain))
+    return samples
+
+
+def sample_bits(s) -> bytes:
+    return np.array([s.tx.x, s.tx.y, s.tx.z, s.rx.x, s.rx.y, s.rx.z, s.gain_db]).tobytes()
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize("kind", ["along", "between", "ground_pairs"])
+    def test_item_i_is_the_per_sample_oracle_bitwise(self, kind):
+        cfg, peers = mini_world_inputs()
+        trajs, scene, params, seed = list(cfg.trajectories), cfg.scene, cfg.pathloss, 17
+        got, want = {
+            "along": lambda: (sample_along(trajs, scene, params, seed, 2.0, peers),
+                              along_oracle(trajs, scene, params, seed, 2.0, peers)),
+            "between": lambda: (sample_between(trajs, scene, params, seed, 2.0),
+                                between_oracle(trajs, scene, params, seed, 2.0)),
+            "ground_pairs": lambda: (sample_ground_pairs(scene, params, seed, peers),
+                                     ground_pairs_oracle(scene, params, seed, peers)),
+        }[kind]()
+        assert isinstance(got, SampleSet) and got.rows.shape == (len(want), 7)
+        assert len(got) == len(want) > 0
+        for i in range(len(want)):
+            assert type(got[i]) is ChannelSample
+            assert sample_bits(got[i]) == sample_bits(want[i])
+        assert [sample_bits(s) for s in got] == [sample_bits(s) for s in want]
+        if kind == "along":  # the scene's buildings block some air-to-ground rows
+            pair = _canonical(got.rows[:, :3], got.rows[:, 3:6])
+            assert not los_clear(scene, pair[:, :3], pair[:, 3:]).all()
+
+    def test_add_concatenates_rows(self):
+        cfg, peers = mini_world_inputs()
+        a = sample_ground_pairs(cfg.scene, cfg.pathloss, 3, peers)
+        b = sample_between(list(cfg.trajectories), cfg.scene, cfg.pathloss, 3, 2.0)
+        both = a + b
+        assert len(both) == len(a) + len(b)
+        assert both.rows.tobytes() == np.vstack([a.rows, b.rows]).tobytes()
+        assert sample_bits(both[len(a)]) == sample_bits(b[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_rejected(self, bad):
+        rows = np.zeros((3, 7))
+        rows[:, 3], rows[:, 6] = 10.0, -80.0
+        rows[1, 6] = bad
+        with pytest.raises(ValueError):
+            SampleSet(rows)
+        with pytest.raises(ValueError):
+            build_map([ChannelSample(P(0, 0, 0), P(10, 0, 0), -80.0),
+                       ChannelSample(P(0, 0, 5), P(10, 0, 0), bad)])
+
+
 def toy_samples():
     rng = np.random.default_rng(8)
     out = []
@@ -183,6 +294,10 @@ class TestRadioMap:
     def test_empty_samples_rejected(self):
         with pytest.raises(EmptySampleSet):
             build_map([])
+        empty = sample_ground_pairs(EMPTY, NOSHADOW, 0, [P(0, 0, 0)])
+        assert len(empty) == 0
+        with pytest.raises(EmptySampleSet):
+            build_map(empty)
 
     def test_single_sample_everywhere(self):
         m = build_map([ChannelSample(P(0, 0, 10), P(50, 0, 0), -80.0)])
@@ -248,6 +363,62 @@ class TestRadioMap:
         want = np.array([s.gain_db for s in test])
         rmse = float(np.sqrt(np.mean((pred - want) ** 2)))
         assert rmse <= params.sigma_sh_los_db
+
+
+def unique_oracle(samples):
+    """The map's points and gains by np.unique(axis=0) and np.add.at over the
+    mirrored, lexsorted rows: the formulation the one-pass dedupe replaced."""
+    raw = np.array([[s.tx.x, s.tx.y, s.tx.z, s.rx.x, s.rx.y, s.rx.z, s.gain_db] for s in samples])
+    mirrored = np.concatenate([raw, raw[:, [3, 4, 5, 0, 1, 2, 6]]], axis=0)
+    mirrored = mirrored[np.lexsort(mirrored.T[::-1])]
+    uniq, inverse = np.unique(mirrored[:, :6], axis=0, return_inverse=True)
+    gains = np.zeros(len(uniq))
+    counts = np.zeros(len(uniq))
+    np.add.at(gains, inverse, mirrored[:, 6])
+    np.add.at(counts, inverse, 1.0)
+    gains /= counts
+    return uniq, gains
+
+
+class TestMapDedupe:
+    def test_row_set_and_sample_list_match_unique_oracle(self):
+        cfg, peers = mini_world_inputs()
+        trajs = list(cfg.trajectories)
+        base = (sample_along(trajs, cfg.scene, cfg.pathloss, 5, 2.0, peers)
+                + sample_between(trajs, cfg.scene, cfg.pathloss, 5, 2.0)).rows
+        rng = np.random.default_rng(21)
+        # exact duplicates with other gains, three per point (so that the order of
+        # summation shows in the mean's last bit), in both orientations
+        dup = base[np.repeat(rng.choice(len(base), 40, replace=False), 3)]
+        dup[:, 6] += rng.normal(0.0, 3.0, len(dup))
+        dup[1::2] = dup[1::2, [3, 4, 5, 0, 1, 2, 6]]
+        # points that differ only in the sign of a zero coordinate
+        signed = np.array([[0.0, 5.0, 10.0, 100.0, 0.0, 0.0, -70.0],
+                           [-0.0, 5.0, 10.0, 100.0, -0.0, 0.0, -75.5],
+                           [100.0, -0.0, -0.0, 0.0, 5.0, 10.0, -71.25],
+                           [3.0, 0.0, 20.0, 7.0, 9.0, -0.0, -90.0],
+                           [3.0, -0.0, 20.0, 7.0, 9.0, 0.0, -93.0]])
+        rows = np.vstack([base, dup, signed])
+        rows = rows[rng.permutation(len(rows))]
+        listed = [ChannelSample(P(*r[:3]), P(*r[3:6]), float(r[6])) for r in rows]
+        from_rows, from_list = build_map(SampleSet(rows)), build_map(listed)
+        pts, gains = unique_oracle(listed)
+        assert len(pts) == 2 * (len(rows) - len(dup) - 3)  # the injected groups merged
+        for m in (from_rows, from_list):
+            assert len(m.samples) == len(rows)
+            assert m._points.shape == pts.shape and (m._points == pts).all()
+            assert m._gains.tobytes() == gains.tobytes()
+        oracle = copy.copy(from_rows)
+        object.__setattr__(oracle, "_points", pts)
+        object.__setattr__(oracle, "_gains", gains)
+        object.__setattr__(oracle, "_tree", cKDTree(pts, leafsize=16, balanced_tree=False))
+        tx = np.vstack([rng.uniform([0, 0, 0], [1000, 1000, 150], (200, 3)), rows[:, :3],
+                        rows[:, 3:6]])
+        rx = np.vstack([rng.uniform([0, 0, 0], [1000, 1000, 150], (200, 3)), rows[:, 3:6],
+                        rows[:, :3]])
+        got = from_rows.query_many(tx, rx)
+        assert got.tobytes() == from_list.query_many(tx, rx).tobytes()
+        assert got.tobytes() == oracle.query_many(tx, rx).tobytes()
 
 
 def brute_idw(samples, tx, rx, k=8, p=2.0):

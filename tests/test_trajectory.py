@@ -70,8 +70,34 @@ class TestPositionAt:
             assert np.allclose(got[k], want, rtol=1e-12, atol=1e-12)
 
 
+def ou_oracle(dev, dt, n_slots, seed):
+    """The numpy row recursion ou_offsets replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    rho = math.exp(-dev.reversion_rate * dt)
+    q = dev.sigma_dev * math.sqrt(1.0 - rho * rho)
+    x = np.empty((n_slots, 3))
+    x[0] = dev.sigma_dev * rng.standard_normal(3)
+    noise = rng.standard_normal((n_slots - 1, 3)) if n_slots > 1 else None
+    for k in range(1, n_slots):
+        x[k] = rho * x[k - 1] + q * noise[k - 1]
+    return x
+
+
 class TestRealize:
     GRID = SlotGrid(0.0, 0.5, 80)
+
+    @pytest.mark.parametrize("n_slots", [1, 2, 1200])
+    @pytest.mark.parametrize("seed", [0, 1, 977, np.random.SeedSequence([0, 3, 2, 5])])
+    def test_ou_offsets_match_numpy_row_recursion_bitwise(self, n_slots, seed):
+        for dev, dt in ((DeviationParams(), 0.1), (DeviationParams(0.7, 1.9), 0.5)):
+            got = ou_offsets(dev, dt, n_slots, seed)
+            assert got.shape == (n_slots, 3) and got.dtype == np.float64
+            assert got.tobytes() == ou_oracle(dev, dt, n_slots, seed).tobytes()
+
+    def test_realize_is_plan_plus_oracle_offsets_bitwise(self):
+        grid, dev = SlotGrid(0.0, 0.1, 1200), DeviationParams()
+        want = positions_at(STRAIGHT, grid.times()) + ou_oracle(dev, grid.dt, grid.n_slots, 8)
+        assert realize(STRAIGHT, dev, grid, 8).tobytes() == want.tobytes()
 
     def test_zero_sigma_reproduces_plan(self):
         dev = DeviationParams(sigma_dev=0.0, reversion_rate=0.5)

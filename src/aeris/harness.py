@@ -20,6 +20,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
@@ -78,8 +79,7 @@ class ScenarioConfig:
             raise ConfigInvalid("central_horizon_s", str(e)) from None
         if not 0.0 <= self.frac_short_deadline <= 1.0:
             raise ConfigInvalid("frac_short_deadline", "class fractions must sum to 1 in [0,1]")
-        if self.load_per_min < 0:
-            raise ConfigInvalid("load_per_min", "load must be non-negative")
+        _check_load("load_per_min", self.load_per_min)
         if self.deadline_short_s < self.grid.dt or self.deadline_long_s < self.deadline_short_s:
             raise ConfigInvalid("deadline_short_s", "deadlines must be >= dt and ordered")
         if self.deadline_long_s >= self.grid.dt * self.grid.n_slots:
@@ -389,9 +389,17 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
                  ground_positions, base_state)
 
 
+def _check_load(field: str, load: float) -> None:
+    """A flow load must be finite and non-negative: at an infinite rate the
+    arrival clock never advances."""
+    if not 0.0 <= load < math.inf:
+        raise ConfigInvalid(field, f"load must be finite and non-negative, not {load!r}")
+
+
 def draw_flows(config: ScenarioConfig, run_seed: int, load_per_min: float = None) -> list:
     """Seeded Poisson arrivals over the horizon part that fits a full deadline."""
     load = config.load_per_min if load_per_min is None else load_per_min
+    _check_load("load_per_min", load)
     if load <= 0:
         return []
     rng = np.random.default_rng(_stream(config, run_seed, 3, int(round(load * 1000))))
@@ -783,12 +791,12 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
     if method not in METHODS:
         raise ConfigInvalid("method", f"unknown method {method!r}")
     config.validate()
+    flows = draw_flows(config, seed, load_per_min)  # checks the load before a world is built
     if world is None:
         world = build_world(config, seed)
     events_list = events if events is not None else []
     events_list.append({"type": "meta", "method": method, "seed": seed,
                         "dt_s": config.grid.dt})
-    flows = draw_flows(config, seed, load_per_min)
     acct = _Accounting(world, config, events_list)
     stage = _strategic_stage(acct, method, flows)
     for idx, flow in enumerate(flows):
@@ -858,6 +866,8 @@ def sweep(config: ScenarioConfig, loads, methods, n_seeds: int) -> list:
     for m in methods:
         if m not in METHODS:
             raise ConfigInvalid("method", f"unknown method {m!r}")
+    for load in loads:
+        _check_load("loads", load)
     config.validate()
     tasks = [(config, tuple(loads), tuple(methods), s) for s in range(n_seeds)]
     threads = os.environ.get("AERIS_THREADS") or str(os.cpu_count() or 1)

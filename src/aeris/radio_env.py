@@ -16,6 +16,8 @@ so queries are reciprocal bit for bit and reproduce training samples exactly.
 A query's neighbours are ordered by (distance, index of the point in the
 canonically sorted point set), so equal-distance ties are broken the same way
 whatever the kd-tree's build options and whatever the order of query rows.
+Queries run in fixed row blocks, which bounds their memory and, since each row
+is computed on its own, leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .scene import Position3, Scene, los_clear
 from .trajectory import positions_at
 
 _EXACT_EPS = 1e-9
+_QUERY_BLOCK_ROWS = 8192  # map query rows per kd-tree lookup
 
 
 @dataclass(frozen=True)
@@ -294,27 +297,30 @@ class RadioMap:
             rows = rows[(d[:, -1] == d[:, k - 1]) & (wide < n)]
         return dist[:, :k], idx[:, :k]
 
-    def _idw(self, q: np.ndarray) -> np.ndarray:
+    def _idw(self, q: np.ndarray, out: np.ndarray) -> None:
+        """Writes each row's anchored IDW mean into out: one pass over all rows,
+        then the exact-hit rows take their nearest point's gain instead."""
         dist, idx = self._neighbours(q)
         g = self._gains[idx]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # exact hits give inf, nan
             w = dist ** (-self.idw_exponent)
-        out = np.empty(q.shape[0])
+            # anchored form: exact when all neighbour gains agree
+            out[:] = g[:, 0] + np.sum(w * (g - g[:, :1]), axis=1) / np.sum(w, axis=1)
         exact = dist[:, 0] <= _EXACT_EPS
         out[exact] = g[exact, 0]
-        rest = ~exact
-        if np.any(rest):
-            # anchored form: exact when all neighbour gains agree
-            g0 = g[rest, :1]
-            out[rest] = g0[:, 0] + np.sum(w[rest] * (g[rest] - g0), axis=1) / np.sum(w[rest], axis=1)
-        return out
 
     def query_many(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
         """Mean gains for (m, 3) position pair arrays. Each pair makes one lookup with
-        its (x, y, z)-smaller endpoint first, so (rx, tx) makes the same query."""
+        its (x, y, z)-smaller endpoint first, so (rx, tx) makes the same query. Rows
+        go through in blocks of _QUERY_BLOCK_ROWS, so temporaries stay block-sized;
+        every step works row by row, so a row's mean does not depend on its block."""
         tx = np.atleast_2d(np.asarray(tx, dtype=float))
         rx = np.atleast_2d(np.asarray(rx, dtype=float))
-        return self._idw(_canonical(tx, rx))
+        out = np.empty(tx.shape[0])
+        for lo in range(0, tx.shape[0], _QUERY_BLOCK_ROWS):
+            hi = lo + _QUERY_BLOCK_ROWS
+            self._idw(_canonical(tx[lo:hi], rx[lo:hi]), out[lo:hi])
+        return out
 
     def query(self, tx: Position3, rx: Position3) -> LargeScaleStats:
         """Expected large-scale stats between two points."""

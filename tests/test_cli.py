@@ -38,6 +38,12 @@ class TestGenScenario:
                          "--dt", "-0.1"])
         assert code == 2
 
+    @pytest.mark.parametrize("load", ["inf", "nan"])
+    def test_non_finite_load_exit_code(self, tmp_path, load):
+        code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",
+                         "--load", load])
+        assert code == 2
+
     def test_generation_failure_exit_code(self, tmp_path, monkeypatch):
         # the corridor scene finds no clear spot for its source
         monkeypatch.setattr(harness, "gen_city", west_strip_city)
@@ -114,6 +120,17 @@ class TestSweepAndPlot:
 
     def test_bad_loads_exit_code(self, config_file, tmp_path):
         code = cli.main(["sweep", "--config", str(config_file), "--loads", "6,x",
+                         "--methods", "all", "--seeds", "1", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("loads", ["inf", "6,nan", "6,-1"])
+    def test_non_finite_or_negative_loads_exit_code(self, config_file, tmp_path,
+                                                    monkeypatch, loads):
+        def no_seed(task):
+            raise AssertionError("a seed ran before the loads were checked")
+        monkeypatch.setattr(harness, "_seed_rows", no_seed)
+        monkeypatch.setenv("AERIS_THREADS", "1")
+        code = cli.main(["sweep", "--config", str(config_file), "--loads", loads,
                          "--methods", "all", "--seeds", "1", "--out", str(tmp_path / "s.csv")])
         assert code == 2
 

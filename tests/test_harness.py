@@ -49,6 +49,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             replace(mini_config, deadline_long_s=1e6).validate()
 
+    @pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan, -1.0])
+    def test_load_must_be_finite_and_non_negative(self, mini_config, load):
+        with pytest.raises(ConfigInvalid) as e:
+            replace(mini_config, load_per_min=load).validate()
+        assert e.value.field == "load_per_min"
+
+    def test_json_infinite_load_rejected(self, mini_config):
+        doc = json.loads(mini_config.to_json())
+        doc["load_per_min"] = math.inf
+        text = json.dumps(doc)
+        assert '"load_per_min": Infinity' in text  # what json.loads accepts
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(text)
+        assert e.value.field == "load_per_min"
+
     def test_json_roundtrip(self, mini_config):
         doc = mini_config.to_json()
         again = ScenarioConfig.from_json(doc)
@@ -78,6 +93,13 @@ class TestDrawFlows:
         with pytest.raises(ValueError):
             FlowRequest("a", "b", 0, 0.0)
 
+    @pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan, -1.0])
+    def test_bad_load_override_rejected(self, mini_config, load):
+        # an infinite rate draws zero gaps, so the arrival clock would never advance
+        with pytest.raises(ConfigInvalid) as e:
+            draw_flows(mini_config, 0, load)
+        assert e.value.field == "load_per_min"
+
 
 class TestRun:
     def test_zero_load_empty_stats(self, mini_config, mini_world):
@@ -90,6 +112,16 @@ class TestRun:
     def test_unknown_method(self, mini_config):
         with pytest.raises(ConfigInvalid):
             run(mini_config, "psychic", 0)
+
+    @pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan, -1.0])
+    def test_bad_load_override_rejected_before_the_world_is_built(self, mini_config,
+                                                                   monkeypatch, load):
+        def no_world(*args):
+            raise AssertionError("a world was built before the load was checked")
+        monkeypatch.setattr(harness, "build_world", no_world)
+        with pytest.raises(ConfigInvalid) as e:
+            run(mini_config, "predictive", 0, load_per_min=load)
+        assert e.value.field == "load_per_min"
 
     @pytest.mark.parametrize("method", METHODS)
     def test_bit_identical_reports(self, mini_config, mini_world, method):
@@ -605,6 +637,16 @@ class TestSweep:
     def test_empty_inputs_rejected(self, mini_config):
         with pytest.raises(ConfigInvalid):
             sweep(mini_config, [], ["predictive"], 1)
+
+    @pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan, -1.0])
+    def test_bad_load_rejected_before_any_seed_runs(self, mini_config, monkeypatch, load):
+        def no_seed(task):
+            raise AssertionError("a seed ran before the loads were checked")
+        monkeypatch.setattr(harness, "_seed_rows", no_seed)
+        monkeypatch.setenv("AERIS_THREADS", "1")
+        with pytest.raises(ConfigInvalid) as e:
+            sweep(mini_config, [6.0, load], ["predictive"], 2)
+        assert e.value.field == "loads"
 
 
 class TestPlotData:

@@ -1,5 +1,7 @@
 import copy
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from aeris import radio_env
 from aeris.errors import DegenerateLink, EmptySampleSet
 from aeris.harness import gen_default_scenario
 from aeris.radio_env import (ChannelSample, GroundTruthChannel, PathLossParams, RadioMap,
@@ -527,3 +530,71 @@ class TestTieOrder:
             assert got.tobytes() == with_tree(m, **options).query_many(tx, rx).tobytes()
         perm = rng.permutation(len(q))
         assert got[perm].tobytes() == m.query_many(tx[perm], rx[perm]).tobytes()
+
+
+def tied_map(rng, n_samples, k):
+    """A map on small-integer 6D points plus BALL, and its sample points: equal
+    distances tie exactly, and a query at CENTRE meets a twelve-point tie group."""
+    pts = np.vstack([rng.integers(0, 5, (n_samples, 6)).astype(float), BALL])
+    samples = [ChannelSample(P(*r[:3]), P(*r[3:]), float(g))
+               for r, g in zip(pts, rng.uniform(-120, -60, len(pts)))]
+    return build_map(samples, k_neighbors=k), pts
+
+
+def one_row_calls(m, tx, rx):
+    return np.array([m.query_many(tx[i:i + 1], rx[i:i + 1])[0] for i in range(len(tx))])
+
+
+class TestQueryBlocks:
+    """query_many runs its rows in blocks of radio_env._QUERY_BLOCK_ROWS; a row's
+    mean must not depend on its block, its neighbours in the call, or their order."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 2**32 - 1),
+           st.integers(1, 16))
+    @example(3, 1, 2, 4)  # a twelve-point tie group against k + 1 = 2
+    @example(10, 4, 3, 1)  # twelve against 2 (k + 1) = 10, one row a block
+    def test_rows_match_one_row_calls_across_blocks(self, n_samples, k, seed, block):
+        rng = np.random.default_rng(seed)
+        m, pts = tied_map(rng, n_samples, k)
+        # at least three blocks; rows on map points take the exact-hit path, and
+        # integer rows and CENTRE tie at the k-th neighbour and widen
+        q = np.vstack([rng.integers(0, 5, (3 * block, 6)).astype(float), CENTRE,
+                       pts[:5], pts[-12:-10]])
+        tx, rx = q[:, :3], q[:, 3:]
+        perm = rng.permutation(len(q))
+        with mock.patch.object(radio_env, "_QUERY_BLOCK_ROWS", block):
+            got = m.query_many(tx, rx)
+            shuffled = m.query_many(tx[perm], rx[perm])
+        assert got.tobytes() == one_row_calls(m, tx, rx).tobytes()
+        assert got[perm].tobytes() == shuffled.tobytes()
+        assert np.allclose(got, brute_idw(m.samples, tx, rx, k=k), rtol=0.0, atol=1e-9)
+
+    def test_three_full_size_blocks(self):
+        rng = np.random.default_rng(15)
+        m, pts = tied_map(rng, 25, 4)
+        distinct = np.vstack([rng.integers(0, 5, (150, 6)).astype(float), CENTRE, pts,
+                              rng.uniform(0, 4, (50, 6))])
+        pick = rng.integers(0, len(distinct), 3 * radio_env._QUERY_BLOCK_ROWS + 17)
+        tx, rx = distinct[pick, :3], distinct[pick, 3:]
+        got = m.query_many(tx, rx)
+        # equal inputs give equal one-row calls, so each distinct row is called once
+        alone = one_row_calls(m, distinct[:, :3], distinct[:, 3:])
+        assert got.tobytes() == alone[pick].tobytes()
+        perm = rng.permutation(len(pick))
+        assert got[perm].tobytes() == m.query_many(tx[perm], rx[perm]).tobytes()
+
+    def test_traced_peak_of_a_large_call_is_bounded(self):
+        # before blocking, the temporaries of a 100 000-row call peaked near 50 MB
+        rng = np.random.default_rng(3)
+        rows = np.column_stack([rng.uniform(0, 500, (2000, 6)), rng.uniform(-120, -60, 2000)])
+        m = build_map(SampleSet(rows))
+        tx, rx = rng.uniform(0, 500, (2, 100_000, 3))
+        tracemalloc.start()
+        try:
+            out = m.query_many(tx, rx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (100_000,) and np.isfinite(out).all()
+        assert peak < 12e6, f"traced peak {peak / 1e6:.1f} MB"

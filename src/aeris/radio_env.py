@@ -16,8 +16,6 @@ so queries are reciprocal bit for bit and reproduce training samples exactly.
 A query's neighbours are ordered by (distance, index of the point in the
 canonically sorted point set), so equal-distance ties are broken the same way
 whatever the kd-tree's build options and whatever the order of query rows.
-Queries run in fixed row blocks, which bounds their memory and, since each row
-is computed on its own, leaves every result unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .scene import Position3, Scene, los_clear
 from .trajectory import positions_at
 
 _EXACT_EPS = 1e-9
-_QUERY_BLOCK_ROWS = 8192  # map query rows per kd-tree lookup
+_QUERY_BLOCK_ROWS = 8192  # rows per block of a map query
 
 
 @dataclass(frozen=True)

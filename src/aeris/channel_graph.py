@@ -76,24 +76,14 @@ def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
         pos[:, len(trajs) + g, :] = node.pos.as_array()
 
     weights = np.full((grid.n_slots, n, n), np.nan)
-    qt, qr, slots, iis, jjs = [], [], [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.linalg.norm(pos[:, i, :] - pos[:, j, :], axis=1)
-            ok = (d <= range_cutoff) & (d > 0.0)
-            ks = np.flatnonzero(ok)
-            if ks.size == 0:
-                continue
-            qt.append(pos[ks, i, :])
-            qr.append(pos[ks, j, :])
-            slots.append(ks)
-            iis.append(np.full(ks.size, i))
-            jjs.append(np.full(ks.size, j))
-    if qt:
-        means = radio_map.query_many(np.concatenate(qt), np.concatenate(qr))
-        ks = np.concatenate(slots)
-        ii = np.concatenate(iis)
-        jj = np.concatenate(jjs)
+    iu, ju = np.triu_indices(n, k=1)
+    d = np.linalg.norm(pos[:, iu, :] - pos[:, ju, :], axis=2)
+    # rows pair-major, slots ascending within a pair: the map's lookups run
+    # faster in this order than slot-major
+    pair, ks = np.nonzero(((d <= range_cutoff) & (d > 0.0)).T)
+    if ks.size:
+        ii, jj = iu[pair], ju[pair]
+        means = radio_map.query_many(pos[ks, ii], pos[ks, jj])
         weights[ks, ii, jj] = means
         weights[ks, jj, ii] = means
     return ChannelGraph(grid, ids, weights, pos)

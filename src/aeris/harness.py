@@ -59,10 +59,7 @@ class ScenarioConfig:
     sampling_period_s: float = 1.0
     map_k_neighbors: int = 8
     map_idw_exponent: float = 2.0
-    map_residual_std_db: float = 4.0
-    central_horizon_s: float = 600.0
     local_horizon_s: float = 30.0
-    individual_horizon_s: float = 2.0
     region_radius_m: float = 400.0
     blockage_threshold_db: float = -97.0
     load_per_min: float = 4.0
@@ -72,11 +69,6 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        try:
-            echelon.validate_horizons(self.central_horizon_s, self.local_horizon_s,
-                                      self.individual_horizon_s)
-        except ValueError as e:
-            raise ConfigInvalid("central_horizon_s", str(e)) from None
         if not 0.0 <= self.frac_short_deadline <= 1.0:
             raise ConfigInvalid("frac_short_deadline", "class fractions must sum to 1 in [0,1]")
         _check_load("load_per_min", self.load_per_min)
@@ -84,6 +76,10 @@ class ScenarioConfig:
             raise ConfigInvalid("deadline_short_s", "deadlines must be >= dt and ordered")
         if self.deadline_long_s >= self.grid.dt * self.grid.n_slots:
             raise ConfigInvalid("deadline_long_s", "deadline exceeds the horizon")
+        if self.local_horizon_s < self.deadline_long_s:
+            # a hop window can span a whole deadline, and the local tier
+            # forecasts over it
+            raise ConfigInvalid("local_horizon_s", "local horizon shorter than the long deadline")
         if self.sampling_period_s <= 0:
             raise ConfigInvalid("sampling_period_s", "sampling period must be positive")
         if not self.trajectories:
@@ -366,8 +362,7 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
     samples += sample_between(config.trajectories, config.scene, config.pathloss, shadow_ss,
                               config.sampling_period_s)
     samples += sample_ground_pairs(config.scene, config.pathloss, shadow_ss, peers)
-    radio_map = build_map(samples, config.map_idw_exponent, config.map_k_neighbors,
-                          residual_std_db=config.map_residual_std_db)
+    radio_map = build_map(samples, config.map_idw_exponent, config.map_k_neighbors)
     graph = synthesize(config.trajectories, comm_ground, radio_map, config.grid,
                        config.range_cutoff_m)
     tables = prepare_planner(graph, radio_map, config.scene.sensitive_nodes, config.budget,
@@ -377,7 +372,6 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
     ground_positions = {n.id: n.pos for n in config.scene.all_nodes()}
     base_state = WorldState(
         now_s=config.grid.t0,
-        scene=config.scene,
         truth=truth,
         trajectories={t.aircraft_id: t for t in config.trajectories},
         deviation=config.deviation,

@@ -75,6 +75,15 @@ class TestRunCommand:
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_local_horizon_shorter_than_long_deadline_exit_code(self, config_file, tmp_path):
+        doc = json.loads(config_file.read_text())
+        doc["local_horizon_s"] = doc["deadline_long_s"] / 2
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(doc))
+        code = cli.main(["run", "--config", str(short), "--method", "predictive",
+                         "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+
     def test_non_json_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("scene: {}")

@@ -35,10 +35,17 @@ def mini_world(mini_config):
 
 class TestConfigValidation:
     def test_horizon_ordering_flagged(self, mini_config):
-        bad = replace(mini_config, central_horizon_s=10.0)
+        # a hop window can span a whole long deadline, so a shorter local
+        # horizon would leave the predictive run's forecasts out of range
+        bad = replace(mini_config, local_horizon_s=mini_config.deadline_long_s - 0.1)
         with pytest.raises(ConfigInvalid) as e:
             bad.validate()
-        assert e.value.field == "central_horizon_s"
+        assert e.value.field == "local_horizon_s"
+
+    def test_local_horizon_equal_to_long_deadline_runs(self, mini_config):
+        cfg = replace(mini_config, local_horizon_s=mini_config.deadline_long_s)
+        report = run(cfg, "predictive", 0, load_per_min=30.0)
+        assert report.n_flows > 0
 
     def test_fraction_out_of_range(self, mini_config):
         with pytest.raises(ConfigInvalid) as e:
@@ -68,6 +75,13 @@ class TestConfigValidation:
         doc = mini_config.to_json()
         again = ScenarioConfig.from_json(doc)
         assert again.to_json() == doc
+
+    def test_documents_with_removed_keys_load(self, mini_config):
+        doc = json.loads(mini_config.to_json())
+        old = {**doc, "central_horizon_s": 600.0, "individual_horizon_s": 2.0,
+               "map_residual_std_db": 4.0}
+        assert ScenarioConfig.from_json(json.dumps(old)).to_json() == \
+            ScenarioConfig.from_json(json.dumps(doc)).to_json()
 
     def test_malformed_document(self):
         with pytest.raises(ConfigInvalid):

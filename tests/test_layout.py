@@ -18,6 +18,13 @@ method name that several classes define (`to_json`, `to_json_dict`,
 dataclass fields, the attributes such a method would hide behind: no public
 method of an aeris class may share its name with a dataclass field of any
 aeris class.
+
+A third check covers the fields themselves: every public field of an aeris
+dataclass must be read by live code, as an attribute load (`obj.f`) or a
+string constant, in the same places as above. A read inside the field's own
+class's `__post_init__` or `validate` does not count, since checking a value
+is not using it. Matching is again by name, so a field is read when any
+attribute of its name is loaded.
 """
 
 from __future__ import annotations
@@ -122,3 +129,49 @@ def field_method_collisions() -> list:
 
 def test_no_method_shares_a_field_name():
     assert field_method_collisions() == []
+
+
+# fields that stay although nothing in the run reads them, each with its reason
+UNREAD_FIELDS_KEPT = {
+    # criterion 5 builds its map with build_map(train, residual_std_db=...) and
+    # queries it through RadioMap.query, so the map's stated error figure stays
+    # an input and query reports it
+    "radio_env.LargeScaleStats.shadow_std_db",
+}
+
+_CHECKS = ("__post_init__", "validate")
+
+
+def _reads(nodes) -> Counter:
+    """Attribute loads and identifier-like string constants per name."""
+    out = Counter()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out[n.attr] += 1
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+                out[n.value] += 1
+    return out
+
+
+def unread_fields() -> list:
+    """Public dataclass fields of src/aeris that live code never reads."""
+    sources = [p for p in sorted((ROOT / "src" / "aeris").glob("*.py")) if p.name != "__init__.py"]
+    sources += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    reads = _reads([ast.parse(p.read_text()) for p in sources])
+    out = []
+    for p in sorted((ROOT / "src" / "aeris").glob("*.py")):
+        for cls in ast.parse(p.read_text()).body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            own = _reads([m for m in cls.body if isinstance(m, ast.FunctionDef)
+                          and m.name in _CHECKS])
+            out += [f"{p.stem}.{cls.name}.{s.target.id}" for s in cls.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                    and not s.target.id.startswith("_")
+                    and reads[s.target.id] == own[s.target.id]]
+    return sorted(out)
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == sorted(UNREAD_FIELDS_KEPT)

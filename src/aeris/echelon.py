@@ -61,10 +61,11 @@ class WorldState:
     realized: dict
     ground_positions: dict
 
-    def planned_pos(self, node_id: str, t: float) -> np.ndarray:
+    def planned_pos(self, node_id: str, times: np.ndarray) -> np.ndarray:
+        """Where the plan puts a node at each of times, shaped (times, 3)."""
         if node_id in self.trajectories:
-            return positions_at(self.trajectories[node_id], np.array([t]))[0]
-        return self.ground_positions[node_id].as_array()
+            return positions_at(self.trajectories[node_id], times)
+        return np.broadcast_to(self.ground_positions[node_id].as_array(), (times.size, 3)).copy()
 
     def realized_pos(self, node_id: str, t: float) -> np.ndarray:
         if node_id not in self.trajectories:
@@ -80,12 +81,6 @@ class WorldState:
         return replace(self, now_s=now_s)
 
 
-def _planned_many(world: WorldState, node_id: str, ts: np.ndarray) -> np.ndarray:
-    if node_id in world.trajectories:
-        return positions_at(world.trajectories[node_id], ts)
-    return np.broadcast_to(world.ground_positions[node_id].as_array(), (ts.size, 3)).copy()
-
-
 def forecast_gain(view: EchelonView, world: WorldState, link, target_time: float) -> GainForecast:
     """Forecast the (i, j) large-scale gain at target_time from one tier's view."""
     i, j = link
@@ -93,9 +88,9 @@ def forecast_gain(view: EchelonView, world: WorldState, link, target_time: float
     if lead < -1e-9 or lead > view.horizon_s + 1e-9:
         raise OutOfRange(f"target {target_time} outside {view.tier} horizon {view.horizon_s}s")
     if view.tier == CENTRAL:
-        tx = world.planned_pos(i, target_time)
-        rx = world.planned_pos(j, target_time)
-        return GainForecast(float(view.map_snapshot.query_many(tx[None], rx[None])[0]))
+        at = np.array([target_time])
+        tx, rx = world.planned_pos(i, at), world.planned_pos(j, at)
+        return GainForecast(float(view.map_snapshot.query_many(tx, rx)[0]))
     if view.tier == LOCAL:
         return GainForecast(float(local_mean_series(view, world, link, [target_time])[0]))
     tx = world.realized_pos(i, world.now_s)
@@ -123,13 +118,10 @@ def local_positions(view: EchelonView, world: WorldState, nodes, times) -> np.nd
     if times.size and float(times.max()) - world.now_s > view.horizon_s + 1e-9:
         raise OutOfRange("series extends beyond the local horizon")
     center = view.region_center.as_array()
-    for node in nodes:
-        if np.linalg.norm(world.realized_pos(node, world.now_s) - center) > view.region_radius:
+    now = [world.realized_pos(node, world.now_s) for node in nodes]
+    for node, pos in zip(nodes, now):
+        if np.linalg.norm(pos - center) > view.region_radius:
             raise OutOfRegion(f"{node} outside local region")
-    return np.array([_extrapolated_many(world, node, times) for node in nodes])
-
-
-def _extrapolated_many(world: WorldState, node_id: str, times: np.ndarray) -> np.ndarray:
-    now = world.realized_pos(node_id, world.now_s)
-    planned_now = world.planned_pos(node_id, world.now_s)
-    return now + (_planned_many(world, node_id, times) - planned_now)
+    now_s = np.array([world.now_s])
+    return np.array([pos + (world.planned_pos(node, times) - world.planned_pos(node, now_s)[0])
+                     for node, pos in zip(nodes, now)])

@@ -117,6 +117,10 @@ class ScenarioConfig:
                 )
                 for td in d["trajectories"]
             )
+            # older documents carry pathloss.noise_dbm, which nothing read (the
+            # SNR reads budget.noise_dbm); any other unknown nested key is an error
+            d = {**d, "pathloss": {k: v for k, v in dict(d["pathloss"]).items()
+                                   if k != "noise_dbm"}}
             kw = {f.name: type(f.default)(**d[f.name]) if is_dataclass(f.default)
                   else d[f.name] for f in fields(ScenarioConfig)[2:]}
             cfg = ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, **kw)
@@ -323,16 +327,17 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
 # world construction (per run seed, shared by all methods and loads)
 
 
-@dataclass
-class World:
+@dataclass(frozen=True)
+class World(WorldState):
+    """One run seed's echelon state plus its map, graph, planner tables, the
+    sorted aircraft and ground-endpoint ids and the (k, 3) sensitive sites."""
+
     config: ScenarioConfig
-    truth: GroundTruthChannel
     radio_map: object
     graph: ChannelGraph
     tables: strategic.PlannerTables
-    realized: dict
-    ground_positions: dict
-    base_state: WorldState
+    comm_ids: tuple
+    sens_pos: np.ndarray
 
     def realized_position(self, node_id: str, slot: int) -> np.ndarray:
         """Where a node is at a slot: an aircraft's realized track, else its ground site."""
@@ -369,18 +374,14 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
                              per_node_cap_dbm=config.sensitive_cap_dbm,
                              shield_margin_db=config.plan_shield_margin_db,
                              pathloss=config.pathloss)
-    ground_positions = {n.id: n.pos for n in config.scene.all_nodes()}
-    base_state = WorldState(
-        now_s=config.grid.t0,
-        truth=truth,
-        trajectories={t.aircraft_id: t for t in config.trajectories},
-        deviation=config.deviation,
-        grid=config.grid,
-        realized=realized,
-        ground_positions=ground_positions,
-    )
-    return World(config, truth, radio_map, graph, tables, realized,
-                 ground_positions, base_state)
+    sens = [n.pos.as_array() for n in config.scene.sensitive_nodes]
+    return World(
+        now_s=config.grid.t0, truth=truth, deviation=config.deviation, grid=config.grid,
+        trajectories={t.aircraft_id: t for t in config.trajectories}, realized=realized,
+        ground_positions={n.id: n.pos for n in config.scene.all_nodes()},
+        config=config, radio_map=radio_map, graph=graph, tables=tables,
+        comm_ids=tuple(sorted([*realized, *(n.id for n in comm_ground)])),
+        sens_pos=np.array(sens).reshape(-1, 3))
 
 
 def _check_load(field: str, load: float) -> None:
@@ -427,9 +428,6 @@ class _Accounting:
         self.events = events
         self.interference = 0.0
         self.outcomes = []
-        self._sens_pos = np.array(
-            [n.pos.as_array() for n in config.scene.sensitive_nodes]
-        ).reshape(-1, 3)
 
     def measured_gain(self, tx: str, rx: str, slot: int) -> float:
         a = self.world.realized_position(tx, slot)
@@ -443,11 +441,11 @@ class _Accounting:
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
         tx_pos = self.world.realized_position(tx, slot)
+        sens_pos = self.world.sens_pos
         contrib = 0.0
-        if self._sens_pos.shape[0]:
-            gains = self.world.truth.gain_db_many(
-                np.broadcast_to(tx_pos, self._sens_pos.shape), self._sens_pos
-            )
+        if sens_pos.shape[0]:
+            gains = self.world.truth.gain_db_many(np.broadcast_to(tx_pos, sens_pos.shape),
+                                                  sens_pos)
             contrib = float((p_lin * np.sum(db_to_lin(gains))) * cfg.grid.dt)
         self.interference += contrib
         g_true = self.measured_gain(tx, rx, slot) if gain_db is None else gain_db
@@ -495,8 +493,8 @@ def _local_view(world: World, center: np.ndarray, radius: float,
     )
 
 
-def _build_slice(world: World, cfg: ScenarioConfig, state: WorldState, view: EchelonView,
-                 members: tuple, hop: HopReservation, tail: list) -> tactical.LocalGraphSlice:
+def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: tuple,
+                 hop: HopReservation, tail: list) -> tactical.LocalGraphSlice:
     """Local per-slot predictions for a detour around hop, looked up in one
     map call at only the rows tactical.reroute_local reads: over the first
     half-span the gains from hop.tx to each relay and hop.tx's sensitive-node
@@ -506,7 +504,7 @@ def _build_slice(world: World, cfg: ScenarioConfig, state: WorldState, view: Ech
     reconnect, (lo, mid), (_, hi) = tactical.detour_halves(hop, tail)
     relays = [m for m in members if m not in (hop.tx, hop.rx, reconnect)]
     slots = np.arange(lo, hi + 1)
-    pos = echelon.local_positions(view, state, members,
+    pos = echelon.local_positions(view, world, members,
                                   cfg.grid.t0 + cfg.grid.dt * slots.astype(float))
     at = dict(zip(members, pos))
     h, n_relay = mid + 1 - lo, len(relays)  # slots in the first half-span, relays
@@ -514,7 +512,7 @@ def _build_slice(world: World, cfg: ScenarioConfig, state: WorldState, view: Ech
     relay_first = np.array([at[m][:h] for m in relays]).reshape(-1, 3)
     relay_second = np.array([at[m][h:] for m in relays]).reshape(-1, 3)
     senders = np.concatenate([tx_first, relay_second])
-    sens_pos = np.array([n.pos.as_array() for n in cfg.scene.sensitive_nodes]).reshape(-1, 3)
+    sens_pos = world.sens_pos
     n_sens = sens_pos.shape[0]
     # rows: the tx -> relay and relay -> reconnect links, then a sensitive-node
     # row per (sender, slot, node) for tx over the first half-span and each
@@ -539,15 +537,11 @@ def _build_slice(world: World, cfg: ScenarioConfig, state: WorldState, view: Ech
                                     cfg.budget, cfg.grid.dt)
 
 
-def _cluster_members(world: World, state: WorldState, center: np.ndarray, radius: float,
+def _cluster_members(world: World, slot: int, center: np.ndarray, radius: float,
                      must_include) -> tuple:
-    members = set(must_include)
-    for e in sorted(world.realized) + sorted(n.id for n in
-                                             tuple(world.config.scene.ground_sources)
-                                             + tuple(world.config.scene.ground_destinations)):
-        if np.linalg.norm(state.realized_pos(e, state.now_s) - center) <= radius:
-            members.add(e)
-    return tuple(sorted(members))
+    near = [e for e in world.comm_ids
+            if np.linalg.norm(world.realized_position(e, slot) - center) <= radius]
+    return tuple(sorted({*must_include, *near}))
 
 
 @dataclass
@@ -564,37 +558,36 @@ class _Cascade:
     def choose(self, hops: list, k: int, last_slot: int):
         """Blockage check (local two-hop detour, or escalation to a strategic
         replan), hop timing, then the cap-power scan for hop k."""
-        acct, world, cfg = self.acct, self.acct.world, self.acct.config
+        acct, cfg = self.acct, self.acct.config
         grid = cfg.grid
         hop = hops[k]
         now_slot = max(hop.window[0], last_slot + 1)
-        now = grid.t_of(now_slot)
-        state = world.base_state.at_time(now)
-        tx_pos = state.realized_pos(hop.tx, now)
-        rx_pos = state.realized_pos(hop.rx, now)
+        world = acct.world.at_time(grid.t_of(now_slot))
+        tx_pos = world.realized_position(hop.tx, now_slot)
+        rx_pos = world.realized_position(hop.rx, now_slot)
         center = 0.5 * (tx_pos + rx_pos)
         radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
         view = _local_view(world, center, radius, cfg)
         # one local forecast over the hop's window serves the blockage check and
         # the timing
-        slots, series = tactical.hop_forecast(view, state, hop)
+        slots, series = tactical.hop_forecast(view, world, hop)
         blocked = (not self.skip_blockage) and tactical.detect_blockage(
             view, series, cfg.blockage_threshold_db)
         self.skip_blockage = False
         if blocked:
             tail = hops[k + 1:k + 2]
             reconnect = tactical.detour_halves(hop, tail)[0]
-            anchor = np.array([state.realized_pos(e, now)
+            anchor = np.array([world.realized_position(e, now_slot)
                                for e in (hop.tx, hop.rx, reconnect)])
             center = anchor.mean(axis=0)
             radius = max(radius, float(np.linalg.norm(anchor - center, axis=1).max()) + 50.0)
             view = _local_view(world, center, radius, cfg)
-            members = _cluster_members(world, state, center, radius,
+            members = _cluster_members(world, now_slot, center, radius,
                                        (hop.tx, hop.rx, reconnect))
             cluster = tactical.LocalCluster(members, {}, frozenset({(hop.tx, hop.rx)}),
                                             world.radio_map)
             try:
-                slc = _build_slice(world, cfg, state, view, members, hop, tail)
+                slc = _build_slice(world, cfg, view, members, hop, tail)
                 repl = tactical.reroute_local(cluster, hop, tail, slc)
                 hops[k:k + 1 + len(tail)] = list(repl)
                 self._log_reroute(hops, k, hops[-1].rx)
@@ -611,7 +604,7 @@ class _Cascade:
                 hops[k:] = list(res.hops)
                 self._log_reroute(hops, k, self.flow.dest)
                 self.skip_blockage = True
-                return _REPLANNED
+                return self.choose(hops, k, last_slot)
             # the detour's first hop is a new link; the slice holds its forecast
             # over its window, the first half-span
             inside = slc.slots <= hop.window[1]
@@ -633,10 +626,9 @@ class _Cascade:
             required = required_power_dbm(measured, cfg.budget)
             if required > cfg.budget.p_max_dbm:
                 continue
-            decision = cap_power(required, Position3.from_array(
-                np.maximum(world.realized_position(hop.tx, s), 0.0)),
-                cfg.scene.sensitive_nodes, cfg.sensitive_cap_dbm, world.radio_map,
-                cfg.budget.p_max_dbm)
+            decision = cap_power(required, np.maximum(world.realized_position(hop.tx, s), 0.0),
+                                 world.sens_pos, cfg.sensitive_cap_dbm, world.radio_map,
+                                 cfg.budget.p_max_dbm)
             if decision.transmit:
                 return s, decision.power_dbm, measured
         return None
@@ -657,8 +649,7 @@ def baseline_aggregate(world: World, flow: FlowRequest, cfg: ScenarioConfig = No
     per-hop powers from the measured gains; no foresight, no interference term,
     no caps. Returns (node sequence, powers) or raises NoFeasiblePath."""
     cfg = cfg or world.config
-    ids = sorted(list(world.realized) + [n.id for n in tuple(cfg.scene.ground_sources)
-                                         + tuple(cfg.scene.ground_destinations)])
+    ids = world.comm_ids
     if flow.source not in ids or flow.dest not in ids:
         raise NoFeasiblePath("flow endpoint is not a communicating node")
     pos = np.array([world.realized_position(e, flow.injection_slot) for e in ids])
@@ -696,8 +687,8 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
     """The method's strategic stage for a run's flows: stage(flow, flow_idx)
     returns the flow's hops and its choice for hop k as choose(hops, k,
     last_slot): (slot, power_dbm, the link's measured gain at the slot or None
-    if not yet measured). choose returns None to drop the flow, or _REPLANNED
-    after rewriting hops[k:] to be asked again for hop k.
+    if not yet measured), or None to drop the flow. choose may rewrite hops[k:]
+    before it answers for hop k.
 
     A reservation reads only the static planner tables, so the space-time and
     predictive stages plan every flow's (the predictive flow's first) at once,
@@ -742,9 +733,6 @@ def _planned(hops: list, k: int, last_slot: int):
     return hops[k].window[0], hops[k].nominal_power_dbm, None
 
 
-_REPLANNED = object()
-
-
 def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rng) -> None:
     """Send one flow through the method's strategic stage. No transmission may
     fall after the deadline slot; the payload is delivered the slot after its
@@ -761,8 +749,6 @@ def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rn
         hops, ok = [], False
     while ok and k < len(hops):
         choice = choose(hops, k, last_slot)
-        if choice is _REPLANNED:
-            continue
         if choice is None or choice[0] > last_allowed:
             ok = False
             break

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceedsPMax
-from .scene import Position3
 
 
 @dataclass(frozen=True)
@@ -63,21 +62,20 @@ class PowerDecision:
     def defer() -> "PowerDecision":
         return PowerDecision(None)
 
-def cap_power(required_p_dbm: float, tx_pos: Position3, sensitive_nodes,
+def cap_power(required_p_dbm: float, tx_pos: np.ndarray, sens_pos: np.ndarray,
               per_node_cap_dbm: float, radio_map, p_max_dbm: float) -> PowerDecision:
-    """Clip the request against the received-power cap at each sensitive node.
+    """Clip the request against the received-power cap at each sensitive site,
+    tx_pos a (3,) position and sens_pos the (k, 3) sites.
 
-    p_allowed = min(p_max, min_g cap - predicted_gain(tx, g)); transmit at
+    p_allowed = min(p_max, cap - max_g predicted_gain(tx, g)); transmit at
     required power when p_allowed >= required (equality admits), else defer.
+    Rounded subtraction is monotone, so cap - max_g equals min_g (cap - gain)
+    bit for bit.
     """
     p_allowed = p_max_dbm
-    nodes = list(sensitive_nodes)
-    if nodes:
-        rx = np.array([n.pos.as_array() for n in nodes])
-        tx = np.broadcast_to(tx_pos.as_array(), rx.shape)
-        gains = radio_map.query_many(tx, rx)
-        for gain in gains:
-            p_allowed = min(p_allowed, per_node_cap_dbm - float(gain))
+    if len(sens_pos):
+        gains = radio_map.query_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos)
+        p_allowed = min(p_allowed, per_node_cap_dbm - float(gains.max()))
     if p_allowed >= required_p_dbm:
         return PowerDecision(required_p_dbm)
     return PowerDecision.defer()

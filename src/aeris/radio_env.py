@@ -46,7 +46,6 @@ class PathLossParams:
     sigma_sh_los_db: float = 4.0
     sigma_sh_nlos_db: float = 8.0
     decorr_dist: float = 50.0
-    noise_dbm: float = -90.0
 
     def __post_init__(self):
         if self.d0 <= 0:

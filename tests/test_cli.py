@@ -84,6 +84,15 @@ class TestRunCommand:
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_unknown_nested_key_exit_code(self, config_file, tmp_path):
+        doc = json.loads(config_file.read_text())
+        doc["pathloss"]["bogus"] = 1.0
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps(doc))
+        code = cli.main(["run", "--config", str(bogus), "--method", "predictive",
+                         "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+
     def test_non_json_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("scene: {}")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeris import echelon, harness, strategic, tactical
+from aeris.echelon import WorldState
 from aeris.errors import ConfigInvalid, NoFeasiblePath, UnknownNode
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, build_world, draw_flows,
@@ -78,10 +79,20 @@ class TestConfigValidation:
 
     def test_documents_with_removed_keys_load(self, mini_config):
         doc = json.loads(mini_config.to_json())
+        assert "noise_dbm" not in doc["pathloss"]
+        # pathloss.noise_dbm was never read (the SNR reads budget.noise_dbm)
         old = {**doc, "central_horizon_s": 600.0, "individual_horizon_s": 2.0,
-               "map_residual_std_db": 4.0}
-        assert ScenarioConfig.from_json(json.dumps(old)).to_json() == \
-            ScenarioConfig.from_json(json.dumps(doc)).to_json()
+               "map_residual_std_db": 4.0,
+               "pathloss": {**doc["pathloss"], "noise_dbm": -90.0}}
+        again = ScenarioConfig.from_json(json.dumps(old))
+        assert again == ScenarioConfig.from_json(json.dumps(doc))
+        assert again.to_json() == ScenarioConfig.from_json(json.dumps(doc)).to_json()
+
+    def test_unknown_nested_key_rejected(self, mini_config):
+        doc = json.loads(mini_config.to_json())
+        doc["pathloss"]["bogus"] = 1.0
+        with pytest.raises(ConfigInvalid):
+            ScenarioConfig.from_json(json.dumps(doc))
 
     def test_malformed_document(self):
         with pytest.raises(ConfigInvalid):
@@ -275,6 +286,26 @@ def _requests(draw, ids, n_slots):
     return out
 
 
+class TestWorld:
+    def test_node_ids_and_sensitive_sites(self, mini_config, mini_world):
+        scene = mini_config.scene
+        assert isinstance(mini_world, WorldState)
+        assert mini_world.comm_ids == tuple(sorted(
+            [t.aircraft_id for t in mini_config.trajectories]
+            + [n.id for n in scene.ground_sources + scene.ground_destinations]))
+        want = np.array([n.pos.as_array() for n in scene.sensitive_nodes])
+        assert mini_world.sens_pos.tobytes() == want.tobytes()
+
+    def test_slot_lookup_equals_interpolation_at_slot_time(self, mini_world):
+        # the run loop reads positions by slot where the local tier interpolates
+        # at slot times; the two must agree byte for byte
+        grid = mini_world.grid
+        for e in mini_world.comm_ids:
+            for s in range(grid.n_slots):
+                assert mini_world.realized_position(e, s).tobytes() == \
+                    mini_world.realized_pos(e, grid.t_of(s)).tobytes(), (e, s)
+
+
 class TestBatchedPlanning:
     """The predictive run plans its flows' first reservations in one batch."""
 
@@ -389,7 +420,7 @@ class TestBatchedPlanning:
         assert bool(replans) == eager
 
 
-def full_span_slice(world, cfg, state, view, members, hop, tail):
+def full_span_slice(world, cfg, view, members, hop, tail):
     """harness._build_slice's full-span oracle: one local_mean_series call per
     candidate link and one for the blocked link, and every member's
     sensitive-node weight, each over the detour's whole span."""
@@ -401,11 +432,11 @@ def full_span_slice(world, cfg, state, view, members, hop, tail):
         if m not in (hop.tx, reconnect, hop.rx):
             links += [(hop.tx, m), (m, reconnect)]
     links.append((hop.tx, hop.rx))
-    mean = {key: echelon.local_mean_series(view, state, key, times) for key in links}
+    mean = {key: echelon.local_mean_series(view, world, key, times) for key in links}
     ents = sorted({e for key in links for e in key})
     sens_pos = np.array([n.pos.as_array() for n in cfg.scene.sensitive_nodes])
     if sens_pos.size:
-        pos = np.concatenate([echelon._extrapolated_many(state, e, times) for e in ents])
+        pos = echelon.local_positions(view, world, ents, times).reshape(-1, 3)
         n_sens = sens_pos.shape[0]
         gains = world.radio_map.query_many(np.repeat(pos, n_sens, axis=0),
                                            np.tile(sens_pos, (pos.shape[0], 1)))
@@ -480,16 +511,18 @@ class TestCascadeLookups:
         run(cfg, "predictive", 0, events=events, world=mini_world, load_per_min=30.0)
 
         def between(open_, close):
-            """The log entries inside each open_ ... close pair."""
-            out, cur = [], None
+            """The log entries inside each open_ ... close pair; a pair nested
+            in another (a decision re-entered after a replan) holds its own
+            entries, not its parent's."""
+            out, stack = [], []
             for entry in log:
                 if entry[0] == open_:
-                    cur = []
+                    stack.append([])
                 elif entry[0] == close:
-                    out.append(cur)
-                    cur = None
-                elif cur is not None:
-                    cur.append(entry)
+                    out.append(stack.pop())
+                elif stack:
+                    stack[-1].append(entry)
+            assert not stack
             return out
 
         outcomes = {"kept": 0, "detour": 0, "escalation": 0}

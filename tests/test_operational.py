@@ -7,7 +7,7 @@ from aeris.errors import ExceedsPMax
 from aeris.operational import (LinkBudget, PowerDecision, cap_power, min_power_outage,
                                required_power_dbm)
 from aeris.radio_env import ChannelSample, build_map
-from aeris.scene import Position3, SceneNode
+from aeris.scene import Position3
 from aeris.units import db_to_lin
 
 
@@ -81,37 +81,81 @@ def one_point_map(tx, rx, gain_db):
     return build_map([ChannelSample(tx, rx, gain_db)])
 
 
+class FixedGains:
+    """A map stub that answers a query with the given gains, one per site."""
+
+    def __init__(self, gains):
+        self.gains = np.asarray(gains, dtype=float)
+
+    def query_many(self, tx, rx):
+        assert tx.shape == rx.shape == (self.gains.size, 3)
+        return self.gains.copy()
+
+
+def per_site_cap(required_p_dbm, tx_pos, sens_pos, per_node_cap_dbm, radio_map, p_max_dbm):
+    """cap_power's scalar oracle: the allowed power is the running min of
+    p_max and cap - gain over the sites, one site at a time."""
+    p_allowed = p_max_dbm
+    gains = radio_map.query_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos)
+    for gain in gains:
+        p_allowed = min(p_allowed, per_node_cap_dbm - float(gain))
+    if p_allowed >= required_p_dbm:
+        return PowerDecision(required_p_dbm), p_allowed
+    return PowerDecision.defer(), p_allowed
+
+
 class TestCapPower:
     BUDGET = LinkBudget(p_max_dbm=30.0)
+    TX = np.array([0.0, 0.0, 50.0])
 
     def test_no_sensitive_nodes_transmits(self):
-        d = cap_power(12.0, Position3(0, 0, 50), [], -60.0, None, self.BUDGET.p_max_dbm)
+        d = cap_power(12.0, self.TX, np.empty((0, 3)), -60.0, None, self.BUDGET.p_max_dbm)
         assert d.transmit and d.power_dbm == 12.0
 
     def test_boundary_equality_transmits(self):
-        tx = Position3(0, 0, 50)
-        node = SceneNode("s", Position3(100, 0, 0))
-        rmap = one_point_map(tx, node.pos, -80.0)
+        site = np.array([[100.0, 0.0, 0.0]])
+        rmap = one_point_map(Position3(*self.TX), Position3(*site[0]), -80.0)
         # allowed = cap - gain = -60 - (-80) = 20 dBm exactly
-        d = cap_power(20.0, tx, [node], -60.0, rmap, self.BUDGET.p_max_dbm)
+        d = cap_power(20.0, self.TX, site, -60.0, rmap, self.BUDGET.p_max_dbm)
         assert d.transmit and d.power_dbm == 20.0
 
     def test_too_close_defers(self):
-        tx = Position3(0, 0, 50)
-        node = SceneNode("s", Position3(10, 0, 0))
-        rmap = one_point_map(tx, node.pos, -55.0)
-        d = cap_power(10.0, tx, [node], -60.0, rmap, self.BUDGET.p_max_dbm)
+        site = np.array([[10.0, 0.0, 0.0]])
+        rmap = one_point_map(Position3(*self.TX), Position3(*site[0]), -55.0)
+        d = cap_power(10.0, self.TX, site, -60.0, rmap, self.BUDGET.p_max_dbm)
         assert not d.transmit
         assert d == PowerDecision.defer()
 
     def test_scalar_cap_tight_and_loose(self):
-        tx = Position3(0, 0, 50)
-        a = SceneNode("a", Position3(100, 0, 0))
-        rmap = one_point_map(tx, a.pos, -70.0)
-        tight = cap_power(15.0, tx, [a], -60.0, rmap, 30.0)
-        loose = cap_power(15.0, tx, [a], -50.0, rmap, 30.0)
+        site = np.array([[100.0, 0.0, 0.0]])
+        rmap = one_point_map(Position3(*self.TX), Position3(*site[0]), -70.0)
+        tight = cap_power(15.0, self.TX, site, -60.0, rmap, 30.0)
+        loose = cap_power(15.0, self.TX, site, -50.0, rmap, 30.0)
         assert not tight.transmit
         assert loose.transmit
+
+    def test_matches_per_site_min_bit_for_bit(self):
+        # at required == the oracle's allowed power both transmit, one ulp above
+        # both defer; together the two pin cap_power's allowed power to the
+        # oracle's bit for bit
+        rng = np.random.default_rng(11)
+        cases = [[-80.0, -71.3, -71.3], [-71.3, -80.0, -71.3, -95.5]]  # two equal gains
+        cases += [rng.uniform(-120.0, -40.0, rng.integers(3, 7)) for _ in range(200)]
+        cases += [np.repeat(rng.uniform(-120.0, -40.0, 2), 2) for _ in range(50)]
+        probes = 0
+        for gains in cases:
+            rmap = FixedGains(gains)
+            sites = rng.uniform(0.0, 900.0, (len(gains), 3))
+            cap = float(rng.uniform(-75.0, -45.0))
+            p_max = float(rng.uniform(0.0, 40.0))
+            allowed = per_site_cap(0.0, self.TX, sites, cap, rmap, p_max)[1]
+            for required in (allowed, np.nextafter(allowed, np.inf),
+                             np.nextafter(allowed, -np.inf), float(rng.uniform(-10.0, 40.0))):
+                want, _ = per_site_cap(required, self.TX, sites, cap, rmap, p_max)
+                got = cap_power(required, self.TX, sites, cap, rmap, p_max)
+                assert got == want, (gains, cap, p_max, required)
+                probes += want.transmit
+        assert 0 < probes < 4 * len(cases)
 
 
 class TestRequiredPowerVectorized:

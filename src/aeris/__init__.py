@@ -6,8 +6,8 @@ resource-allocation cascade and measures cross-tier interference against
 reactive baselines.
 """
 
-from . import (channel_graph, cli, echelon, errors, harness, operational, radio_env,
-               scene, strategic, tactical, trajectory)
+from . import (channel_graph, echelon, errors, harness, operational, radio_env, scene,
+               strategic, tactical, trajectory)
 from .channel_graph import ChannelGraph, SlotGrid, synthesize
 from .echelon import EchelonView, GainForecast, WorldState, forecast_gain
 from .harness import (FlowRequest, MetricsReport, ScenarioConfig, draw_flows,

@@ -313,8 +313,9 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
     scene = _corridor_scene(seed, params, n_sources, n_destinations, n_sensitive)
     trajs = _corridor_trajectories(scene, n_aircraft, horizon_s,
                                    np.random.SeedSequence([seed, 202]))
-    # p_max is set so the direct ground hop between the pads does not close,
-    # which is what makes the corridor a relaying problem in the first place
+    # p_max is set near what the direct ground hop between the pads needs, so
+    # the corridor is mostly a relaying problem; in some worlds the hop still
+    # closes (seed 0, run seed 0: 26.84 dBm)
     cfg = ScenarioConfig(scene=scene, trajectories=trajs, grid=grid,
                          budget=LinkBudget(p_max_dbm=27.0),
                          load_per_min=load_per_min, frac_short_deadline=frac_short_deadline,
@@ -330,7 +331,8 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
 @dataclass(frozen=True)
 class World(WorldState):
     """One run seed's echelon state plus its map, graph, planner tables, the
-    sorted aircraft and ground-endpoint ids and the (k, 3) sensitive sites."""
+    sorted aircraft and ground-endpoint ids, the (k, 3) sensitive sites and
+    the rows whose nodes are all ground endpoints (see row)."""
 
     config: ScenarioConfig
     radio_map: object
@@ -338,12 +340,49 @@ class World(WorldState):
     tables: strategic.PlannerTables
     comm_ids: tuple
     sens_pos: np.ndarray
+    ground_rows: dict
 
     def realized_position(self, node_id: str, slot: int) -> np.ndarray:
         """Where a node is at a slot: an aircraft's realized track, else its ground site."""
         if node_id in self.realized:
             return self.realized[node_id][slot]
         return self.ground_positions[node_id].as_array()
+
+    def row(self, kernel, slot: int, *nodes: str) -> float:
+        """kernel(world, *positions) for nodes at slot. Ground endpoints never
+        move, so a row of ground endpoints only is a constant of the world:
+        build_world computes it once, through this method, into ground_rows."""
+        value = self.ground_rows.get((kernel, *nodes))
+        if value is None:
+            value = kernel(self, *(self.realized_position(e, slot) for e in nodes))
+        return value
+
+
+def site_interference(world: World, tx_pos: np.ndarray) -> float:
+    """Sum over the sensitive sites of the linear truth gain from tx_pos, in
+    one truth call with the sender broadcast; 0.0 with no site."""
+    sens_pos = world.sens_pos
+    if not len(sens_pos):
+        return 0.0
+    gains = world.truth.gain_db_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos)
+    return float(np.sum(db_to_lin(gains)))
+
+
+def site_map_max(world: World, tx_pos: np.ndarray) -> float:
+    """Largest map gain from tx_pos, clamped to the positive octant, to any
+    sensitive site, in one map query with the sender broadcast; -inf with no
+    site."""
+    sens_pos = world.sens_pos
+    if not len(sens_pos):
+        return -math.inf
+    gains = world.radio_map.query_many(np.broadcast_to(np.maximum(tx_pos, 0.0), sens_pos.shape),
+                                       sens_pos)
+    return float(gains.max())
+
+
+def link_truth(world: World, tx_pos: np.ndarray, rx_pos: np.ndarray) -> float:
+    """The truth gain of one link, as a one-row call."""
+    return float(world.truth.gain_db_many(tx_pos[None], rx_pos[None])[0])
 
 
 def _stream(config: ScenarioConfig, run_seed: int, *tags) -> np.random.SeedSequence:
@@ -375,13 +414,19 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
                              shield_margin_db=config.plan_shield_margin_db,
                              pathloss=config.pathloss)
     sens = [n.pos.as_array() for n in config.scene.sensitive_nodes]
-    return World(
+    world = World(
         now_s=config.grid.t0, truth=truth, deviation=config.deviation, grid=config.grid,
         trajectories={t.aircraft_id: t for t in config.trajectories}, realized=realized,
         ground_positions={n.id: n.pos for n in config.scene.all_nodes()},
         config=config, radio_map=radio_map, graph=graph, tables=tables,
         comm_ids=tuple(sorted([*realized, *(n.id for n in comm_ground)])),
-        sens_pos=np.array(sens).reshape(-1, 3))
+        sens_pos=np.array(sens).reshape(-1, 3), ground_rows={})
+    # each ground endpoint's sensitive-site rows, and the truth of every
+    # ground-to-ground link, in the call shapes an aircraft's rows still use
+    ground = [n.id for n in comm_ground]
+    keys = [(kernel, e) for kernel in (site_interference, site_map_max) for e in ground]
+    keys += [(link_truth, a, b) for a in ground for b in ground if a != b]
+    return replace(world, ground_rows={key: world.row(key[0], 0, *key[1:]) for key in keys})
 
 
 def _check_load(field: str, load: float) -> None:
@@ -430,9 +475,7 @@ class _Accounting:
         self.outcomes = []
 
     def measured_gain(self, tx: str, rx: str, slot: int) -> float:
-        a = self.world.realized_position(tx, slot)
-        b = self.world.realized_position(rx, slot)
-        return float(self.world.truth.gain_db_many(a[None], b[None])[0])
+        return self.world.row(link_truth, slot, tx, rx)
 
     def transmit(self, flow_idx: int, hop_idx: int, slot: int, tx: str, rx: str,
                  power_dbm: float, fade_rng, gain_db) -> bool:
@@ -440,13 +483,7 @@ class _Accounting:
         when the caller has not measured it."""
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
-        tx_pos = self.world.realized_position(tx, slot)
-        sens_pos = self.world.sens_pos
-        contrib = 0.0
-        if sens_pos.shape[0]:
-            gains = self.world.truth.gain_db_many(np.broadcast_to(tx_pos, sens_pos.shape),
-                                                  sens_pos)
-            contrib = float((p_lin * np.sum(db_to_lin(gains))) * cfg.grid.dt)
+        contrib = float((p_lin * self.world.row(site_interference, slot, tx)) * cfg.grid.dt)
         self.interference += contrib
         g_true = self.measured_gain(tx, rx, slot) if gain_db is None else gain_db
         h = float(fade_rng.standard_exponential())
@@ -626,9 +663,8 @@ class _Cascade:
             required = required_power_dbm(measured, cfg.budget)
             if required > cfg.budget.p_max_dbm:
                 continue
-            decision = cap_power(required, np.maximum(world.realized_position(hop.tx, s), 0.0),
-                                 world.sens_pos, cfg.sensitive_cap_dbm, world.radio_map,
-                                 cfg.budget.p_max_dbm)
+            decision = cap_power(required, world.row(site_map_max, s, hop.tx),
+                                 cfg.sensitive_cap_dbm, cfg.budget.p_max_dbm)
             if decision.transmit:
                 return s, decision.power_dbm, measured
         return None

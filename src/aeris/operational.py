@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ExceedsPMax
 
 
@@ -62,20 +60,17 @@ class PowerDecision:
     def defer() -> "PowerDecision":
         return PowerDecision(None)
 
-def cap_power(required_p_dbm: float, tx_pos: np.ndarray, sens_pos: np.ndarray,
-              per_node_cap_dbm: float, radio_map, p_max_dbm: float) -> PowerDecision:
+def cap_power(required_p_dbm: float, max_site_gain_db: float, per_node_cap_dbm: float,
+              p_max_dbm: float) -> PowerDecision:
     """Clip the request against the received-power cap at each sensitive site,
-    tx_pos a (3,) position and sens_pos the (k, 3) sites.
+    given the largest predicted gain from the sender to any site (-inf with
+    no site).
 
     p_allowed = min(p_max, cap - max_g predicted_gain(tx, g)); transmit at
     required power when p_allowed >= required (equality admits), else defer.
     Rounded subtraction is monotone, so cap - max_g equals min_g (cap - gain)
     bit for bit.
     """
-    p_allowed = p_max_dbm
-    if len(sens_pos):
-        gains = radio_map.query_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos)
-        p_allowed = min(p_allowed, per_node_cap_dbm - float(gains.max()))
-    if p_allowed >= required_p_dbm:
+    if min(p_max_dbm, per_node_cap_dbm - max_site_gain_db) >= required_p_dbm:
         return PowerDecision(required_p_dbm)
     return PowerDecision.defer()

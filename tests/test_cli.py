@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,18 @@ def config_file(tmp_path_factory):
                      "--aircraft", "8", "--buildings", "8", "--horizon", "40"])
     assert code == 0
     return path
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # `python -m aeris.cli` runs the module as __main__; the package must not
+    # have imported aeris.cli first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "aeris.cli",
+                           "--help"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "gen-scenario" in proc.stdout
 
 
 class TestGenScenario:

@@ -17,7 +17,7 @@ from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, build_world, draw_flows,
                            gen_default_scenario, plot_data, replay_metrics, run, sweep,
                            sweep_from_csv, sweep_to_csv)
-from aeris.operational import LinkBudget, required_power_dbm
+from aeris.operational import LinkBudget, cap_power, required_power_dbm
 from aeris.radio_env import GroundTruthChannel, RadioMap
 from aeris.units import db_to_lin
 from test_strategic import oracle_search
@@ -286,6 +286,36 @@ def _requests(draw, ids, n_slots):
     return out
 
 
+@pytest.fixture(scope="module")
+def corridor_world():
+    """World 0 of both benchmark workloads: its pads close a direct ground hop."""
+    return build_world(gen_default_scenario(0), 0)
+
+
+def fresh_ground_rows(world):
+    """Every ground-only row in the call shapes the run used before they were
+    computed per world: the sensitive-site truth call and map query with the
+    sender broadcast (the map's sender clamped to the positive octant), and a
+    one-row truth call per ordered ground-to-ground link."""
+    ground = [e for e in world.comm_ids if e not in world.realized]
+    pos = {e: world.ground_positions[e].as_array() for e in ground}
+    sens = world.sens_pos
+    out = {}
+    for e in ground:
+        lin, peak = 0.0, -math.inf  # no site: nothing received, nothing capped
+        if sens.size:
+            gains = world.truth.gain_db_many(np.broadcast_to(pos[e], sens.shape), sens)
+            lin = float(np.sum(db_to_lin(gains)))
+            gains = world.radio_map.query_many(
+                np.broadcast_to(np.maximum(pos[e], 0.0), sens.shape), sens)
+            peak = float(gains.max())
+        out[(harness.site_interference, e)], out[(harness.site_map_max, e)] = lin, peak
+    for a, b in itertools.permutations(ground, 2):
+        out[(harness.link_truth, a, b)] = float(
+            world.truth.gain_db_many(pos[a][None], pos[b][None])[0])
+    return out
+
+
 class TestWorld:
     def test_node_ids_and_sensitive_sites(self, mini_config, mini_world):
         scene = mini_config.scene
@@ -295,6 +325,18 @@ class TestWorld:
             + [n.id for n in scene.ground_sources + scene.ground_destinations]))
         want = np.array([n.pos.as_array() for n in scene.sensitive_nodes])
         assert mini_world.sens_pos.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["mini", "corridor"])
+    def test_ground_rows_equal_fresh_calls_bit_for_bit(self, name, mini_world,
+                                                       corridor_world):
+        world = mini_world if name == "mini" else corridor_world
+        want = fresh_ground_rows(world)
+        assert want and {k: v.hex() for k, v in world.ground_rows.items()} == \
+            {k: v.hex() for k, v in want.items()}
+        # the run reads them through World.row at any slot
+        for key, value in want.items():
+            for slot in (0, world.grid.n_slots - 1):
+                assert world.row(key[0], slot, *key[1:]).hex() == value.hex()
 
     def test_slot_lookup_equals_interpolation_at_slot_time(self, mini_world):
         # the run loop reads positions by slot where the local tier interpolates
@@ -507,8 +549,10 @@ class TestCascadeLookups:
              lambda out: log.append(("chosen",)))
         _spy(monkeypatch, harness._Cascade, "_log_reroute", lambda *a: log.append(("reroute",)))
         _spy(monkeypatch, harness, "reserve_path", lambda *a: log.append(("replan",)))
+        _spy(monkeypatch, harness, "cap_power", lambda *a: log.append(("cap",)))
         events = []
         run(cfg, "predictive", 0, events=events, world=mini_world, load_per_min=30.0)
+        ground = set(mini_world.ground_positions)
 
         def between(open_, close):
             """The log entries inside each open_ ... close pair; a pair nested
@@ -537,17 +581,37 @@ class TestCascadeLookups:
         assert min(outcomes.values()) > 0, outcomes
         # the detour slice is one map lookup
         assert all(calls.count(("map",)) == 1 for calls in between("slice", "sliced"))
-        # a transmission's only truth call is the sensitive nodes'; its link gain
-        # is the one the cap-power scan measured last
+        # a transmission's only truth call is an aircraft sender's sensitive
+        # nodes'; a ground sender's row was computed once, in build_world. Its
+        # link gain is the one the cap-power scan measured last
         sends = between("transmit", "sent")
+        senders = [e[1] for e in log if e[0] == "transmit"]
         assert len(sends) == sum(ev["type"] == "transmission" for ev in events) > 0
-        for calls in sends:
-            assert [c for c in calls if c[0] == "truth"] == [("truth", n_sens)]
+        for tx, calls in zip(senders, sends):
+            want = [] if tx in ground else [("truth", n_sens)]
+            assert [c for c in calls if c[0] == "truth"] == want, tx
+        assert {tx in ground for tx in senders} == {True, False}
         for k, entry in enumerate(log):
             if entry[0] == "transmit":
                 last = next(e for e in reversed(log[:k]) if e[0] == "measure")
                 assert last[1:] == entry[1:]
-        measures = sum(e[0] == "measure" for e in log)
+        # a cap-power scan slot runs from its measurement to the next one or the
+        # decision's end: an aircraft sender's cap check is one map query, a
+        # ground sender's none
+        scanned = {True: 0, False: 0}
+        for k, entry in enumerate(log):
+            if entry[0] == "measure":
+                slot_calls = list(itertools.takewhile(
+                    lambda e: e[0] not in ("measure", "chosen", "choose"), log[k + 1:]))
+                caps = slot_calls.count(("cap",))
+                assert caps <= 1
+                from_ground = entry[1] in ground
+                assert slot_calls.count(("map",)) == (0 if from_ground else caps), entry
+                scanned[from_ground] += caps
+        assert min(scanned.values()) > 0, scanned
+        # a measurement is one one-row truth call, but a ground-to-ground link's
+        # was computed once, in build_world
+        measures = sum(e[0] == "measure" and not {e[1], e[2]} <= ground for e in log)
         assert sum(e == ("truth", 1) for e in log) == measures
 
 
@@ -642,8 +706,22 @@ class TestBaselines:
     def test_no_sensitive_nodes_all_methods_silent(self, mini_config):
         bare = replace(mini_config, scene=replace(mini_config.scene, sensitive_nodes=()))
         world = build_world(bare, 0)
-        vals = [run(bare, m, 0, world=world).interference_mw_s for m in METHODS]
+        logs = {m: [] for m in METHODS}
+        vals = [run(bare, m, 0, events=logs[m], world=world).interference_mw_s for m in METHODS]
         assert vals == [0.0, 0.0, 0.0]
+        # a ground sender's per-world row adds +0.0 like an aircraft's fresh one
+        ground = [e for e in world.comm_ids if e not in world.realized]
+        assert fresh_ground_rows(world) == world.ground_rows
+        sent = [t for m in METHODS for t in logs[m] if t["type"] == "transmission"]
+        assert any(t["tx"] in ground for t in sent)
+        assert all(t["interference_mw_s"].hex() == (0.0).hex() for t in sent)
+        # with no site to protect the ceiling is p_max itself
+        p_max = bare.budget.p_max_dbm
+        for e in ground:
+            gain = world.row(harness.site_map_max, 0, e)
+            assert cap_power(p_max, gain, bare.sensitive_cap_dbm, p_max).transmit
+            assert not cap_power(np.nextafter(p_max, np.inf), gain, bare.sensitive_cap_dbm,
+                                 p_max).transmit
 
 
 class TestSweep:

@@ -92,6 +92,14 @@ class FixedGains:
         return self.gains.copy()
 
 
+def max_site_gain(radio_map, tx_pos, sens_pos):
+    """What the harness passes cap_power: the largest map gain from tx_pos to
+    any site, in one query; -inf with no site."""
+    if not len(sens_pos):
+        return -math.inf
+    return float(radio_map.query_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos).max())
+
+
 def per_site_cap(required_p_dbm, tx_pos, sens_pos, per_node_cap_dbm, radio_map, p_max_dbm):
     """cap_power's scalar oracle: the allowed power is the running min of
     p_max and cap - gain over the sites, one site at a time."""
@@ -109,28 +117,29 @@ class TestCapPower:
     TX = np.array([0.0, 0.0, 50.0])
 
     def test_no_sensitive_nodes_transmits(self):
-        d = cap_power(12.0, self.TX, np.empty((0, 3)), -60.0, None, self.BUDGET.p_max_dbm)
+        d = cap_power(12.0, max_site_gain(None, self.TX, np.empty((0, 3))), -60.0,
+                      self.BUDGET.p_max_dbm)
         assert d.transmit and d.power_dbm == 12.0
 
     def test_boundary_equality_transmits(self):
         site = np.array([[100.0, 0.0, 0.0]])
         rmap = one_point_map(Position3(*self.TX), Position3(*site[0]), -80.0)
         # allowed = cap - gain = -60 - (-80) = 20 dBm exactly
-        d = cap_power(20.0, self.TX, site, -60.0, rmap, self.BUDGET.p_max_dbm)
+        d = cap_power(20.0, max_site_gain(rmap, self.TX, site), -60.0, self.BUDGET.p_max_dbm)
         assert d.transmit and d.power_dbm == 20.0
 
     def test_too_close_defers(self):
         site = np.array([[10.0, 0.0, 0.0]])
         rmap = one_point_map(Position3(*self.TX), Position3(*site[0]), -55.0)
-        d = cap_power(10.0, self.TX, site, -60.0, rmap, self.BUDGET.p_max_dbm)
+        d = cap_power(10.0, max_site_gain(rmap, self.TX, site), -60.0, self.BUDGET.p_max_dbm)
         assert not d.transmit
         assert d == PowerDecision.defer()
 
     def test_scalar_cap_tight_and_loose(self):
         site = np.array([[100.0, 0.0, 0.0]])
         rmap = one_point_map(Position3(*self.TX), Position3(*site[0]), -70.0)
-        tight = cap_power(15.0, self.TX, site, -60.0, rmap, 30.0)
-        loose = cap_power(15.0, self.TX, site, -50.0, rmap, 30.0)
+        tight = cap_power(15.0, max_site_gain(rmap, self.TX, site), -60.0, 30.0)
+        loose = cap_power(15.0, max_site_gain(rmap, self.TX, site), -50.0, 30.0)
         assert not tight.transmit
         assert loose.transmit
 
@@ -152,7 +161,7 @@ class TestCapPower:
             for required in (allowed, np.nextafter(allowed, np.inf),
                              np.nextafter(allowed, -np.inf), float(rng.uniform(-10.0, 40.0))):
                 want, _ = per_site_cap(required, self.TX, sites, cap, rmap, p_max)
-                got = cap_power(required, self.TX, sites, cap, rmap, p_max)
+                got = cap_power(required, max_site_gain(rmap, self.TX, sites), cap, p_max)
                 assert got == want, (gains, cap, p_max, required)
                 probes += want.transmit
         assert 0 < probes < 4 * len(cases)

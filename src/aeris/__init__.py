@@ -15,7 +15,7 @@ from .harness import (FlowRequest, MetricsReport, ScenarioConfig, draw_flows,
 from .operational import LinkBudget, PowerDecision, cap_power, min_power_outage
 from .radio_env import (ChannelSample, GroundTruthChannel, LargeScaleStats, PathLossParams,
                         RadioMap, SampleSet, build_map, sample_along)
-from .scene import CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city
+from .scene import ObstacleBox, Position3, Scene, SceneNode, gen_city
 from .strategic import HopReservation, InterferenceCost, PathReservation, reserve_path
 from .tactical import LocalCluster, Schedule, detect_blockage, reroute_local, schedule_timing
 from .trajectory import DeviationParams, Trajectory4D, Waypoint, realize

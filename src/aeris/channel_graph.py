@@ -15,6 +15,8 @@ import numpy as np
 from .radio_env import RadioMap
 from .trajectory import positions_at
 
+RANGE_CUTOFF_M = 1500.0  # synthesize's default link range
+
 
 @dataclass(frozen=True)
 class SlotGrid:
@@ -59,7 +61,7 @@ class ChannelGraph:
 
 
 def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
-               range_cutoff: float = 1500.0) -> ChannelGraph:
+               range_cutoff: float = RANGE_CUTOFF_M) -> ChannelGraph:
     """Build the graph: weights[t, i, j] = map mean gain at the planned slot-t
     positions for every pair within range_cutoff; ground nodes are static."""
     trajs = list(trajs)

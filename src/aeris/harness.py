@@ -27,14 +27,13 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from . import echelon, strategic, tactical, trajectory
-from .channel_graph import ChannelGraph, SlotGrid, synthesize
+from .channel_graph import RANGE_CUTOFF_M, ChannelGraph, SlotGrid, synthesize
 from .echelon import EchelonView, WorldState, LOCAL
-from .errors import (ConfigInvalid, EscalateToStrategic, GenerationFailed, InfeasibleSchedule,
-                     NoFeasiblePath)
+from .errors import ConfigInvalid, EscalateToStrategic, GenerationFailed, NoFeasiblePath
 from .operational import LinkBudget, cap_power, required_power_dbm
-from .radio_env import (GroundTruthChannel, PathLossParams, build_map, sample_along,
-                        sample_between, sample_ground_pairs)
-from .scene import CityParams, Position3, Scene, SceneNode, gen_city
+from .radio_env import (IDW_EXPONENT, K_NEIGHBORS, GroundTruthChannel, PathLossParams,
+                        build_map, sample_along, sample_between, sample_ground_pairs)
+from .scene import Position3, Scene, SceneNode, gen_city
 from .strategic import (HopReservation, PathReservation, prepare_planner, reserve_path,
                         reserve_paths, min_delay_reservation)
 from .trajectory import DeviationParams, Trajectory4D, Waypoint
@@ -42,33 +41,51 @@ from .units import db_to_lin, lin_to_db
 
 METHODS = ("predictive", "baseline_aggregate", "baseline_spacetime")
 
+# the most shielding, below line of sight, the planner credits a spot with
+# toward a sensitive site (strategic.prepare_planner's shield_margin_db)
+_SHIELD_MARGIN_DB = 6.0
+
+# keys older documents carry, with the values now fixed: a document loads only
+# with each at its fixed value, so none silently changes meaning
+_FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M, "plan_shield_margin_db": _SHIELD_MARGIN_DB,
+               "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a run needs; serializes to a single JSON document."""
+    """Everything a run needs; serializes to a single JSON document. The
+    defaults are the documented scenario's, and a config checks itself when
+    it is built, so replace() and from_json check too."""
 
     scene: Scene
     trajectories: tuple
     deviation: DeviationParams = DeviationParams()
     grid: SlotGrid = SlotGrid()
     pathloss: PathLossParams = PathLossParams()
-    budget: LinkBudget = LinkBudget()
+    # p_max is set near what the direct ground hop between the pads needs, so
+    # the corridor is mostly a relaying problem; in some worlds the hop still
+    # closes (seed 0, run seed 0: 26.84 dBm)
+    budget: LinkBudget = LinkBudget(p_max_dbm=27.0)
     sensitive_cap_dbm: float = -60.0
-    range_cutoff_m: float = 1500.0
-    plan_shield_margin_db: float = 6.0
     sampling_period_s: float = 1.0
-    map_k_neighbors: int = 8
-    map_idw_exponent: float = 2.0
     local_horizon_s: float = 30.0
     region_radius_m: float = 400.0
     blockage_threshold_db: float = -97.0
     load_per_min: float = 4.0
-    frac_short_deadline: float = 0.5
+    frac_short_deadline: float = 0.15
     deadline_short_s: float = 2.0
     deadline_long_s: float = 20.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # NaN fails every comparison, so the range checks below would pass it
+        for f in fields(self)[2:]:
+            value = getattr(self, f.name)
+            named = ([(f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value)]
+                     if is_dataclass(value) else [(f.name, value)])
+            for name, v in named:
+                if not math.isfinite(v):
+                    raise ConfigInvalid(name, f"must be finite, not {v!r}")
         if not 0.0 <= self.frac_short_deadline <= 1.0:
             raise ConfigInvalid("frac_short_deadline", "class fractions must sum to 1 in [0,1]")
         _check_load("load_per_min", self.load_per_min)
@@ -121,13 +138,14 @@ class ScenarioConfig:
             # SNR reads budget.noise_dbm); any other unknown nested key is an error
             d = {**d, "pathloss": {k: v for k, v in dict(d["pathloss"]).items()
                                    if k != "noise_dbm"}}
+            for key, fixed in _FIXED_KEYS.items():
+                if key in d and d[key] != fixed:
+                    raise ConfigInvalid(key, f"is fixed at {fixed!r}, not {d[key]!r}")
             kw = {f.name: type(f.default)(**d[f.name]) if is_dataclass(f.default)
                   else d[f.name] for f in fields(ScenarioConfig)[2:]}
-            cfg = ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, **kw)
+            return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, **kw)
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigInvalid("config", f"malformed scenario document: {e}") from None
-        cfg.validate()
-        return cfg
 
     @staticmethod
     def from_json(s: str) -> "ScenarioConfig":
@@ -177,16 +195,16 @@ class MetricsReport:
 # scenario generation
 
 
-def _corridor_scene(seed: int, params: CityParams, n_src: int, n_dst: int,
+def _corridor_scene(seed: int, city: Scene, n_src: int, n_dst: int,
                     n_sensitive: int) -> Scene:
-    """West-to-east delivery corridor with a protected mid-field campus.
+    """West-to-east delivery corridor through city, with a protected
+    mid-field campus.
 
     Sources sit on the west edge, destinations on the east edge, and the
     sensitive receivers form one tight cluster astride the direct corridor,
     so the straight crossing is radio-hot while wide flanks stay quiet.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    city = gen_city(params, seed)
     bx, by = city.bounds.hi.x, city.bounds.hi.y
     # the campus itself is open ground
     cx, cy = 0.5 * bx, 0.5 * by
@@ -228,8 +246,10 @@ def _corridor_scene(seed: int, params: CityParams, n_src: int, n_dst: int,
                    sensitive_nodes=tuple(campus))
 
 
-def _corridor_trajectories(scene: Scene, n_aircraft: int, horizon_s: float, seed,
-                           v_cruise: float = 45.0, v_max: float = 60.0) -> tuple:
+_CRUISE_SPEED_MPS = 45.0  # every generated aircraft's, under Trajectory4D's v_max
+
+
+def _corridor_trajectories(scene: Scene, n_aircraft: int, horizon_s: float, seed) -> tuple:
     """Mission mix for the corridor: phase-staggered shuttles on each delivery
     lane, inspection orbits over the sources, and survey sweeps along the
     north/south flanks. Shuttle speed and lane length are matched so a single
@@ -290,10 +310,10 @@ def _corridor_trajectories(scene: Scene, n_aircraft: int, horizon_s: float, seed
             if d < 1e-6:
                 k += 1
                 continue
-            t += d / v_cruise
+            t += d / _CRUISE_SPEED_MPS
             waypoints.append(Waypoint(t, Position3.from_array(nxt)))
             k += 1
-        trajs.append(Trajectory4D(f"uav{a}", tuple(waypoints), v_max=v_max))
+        trajs.append(Trajectory4D(f"uav{a}", tuple(waypoints)))
     return tuple(trajs)
 
 
@@ -306,22 +326,15 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
     west-side sources, east-side destinations, a mid-field belt of sensitive
     receivers, and twelve aircraft on crossing shuttle/orbit/survey routes."""
     try:
-        params = CityParams(n_buildings=n_buildings)
         grid = SlotGrid(0.0, dt, int(round(horizon_s / dt)))
+        city = gen_city(n_buildings, seed)
     except ValueError as e:
         raise ConfigInvalid("scenario", str(e)) from None
-    scene = _corridor_scene(seed, params, n_sources, n_destinations, n_sensitive)
+    scene = _corridor_scene(seed, city, n_sources, n_destinations, n_sensitive)
     trajs = _corridor_trajectories(scene, n_aircraft, horizon_s,
                                    np.random.SeedSequence([seed, 202]))
-    # p_max is set near what the direct ground hop between the pads needs, so
-    # the corridor is mostly a relaying problem; in some worlds the hop still
-    # closes (seed 0, run seed 0: 26.84 dBm)
-    cfg = ScenarioConfig(scene=scene, trajectories=trajs, grid=grid,
-                         budget=LinkBudget(p_max_dbm=27.0),
-                         load_per_min=load_per_min, frac_short_deadline=frac_short_deadline,
-                         seed=seed)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(scene=scene, trajectories=trajs, grid=grid, load_per_min=load_per_min,
+                          frac_short_deadline=frac_short_deadline, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +404,6 @@ def _stream(config: ScenarioConfig, run_seed: int, *tags) -> np.random.SeedSeque
 
 def build_world(config: ScenarioConfig, run_seed: int) -> World:
     """Deterministic per-seed world: shadow field, realized paths, map, graph."""
-    config.validate()
     shadow_ss = _stream(config, run_seed, 1)
     truth = GroundTruthChannel(config.scene, config.pathloss, shadow_ss)
     realized = {}
@@ -406,12 +418,11 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
     samples += sample_between(config.trajectories, config.scene, config.pathloss, shadow_ss,
                               config.sampling_period_s)
     samples += sample_ground_pairs(config.scene, config.pathloss, shadow_ss, peers)
-    radio_map = build_map(samples, config.map_idw_exponent, config.map_k_neighbors)
-    graph = synthesize(config.trajectories, comm_ground, radio_map, config.grid,
-                       config.range_cutoff_m)
+    radio_map = build_map(samples)
+    graph = synthesize(config.trajectories, comm_ground, radio_map, config.grid)
     tables = prepare_planner(graph, radio_map, config.scene.sensitive_nodes, config.budget,
                              per_node_cap_dbm=config.sensitive_cap_dbm,
-                             shield_margin_db=config.plan_shield_margin_db,
+                             shield_margin_db=_SHIELD_MARGIN_DB,
                              pathloss=config.pathloss)
     sens = [n.pos.as_array() for n in config.scene.sensitive_nodes]
     world = World(
@@ -644,18 +655,11 @@ class _Cascade:
                 return self.choose(hops, k, last_slot)
             # the detour's first hop is a new link; the slice holds its forecast
             # over its window, the first half-span
-            inside = slc.slots <= hop.window[1]
-            slots, series = slc.slots[inside], slc.gains(hop.tx, hop.rx)[inside]
-        keep = slots >= now_slot
-        if not keep.any():
-            return None
-        try:
-            sched = tactical.schedule_timing(
-                [replace(hop, window=(now_slot, hop.window[1]))],
-                [(slots[keep], series[keep])], deadline_slot=self.final_slot)
-            chosen = sched.hop_slots[0]
-        except InfeasibleSchedule:
-            chosen = now_slot
+            slots, series = slc.slots, slc.gains(hop.tx, hop.rx)
+        # schedule_timing keeps only the slots from now_slot to the window's end
+        # and the deadline; with none, or none finite, it raises InfeasibleSchedule
+        chosen = tactical.schedule_timing([replace(hop, window=(now_slot, hop.window[1]))],
+                                          [(slots, series)], self.final_slot).hop_slots[0]
         acct.events.append({"type": "schedule", "flow": self.flow_idx, "hop": k,
                             "slot": int(chosen), "revision": self.revision})
         for s in range(int(chosen), hop.window[1] + 1):
@@ -806,7 +810,6 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
     truth at realized positions for every method."""
     if method not in METHODS:
         raise ConfigInvalid("method", f"unknown method {method!r}")
-    config.validate()
     flows = draw_flows(config, seed, load_per_min)  # checks the load before a world is built
     if world is None:
         world = build_world(config, seed)
@@ -884,7 +887,6 @@ def sweep(config: ScenarioConfig, loads, methods, n_seeds: int) -> list:
             raise ConfigInvalid("method", f"unknown method {m!r}")
     for load in loads:
         _check_load("loads", load)
-    config.validate()
     tasks = [(config, tuple(loads), tuple(methods), s) for s in range(n_seeds)]
     threads = os.environ.get("AERIS_THREADS") or str(os.cpu_count() or 1)
     if not threads.isdecimal() or int(threads) < 1:

@@ -33,6 +33,9 @@ from .trajectory import positions_at
 
 _EXACT_EPS = 1e-9
 _QUERY_BLOCK_ROWS = 8192  # rows per block of a map query
+_SHADOW_TERMS = 192  # random Fourier features of the shadow field
+K_NEIGHBORS = 8  # the map's default neighbour count
+IDW_EXPONENT = 2.0  # the map's default inverse-distance exponent
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,14 @@ class ShadowField:
     so the ensemble covariance over seeds is exactly the target correlation.
     """
 
-    def __init__(self, decorr_dist: float, seed, n_terms: int = 192):
+    def __init__(self, decorr_dist: float, seed):
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n_terms, 3))
-        g = np.abs(rng.standard_normal(n_terms))
+        z = rng.standard_normal((_SHADOW_TERMS, 3))
+        g = np.abs(rng.standard_normal(_SHADOW_TERMS))
         g[g < 1e-300] = 1e-300
         self._freqs = z / (decorr_dist * g[:, None])
-        self._phases = rng.uniform(0.0, 2.0 * np.pi, n_terms)
-        self._scale = math.sqrt(2.0 / n_terms)
+        self._phases = rng.uniform(0.0, 2.0 * np.pi, _SHADOW_TERMS)
+        self._scale = math.sqrt(2.0 / _SHADOW_TERMS)
 
     def unit(self, points: np.ndarray) -> np.ndarray:
         """Field values at points, shape (m, 3) -> (m,)."""
@@ -230,8 +233,8 @@ class RadioMap:
     """k-NN inverse-distance-weighted interpolator over 6D (tx, rx) samples."""
 
     samples: SampleSet
-    idw_exponent: float = 2.0
-    k_neighbors: int = 8
+    idw_exponent: float = IDW_EXPONENT
+    k_neighbors: int = K_NEIGHBORS
     residual_std_db: float = 4.0
     _points: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _gains: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -325,7 +328,7 @@ class RadioMap:
         return LargeScaleStats(mean, self.residual_std_db)
 
 
-def build_map(samples, idw_exponent: float = 2.0, k_neighbors: int = 8,
+def build_map(samples, idw_exponent: float = IDW_EXPONENT, k_neighbors: int = K_NEIGHBORS,
               residual_std_db: float = 4.0) -> RadioMap:
     """A radio map over a SampleSet, or over any sequence of ChannelSamples."""
     if not isinstance(samples, SampleSet):

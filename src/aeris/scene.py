@@ -161,39 +161,27 @@ def los_clear(scene: Scene, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return ~np.any(enter < leave, axis=1)
 
 
-@dataclass(frozen=True)
-class CityParams:
-    """Knobs for the synthetic urban stand-in used by gen_city."""
-
-    extent_x: float = 1000.0
-    extent_y: float = 1000.0
-    extent_z: float = 150.0
-    n_buildings: int = 20
-    footprint_min: float = 30.0
-    footprint_max: float = 80.0
-    height_min: float = 15.0
-    height_max: float = 60.0
-
-    def __post_init__(self):
-        if self.n_buildings < 0:
-            raise ValueError("building count must be non-negative")
-        if self.footprint_max > min(self.extent_x, self.extent_y):
-            raise ValueError("building footprint exceeds bounds")
-        if self.height_max > self.extent_z:
-            raise ValueError("building height exceeds bounds")
+# gen_city's city: a 1000 x 1000 x 150 m block of box buildings with 30-80 m
+# footprint sides and 15-60 m heights
+_CITY_EXTENT_M = (1000.0, 1000.0, 150.0)
+_FOOTPRINT_M = (30.0, 80.0)
+_HEIGHT_M = (15.0, 60.0)
 
 
-def gen_city(params: CityParams, seed: int) -> Scene:
-    """Generate a random box city with no ground nodes; deterministic for a
-    fixed (params, seed) pair."""
+def gen_city(n_buildings: int, seed: int) -> Scene:
+    """Generate a random box city of n_buildings buildings and no ground
+    nodes; deterministic for a fixed (n_buildings, seed) pair."""
+    if n_buildings < 0:
+        raise ValueError("building count must be non-negative")
     rng = np.random.default_rng(seed)
-    bounds = ObstacleBox(Position3(0, 0, 0), Position3(params.extent_x, params.extent_y, params.extent_z))
+    ex, ey, ez = _CITY_EXTENT_M
     boxes = []
-    for _ in range(params.n_buildings):
-        w = rng.uniform(params.footprint_min, params.footprint_max)
-        dth = rng.uniform(params.footprint_min, params.footprint_max)
-        h = rng.uniform(params.height_min, params.height_max)
-        x0 = rng.uniform(0.0, params.extent_x - w)
-        y0 = rng.uniform(0.0, params.extent_y - dth)
+    for _ in range(n_buildings):
+        w = rng.uniform(*_FOOTPRINT_M)
+        dth = rng.uniform(*_FOOTPRINT_M)
+        h = rng.uniform(*_HEIGHT_M)
+        x0 = rng.uniform(0.0, ex - w)
+        y0 = rng.uniform(0.0, ey - dth)
         boxes.append(ObstacleBox(Position3(x0, y0, 0.0), Position3(x0 + w, y0 + dth, h)))
-    return Scene(bounds=bounds, obstacles=tuple(boxes))
+    return Scene(bounds=ObstacleBox(Position3(0, 0, 0), Position3(ex, ey, ez)),
+                 obstacles=tuple(boxes))

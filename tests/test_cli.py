@@ -8,6 +8,7 @@ import pytest
 
 from aeris import cli, harness
 from aeris.harness import ScenarioConfig, gen_default_scenario
+from test_harness import OLD_FIXED_KEYS
 from test_scene import west_strip_city
 
 
@@ -52,6 +53,11 @@ class TestGenScenario:
     def test_out_of_range_value_exit_code(self, tmp_path):
         code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",
                          "--dt", "-0.1"])
+        assert code == 2
+
+    def test_negative_building_count_exit_code(self, tmp_path):
+        code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",
+                         "--buildings", "-1"])
         assert code == 2
 
     @pytest.mark.parametrize("load", ["inf", "nan"])
@@ -106,6 +112,22 @@ class TestRunCommand:
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps(doc))
         code = cli.main(["run", "--config", str(bogus), "--method", "predictive",
+                         "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+
+    # a fixed key at another value, or a NaN long deadline, which would leave
+    # draw_flows' arrival loop without an end
+    @pytest.mark.parametrize("key, value", [("range_cutoff_m", 800.0),
+                                            ("plan_shield_margin_db", 3.0),
+                                            ("map_k_neighbors", 4),
+                                            ("map_idw_exponent", 1.0),
+                                            ("deadline_long_s", float("nan"))])
+    def test_rejected_document_exit_code(self, config_file, tmp_path, monkeypatch, key, value):
+        doc = {**json.loads(config_file.read_text()), **OLD_FIXED_KEYS, key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the document loaded"))
+        code = cli.main(["run", "--config", str(bad), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from aeris import echelon, harness, strategic, tactical
 from aeris.echelon import WorldState
-from aeris.errors import ConfigInvalid, NoFeasiblePath, UnknownNode
+from aeris.errors import ConfigInvalid, InfeasibleSchedule, NoFeasiblePath, UnknownNode
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, build_world, draw_flows,
                            gen_default_scenario, plot_data, replay_metrics, run, sweep,
                            sweep_from_csv, sweep_to_csv)
 from aeris.operational import LinkBudget, cap_power, required_power_dbm
-from aeris.radio_env import GroundTruthChannel, RadioMap
+from aeris.radio_env import GroundTruthChannel, PathLossParams, RadioMap
 from aeris.units import db_to_lin
 from test_strategic import oracle_search
 
@@ -34,13 +34,19 @@ def mini_world(mini_config):
     return build_world(mini_config, 0)
 
 
+# the four keys a scenario document held before their values were fixed, at
+# the values every document then held
+OLD_FIXED_KEYS = {"range_cutoff_m": 1500.0, "plan_shield_margin_db": 6.0,
+                  "map_k_neighbors": 8, "map_idw_exponent": 2.0}
+SCALAR_FIELDS = [f.name for f in fields(ScenarioConfig)[2:] if not is_dataclass(f.default)]
+
+
 class TestConfigValidation:
     def test_horizon_ordering_flagged(self, mini_config):
         # a hop window can span a whole long deadline, so a shorter local
         # horizon would leave the predictive run's forecasts out of range
-        bad = replace(mini_config, local_horizon_s=mini_config.deadline_long_s - 0.1)
         with pytest.raises(ConfigInvalid) as e:
-            bad.validate()
+            replace(mini_config, local_horizon_s=mini_config.deadline_long_s - 0.1)
         assert e.value.field == "local_horizon_s"
 
     def test_local_horizon_equal_to_long_deadline_runs(self, mini_config):
@@ -50,17 +56,17 @@ class TestConfigValidation:
 
     def test_fraction_out_of_range(self, mini_config):
         with pytest.raises(ConfigInvalid) as e:
-            replace(mini_config, frac_short_deadline=1.5).validate()
+            replace(mini_config, frac_short_deadline=1.5)
         assert e.value.field == "frac_short_deadline"
 
     def test_deadline_beyond_horizon(self, mini_config):
         with pytest.raises(ConfigInvalid):
-            replace(mini_config, deadline_long_s=1e6).validate()
+            replace(mini_config, deadline_long_s=1e6)
 
     @pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan, -1.0])
     def test_load_must_be_finite_and_non_negative(self, mini_config, load):
         with pytest.raises(ConfigInvalid) as e:
-            replace(mini_config, load_per_min=load).validate()
+            replace(mini_config, load_per_min=load)
         assert e.value.field == "load_per_min"
 
     def test_json_infinite_load_rejected(self, mini_config):
@@ -87,6 +93,54 @@ class TestConfigValidation:
         again = ScenarioConfig.from_json(json.dumps(old))
         assert again == ScenarioConfig.from_json(json.dumps(doc))
         assert again.to_json() == ScenarioConfig.from_json(json.dumps(doc)).to_json()
+
+    def test_documents_with_fixed_keys_at_their_values_load(self, mini_config):
+        doc = json.loads(mini_config.to_json())
+        assert not OLD_FIXED_KEYS.keys() & doc.keys()
+        again = ScenarioConfig.from_json(json.dumps({**doc, **OLD_FIXED_KEYS}))
+        assert again == mini_config
+        assert again.to_json() == mini_config.to_json()
+
+    @pytest.mark.parametrize("key, value", [("range_cutoff_m", 800.0),
+                                            ("plan_shield_margin_db", 3.0),
+                                            ("map_k_neighbors", 4),
+                                            ("map_idw_exponent", 1.0),
+                                            ("map_k_neighbors", math.nan)])
+    def test_fixed_key_at_another_value_rejected(self, mini_config, key, value):
+        doc = {**json.loads(mini_config.to_json()), **OLD_FIXED_KEYS, key: value}
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(doc))
+        assert e.value.field == key
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", SCALAR_FIELDS)
+    def test_non_finite_scalar_rejected_at_construction(self, mini_config, name, value):
+        with pytest.raises(ConfigInvalid) as e:
+            replace(mini_config, **{name: value})
+        assert e.value.field == name
+
+    # every nested number that its own parameter class lets NaN through
+    # (LinkBudget rejects a NaN outage_eps or p_max_dbm itself)
+    @pytest.mark.parametrize("outer, name", [
+        ("grid", "t0"), ("grid", "dt"), ("grid", "n_slots"),
+        *(("pathloss", f.name) for f in fields(PathLossParams)),
+        ("deviation", "sigma_dev"), ("deviation", "reversion_rate"),
+        ("budget", "snr_threshold_db"), ("budget", "noise_dbm")])
+    def test_non_finite_nested_number_rejected_at_construction(self, mini_config, outer, name):
+        inner = replace(getattr(mini_config, outer), **{name: math.nan})
+        with pytest.raises(ConfigInvalid) as e:
+            replace(mini_config, **{outer: inner})
+        assert e.value.field == f"{outer}.{name}"
+
+    def test_json_nan_deadline_rejected(self, mini_config):
+        # draw_flows' arrival loop would never end on a NaN window end
+        doc = json.loads(mini_config.to_json())
+        doc["deadline_long_s"] = math.nan
+        text = json.dumps(doc)
+        assert '"deadline_long_s": NaN' in text  # what json.loads accepts
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(text)
+        assert e.value.field == "deadline_long_s"
 
     def test_unknown_nested_key_rejected(self, mini_config):
         doc = json.loads(mini_config.to_json())
@@ -225,6 +279,14 @@ class TestRun:
         monkeypatch.setattr(harness, "reserve_path", failing_replan)
         with pytest.raises(ValueError, match="replan fault"):
             run(eager, "predictive", 0, world=mini_world)
+
+    def test_unusable_hop_forecast_raises(self, mini_config, mini_world, monkeypatch):
+        # a hop whose local forecast holds no finite slot cannot be timed; the
+        # run raises rather than drop or re-time the flow
+        monkeypatch.setattr(tactical, "local_mean_series",
+                            lambda view, world, link, times: np.full(len(times), np.nan))
+        with pytest.raises(InfeasibleSchedule):
+            run(mini_config, "predictive", 0, world=mini_world)
 
     def test_delivery_within_deadline(self, mini_config, mini_world):
         for method in METHODS:

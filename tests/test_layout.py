@@ -22,9 +22,9 @@ aeris class.
 A third check covers the fields themselves: every public field of an aeris
 dataclass must be read by live code, as an attribute load (`obj.f`) or a
 string constant, in the same places as above. A read inside the field's own
-class's `__post_init__` or `validate` does not count, since checking a value
-is not using it. Matching is again by name, so a field is read when any
-attribute of its name is loaded.
+class's `__post_init__` does not count, since checking a value is not using
+it. Matching is again by name, so a field is read when any attribute of its
+name is loaded.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ UNREAD_FIELDS_KEPT = {
     "radio_env.LargeScaleStats.shadow_std_db",
 }
 
-_CHECKS = ("__post_init__", "validate")
 
 
 def _reads(nodes) -> Counter:
@@ -165,7 +164,7 @@ def unread_fields() -> list:
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
             own = _reads([m for m in cls.body if isinstance(m, ast.FunctionDef)
-                          and m.name in _CHECKS])
+                          and m.name == "__post_init__"])
             out += [f"{p.stem}.{cls.name}.{s.target.id}" for s in cls.body
                     if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
                     and not s.target.id.startswith("_")

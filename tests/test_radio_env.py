@@ -110,7 +110,7 @@ class TestShadowField:
         b = a + np.array([[decorr, 0.0, 0.0]])
         va, vb = [], []
         for seed in range(10_000):
-            f = ShadowField(decorr, seed, n_terms=16)
+            f = ShadowField(decorr, seed)
             va.append(f.unit(a)[0])
             vb.append(f.unit(b)[0])
         va, vb = np.array(va), np.array(vb)
@@ -118,7 +118,7 @@ class TestShadowField:
         assert abs(corr - math.exp(-1)) < 0.05
 
     def test_unit_marginal_variance(self):
-        vals = np.array([ShadowField(50.0, s, n_terms=16).unit(np.array([[5, 7, 9.0]]))[0]
+        vals = np.array([ShadowField(50.0, s).unit(np.array([[5, 7, 9.0]]))[0]
                          for s in range(8000)])
         assert abs(vals.var() - 1.0) < 0.07
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from aeris import harness
 from aeris.errors import GenerationFailed
-from aeris.scene import (CityParams, ObstacleBox, Position3, Scene, SceneNode, gen_city,
-                         los_clear)
+from aeris.scene import ObstacleBox, Position3, Scene, SceneNode, gen_city, los_clear
 
 
 def box(x0, y0, z0, x1, y1, z1):
@@ -216,7 +215,7 @@ class TestLosBlocked:
                 assert not los_blocked(scene_with(small), a, b)
 
 
-def west_strip_city(params, seed):
+def west_strip_city(n_buildings, seed):
     """Stands in for gen_city: one building, centred 350 m from the campus (so
     the corridor scene keeps it), covers the strip where the first source goes."""
     return Scene(bounds=box(0, 0, 0, 1000, 1000, 150), obstacles=(box(100, 340, 0, 200, 420, 30),))
@@ -224,18 +223,17 @@ def west_strip_city(params, seed):
 
 class TestGenCity:
     def test_zero_buildings(self):
-        sc = gen_city(CityParams(n_buildings=0), seed=3)
+        sc = gen_city(0, seed=3)
         assert sc.obstacles == ()
 
     def test_deterministic(self):
-        a = gen_city(CityParams(), seed=9)
-        b = gen_city(CityParams(), seed=9)
+        a = gen_city(20, seed=9)
+        b = gen_city(20, seed=9)
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_invariants_hold_across_seeds(self):
-        params = CityParams(n_buildings=12)
         for seed in range(100):
-            sc = gen_city(params, seed)
+            sc = gen_city(12, seed)
             # Scene.__post_init__ re-validates; reconstruct to prove it
             Scene.from_json_dict(sc.to_json_dict())
             assert len(sc.obstacles) == 12

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigInvalid, GenerationFailed, NoFeasiblePath
+from .errors import ConfigInvalid, GenerationFailed, InfeasibleSchedule, NoFeasiblePath
 from .harness import (METHODS, ScenarioConfig, gen_default_scenario, plot_data,
                       plot_data_to_csv, run, sweep, sweep_from_csv, sweep_to_csv)
 
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (GenerationFailed, NoFeasiblePath) as e:
+    except (GenerationFailed, NoFeasiblePath, InfeasibleSchedule) as e:
         print(f"infeasible scenario: {e}", file=sys.stderr)
         return 3
     return 0

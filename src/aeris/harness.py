@@ -78,13 +78,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # NaN fails every comparison, so the range checks below would pass it
+        # NaN fails every comparison, so the range checks below would pass it;
+        # ints are exact, and a huge one (a seed, say) is no float to test
         for f in fields(self)[2:]:
             value = getattr(self, f.name)
             named = ([(f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value)]
                      if is_dataclass(value) else [(f.name, value)])
             for name, v in named:
-                if not math.isfinite(v):
+                if not isinstance(v, int) and not math.isfinite(v):
                     raise ConfigInvalid(name, f"must be finite, not {v!r}")
         if not 0.0 <= self.frac_short_deadline <= 1.0:
             raise ConfigInvalid("frac_short_deadline", "class fractions must sum to 1 in [0,1]")
@@ -144,7 +145,7 @@ class ScenarioConfig:
             kw = {f.name: type(f.default)(**d[f.name]) if is_dataclass(f.default)
                   else d[f.name] for f in fields(ScenarioConfig)[2:]}
             return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, **kw)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ConfigInvalid("config", f"malformed scenario document: {e}") from None
 
     @staticmethod

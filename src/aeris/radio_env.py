@@ -35,7 +35,7 @@ _EXACT_EPS = 1e-9
 _QUERY_BLOCK_ROWS = 8192  # rows per block of a map query
 _SHADOW_TERMS = 192  # random Fourier features of the shadow field
 K_NEIGHBORS = 8  # the map's default neighbour count
-IDW_EXPONENT = 2.0  # the map's default inverse-distance exponent
+IDW_EXPONENT = 2.0  # the map's inverse-distance exponent
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,6 @@ class RadioMap:
     """k-NN inverse-distance-weighted interpolator over 6D (tx, rx) samples."""
 
     samples: SampleSet
-    idw_exponent: float = IDW_EXPONENT
     k_neighbors: int = K_NEIGHBORS
     residual_std_db: float = 4.0
     _points: np.ndarray = field(init=False, repr=False, compare=False, default=None)
@@ -245,8 +244,6 @@ class RadioMap:
             raise EmptySampleSet("a radio map needs at least one sample")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if self.idw_exponent <= 0:
-            raise ValueError("idw_exponent must be positive")
         raw = self.samples.rows
         mirrored = np.concatenate([raw, raw[:, [3, 4, 5, 0, 1, 2, 6]]], axis=0)
         # Canonical sort, then merge exact-duplicate 6D points (mean gain) so
@@ -303,7 +300,7 @@ class RadioMap:
         dist, idx = self._neighbours(q)
         g = self._gains[idx]
         with np.errstate(divide="ignore", invalid="ignore"):  # exact hits give inf, nan
-            w = dist ** (-self.idw_exponent)
+            w = dist ** -IDW_EXPONENT
             # anchored form: exact when all neighbour gains agree
             out[:] = g[:, 0] + np.sum(w * (g - g[:, :1]), axis=1) / np.sum(w, axis=1)
         exact = dist[:, 0] <= _EXACT_EPS
@@ -328,10 +325,9 @@ class RadioMap:
         return LargeScaleStats(mean, self.residual_std_db)
 
 
-def build_map(samples, idw_exponent: float = IDW_EXPONENT, k_neighbors: int = K_NEIGHBORS,
-              residual_std_db: float = 4.0) -> RadioMap:
+def build_map(samples, k_neighbors: int = K_NEIGHBORS, residual_std_db: float = 4.0) -> RadioMap:
     """A radio map over a SampleSet, or over any sequence of ChannelSamples."""
     if not isinstance(samples, SampleSet):
         samples = SampleSet(np.array([(s.tx.x, s.tx.y, s.tx.z, s.rx.x, s.rx.y, s.rx.z, s.gain_db)
                                       for s in samples], dtype=float).reshape(-1, 7))
-    return RadioMap(samples, idw_exponent, k_neighbors, residual_std_db)
+    return RadioMap(samples, k_neighbors, residual_std_db)

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from aeris import cli, harness
+from aeris import cli, harness, tactical
 from aeris.harness import ScenarioConfig, gen_default_scenario
 from test_harness import OLD_FIXED_KEYS
 from test_scene import west_strip_city
@@ -130,6 +131,17 @@ class TestRunCommand:
         code = cli.main(["run", "--config", str(bad), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
+
+    def test_unschedulable_hop_exit_code(self, tmp_path, monkeypatch):
+        # a hop whose local forecast holds no finite slot cannot be timed
+        config = tmp_path / "busy.json"
+        assert cli.main(["gen-scenario", "--out", str(config), "--seed", "1", "--aircraft", "8",
+                         "--buildings", "8", "--horizon", "40", "--load", "12"]) == 0
+        monkeypatch.setattr(tactical, "local_mean_series",
+                            lambda view, world, link, times: np.full(len(times), np.nan))
+        code = cli.main(["run", "--config", str(config), "--method", "predictive",
+                         "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert code == 3
 
     def test_non_json_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -142,6 +142,17 @@ class TestConfigValidation:
             ScenarioConfig.from_json(text)
         assert e.value.field == "deadline_long_s"
 
+    def test_json_huge_seed_loads(self, mini_config):
+        # an int too large for a float is still exact, and a seed takes it
+        doc = {**json.loads(mini_config.to_json()), "seed": 10 ** 400}
+        assert ScenarioConfig.from_json(json.dumps(doc)).seed == 10 ** 400
+
+    def test_json_huge_slot_count_rejected(self, mini_config):
+        doc = json.loads(mini_config.to_json())
+        doc["grid"]["n_slots"] = 10 ** 400  # the horizon check overflows a float
+        with pytest.raises(ConfigInvalid):
+            ScenarioConfig.from_json(json.dumps(doc))
+
     def test_unknown_nested_key_rejected(self, mini_config):
         doc = json.loads(mini_config.to_json())
         doc["pathloss"]["bogus"] = 1.0

@@ -49,6 +49,8 @@ _SHIELD_MARGIN_DB = 6.0
 # with each at its fixed value, so none silently changes meaning
 _FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M, "plan_shield_margin_db": _SHIELD_MARGIN_DB,
                "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT}
+# keys older documents carry that no run ever read: they load at any value
+_REMOVED_KEYS = {"central_horizon_s", "individual_horizon_s", "map_residual_std_db"}
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,10 @@ class ScenarioConfig:
             for key, fixed in _FIXED_KEYS.items():
                 if key in d and d[key] != fixed:
                     raise ConfigInvalid(key, f"is fixed at {fixed!r}, not {d[key]!r}")
+            unknown = sorted(d.keys() - {f.name for f in fields(ScenarioConfig)}
+                             - _FIXED_KEYS.keys() - _REMOVED_KEYS)
+            if unknown:
+                raise ConfigInvalid(unknown[0], "is not a scenario field")
             kw = {f.name: type(f.default)(**d[f.name]) if is_dataclass(f.default)
                   else d[f.name] for f in fields(ScenarioConfig)[2:]}
             return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, **kw)
@@ -326,6 +332,11 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
     """The documented desk-scale scenario: a 1000 x 1000 x 150 m city block,
     west-side sources, east-side destinations, a mid-field belt of sensitive
     receivers, and twelve aircraft on crossing shuttle/orbit/survey routes."""
+    for name, count, least in (("n_sources", n_sources, 1),
+                               ("n_destinations", n_destinations, 1),
+                               ("n_sensitive", n_sensitive, 0)):
+        if count < least:
+            raise ConfigInvalid(name, f"must be at least {least}, not {count!r}")
     try:
         grid = SlotGrid(0.0, dt, int(round(horizon_s / dt)))
         city = gen_city(n_buildings, seed)
@@ -477,7 +488,11 @@ def draw_flows(config: ScenarioConfig, run_seed: int, load_per_min: float = None
 
 
 class _Accounting:
-    """Collects transmissions and flow outcomes; truth-at-realized positions only."""
+    """Collects transmissions and flow outcomes; truth-at-realized positions only.
+
+    Flows of one source and destination ride the same relays at the same
+    slots, so the run's memo computes each row and each hop forecast once. It
+    dies with the run: no run's work depends on the runs before it."""
 
     def __init__(self, world: World, config: ScenarioConfig, events: list):
         self.world = world
@@ -485,9 +500,29 @@ class _Accounting:
         self.events = events
         self.interference = 0.0
         self.outcomes = []
+        self.memo = {}
+
+    def row(self, kernel, slot: int, *nodes: str) -> float:
+        """World.row, computed once per run per (kernel, slot, *nodes)."""
+        key = (kernel, slot, *nodes)
+        if key not in self.memo:
+            self.memo[key] = self.world.row(kernel, slot, *nodes)
+        return self.memo[key]
+
+    def hop_forecast(self, view: EchelonView, world: World, hop: HopReservation,
+                     now_slot: int) -> tuple:
+        """tactical.hop_forecast, computed once per run per (tx, rx, window,
+        now_slot): the key fixes the view's region and the world's clock. Other
+        flows share the arrays, so they are read-only."""
+        key = (hop.tx, hop.rx, hop.window, now_slot)
+        if key not in self.memo:
+            slots, series = tactical.hop_forecast(view, world, hop)
+            slots.flags.writeable = series.flags.writeable = False
+            self.memo[key] = slots, series
+        return self.memo[key]
 
     def measured_gain(self, tx: str, rx: str, slot: int) -> float:
-        return self.world.row(link_truth, slot, tx, rx)
+        return self.row(link_truth, slot, tx, rx)
 
     def transmit(self, flow_idx: int, hop_idx: int, slot: int, tx: str, rx: str,
                  power_dbm: float, fade_rng, gain_db) -> bool:
@@ -495,7 +530,7 @@ class _Accounting:
         when the caller has not measured it."""
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
-        contrib = float((p_lin * self.world.row(site_interference, slot, tx)) * cfg.grid.dt)
+        contrib = float((p_lin * self.row(site_interference, slot, tx)) * cfg.grid.dt)
         self.interference += contrib
         g_true = self.measured_gain(tx, rx, slot) if gain_db is None else gain_db
         h = float(fade_rng.standard_exponential())
@@ -619,7 +654,7 @@ class _Cascade:
         view = _local_view(world, center, radius, cfg)
         # one local forecast over the hop's window serves the blockage check and
         # the timing
-        slots, series = tactical.hop_forecast(view, world, hop)
+        slots, series = acct.hop_forecast(view, world, hop, now_slot)
         blocked = (not self.skip_blockage) and tactical.detect_blockage(
             view, series, cfg.blockage_threshold_db)
         self.skip_blockage = False
@@ -668,7 +703,7 @@ class _Cascade:
             required = required_power_dbm(measured, cfg.budget)
             if required > cfg.budget.p_max_dbm:
                 continue
-            decision = cap_power(required, world.row(site_map_max, s, hop.tx),
+            decision = cap_power(required, acct.row(site_map_max, s, hop.tx),
                                  cfg.sensitive_cap_dbm, cfg.budget.p_max_dbm)
             if decision.transmit:
                 return s, decision.power_dbm, measured

@@ -61,6 +61,14 @@ class TestGenScenario:
                          "--buildings", "-1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, count", [("--sources", "0"), ("--destinations", "0"),
+                                             ("--sensitive", "-1")])
+    def test_bad_node_count_exit_code(self, tmp_path, monkeypatch, flag, count):
+        monkeypatch.setattr(harness, "gen_city", lambda *a: pytest.fail("generation ran"))
+        out = tmp_path / "x.json"
+        assert cli.main(["gen-scenario", "--out", str(out), "--seed", "1", flag, count]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("load", ["inf", "nan"])
     def test_non_finite_load_exit_code(self, tmp_path, load):
         code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",
@@ -116,13 +124,14 @@ class TestRunCommand:
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
-    # a fixed key at another value, or a NaN long deadline, which would leave
-    # draw_flows' arrival loop without an end
+    # a fixed key at another value, a NaN long deadline, which would leave
+    # draw_flows' arrival loop without an end, or a misspelt field
     @pytest.mark.parametrize("key, value", [("range_cutoff_m", 800.0),
                                             ("plan_shield_margin_db", 3.0),
                                             ("map_k_neighbors", 4),
                                             ("map_idw_exponent", 1.0),
-                                            ("deadline_long_s", float("nan"))])
+                                            ("deadline_long_s", float("nan")),
+                                            ("load_per_mni", 99.0)])
     def test_rejected_document_exit_code(self, config_file, tmp_path, monkeypatch, key, value):
         doc = {**json.loads(config_file.read_text()), **OLD_FIXED_KEYS, key: value}
         bad = tmp_path / "bad.json"

@@ -159,9 +159,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json(json.dumps(doc))
 
+    def test_unknown_top_level_key_rejected(self, mini_config):
+        # a misspelt field would otherwise leave its default in force
+        doc = {**json.loads(mini_config.to_json()), "load_per_mni": 99.0}
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(doc))
+        assert e.value.field == "load_per_mni"
+
     def test_malformed_document(self):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json("{\"scene\": {}}")
+
+    @pytest.mark.parametrize("name, count", [("n_sources", 0), ("n_destinations", 0),
+                                             ("n_sensitive", -1)])
+    def test_generator_counts_checked_before_generation(self, monkeypatch, name, count):
+        monkeypatch.setattr(harness, "gen_city", lambda *a: pytest.fail("generation ran"))
+        with pytest.raises(ConfigInvalid) as e:
+            gen_default_scenario(1, **{name: count})
+        assert e.value.field == name
 
 
 class TestDrawFlows:
@@ -578,8 +593,9 @@ def _spy(monkeypatch, owner, name, before, after=None):
 
 
 class TestCascadeLookups:
-    """The cascade looks up each row once: one local forecast per hop, a detour
-    slice of only the rows reroute_local reads, one truth call per link."""
+    """A hop decision asks for one local forecast, and a detour slice holds
+    only the rows reroute_local reads; the run's memo computes each row and
+    each forecast once."""
 
     def test_run_logs_match_full_span_slice(self, mini_config, mini_world, monkeypatch):
         replans = []
@@ -601,16 +617,17 @@ class TestCascadeLookups:
         escalations = len(replans) // 2
         assert escalations > 0 and reroutes - escalations > 0
 
-    def test_one_lookup_per_hop_and_one_truth_call_per_transmission(
-            self, mini_config, mini_world, monkeypatch):
+    def test_each_row_and_forecast_computed_once_per_run(self, mini_config, monkeypatch):
         # a high threshold and a small region give local detours and escalations
         cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
+        world = build_world(cfg, 0)
         n_sens = len(cfg.scene.sensitive_nodes)
-        log = []
+        log, requests = [], []
         _spy(monkeypatch, tactical, "local_mean_series", lambda *a: log.append(("series",)))
         _spy(monkeypatch, RadioMap, "query_many", lambda *a: log.append(("map",)))
         _spy(monkeypatch, GroundTruthChannel, "gain_db_many",
              lambda self, a, b: log.append(("truth", len(a))))
+        _spy(monkeypatch, harness.World, "row", lambda *a: log.append(("compute",)))
         _spy(monkeypatch, harness._Accounting, "measured_gain",
              lambda self, *key: log.append(("measure", *key)))
         _spy(monkeypatch, harness._Accounting, "transmit",
@@ -623,9 +640,51 @@ class TestCascadeLookups:
         _spy(monkeypatch, harness._Cascade, "_log_reroute", lambda *a: log.append(("reroute",)))
         _spy(monkeypatch, harness, "reserve_path", lambda *a: log.append(("replan",)))
         _spy(monkeypatch, harness, "cap_power", lambda *a: log.append(("cap",)))
+
+        def memo_spy(name, key_of):
+            """Log each request to the run's memo as ("request", name, key),
+            and keep (name, key, args, value served, the log entries it made,
+            the request's log position)."""
+            fn = getattr(harness._Accounting, name)
+
+            def wrapped(self, *args):
+                at = len(log)
+                log.append(("request", name, key_of(*args)))
+                out = fn(self, *args)
+                requests.append((name, key_of(*args), args, out, log[at + 1:], at))
+                return out
+
+            monkeypatch.setattr(harness._Accounting, name, wrapped)
+
+        memo_spy("row", lambda kernel, slot, *nodes: (kernel, slot, *nodes))
+        memo_spy("hop_forecast", lambda view, w, hop, now_slot: (hop.tx, hop.rx, hop.window,
+                                                                 now_slot))
         events = []
-        run(cfg, "predictive", 0, events=events, world=mini_world, load_per_min=30.0)
-        ground = set(mini_world.ground_positions)
+        run(cfg, "predictive", 0, events=events, world=world, load_per_min=30.0)
+        ground = set(world.ground_positions)
+
+        # the memo's contract: the first request of a key computes it once, with
+        # the kernel call the run made before it had a memo (a ground-only row
+        # is served from the world's table); a repeat makes no call at all
+        shape = {harness.link_truth: [("truth", 1)], harness.site_map_max: [("map",)],
+                 harness.site_interference: [("truth", n_sens)]}
+        first, first_at, repeats = set(), set(), {"row": 0, "hop_forecast": 0}
+        for name, key, args, out, calls, at in requests:
+            if key in first:
+                repeats[name] += 1
+                assert calls == [], key
+                continue
+            first.add(key)
+            first_at.add(at)
+            if name == "hop_forecast":
+                assert calls == [("series",), ("map",)], key
+            else:
+                assert calls == [("compute",)] + ([] if set(key[2:]) <= ground
+                                                  else shape[key[0]]), key
+        assert min(repeats.values()) > 0, repeats
+        # and nothing in the run computes a row or a forecast past the memo
+        assert log.count(("compute",)) == len({r[1] for r in requests if r[0] == "row"})
+        assert log.count(("series",)) == len({r[1] for r in requests if r[0] != "row"})
 
         def between(open_, close):
             """The log entries inside each open_ ... close pair; a pair nested
@@ -647,45 +706,74 @@ class TestCascadeLookups:
             kind = ("escalation" if ("replan",) in calls
                     else "detour" if ("reroute",) in calls else "kept")
             outcomes[kind] += 1
-            # a hop decision looks up its own series once; a detour's first hop
-            # reads its series from the detour slice
-            assert calls.count(("series",)) == 1
+            # a hop decision asks for its own forecast once; a detour's first
+            # hop reads its series from the detour slice
+            assert sum(c[:2] == ("request", "hop_forecast") for c in calls) == 1
             assert calls.count(("slice",)) == (kind != "kept")
         assert min(outcomes.values()) > 0, outcomes
         # the detour slice is one map lookup
         assert all(calls.count(("map",)) == 1 for calls in between("slice", "sliced"))
-        # a transmission's only truth call is an aircraft sender's sensitive
-        # nodes'; a ground sender's row was computed once, in build_world. Its
+        # a transmission asks for one row, its sender's sensitive-site row; its
         # link gain is the one the cap-power scan measured last
         sends = between("transmit", "sent")
-        senders = [e[1] for e in log if e[0] == "transmit"]
+        senders = [e[1:] for e in log if e[0] == "transmit"]
         assert len(sends) == sum(ev["type"] == "transmission" for ev in events) > 0
-        for tx, calls in zip(senders, sends):
-            want = [] if tx in ground else [("truth", n_sens)]
-            assert [c for c in calls if c[0] == "truth"] == want, tx
-        assert {tx in ground for tx in senders} == {True, False}
+        for (tx, rx, slot), calls in zip(senders, sends):
+            asked = [c[2] for c in calls if c[0] == "request"]
+            assert asked == [(harness.site_interference, slot, tx)], (tx, rx, slot)
+        assert {tx in ground for tx, _, _ in senders} == {True, False}
         for k, entry in enumerate(log):
             if entry[0] == "transmit":
                 last = next(e for e in reversed(log[:k]) if e[0] == "measure")
                 assert last[1:] == entry[1:]
         # a cap-power scan slot runs from its measurement to the next one or the
-        # decision's end: an aircraft sender's cap check is one map query, a
-        # ground sender's none
-        scanned = {True: 0, False: 0}
+        # decision's end: an aircraft sender's cap check is one map query the
+        # first time its row is asked for, a ground sender's none
+        scanned = {"ground": 0, "aircraft": 0, "aircraft_repeat": 0}
         for k, entry in enumerate(log):
             if entry[0] == "measure":
-                slot_calls = list(itertools.takewhile(
-                    lambda e: e[0] not in ("measure", "chosen", "choose"), log[k + 1:]))
-                caps = slot_calls.count(("cap",))
+                rest = list(itertools.takewhile(
+                    lambda je: je[1][0] not in ("measure", "chosen", "choose"),
+                    enumerate(log[k + 1:], k + 1)))
+                caps = [e for _, e in rest].count(("cap",))
                 assert caps <= 1
+                cap_rows = [j for j, e in rest if e[0] == "request"
+                            and e[2] == (harness.site_map_max, entry[3], entry[1])]
+                assert len(cap_rows) == caps
+                maps = [e for _, e in rest].count(("map",))
                 from_ground = entry[1] in ground
-                assert slot_calls.count(("map",)) == (0 if from_ground else caps), entry
-                scanned[from_ground] += caps
+                new = bool(cap_rows) and cap_rows[0] in first_at
+                assert maps == (caps if new and not from_ground else 0), entry
+                if caps:
+                    scanned["ground" if from_ground else
+                            "aircraft" if new else "aircraft_repeat"] += 1
         assert min(scanned.values()) > 0, scanned
-        # a measurement is one one-row truth call, but a ground-to-ground link's
-        # was computed once, in build_world
-        measures = sum(e[0] == "measure" and not {e[1], e[2]} <= ground for e in log)
-        assert sum(e == ("truth", 1) for e in log) == measures
+        # every value served is a fresh call's, bit for bit; forecasts are read-only
+        for name, key, args, out, _, _ in requests:
+            if name == "row":
+                assert float.hex(out) == float.hex(world.row(*key)), key
+            else:
+                fresh = tactical.hop_forecast(*args[:3])
+                for got, want in zip(out, fresh):
+                    assert not got.flags.writeable
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+
+    def test_memo_does_not_outlive_its_run(self, mini_config, monkeypatch):
+        cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
+        world = build_world(cfg, 0)
+        calls = []
+        _spy(monkeypatch, GroundTruthChannel, "gain_db_many", lambda *a: calls.append("truth"))
+        _spy(monkeypatch, RadioMap, "query_many", lambda *a: calls.append("map"))
+        _spy(monkeypatch, tactical, "local_mean_series", lambda *a: calls.append("series"))
+        tallies, logs = [], []
+        for _ in range(2):
+            calls.clear()
+            events = []
+            run(cfg, "predictive", 0, events=events, world=world, load_per_min=30.0)
+            tallies.append({c: calls.count(c) for c in ("truth", "map", "series")})
+            logs.append(json.dumps(events, sort_keys=True))
+        assert tallies[0] == tallies[1] and min(tallies[0].values()) > 0, tallies
+        assert logs[0] == logs[1]
 
 
 class TestBaselines:

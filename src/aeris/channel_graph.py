@@ -52,7 +52,8 @@ class SlotGrid:
 class ChannelGraph:
     """Time-indexed symmetric link-gain table over aircraft and ground nodes:
     weights[slot, i, j] is the expected gain in dB (NaN when the edge is absent)
-    and positions[slot, i] the planned position, indexed in node_ids order."""
+    and positions[slot, i] the planned position, indexed in node_ids order,
+    which is sorted by id."""
 
     grid: SlotGrid
     node_ids: tuple
@@ -63,19 +64,19 @@ class ChannelGraph:
 def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
                range_cutoff: float = RANGE_CUTOFF_M) -> ChannelGraph:
     """Build the graph: weights[t, i, j] = map mean gain at the planned slot-t
-    positions for every pair within range_cutoff; ground nodes are static."""
-    trajs = list(trajs)
-    ground_nodes = list(ground_nodes)
-    ids = tuple(t.aircraft_id for t in trajs) + tuple(n.id for n in ground_nodes)
+    positions for every pair within range_cutoff; ground nodes are static.
+    Aircraft and ground nodes share one index, in id order."""
+    times = grid.times()
+    nodes = [(t.aircraft_id, positions_at(t, times)) for t in trajs]
+    nodes += [(g.id, g.pos.as_array()) for g in ground_nodes]
+    nodes.sort(key=lambda node: node[0])
+    ids = tuple(e for e, _ in nodes)
     if len(set(ids)) != len(ids):
         raise ValueError("node ids must be unique")
     n = len(ids)
-    times = grid.times()
     pos = np.empty((grid.n_slots, n, 3))
-    for a, traj in enumerate(trajs):
-        pos[:, a, :] = positions_at(traj, times)
-    for g, node in enumerate(ground_nodes):
-        pos[:, len(trajs) + g, :] = node.pos.as_array()
+    for i, (_, p) in enumerate(nodes):
+        pos[:, i, :] = p
 
     weights = np.full((grid.n_slots, n, n), np.nan)
     iu, ju = np.triu_indices(n, k=1)

@@ -51,6 +51,9 @@ _FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M, "plan_shield_margin_db": _SHIEL
                "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT}
 # keys older documents carry that no run ever read: they load at any value
 _REMOVED_KEYS = {"central_horizon_s", "individual_horizon_s", "map_residual_std_db"}
+# the fields build_world never reads: a run's config may differ from its world's
+_RUN_FIELDS = ("load_per_min", "frac_short_deadline", "deadline_short_s", "deadline_long_s",
+               "local_horizon_s", "region_radius_m", "blockage_threshold_db")
 
 
 @dataclass(frozen=True)
@@ -337,6 +340,9 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
                                ("n_sensitive", n_sensitive, 0)):
         if count < least:
             raise ConfigInvalid(name, f"must be at least {least}, not {count!r}")
+    for name, value in (("horizon_s", horizon_s), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ConfigInvalid(name, f"must be finite and positive, not {value!r}")
     try:
         grid = SlotGrid(0.0, dt, int(round(horizon_s / dt)))
         city = gen_city(n_buildings, seed)
@@ -355,15 +361,14 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
 
 @dataclass(frozen=True)
 class World(WorldState):
-    """One run seed's echelon state plus its map, graph, planner tables, the
-    sorted aircraft and ground-endpoint ids, the (k, 3) sensitive sites and
-    the rows whose nodes are all ground endpoints (see row)."""
+    """One run seed's echelon state plus its map, graph (its node_ids are the
+    sorted aircraft and ground-endpoint ids), planner tables, the (k, 3)
+    sensitive sites and the rows whose nodes are all ground endpoints (see row)."""
 
     config: ScenarioConfig
     radio_map: object
     graph: ChannelGraph
     tables: strategic.PlannerTables
-    comm_ids: tuple
     sens_pos: np.ndarray
     ground_rows: dict
 
@@ -394,14 +399,12 @@ def site_interference(world: World, tx_pos: np.ndarray) -> float:
 
 
 def site_map_max(world: World, tx_pos: np.ndarray) -> float:
-    """Largest map gain from tx_pos, clamped to the positive octant, to any
-    sensitive site, in one map query with the sender broadcast; -inf with no
-    site."""
+    """Largest map gain from tx_pos to any sensitive site, in one map query
+    with the sender broadcast; -inf with no site."""
     sens_pos = world.sens_pos
     if not len(sens_pos):
         return -math.inf
-    gains = world.radio_map.query_many(np.broadcast_to(np.maximum(tx_pos, 0.0), sens_pos.shape),
-                                       sens_pos)
+    gains = world.radio_map.query_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos)
     return float(gains.max())
 
 
@@ -442,7 +445,6 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
         trajectories={t.aircraft_id: t for t in config.trajectories}, realized=realized,
         ground_positions={n.id: n.pos for n in config.scene.all_nodes()},
         config=config, radio_map=radio_map, graph=graph, tables=tables,
-        comm_ids=tuple(sorted([*realized, *(n.id for n in comm_ground)])),
         sens_pos=np.array(sens).reshape(-1, 3), ground_rows={})
     # each ground endpoint's sensitive-site rows, and the truth of every
     # ground-to-ground link, in the call shapes an aircraft's rows still use
@@ -572,7 +574,7 @@ def _local_view(world: World, center: np.ndarray, radius: float,
                 cfg: ScenarioConfig) -> EchelonView:
     return EchelonView(
         tier=LOCAL, map_snapshot=world.radio_map, horizon_s=cfg.local_horizon_s,
-        region_center=Position3.from_array(np.maximum(center, 0.0)),
+        region_center=Position3.from_array(center),
         region_radius=radius,
     )
 
@@ -623,7 +625,7 @@ def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: 
 
 def _cluster_members(world: World, slot: int, center: np.ndarray, radius: float,
                      must_include) -> tuple:
-    near = [e for e in world.comm_ids
+    near = [e for e in world.graph.node_ids
             if np.linalg.norm(world.realized_position(e, slot) - center) <= radius]
     return tuple(sorted({*must_include, *near}))
 
@@ -682,7 +684,7 @@ class _Cascade:
                     res = reserve_path(world.graph, world.radio_map, hop.tx, self.flow.dest,
                                        max(remaining_s, grid.dt), cfg.scene.sensitive_nodes,
                                        cfg.budget, injection_slot=now_slot,
-                                       tables=world.tables, use_caps=True)
+                                       tables=world.tables)
                 except NoFeasiblePath:
                     return None
                 hops[k:] = list(res.hops)
@@ -720,12 +722,12 @@ class _Cascade:
 # baselines
 
 
-def baseline_aggregate(world: World, flow: FlowRequest, cfg: ScenarioConfig = None):
+def baseline_aggregate(world: World, flow: FlowRequest):
     """Reactive snapshot route: min-hop on the currently measured topology with
     per-hop powers from the measured gains; no foresight, no interference term,
     no caps. Returns (node sequence, powers) or raises NoFeasiblePath."""
-    cfg = cfg or world.config
-    ids = world.comm_ids
+    budget = world.config.budget
+    ids = world.graph.node_ids
     if flow.source not in ids or flow.dest not in ids:
         raise NoFeasiblePath("flow endpoint is not a communicating node")
     pos = np.array([world.realized_position(e, flow.injection_slot) for e in ids])
@@ -735,8 +737,8 @@ def baseline_aggregate(world: World, flow: FlowRequest, cfg: ScenarioConfig = No
     tx, rx = tx[keep], rx[keep]
     gain = np.full((len(ids), len(ids)), -np.inf)
     gain[tx, rx] = gain[rx, tx] = world.truth.gain_db_many(pos[tx], pos[rx])
-    power = required_power_dbm(gain, cfg.budget)
-    feasible = power <= cfg.budget.p_max_dbm
+    power = required_power_dbm(gain, budget)
+    feasible = power <= budget.p_max_dbm
     # hop counts to dest by BFS over feasible[tx, rx], then a forward walk that
     # takes the lowest sorted-id next hop: the lexicographically least min-hop route
     src, dst = ids.index(flow.source), ids.index(flow.dest)
@@ -773,7 +775,7 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
     world, cfg = acct.world, acct.config
     if method == "baseline_aggregate":
         def aggregate(flow, flow_idx):
-            route, powers = baseline_aggregate(world, flow, cfg)
+            route, powers = baseline_aggregate(world, flow)
             s = flow.injection_slot
             return [HopReservation(tx, rx, (s + k, s + k), float(p))
                     for k, (tx, rx, p) in enumerate(zip(route, route[1:], powers))], _planned
@@ -784,7 +786,7 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
         # nominal powers: interference-agnostic
         plans = min_delay_reservation(world.graph, requests, world.tables)
         return lambda flow, flow_idx: (list(_reservation_of(plans, flow_idx).hops), _planned)
-    plans = reserve_paths(world.graph, requests, world.tables, use_caps=True)
+    plans = reserve_paths(world.graph, requests, world.tables)
 
     def predictive(flow, flow_idx):
         res = _reservation_of(plans, flow_idx)
@@ -843,12 +845,18 @@ def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rn
 def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
         world: World = None, load_per_min: float = None) -> MetricsReport:
     """One deterministic scenario run; interference is accounted from ground
-    truth at realized positions for every method."""
+    truth at realized positions for every method. A given world must come from
+    config, up to the fields build_world never reads (_RUN_FIELDS)."""
     if method not in METHODS:
         raise ConfigInvalid("method", f"unknown method {method!r}")
     flows = draw_flows(config, seed, load_per_min)  # checks the load before a world is built
     if world is None:
         world = build_world(config, seed)
+    elif config is not world.config:
+        for f in fields(config):
+            if f.name not in _RUN_FIELDS and \
+                    getattr(config, f.name) != getattr(world.config, f.name):
+                raise ConfigInvalid(f.name, "differs from the config the world was built from")
     events_list = events if events is not None else []
     events_list.append({"type": "meta", "method": method, "seed": seed,
                         "dt_s": config.grid.dt})

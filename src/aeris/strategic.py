@@ -4,7 +4,8 @@ States are (entity, slot). Two edge kinds both advance exactly one slot:
 
 * transmit (i, t) -> (j, t+1): feasible when the minimum outage-compliant
   power at the predicted gain fits under p_max; costs the predicted
-  interference energy of that transmission at the sensitive nodes.
+  interference energy of that transmission at the sensitive nodes, and is
+  dropped where its power would break a per-sensitive-node received-power cap.
 * carry (i, t) -> (i, t+1): cost 0 - data rides the moving aircraft (or waits
   at a ground endpoint).
 
@@ -13,7 +14,8 @@ the optimum is found by a forward sweep instead of a heap. All edge costs are
 non-negative, so costs along any path are non-decreasing. Ties are broken by
 fewer hops, then earlier delivery, then lexicographically smallest node-id
 sequence, then earliest transmit slots; the destination absorbs (delivery is
-the first arrival).
+the first arrival). Nodes are indexed in id order, so ids and indices compare
+alike.
 
 The min-delay objective charges every edge, carry or transmit, the same slot
 length, so every state reachable at slot t costs the same t-fold sum and that
@@ -128,13 +130,12 @@ class PlannerTables:
     when its nominal power `power_dbm` fits under p_max. `edge_cost` holds the
     predicted interference energy of every feasible edge, with free carries;
     `capped_price` keeps only the edges that also respect the predicted
-    per-sensitive-node received-power caps, for cap-aware planning;
-    `delay_price` charges one slot length for every feasible edge and every
-    carry.
+    per-sensitive-node received-power caps, and the interference objective
+    plans on it (without a cap it equals `edge_cost`); `delay_price` charges
+    one slot length for every feasible edge and every carry.
     """
 
     node_ids: tuple
-    id_rank: np.ndarray
     power_dbm: np.ndarray
     edge_cost: np.ndarray
     capped_price: np.ndarray
@@ -185,11 +186,9 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
     edge_cost = np.where(feasible, edge_cost, np.inf)
     if np.any(edge_cost[feasible] < 0):
         raise AssertionError("edge costs must be non-negative")
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(np.array(graph.node_ids))] = np.arange(n)
     dt = graph.grid.dt
     capped_price = _with_carry(np.where(feasible_capped, edge_cost, np.inf), 0.0)
-    return PlannerTables(graph.node_ids, rank, power, _with_carry(edge_cost, 0.0), capped_price,
+    return PlannerTables(graph.node_ids, power, _with_carry(edge_cost, 0.0), capped_price,
                          _with_carry(np.where(feasible, dt, np.inf), dt))
 
 
@@ -209,7 +208,7 @@ def _hops(n: int) -> np.ndarray:
     return hops
 
 
-def _forward(price, src, dst, start, t_slots, first_arrival=False, tight=None):
+def _forward(price, src, dst, start, t_slots, first_arrival=False):
     """The layered DP's forward pass for a batch of flows, one step per slot.
 
     Flows come longest window first (t_slots non-increasing). Flow b enters at
@@ -219,29 +218,28 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False, tight=None):
     Step t gathers the matrices at start + t of the flows whose window is still
     open, a prefix of the batch, so a flow's rows are those of a sweep of it
     alone. With first_arrival (the min-delay objective) the pass ends once
-    every flow has reached its destination. Returns F and H, (batch, T + 1, n)
-    for the last step swept T: F[b, t, i] is the minimum path cost reaching
-    (i, start[b] + t), H the hop count among those paths (inf and _BIG where
-    nothing reaches); rows past a flow's own window are left unset. With tight,
-    a uint8 array of shape (batch, t_slots[0], n, ceil(n / 8)), step t also
-    writes to tight[b, t] the edges of flow b whose price carries both F and
-    H exactly into their head, bit-packed along the head axis.
+    every flow has reached its destination. Returns F, H, (batch, T + 1, n)
+    for the last step swept T, and tight: F[b, t, i] is the minimum path cost
+    reaching (i, start[b] + t), H the hop count among those paths (inf and
+    _BIG where nothing reaches); rows past a flow's own window are left unset.
+    tight[b, t], of shape (n, ceil(n / 8)), holds flow b's step-t edges whose
+    price carries both F and H exactly into their head, packed along the head.
     """
     src, dst, start = np.array([src, dst, start], dtype=np.int64)
     ends = [int(e) for e in t_slots]
-    rows = np.arange(src.size)
-    F = np.empty((src.size, ends[0] + 1, price.shape[-1]))
+    rows, n = np.arange(src.size), price.shape[-1]
+    F = np.empty((src.size, ends[0] + 1, n))
     H = np.empty(F.shape, dtype=np.int64)
     F[:, 0], H[:, 0] = np.inf, _BIG
     F[rows, 0, src] = 0.0
     H[rows, 0, src] = 0
     absorb = np.zeros(F[:, 0].shape)
     absorb[rows, dst] = np.inf  # adding it makes the destination absorb
-    hops = _hops(price.shape[-1])
+    hops = _hops(n)
     k, sink, done = src.size, (rows, dst), np.zeros(src.size, dtype=bool)
-    if tight is not None:
-        # rows padded to whole bytes, so one flat packbits packs each row
-        bits = np.zeros((src.size, hops.shape[0], 8 * tight.shape[-1]), dtype=bool)
+    tight = np.zeros((src.size, ends[0], n, (n + 7) // 8), dtype=np.uint8)
+    # rows padded to whole bytes, so one flat packbits packs each row
+    bits = np.zeros((src.size, n, 8 * tight.shape[-1]), dtype=bool)
     for t in range(F.shape[1] - 1):
         if ends[k - 1] <= t:
             while ends[k - 1] <= t:
@@ -251,18 +249,17 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False, tight=None):
         fn = m.min(axis=1)
         hm = np.where(m == fn[:, None, :], H[:k, t][:, :, None] + hops, _BIG)
         hn = hm.min(axis=1)
-        if tight is not None:
-            np.equal(hm, hn[:, None, :], out=bits[:k, :, :hops.shape[0]])
-            tight[:k, t] = np.packbits(bits[:k]).reshape(k, -1, tight.shape[-1])
+        np.equal(hm, hn[:, None, :], out=bits[:k, :, :n])
+        tight[:k, t] = np.packbits(bits[:k]).reshape(k, n, -1)
         F[:k, t + 1] = fn
         H[:k, t + 1] = np.where(np.isfinite(fn), hn, _BIG)
         if first_arrival and np.count_nonzero(
                 np.logical_or(done, np.isfinite(fn[sink]), out=done)) == k:
-            return F[:, :t + 2], H[:, :t + 2]
-    return F, H
+            return F[:, :t + 2], H[:, :t + 2], tight
+    return F, H, tight
 
 
-def _search(price, id_rank, src, dst, start, t_slots, first_arrival=False) -> list:
+def _search(price, src, dst, start, t_slots, first_arrival=False) -> list:
     """Plan a batch of flows on the layered DP: the forward pass (see _forward,
     whose arguments these are), then its backward half over the flow axis.
 
@@ -274,8 +271,8 @@ def _search(price, id_rank, src, dst, start, t_slots, first_arrival=False) -> li
     the least hop count H counts, as a state reached with more would give a
     schedule with fewer than h* hops. A backward sweep, one slot per step,
     marks those states from each flow's own (dst, t*). Then, one hop per step
-    over the batch, the walk takes the lowest-ranked next node among the
-    marked transmissions from the slots the payload can reach by marked
+    over the batch, the walk takes the lowest-index (lowest-id) next node among
+    the marked transmissions from the slots the payload can reach by marked
     carries, and each hop takes the earliest transmit slot from which the rest
     of that node sequence still arrives at t*.
 
@@ -283,8 +280,7 @@ def _search(price, id_rank, src, dst, start, t_slots, first_arrival=False) -> li
     else (f*, t*, node sequence, transmit slots relative to start).
     """
     nb, n = src.size, price.shape[-1]
-    tight = np.zeros((nb, int(t_slots[0]), n, (n + 7) // 8), dtype=np.uint8)
-    F, H = _forward(price, src, dst, start, t_slots, first_arrival, tight)
+    F, H, tight = _forward(price, src, dst, start, t_slots, first_arrival)
     swept = np.arange(F.shape[1]) <= np.minimum(t_slots, F.shape[1] - 1)[:, None]
     fd = np.where(swept, F[np.arange(nb), :, dst], np.inf)
     f_star = fd.min(axis=1)
@@ -330,7 +326,7 @@ def _search(price, id_rank, src, dst, start, t_slots, first_arrival=False) -> li
         held = latest[:, :T] > np.concatenate([np.full((a.size, 1), -1), gap[:, :-1]], axis=1)
         cand = (held[:, :, None] & out).any(axis=1)
         cand[ka, i] = False
-        j = np.where(cand, id_rank, n).argmin(axis=1)
+        j = cand.argmax(axis=1)
         if not cand[ka, j].all():
             raise AssertionError("sequence reconstruction dead-ended")
         seq[a, h + 1] = j
@@ -388,13 +384,13 @@ def _window(grid: SlotGrid, tables: PlannerTables, source: str, dest: str,
     return src, dst, t_slots
 
 
-def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay: bool = False,
-                  use_caps: bool = False) -> list:
-    """Shared engine: least predicted interference, or with min_delay earliest
-    delivery, for each (source, dest, deadline_s, injection_slot) request, with
-    one batched search over every request that needs one. Each entry of the
-    result is the request's PathReservation, or the NoFeasiblePath, UnknownNode
-    or ValueError that planning it alone raises."""
+def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay=False) -> list:
+    """Shared engine: least predicted interference under the caps, or with
+    min_delay earliest delivery, for each (source, dest, deadline_s,
+    injection_slot) request, with one batched search over every request that
+    needs one. Each entry of the result is the request's PathReservation, or
+    the NoFeasiblePath, UnknownNode or ValueError that planning it alone
+    raises."""
     out = [None] * len(requests)
     todo = []
     for k, (source, dest, deadline_s, injection_slot) in enumerate(requests):
@@ -410,14 +406,9 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay: bo
     if not todo:
         return out
     todo.sort(key=lambda job: -job[4])  # stable: longest window first, as _forward needs
-    if min_delay:
-        price = tables.delay_price
-    elif use_caps:
-        price = tables.capped_price
-    else:
-        price = tables.edge_cost
+    price = tables.delay_price if min_delay else tables.capped_price
     _, src, dst, start, t_slots = (np.array(c, dtype=np.int64) for c in zip(*todo))
-    plans = _search(price, tables.id_rank, src, dst, start, t_slots, min_delay)
+    plans = _search(price, src, dst, start, t_slots, min_delay)
     for (k, _, _, start, t_slots), plan in zip(todo, plans):
         if isinstance(plan, NoFeasiblePath):
             out[k] = plan
@@ -453,30 +444,26 @@ def _one(results: list) -> PathReservation:
     return res
 
 
-def reserve_paths(graph: ChannelGraph, requests, tables: PlannerTables,
-                  use_caps: bool = False) -> list:
+def reserve_paths(graph: ChannelGraph, requests, tables: PlannerTables) -> list:
     """reserve_path for many (source, dest, deadline_s, injection_slot) requests
     on shared tables, in one flow-batched forward pass. Entry k is request k's
     PathReservation, or the NoFeasiblePath, UnknownNode or ValueError that
     reserve_path raises for it alone, returned rather than raised."""
-    return _reserve_many(graph.grid, tables, requests, use_caps=use_caps)
+    return _reserve_many(graph.grid, tables, requests)
 
 
 def reserve_path(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: str,
                  deadline_s: float, sensitive_nodes, budget: LinkBudget,
-                 injection_slot: int = 0, tables: PlannerTables = None,
-                 use_caps: bool = False) -> PathReservation:
-    """Minimum-predicted-interference reservation delivering within deadline_s.
+                 injection_slot: int = 0, tables: PlannerTables = None) -> PathReservation:
+    """Minimum-predicted-interference reservation delivering within deadline_s
+    on the edges that respect the tables' per-sensitive-node caps.
 
     Pass precomputed tables to amortize the per-scenario setup across flows;
-    use_caps additionally excludes edges whose nominal power would violate the
-    predicted per-sensitive-node received-power caps baked into the tables.
-    This is reserve_paths for one request.
+    without them the tables have no cap. This is reserve_paths for one request.
     """
     if tables is None:
         tables = prepare_planner(graph, radio_map, sensitive_nodes, budget)
-    return _one(reserve_paths(graph, [(source, dest, deadline_s, injection_slot)], tables,
-                              use_caps))
+    return _one(reserve_paths(graph, [(source, dest, deadline_s, injection_slot)], tables))
 
 
 def min_delay_reservation(graph: ChannelGraph, requests, tables: PlannerTables) -> list:

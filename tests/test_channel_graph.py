@@ -109,6 +109,33 @@ class TestSynthesize:
         best_slot = int(np.argmax(gains))
         assert abs(grid.t_of(best_slot) - t_star) <= grid.dt
 
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_nodes_in_id_order_whatever_the_input_order(self, order):
+        # ground ids sort both before and after the aircraft ids, and "u10"
+        # sorts before "u2"
+        trajs = [straight(f"u{k}", (100 * k, 0, 60 + 10 * k), (700, 100 * k, 80))
+                 for k in (0, 2, 10)]
+        ground = [SceneNode(name, P(*xy, 0)) for name, xy in
+                  (("s0", (0, 300)), ("d0", (700, 300)), ("x0", (350, 600)))]
+        rmap = random_map(7)
+        want = synthesize(trajs, ground, rmap, GRID, 1500.0)
+        assert want.node_ids == ("d0", "s0", "u0", "u10", "u2", "x0")
+        if order == "reversed":
+            trajs, ground = trajs[::-1], ground[::-1]
+        else:
+            rng = np.random.default_rng(5)
+            trajs = [trajs[k] for k in rng.permutation(len(trajs))]
+            ground = [ground[k] for k in rng.permutation(len(ground))]
+        got = synthesize(trajs, ground, rmap, GRID, 1500.0)
+        assert got.node_ids == want.node_ids
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.positions.tobytes() == want.positions.tobytes()
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(ValueError):
+            synthesize([straight("g0", (0, 0, 80), (700, 100, 80))],
+                       [SceneNode("g0", P(0, 0, 0))], random_map(), GRID, 1500.0)
+
     def test_range_cutoff_prunes(self):
         ground = [SceneNode("g0", P(0, 0, 0)), SceneNode("g1", P(400, 0, 0))]
         graph = synthesize([], ground, random_map(), GRID, range_cutoff=100.0)

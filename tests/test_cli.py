@@ -51,9 +51,11 @@ class TestGenScenario:
         assert cli.main(["gen-scenario", "--out", str(out), "--seed", "0"]) == 0
         assert out.read_text() == gen_default_scenario(0).to_json()
 
-    def test_out_of_range_value_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--dt", "-0.1"), ("--dt", "0"),
+                                             ("--horizon", "1e400"), ("--horizon", "inf")])
+    def test_out_of_range_value_exit_code(self, tmp_path, flag, value):
         code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",
-                         "--dt", "-0.1"])
+                         flag, value])
         assert code == 2
 
     def test_negative_building_count_exit_code(self, tmp_path):

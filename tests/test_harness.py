@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeris import echelon, harness, strategic, tactical
+from aeris.channel_graph import synthesize
 from aeris.echelon import WorldState
 from aeris.errors import ConfigInvalid, InfeasibleSchedule, NoFeasiblePath, UnknownNode
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
@@ -170,12 +171,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json("{\"scene\": {}}")
 
-    @pytest.mark.parametrize("name, count", [("n_sources", 0), ("n_destinations", 0),
-                                             ("n_sensitive", -1)])
-    def test_generator_counts_checked_before_generation(self, monkeypatch, name, count):
+    @pytest.mark.parametrize("name, value", [("n_sources", 0), ("n_destinations", 0),
+                                             ("n_sensitive", -1), ("dt", 0.0), ("dt", -0.1),
+                                             ("dt", math.nan), ("horizon_s", math.inf),
+                                             ("horizon_s", 0.0)])
+    def test_generator_arguments_checked_before_generation(self, monkeypatch, name, value):
         monkeypatch.setattr(harness, "gen_city", lambda *a: pytest.fail("generation ran"))
         with pytest.raises(ConfigInvalid) as e:
-            gen_default_scenario(1, **{name: count})
+            gen_default_scenario(1, **{name: value})
         assert e.value.field == name
 
 
@@ -217,6 +220,22 @@ class TestRun:
     def test_unknown_method(self, mini_config):
         with pytest.raises(ConfigInvalid):
             run(mini_config, "psychic", 0)
+
+    @pytest.mark.parametrize("name, value", [("budget", LinkBudget(p_max_dbm=35.0)),
+                                             ("seed", 7), ("sampling_period_s", 1.0)])
+    def test_world_of_another_scenario_rejected(self, mini_config, mini_world, name, value):
+        # the world's tables, map and truth come from these fields, so a run
+        # with other values would plan, send and draw on a mix of the two
+        other = replace(mini_config, **{name: value})
+        with pytest.raises(ConfigInvalid) as e:
+            run(other, "predictive", 0, world=mini_world)
+        assert e.value.field == name
+
+    def test_world_shared_across_run_fields(self, mini_config, mini_world):
+        # build_world reads none of these, so one world serves every value
+        other = replace(mini_config, **{name: getattr(mini_config, name) * 1.5
+                                        for name in harness._RUN_FIELDS})
+        assert run(other, "predictive", 0, world=mini_world).n_flows > 0
 
     @pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan, -1.0])
     def test_bad_load_override_rejected_before_the_world_is_built(self, mini_config,
@@ -328,14 +347,13 @@ class TestRun:
 PLAN_ERRORS = (NoFeasiblePath, UnknownNode, ValueError)
 
 
-def plan_each(graph, requests, tables, use_caps=False):
+def plan_each(graph, requests, tables):
     """strategic.reserve_paths as one reserve_path call per request."""
     out = []
     for source, dest, deadline_s, slot in requests:
         try:
             out.append(strategic.reserve_path(graph, None, source, dest, deadline_s, (), None,
-                                              injection_slot=slot, tables=tables,
-                                              use_caps=use_caps))
+                                              injection_slot=slot, tables=tables))
         except PLAN_ERRORS as e:
             out.append(e)
     return out
@@ -350,11 +368,11 @@ def same_plans(got, want):
 
 
 def batch_planner(graph, tables, objective):
-    """requests -> plans for one objective: min_delay, capped or uncapped."""
+    """requests -> plans for one objective: min_delay, or capped (the least
+    interference under the caps)."""
     if objective == "min_delay":
         return functools.partial(strategic.min_delay_reservation, graph, tables=tables)
-    return functools.partial(strategic.reserve_paths, graph, tables=tables,
-                             use_caps=objective == "capped")
+    return functools.partial(strategic.reserve_paths, graph, tables=tables)
 
 
 @st.composite
@@ -383,9 +401,9 @@ def corridor_world():
 def fresh_ground_rows(world):
     """Every ground-only row in the call shapes the run used before they were
     computed per world: the sensitive-site truth call and map query with the
-    sender broadcast (the map's sender clamped to the positive octant), and a
-    one-row truth call per ordered ground-to-ground link."""
-    ground = [e for e in world.comm_ids if e not in world.realized]
+    sender broadcast, and a one-row truth call per ordered ground-to-ground
+    link."""
+    ground = [e for e in world.graph.node_ids if e not in world.realized]
     pos = {e: world.ground_positions[e].as_array() for e in ground}
     sens = world.sens_pos
     out = {}
@@ -394,8 +412,7 @@ def fresh_ground_rows(world):
         if sens.size:
             gains = world.truth.gain_db_many(np.broadcast_to(pos[e], sens.shape), sens)
             lin = float(np.sum(db_to_lin(gains)))
-            gains = world.radio_map.query_many(
-                np.broadcast_to(np.maximum(pos[e], 0.0), sens.shape), sens)
+            gains = world.radio_map.query_many(np.broadcast_to(pos[e], sens.shape), sens)
             peak = float(gains.max())
         out[(harness.site_interference, e)], out[(harness.site_map_max, e)] = lin, peak
     for a, b in itertools.permutations(ground, 2):
@@ -408,11 +425,39 @@ class TestWorld:
     def test_node_ids_and_sensitive_sites(self, mini_config, mini_world):
         scene = mini_config.scene
         assert isinstance(mini_world, WorldState)
-        assert mini_world.comm_ids == tuple(sorted(
+        assert mini_world.graph.node_ids == mini_world.tables.node_ids == tuple(sorted(
             [t.aircraft_id for t in mini_config.trajectories]
             + [n.id for n in scene.ground_sources + scene.ground_destinations]))
         want = np.array([n.pos.as_array() for n in scene.sensitive_nodes])
         assert mini_world.sens_pos.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_graph_and_plans_do_not_depend_on_node_input_order(self, mini_config, mini_world,
+                                                               order):
+        scene = mini_config.scene
+        trajs = list(mini_config.trajectories)
+        ground = list(scene.ground_sources + scene.ground_destinations)
+        if order == "reversed":
+            trajs, ground = trajs[::-1], ground[::-1]
+        else:
+            rng = np.random.default_rng(3)
+            trajs = [trajs[k] for k in rng.permutation(len(trajs))]
+            ground = [ground[k] for k in rng.permutation(len(ground))]
+        want = mini_world.graph
+        graph = synthesize(trajs, ground, mini_world.radio_map, mini_config.grid)
+        assert graph.node_ids == want.node_ids
+        assert graph.weights.tobytes() == want.weights.tobytes()
+        assert graph.positions.tobytes() == want.positions.tobytes()
+        tables = strategic.prepare_planner(graph, mini_world.radio_map, scene.sensitive_nodes,
+                                           mini_config.budget,
+                                           per_node_cap_dbm=mini_config.sensitive_cap_dbm,
+                                           shield_margin_db=harness._SHIELD_MARGIN_DB,
+                                           pathloss=mini_config.pathloss)
+        requests = [(f.source, f.dest, f.deadline_s, f.injection_slot)
+                    for f in draw_flows(mini_config, 0, 30.0)]
+        got = strategic.reserve_paths(graph, requests, tables)
+        assert sum(isinstance(r, strategic.PathReservation) and r.hops != () for r in got) > 10
+        same_plans(got, strategic.reserve_paths(want, requests, mini_world.tables))
 
     @pytest.mark.parametrize("name", ["mini", "corridor"])
     def test_ground_rows_equal_fresh_calls_bit_for_bit(self, name, mini_world,
@@ -430,7 +475,7 @@ class TestWorld:
         # the run loop reads positions by slot where the local tier interpolates
         # at slot times; the two must agree byte for byte
         grid = mini_world.grid
-        for e in mini_world.comm_ids:
+        for e in mini_world.graph.node_ids:
             for s in range(grid.n_slots):
                 assert mini_world.realized_position(e, s).tobytes() == \
                     mini_world.realized_pos(e, grid.t_of(s)).tobytes(), (e, s)
@@ -444,25 +489,19 @@ class TestBatchedPlanning:
     def test_batch_equals_per_flow_plans(self, mini_world, data):
         graph, tables = mini_world.graph, mini_world.tables
         requests = data.draw(_requests(list(graph.node_ids), graph.grid.n_slots))
-        got = strategic.reserve_paths(graph, requests, tables, use_caps=True)
-        same_plans(got, plan_each(graph, requests, tables, use_caps=True))
+        got = strategic.reserve_paths(graph, requests, tables)
+        same_plans(got, plan_each(graph, requests, tables))
         # and with the search replaced by the full-window oracle, which runs no
         # batched forward pass of its own
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strategic, "_search", oracle_search)
-            same_plans(got, plan_each(graph, requests, tables, use_caps=True))
-        # uncapped plans read edge_cost; the same plans come from that table
-        # put where the capped search reads it
-        uncapped = strategic.reserve_paths(graph, requests, tables)
-        whole = replace(tables, capped_price=tables.edge_cost)
-        same_plans(uncapped, strategic.reserve_paths(graph, requests, whole, use_caps=True))
-        same_plans(uncapped, plan_each(graph, requests, tables))
+            same_plans(got, plan_each(graph, requests, tables))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(data=st.data(), objective=st.sampled_from(["min_delay", "capped", "uncapped"]))
+    @given(data=st.data(), objective=st.sampled_from(["min_delay", "capped"]))
     def test_batch_equals_per_flow_scalar_oracles(self, mini_world, data, objective):
-        """Both objectives, capped and uncapped prices: the batched plans are
-        those of each request planned alone by the scalar oracles."""
+        """Both objectives: the batched plans are those of each request planned
+        alone by the scalar oracles."""
         graph, tables = mini_world.graph, mini_world.tables
         requests = data.draw(_requests(list(graph.node_ids), graph.grid.n_slots))
         plan = batch_planner(graph, tables, objective)
@@ -471,7 +510,7 @@ class TestBatchedPlanning:
             mp.setattr(strategic, "_search", oracle_search)
             same_plans(got, [res for r in requests for res in plan([r])])
 
-    @pytest.mark.parametrize("objective", ["min_delay", "capped", "uncapped"])
+    @pytest.mark.parametrize("objective", ["min_delay", "capped"])
     def test_batch_of_every_outcome_equals_scalar_oracles(self, mini_config, mini_world,
                                                           objective):
         """A run's flows in both deadline classes, plus requests that end in
@@ -508,8 +547,8 @@ class TestBatchedPlanning:
         requests += [("src0", "dst0", 20.0, last), ("src0", "dst0", 2.0, last - 1),
                      ("src0", "src0", 2.0, last), ("src0", "nowhere", 20.0, 0),
                      ("src0", "dst0", 0.05, 0), ("src0", "dst0", 20.0, last + 1)]
-        got = strategic.reserve_paths(graph, requests, tables, use_caps=True)
-        same_plans(got, plan_each(graph, requests, tables, use_caps=True))
+        got = strategic.reserve_paths(graph, requests, tables)
+        same_plans(got, plan_each(graph, requests, tables))
         kinds = [type(r) for r in got]
         assert kinds[-6:] == [NoFeasiblePath, NoFeasiblePath, strategic.PathReservation,
                               UnknownNode, ValueError, ValueError]
@@ -538,9 +577,9 @@ class TestBatchedPlanning:
         run(cfg, "predictive", 0, events=batched, world=mini_world, load_per_min=load)
         planned = []
 
-        def per_flow(graph, requests, tables, use_caps=False):
+        def per_flow(graph, requests, tables):
             planned.append(len(requests))
-            return plan_each(graph, requests, tables, use_caps)
+            return plan_each(graph, requests, tables)
 
         monkeypatch.setattr(harness, "reserve_paths", per_flow)
         reference = []
@@ -780,7 +819,7 @@ class TestBaselines:
     def test_aggregate_prefers_direct_hop(self, mini_config, mini_world):
         generous = replace(mini_config, budget=LinkBudget(p_max_dbm=80.0))
         flows = draw_flows(mini_config, 0, 12.0)
-        route, powers = baseline_aggregate(mini_world, flows[0], generous)
+        route, powers = baseline_aggregate(replace(mini_world, config=generous), flows[0])
         assert route == [flows[0].source, flows[0].dest]
         assert len(powers) == 1
 
@@ -788,7 +827,7 @@ class TestBaselines:
         starved = replace(mini_config, budget=LinkBudget(p_max_dbm=-120.0))
         flows = draw_flows(mini_config, 0, 12.0)
         with pytest.raises(NoFeasiblePath):
-            baseline_aggregate(mini_world, flows[0], starved)
+            baseline_aggregate(replace(mini_world, config=starved), flows[0])
 
     def test_aggregate_route_is_least_min_hop_on_truth_snapshot(self, mini_config, mini_world):
         # each ordered pair's gain from its own truth call at the injection slot;
@@ -857,7 +896,9 @@ class TestBaselines:
         predictive = strategic.reserve_paths(graph, requests, tables)
         routed = 0
         for st_res, pred in zip(spacetime, predictive, strict=True):
-            # both plan on the p_max-feasible edges, so they route the same flows
+            # space-time plans on every p_max-feasible edge and predictive on
+            # those under the caps; in this world the caps cut off no flow, so
+            # both route the same flows
             assert isinstance(st_res, Exception) == isinstance(pred, Exception)
             if not isinstance(pred, Exception):
                 assert st_res.delivery_slot <= pred.delivery_slot
@@ -871,7 +912,7 @@ class TestBaselines:
         vals = [run(bare, m, 0, events=logs[m], world=world).interference_mw_s for m in METHODS]
         assert vals == [0.0, 0.0, 0.0]
         # a ground sender's per-world row adds +0.0 like an aircraft's fresh one
-        ground = [e for e in world.comm_ids if e not in world.realized]
+        ground = [e for e in world.graph.node_ids if e not in world.realized]
         assert fresh_ground_rows(world) == world.ground_rows
         sent = [t for m in METHODS for t in logs[m] if t["type"] == "transmission"]
         assert any(t["tx"] in ground for t in sent)

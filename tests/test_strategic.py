@@ -115,9 +115,9 @@ def full_window_search(cost, feas, carry_cost, src, dst, t_slots):
     return keep_carry, keep_trans, reach, f_star, h_star, t_star
 
 
-def lex_sequence(keep_carry, keep_trans, reach, id_rank, src, dst, h_star, t_star):
+def lex_sequence(keep_carry, keep_trans, reach, src, dst, h_star, t_star):
     """Scalar oracle for the walk of strategic._search: the lexicographically
-    smallest node-id sequence among optimal schedules, grown hop by hop from
+    smallest node-index sequence among optimal schedules, grown hop by hop from
     Python sets of the slots the payload can be at its current node."""
     seq = [src]
     i, h = src, 0
@@ -136,7 +136,7 @@ def lex_sequence(keep_carry, keep_trans, reach, id_rank, src, dst, h_star, t_sta
                 continue
             js = np.flatnonzero(keep_trans[t, i] & reach[t + 1][:, h + 1])
             for j in js:
-                if best is None or id_rank[j] < id_rank[best]:
+                if best is None or j < best:
                     best = int(j)
         if best is None:
             raise AssertionError("sequence reconstruction dead-ended")
@@ -175,7 +175,7 @@ def earliest_slots(keep_carry, keep_trans, seq, t_star):
     return slots
 
 
-def oracle_search(price, id_rank, src, dst, start, t_slots, first_arrival=False):
+def oracle_search(price, src, dst, start, t_slots, first_arrival=False):
     """strategic._search flow by flow from the scalar oracles: the full-window
     search over the flow's own slots of price (transmit edges where finite off
     the diagonal, the carry cost on it), then lex_sequence and earliest_slots.
@@ -191,7 +191,7 @@ def oracle_search(price, id_rank, src, dst, start, t_slots, first_arrival=False)
         except NoFeasiblePath as e:
             out.append(e)
             continue
-        seq = lex_sequence(keep_carry, keep_trans, reach, id_rank, s, d, h_star, t_star)
+        seq = lex_sequence(keep_carry, keep_trans, reach, s, d, h_star, t_star)
         out.append((float(f_star), t_star, [int(j) for j in seq],
                     earliest_slots(keep_carry, keep_trans, seq, t_star)))
     return out
@@ -356,10 +356,9 @@ class TestSearch:
         """The batched search on a batch of one against the scalar oracles;
         returns t* or None when nothing is routed."""
         price = step_prices(feas, cost, carry_cost)
-        rank = np.arange(feas.shape[1])[::-1].copy()  # rank order is not index order
         flows = [np.array([v]) for v in (src, dst, 0, t_slots)]
-        (got,) = strategic._search(price, rank, *flows, first_arrival=cost is None)
-        (want,) = oracle_search(price, rank, *flows)
+        (got,) = strategic._search(price, *flows, first_arrival=cost is None)
+        (want,) = oracle_search(price, *flows)
         same_searches([got], [want])
         return None if isinstance(got, NoFeasiblePath) else got[1]
 
@@ -420,8 +419,8 @@ class TestForward:
         feas, cost, src, dst, t_slots, _ = inst
         carry = 0.0 if dt is None else dt
         tensor = cost if dt is None else np.where(feas, dt, np.inf)
-        F, H = strategic._forward(step_prices(feas, tensor, carry), [src], [dst], [0],
-                                  [t_slots], first_arrival=dt is not None)
+        F, H, _ = strategic._forward(step_prices(feas, tensor, carry), [src], [dst], [0],
+                                     [t_slots], first_arrival=dt is not None)
         want_F, want_H = full_window_forward(tensor, feas, carry, src, dst, t_slots)
         rows = swept_rows(want_F, dst, t_slots, dt is not None)
         # the min-delay pass stops at the first arrival
@@ -434,8 +433,8 @@ class TestForward:
     def test_batch_rows_match_each_flow_alone(self, inst, min_delay):
         feas, cost, flows = inst
         carry = 0.5 if min_delay else 0.0
-        F, H = strategic._forward(step_prices(feas, None if min_delay else cost, carry),
-                                  *zip(*flows), first_arrival=min_delay)
+        F, H, _ = strategic._forward(step_prices(feas, None if min_delay else cost, carry),
+                                     *zip(*flows), first_arrival=min_delay)
         for b, (src, dst, start, t_slots) in enumerate(flows):
             sl = slice(start, start + t_slots)
             tensor = np.where(feas[sl], carry, np.inf) if min_delay else cost[sl]
@@ -446,10 +445,9 @@ class TestForward:
         # the search over the batch plans each flow as the scalar oracles do
         # for it alone
         price = step_prices(feas, None if min_delay else cost, carry)
-        rank = np.arange(feas.shape[1])[::-1].copy()
         flows = [np.array(c) for c in zip(*flows)]
-        same_searches(strategic._search(price, rank, *flows, first_arrival=min_delay),
-                      oracle_search(price, rank, *flows))
+        same_searches(strategic._search(price, *flows, first_arrival=min_delay),
+                      oracle_search(price, *flows))
 
 
 class TestReservePath:
@@ -695,6 +693,21 @@ class TestPlannerTables:
         if cap is not None and nodes:
             # the cap binds somewhere, so the comparison covers it
             assert (got.capped_price != got.edge_cost).any()
+
+    def test_without_a_cap_capped_price_is_edge_cost(self):
+        # reserve_path without tables plans on capped_price, which then prices
+        # every p_max-feasible edge as edge_cost does
+        def cases():
+            for seed in range(100):
+                graph, rmap, _, _, _, sens, budget = random_instance(seed)
+                yield graph, rmap, sens, budget
+            for seed in range(5):
+                graph, rmap, scene, budget = corridor(seed)
+                yield graph, rmap, scene.sensitive_nodes, budget
+
+        for graph, rmap, sens, budget in cases():
+            tables = strategic.prepare_planner(graph, rmap, sens, budget)
+            assert tables.capped_price.tobytes() == tables.edge_cost.tobytes()
 
 
 class TestReservationJson:

@@ -65,7 +65,9 @@ def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
                range_cutoff: float = RANGE_CUTOFF_M) -> ChannelGraph:
     """Build the graph: weights[t, i, j] = map mean gain at the planned slot-t
     positions for every pair within range_cutoff; ground nodes are static.
-    Aircraft and ground nodes share one index, in id order."""
+    Aircraft and ground nodes share one index, in id order. Aircraft pairs take
+    query_many; an aircraft's rows toward every ground node take one
+    query_sites call, and a pair of ground nodes one row for all slots."""
     times = grid.times()
     nodes = [(t.aircraft_id, positions_at(t, times)) for t in trajs]
     nodes += [(g.id, g.pos.as_array()) for g in ground_nodes]
@@ -77,16 +79,37 @@ def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
     pos = np.empty((grid.n_slots, n, 3))
     for i, (_, p) in enumerate(nodes):
         pos[:, i, :] = p
+    ground = np.array([p.ndim == 1 for _, p in nodes])
+    air, sites = np.flatnonzero(~ground), np.flatnonzero(ground)
 
     weights = np.full((grid.n_slots, n, n), np.nan)
     iu, ju = np.triu_indices(n, k=1)
     d = np.linalg.norm(pos[:, iu, :] - pos[:, ju, :], axis=2)
-    # rows pair-major, slots ascending within a pair: the map's lookups run
-    # faster in this order than slot-major
-    pair, ks = np.nonzero(((d <= range_cutoff) & (d > 0.0)).T)
+    near = (d <= range_cutoff) & (d > 0.0)
+    # aircraft pairs: rows pair-major, slots ascending within a pair; the map's
+    # lookups run faster in this order than slot-major
+    moving = np.flatnonzero(~ground[iu] & ~ground[ju])
+    pair, ks = np.nonzero(near[:, moving].T)
     if ks.size:
-        ii, jj = iu[pair], ju[pair]
+        ii, jj = iu[moving[pair]], ju[moving[pair]]
         means = radio_map.query_many(pos[ks, ii], pos[ks, jj])
         weights[ks, ii, jj] = means
         weights[ks, jj, ii] = means
+    # ground pairs: both ends static, so one row serves every slot
+    static = np.flatnonzero(ground[iu] & ground[ju])
+    if static.size:
+        ii, jj = iu[static], ju[static]
+        means = np.where(near[:, static], radio_map.query_many(pos[0, ii], pos[0, jj]), np.nan)
+        weights[:, ii, jj] = means
+        weights[:, jj, ii] = means
+    # aircraft to ground: aircraft-major, slots ascending, every ground node a site
+    if air.size and sites.size:
+        pair_of = np.zeros((n, n), dtype=np.intp)
+        pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
+        inrange = near[:, pair_of[np.ix_(air, sites)]].transpose(1, 0, 2)  # (aircraft, slot, site)
+        a, ks = np.nonzero(inrange.any(axis=2))
+        means = radio_map.query_sites(pos[ks, air[a]], pos[0, sites])
+        means[~inrange[a, ks]] = np.nan
+        weights[ks[:, None], air[a][:, None], sites] = means
+        weights[ks[:, None], sites, air[a][:, None]] = means
     return ChannelGraph(grid, ids, weights, pos)

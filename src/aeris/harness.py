@@ -51,6 +51,9 @@ _FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M, "plan_shield_margin_db": _SHIEL
                "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT}
 # keys older documents carry that no run ever read: they load at any value
 _REMOVED_KEYS = {"central_horizon_s", "individual_horizon_s", "map_residual_std_db"}
+# the most slot x node x node cells a scenario's graph may have: the graph's
+# weights and each planner table hold one float per cell, 16 MB each at the cap
+_MAX_GRAPH_CELLS = 1 << 21
 # the fields build_world never reads: a run's config may differ from its world's
 _RUN_FIELDS = ("load_per_min", "frac_short_deadline", "deadline_short_s", "deadline_long_s",
                "local_horizon_s", "region_radius_m", "blockage_threshold_db")
@@ -92,6 +95,11 @@ class ScenarioConfig:
             for name, v in named:
                 if not isinstance(v, int) and not math.isfinite(v):
                     raise ConfigInvalid(name, f"must be finite, not {v!r}")
+        nodes = (len(self.trajectories) + len(self.scene.ground_sources)
+                 + len(self.scene.ground_destinations))
+        if self.grid.n_slots * nodes ** 2 > _MAX_GRAPH_CELLS:
+            raise ConfigInvalid("grid", f"{self.grid.n_slots} slots x {nodes}^2 graph nodes is "
+                                        f"over {_MAX_GRAPH_CELLS} cells")
         if not 0.0 <= self.frac_short_deadline <= 1.0:
             raise ConfigInvalid("frac_short_deadline", "class fractions must sum to 1 in [0,1]")
         _check_load("load_per_min", self.load_per_min)
@@ -581,11 +589,12 @@ def _local_view(world: World, center: np.ndarray, radius: float,
 
 def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: tuple,
                  hop: HopReservation, tail: list) -> tactical.LocalGraphSlice:
-    """Local per-slot predictions for a detour around hop, looked up in one
-    map call at only the rows tactical.reroute_local reads: over the first
-    half-span the gains from hop.tx to each relay and hop.tx's sensitive-node
-    weight, over the second the gains from each relay to the reconnect node
-    and the relay's weight. Every other row is NaN. Every member is held to
+    """Local per-slot predictions for a detour around hop, looked up at only
+    the rows tactical.reroute_local reads: over the first half-span the gains
+    from hop.tx to each relay and hop.tx's sensitive-node weight, over the
+    second the gains from each relay to the reconnect node and the relay's
+    weight. The links take one map call, the sensitive-node rows one
+    query_sites call. Every other row is NaN. Every member is held to
     the local tier's region and horizon checks over the whole span."""
     reconnect, (lo, mid), (_, hi) = tactical.detour_halves(hop, tail)
     relays = [m for m in members if m not in (hop.tx, hop.rx, reconnect)]
@@ -598,22 +607,17 @@ def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: 
     relay_first = np.array([at[m][:h] for m in relays]).reshape(-1, 3)
     relay_second = np.array([at[m][h:] for m in relays]).reshape(-1, 3)
     senders = np.concatenate([tx_first, relay_second])
-    sens_pos = world.sens_pos
-    n_sens = sens_pos.shape[0]
-    # rows: the tx -> relay and relay -> reconnect links, then a sensitive-node
-    # row per (sender, slot, node) for tx over the first half-span and each
-    # relay over the second
+    # rows: the tx -> relay and relay -> reconnect links here, and below a
+    # sensitive-node row per (sender, slot, node) for tx over the first
+    # half-span and each relay over the second
     gains = world.radio_map.query_many(
-        np.concatenate([np.tile(tx_first, (n_relay, 1)), relay_second,
-                        np.repeat(senders, n_sens, axis=0)]),
-        np.concatenate([relay_first, np.tile(rc_second, (n_relay, 1)),
-                        np.tile(sens_pos, (senders.shape[0], 1))]))
-    n_link = n_relay * slots.size
+        np.concatenate([np.tile(tx_first, (n_relay, 1)), relay_second]),
+        np.concatenate([relay_first, np.tile(rc_second, (n_relay, 1))]))
     link = np.full((2, n_relay, slots.size), np.nan)  # tx -> relay, relay -> reconnect
     link[0, :, :h] = gains[:n_relay * h].reshape(n_relay, h)
-    link[1, :, h:] = gains[n_relay * h:n_link].reshape(n_relay, slots.size - h)
+    link[1, :, h:] = gains[n_relay * h:].reshape(n_relay, slots.size - h)
     weight = np.full((1 + n_relay, slots.size), np.nan)  # tx, then each relay
-    sent = np.sum(db_to_lin(gains[n_link:].reshape(senders.shape[0], n_sens)), axis=1)
+    sent = np.sum(db_to_lin(world.radio_map.query_sites(senders, world.sens_pos)), axis=1)
     weight[0, :h] = sent[:h]
     weight[1:, h:] = sent[h:].reshape(n_relay, slots.size - h)
     mean = {}

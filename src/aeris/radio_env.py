@@ -16,6 +16,12 @@ so queries are reciprocal bit for bit and reproduce training samples exactly.
 A query's neighbours are ordered by (distance, index of the point in the
 canonically sorted point set), so equal-distance ties are broken the same way
 whatever the kd-tree's build options and whatever the order of query rows.
+
+Rows with a fixed site at one end (`query_sites`) have a shortcut. The points
+with that site as the same half differ from such a row only in the other half,
+whose 3D distance is the row's 6D distance bit for bit, so one 3D search per
+position over the sites' sample partners serves every site. A row whose
+neighbours this cannot certify takes the 6D lookup instead.
 """
 
 from __future__ import annotations
@@ -82,12 +88,15 @@ class ChannelSample:
 
 class SampleSet(Sequence):
     """Geo-tagged gain samples as one (m, 7) float array of rows: tx xyz, rx xyz,
-    gain_db. Item i is row i as a ChannelSample; `+` concatenates two sets."""
+    gain_db, plus `sites`, the fixed points the samples were taken against as a
+    lex-sorted (s, 3) array (a map indexes their rows for query_sites). Item i
+    is row i as a ChannelSample; `+` concatenates the rows and unites the sites."""
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, sites=()):
         if not np.isfinite(rows[:, 6]).all():
             raise ValueError("gain_db must be finite")
         self.rows = rows
+        self.sites = np.unique(np.asarray(sites, dtype=float).reshape(-1, 3), axis=0)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -97,7 +106,8 @@ class SampleSet(Sequence):
         return ChannelSample(Position3.from_array(r[:3]), Position3.from_array(r[3:6]), float(r[6]))
 
     def __add__(self, other: "SampleSet") -> "SampleSet":
-        return SampleSet(np.concatenate([self.rows, other.rows]))
+        return SampleSet(np.concatenate([self.rows, other.rows]),
+                         np.concatenate([self.sites, other.sites]))
 
 
 class ShadowField:
@@ -186,7 +196,7 @@ def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampl
         for peer in peers:
             rx = np.broadcast_to(peer, pos.shape)
             blocks.append(np.column_stack((pos, rx, channel.gain_db_many(pos, rx))))
-    return SampleSet(np.concatenate(blocks))
+    return SampleSet(np.concatenate(blocks), peers)
 
 
 def sample_ground_pairs(scene: Scene, params: PathLossParams, shadow_seed, points) -> SampleSet:
@@ -201,7 +211,7 @@ def sample_ground_pairs(scene: Scene, params: PathLossParams, shadow_seed, point
                 continue
             tx, rx = pts[a][None], pts[b][None]
             blocks.append(np.column_stack((tx, rx, channel.gain_db_many(tx, rx))))
-    return SampleSet(np.concatenate(blocks))
+    return SampleSet(np.concatenate(blocks), pts)
 
 
 def sample_between(trajs, scene: Scene, params: PathLossParams, shadow_seed,
@@ -228,6 +238,62 @@ def sample_between(trajs, scene: Scene, params: PathLossParams, shadow_seed,
     return SampleSet(np.concatenate(blocks))
 
 
+def _by_distance_then_index(dist: np.ndarray, idx: np.ndarray) -> None:
+    """Puts each row of (dist, idx) in (distance, index) order, in place. A
+    kd-tree returns rows sorted by distance, so only a row with a tie can be out
+    of that order; ties are rare, and skipping the other rows keeps small calls
+    cheap."""
+    tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+    if tied.size:
+        order = np.lexsort((idx[tied], dist[tied]))
+        dist[tied] = np.take_along_axis(dist[tied], order, axis=1)
+        idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
+
+
+class _SiteIndex:
+    """A map's points grouped by fixed site, for RadioMap.query_sites.
+
+    A site's group is the points with the site as their first half, or as their
+    second; their other halves are the site's partners, the same set either way.
+    `tree` is a 3D kd-tree over U, the lex-sorted union of the sites' partners.
+    For the site in row j (`row` maps a site to it), points[j, 0, u] and
+    points[j, 1, u] are the map indices of the points (site, U[u]) and (U[u],
+    site), -1 where U[u] is no partner of the site; size[j] counts its
+    partners and lack[j] the rest of U. clear[j] is its distance to the
+    nearest other half of any map point, so every point outside its group
+    differs from a row anchored at it by at least that much in the anchored
+    half. Sites with no point in the map get no row.
+    """
+
+    def __init__(self, points: np.ndarray, sites: np.ndarray):
+        # the sorted points' first halves, each numbered by its rank among them
+        new = np.ones(points.shape[0], dtype=bool)
+        new[1:] = (points[1:, :3] != points[:-1, :3]).any(axis=1)
+        rank = np.cumsum(new) - 1
+        halves = points[new, :3]
+        sites = [s for s in sites if (halves == s).all(axis=1).any()]
+        self.row = {tuple(s): j for j, s in enumerate(sites)}
+        # sorted, the points with a site first and those with it second both
+        # run through its partners in ascending order
+        firsts = [np.flatnonzero((points[:, :3] == s).all(axis=1)) for s in sites]
+        seconds = [np.flatnonzero((points[:, 3:] == s).all(axis=1)) for s in sites]
+        # U by rank: a partner is the first half of the point (partner, site)
+        ranks = np.unique(np.concatenate([rank[:0]] + [rank[g] for g in seconds]))
+        self.tree = cKDTree(halves[ranks])
+        self.points = np.full((len(sites), 2, ranks.size), -1, dtype=np.intp)
+        self.clear = np.empty(len(sites))
+        for j, s in enumerate(sites):
+            u = np.searchsorted(ranks, rank[seconds[j]])
+            self.points[j, 0, u], self.points[j, 1, u] = firsts[j], seconds[j]
+            # summed in the kd-tree's order: a 6D distance only adds non-negative
+            # terms to this sum, so the bound holds after rounding too
+            d = halves[(halves != s).any(axis=1)] - s
+            sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+            self.clear[j] = np.sqrt(np.min(sq, initial=np.inf))
+        self.size = (self.points[:, 0] >= 0).sum(axis=1)
+        self.lack = ranks.size - self.size
+
+
 @dataclass(frozen=True)
 class RadioMap:
     """k-NN inverse-distance-weighted interpolator over 6D (tx, rx) samples."""
@@ -238,6 +304,7 @@ class RadioMap:
     _points: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _gains: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _tree: cKDTree = field(init=False, repr=False, compare=False, default=None)
+    _sites: _SiteIndex = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.samples:
@@ -263,16 +330,14 @@ class RadioMap:
         # sliding-midpoint tree: the tie order makes results independent of how
         # the tree is built, so it is chosen for speed (leaf size by measurement)
         object.__setattr__(self, "_tree", cKDTree(uniq, leafsize=16, balanced_tree=False))
+        if len(self.samples.sites):
+            object.__setattr__(self, "_sites", _SiteIndex(uniq, self.samples.sites))
 
     def _knn(self, q: np.ndarray, k: int):
         """(dist, idx) of each row's k nearest points, ordered by (distance, index)."""
         dist, idx = self._tree.query(q, k=k)
         dist, idx = dist.reshape(q.shape[0], k), idx.reshape(q.shape[0], k)
-        tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
-        if tied.size:  # rare; skipping it keeps small calls cheap
-            order = np.lexsort((idx[tied], dist[tied]))
-            dist[tied] = np.take_along_axis(dist[tied], order, axis=1)
-            idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
+        _by_distance_then_index(dist, idx)
         return dist, idx
 
     def _neighbours(self, q: np.ndarray):
@@ -294,10 +359,11 @@ class RadioMap:
             rows = rows[(d[:, -1] == d[:, k - 1]) & (wide < n)]
         return dist[:, :k], idx[:, :k]
 
-    def _idw(self, q: np.ndarray, out: np.ndarray) -> None:
-        """Writes each row's anchored IDW mean into out: one pass over all rows,
-        then the exact-hit rows take their nearest point's gain instead."""
-        dist, idx = self._neighbours(q)
+    def _idw(self, dist: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+        """Writes each row's anchored IDW mean over its neighbours (dist, idx)
+        into out: one pass over all rows, then the exact-hit rows take their
+        nearest point's gain instead. Both query paths hand it (m, k) views of
+        (m, k + 1) arrays, so every row meets the same numpy loops."""
         g = self._gains[idx]
         with np.errstate(divide="ignore", invalid="ignore"):  # exact hits give inf, nan
             w = dist ** -IDW_EXPONENT
@@ -316,8 +382,79 @@ class RadioMap:
         out = np.empty(tx.shape[0])
         for lo in range(0, tx.shape[0], _QUERY_BLOCK_ROWS):
             hi = lo + _QUERY_BLOCK_ROWS
-            self._idw(_canonical(tx[lo:hi], rx[lo:hi]), out[lo:hi])
+            self._idw(*self._neighbours(_canonical(tx[lo:hi], rx[lo:hi])), out[lo:hi])
         return out
+
+    def query_sites(self, pos: np.ndarray, sites: np.ndarray) -> np.ndarray:
+        """Mean gains from each of m positions to each of p fixed sites, as (m, p):
+        bit for bit query_many(np.repeat(pos, p, axis=0), np.tile(sites, (m, 1)))
+        reshaped, in one 3D search per position for the sites the map indexes
+        (see _query_sites)."""
+        return self._query_sites(pos, sites)[0]
+
+    def _query_sites(self, pos: np.ndarray, sites: np.ndarray):
+        """query_sites' means, and the (m, p) mask of rows that took query_many.
+
+        Positions go through in blocks of _QUERY_BLOCK_ROWS // p. Each makes
+        one search of _SiteIndex.tree for k + 1 neighbours plus the most
+        partners an asked site lacks, so a row meets at least k + 1 points of
+        its site's group, in 6D distance order. A row is certified when its
+        k-th and (k+1)-th group distances differ and the (k+1)-th is below the
+        site's clearance: then no point outside the group is as near, and its k
+        nearest are the 6D lookup's. Every other row takes query_many, as does
+        every row toward a site the map does not index, that has fewer than
+        k + 1 partners, or that lacks more than k + 1 points of U (it would
+        widen every search).
+        """
+        pos = np.asarray(pos, dtype=float).reshape(-1, 3)
+        sites = np.asarray(sites, dtype=float).reshape(-1, 3)
+        m, p = pos.shape[0], sites.shape[0]
+        out = np.empty((m, p))
+        slow = np.ones((m, p), dtype=bool)
+        index, k = self._sites, min(self.k_neighbors, self._points.shape[0])
+        cols = []
+        if index is not None and m:
+            rows = [index.row.get(tuple(s), -1) for s in sites]
+            cols = [c for c, j in enumerate(rows)
+                    if j >= 0 and index.size[j] > k and index.lack[j] <= k + 1]
+        if cols:
+            wide = k + 1 + max(index.lack[rows[c]] for c in cols)
+            step = max(1, _QUERY_BLOCK_ROWS // p)
+            for lo in range(0, m, step):
+                blk = pos[lo:lo + step]
+                dist, near = index.tree.query(blk, k=wide)  # (b, wide): wide >= 2
+                for c in cols:
+                    ok, means = self._certified(blk, sites[c], rows[c], dist, near, k)
+                    out[lo:lo + step, c][ok] = means
+                    slow[lo:lo + step, c][ok] = False
+        r, c = np.nonzero(slow)
+        if r.size:
+            out[r, c] = self.query_many(pos[r], sites[c])
+        return out, slow
+
+    def _certified(self, blk, site, j, dist, near, k):
+        """The rows of blk toward site (row j of the site index) that the 3D
+        search (dist, near) certifies, as a mask, and their means."""
+        index = self._sites
+        table = index.points[j].reshape(-1)
+        # a row's point has the site first exactly where _canonical swaps
+        off = np.where(np.sign(blk - site) @ _LEX > 0.0, 0, index.tree.n)[:, None]
+        idx, d = table[near[:, :k + 1] + off], dist[:, :k + 1]
+        # a row that meets a point of U outside the group in its first k + 1
+        # takes the first k + 1 it meets in the group instead
+        gap = np.flatnonzero((idx < 0).any(axis=1))
+        if gap.size:
+            cand = table[near[gap] + off[gap]]
+            pick = np.argsort(cand < 0, axis=1, kind="stable")[:, :k + 1]
+            idx[gap] = np.take_along_axis(cand, pick, axis=1)
+            d = d.copy()
+            d[gap] = np.take_along_axis(dist[gap], pick, axis=1)
+        ok = (idx[:, k] >= 0) & (d[:, k - 1] < d[:, k]) & (d[:, k] < index.clear[j])
+        d, idx = d[ok], idx[ok]
+        _by_distance_then_index(d[:, :k], idx[:, :k])
+        means = np.empty(d.shape[0])
+        self._idw(d[:, :k], idx[:, :k], means)
+        return ok, means
 
     def query(self, tx: Position3, rx: Position3) -> LargeScaleStats:
         """Expected large-scale stats between two points."""

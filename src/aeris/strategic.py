@@ -166,15 +166,12 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
         uniq, inverse = np.unique(graph.positions.reshape(n_slots * n, 3), axis=0,
                                   return_inverse=True)
         sens_pos = np.array([node.pos.as_array() for node in nodes])
-        tx = np.repeat(uniq, len(nodes), axis=0)
-        rx = np.tile(sens_pos, (len(uniq), 1))
-        g = radio_map.query_many(tx, rx)
+        gains = radio_map.query_sites(uniq, sens_pos)
         if shield_margin_db is not None and pathloss is not None:
-            d = np.linalg.norm(tx - rx, axis=1)
+            d = np.linalg.norm(uniq[:, None] - sens_pos, axis=2)
             los = -(pathloss.pl0_db + 10.0 * pathloss.n_los
                     * np.log10(np.maximum(d, pathloss.d0) / pathloss.d0))
-            g = np.maximum(g, los - shield_margin_db)
-        gains = g.reshape(len(uniq), len(nodes))
+            gains = np.maximum(gains, los - shield_margin_db)
         sens_lin = np.sum(db_to_lin(gains), axis=1)[inverse].reshape(n_slots, n)
         if per_node_cap_dbm is not None:
             allowed = (per_node_cap_dbm - gains.max(axis=1))[inverse].reshape(n_slots, n)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from aeris.channel_graph import SlotGrid, synthesize
-from aeris.radio_env import ChannelSample, build_map
+from aeris.radio_env import (ChannelSample, build_map, sample_along, sample_between,
+                             sample_ground_pairs)
 from aeris.scene import Position3, SceneNode
 from aeris.trajectory import Trajectory4D, Waypoint, positions_at
+from test_radio_env import EMPTY, NOSHADOW
 
 
 def P(x, y, z):
@@ -130,6 +132,36 @@ class TestSynthesize:
         assert got.node_ids == want.node_ids
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.positions.tobytes() == want.positions.tobytes()
+
+    def test_every_weight_is_its_rows_map_query(self):
+        # a map that indexes the ground nodes, so rows toward them take the 3D
+        # search; a 500 m cutoff drops some aircraft-ground slots and the far
+        # ground pair, and keeps the near one
+        trajs = [straight("a0", (0, 0, 80), (700, 100, 80)),
+                 straight("a1", (700, 0, 60), (0, 500, 110)),
+                 straight("a2", (100, 600, 90), (650, 50, 70))]
+        ground = [SceneNode("g0", P(350, 350, 0)), SceneNode("g1", P(0, 900, 0)),
+                  SceneNode("g2", P(300, 420, 0))]
+        peers = [g.pos for g in ground]
+        rmap = build_map(sample_along(trajs, EMPTY, NOSHADOW, 4, 1.0, peers)
+                         + sample_between(trajs, EMPTY, NOSHADOW, 4, 1.0)
+                         + sample_ground_pairs(EMPTY, NOSHADOW, 4, peers))
+        assert rmap._sites is not None
+        graph = synthesize(trajs, ground, rmap, GRID, 500.0)
+        pos = graph.positions
+        want = np.full(graph.weights.shape, np.nan)
+        for i in range(len(graph.node_ids)):
+            for j in range(len(graph.node_ids)):
+                d = np.linalg.norm(pos[:, i] - pos[:, j], axis=1)
+                ks = np.flatnonzero((d <= 500.0) & (d > 0.0))
+                if i != j and ks.size:
+                    want[ks, i, j] = rmap.query_many(pos[ks, i], pos[ks, j])
+        assert np.array_equal(graph.weights.view(np.int64), want.view(np.int64))
+        w = graph.weights
+        near, far = (graph.node_ids.index(e) for e in ("g2", "g1"))
+        assert np.isfinite(w[:, graph.node_ids.index("g0"), near]).all()
+        assert np.isnan(w[:, graph.node_ids.index("g0"), far]).all()
+        assert np.isnan(w[:, :3, 3:]).any() and np.isfinite(w[:, :3, 3:]).any()
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValueError):

@@ -52,11 +52,23 @@ class TestGenScenario:
         assert out.read_text() == gen_default_scenario(0).to_json()
 
     @pytest.mark.parametrize("flag, value", [("--dt", "-0.1"), ("--dt", "0"),
-                                             ("--horizon", "1e400"), ("--horizon", "inf")])
-    def test_out_of_range_value_exit_code(self, tmp_path, flag, value):
-        code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",
-                         flag, value])
-        assert code == 2
+                                             ("--horizon", "1e400"), ("--horizon", "inf"),
+                                             ("--dt", "1e-4"), ("--dt", "1e-300")])
+    def test_out_of_range_value_exit_code(self, tmp_path, flag, value, capsys):
+        # 1e-4 s slots would need 1.9 GB of graph weights, and 1e-300 s a
+        # 303-digit slot count; both are rejected before anything is built
+        out = tmp_path / "x.json"
+        code = cli.main(["gen-scenario", "--out", str(out), "--seed", "1", flag, value])
+        assert code == 2 and not out.exists()
+        if value in ("1e-4", "1e-300"):
+            assert "grid" in capsys.readouterr().err
+
+    def test_long_horizon_within_the_grid_cap(self, tmp_path):
+        # 6 000 slots x 14^2 graph nodes: well under the cap
+        out = tmp_path / "x.json"
+        assert cli.main(["gen-scenario", "--out", str(out), "--seed", "1",
+                         "--horizon", "600"]) == 0
+        assert ScenarioConfig.from_json(out.read_text()).grid.n_slots == 6000
 
     def test_negative_building_count_exit_code(self, tmp_path):
         code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",

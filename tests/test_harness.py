@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeris import echelon, harness, strategic, tactical
-from aeris.channel_graph import synthesize
+from aeris.channel_graph import SlotGrid, synthesize
 from aeris.echelon import WorldState
 from aeris.errors import ConfigInvalid, InfeasibleSchedule, NoFeasiblePath, UnknownNode
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
@@ -153,6 +153,17 @@ class TestConfigValidation:
         doc["grid"]["n_slots"] = 10 ** 400  # the horizon check overflows a float
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json(json.dumps(doc))
+
+    def test_grid_over_the_graph_cell_cap_rejected(self, mini_config):
+        # 1.2 M slots of 1e-4 s and 10 graph nodes: 120 M cells
+        nodes = len(mini_config.trajectories) + 2
+        over = SlotGrid(0.0, 1e-4, 1_200_000)
+        assert over.n_slots * nodes ** 2 > harness._MAX_GRAPH_CELLS
+        with pytest.raises(ConfigInvalid) as e:
+            replace(mini_config, grid=over)
+        assert e.value.field == "grid"
+        fits = harness._MAX_GRAPH_CELLS // nodes ** 2
+        assert replace(mini_config, grid=SlotGrid(0.0, 0.1, fits)).grid.n_slots == fits
 
     def test_unknown_nested_key_rejected(self, mini_config):
         doc = json.loads(mini_config.to_json())
@@ -663,7 +674,12 @@ class TestCascadeLookups:
         n_sens = len(cfg.scene.sensitive_nodes)
         log, requests = [], []
         _spy(monkeypatch, tactical, "local_mean_series", lambda *a: log.append(("series",)))
-        _spy(monkeypatch, RadioMap, "query_many", lambda *a: log.append(("map",)))
+        # a query_sites call logs once; the rows it hands query_many are its own
+        in_sites = []
+        _spy(monkeypatch, RadioMap, "query_sites",
+             lambda *a: (in_sites.append(True), log.append(("sites",))),
+             lambda out: in_sites.pop())
+        _spy(monkeypatch, RadioMap, "query_many", lambda *a: in_sites or log.append(("map",)))
         _spy(monkeypatch, GroundTruthChannel, "gain_db_many",
              lambda self, a, b: log.append(("truth", len(a))))
         _spy(monkeypatch, harness.World, "row", lambda *a: log.append(("compute",)))
@@ -750,8 +766,10 @@ class TestCascadeLookups:
             assert sum(c[:2] == ("request", "hop_forecast") for c in calls) == 1
             assert calls.count(("slice",)) == (kind != "kept")
         assert min(outcomes.values()) > 0, outcomes
-        # the detour slice is one map lookup
-        assert all(calls.count(("map",)) == 1 for calls in between("slice", "sliced"))
+        # the detour slice is one map lookup of its links and one query_sites
+        # call of its sensitive-site rows
+        assert all(calls.count(("map",)) == calls.count(("sites",)) == 1
+                   for calls in between("slice", "sliced"))
         # a transmission asks for one row, its sender's sensitive-site row; its
         # link gain is the one the cap-power scan measured last
         sends = between("transmit", "sent")

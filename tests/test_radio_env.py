@@ -271,6 +271,23 @@ class TestSampleSet:
         assert both.rows.tobytes() == np.vstack([a.rows, b.rows]).tobytes()
         assert sample_bits(both[len(a)]) == sample_bits(b[0])
 
+    def test_sites_recorded_and_united(self):
+        # sample_along records its peers, sample_ground_pairs its points, and
+        # + unites them; air-to-air samples have no site
+        cfg, peers = mini_world_inputs()
+        trajs, scene, params = list(cfg.trajectories), cfg.scene, cfg.pathloss
+        along = sample_along(trajs, scene, params, 3, 2.0, peers[:3])
+        pairs = sample_ground_pairs(scene, params, 3, peers[2:])
+        between = sample_between(trajs, scene, params, 3, 2.0)
+
+        def sites(points):
+            return np.unique([p.as_array() for p in points], axis=0)
+
+        assert np.array_equal(along.sites, sites(peers[:3]))
+        assert np.array_equal(pairs.sites, sites(peers[2:]))
+        assert between.sites.shape == (0, 3)
+        assert np.array_equal((along + between + pairs).sites, sites(peers))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gain_rejected(self, bad):
         rows = np.zeros((3, 7))
@@ -598,3 +615,150 @@ class TestQueryBlocks:
             tracemalloc.stop()
         assert out.shape == (100_000,) and np.isfinite(out).all()
         assert peak < 12e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def site_rows(m, pos, sites):
+    """The 6D oracle of query_sites: query_many on every (position, site) row."""
+    p = len(sites)
+    return m.query_many(np.repeat(pos, p, axis=0), np.tile(sites, (len(pos), 1))).reshape(-1, p)
+
+
+def check_sites(m, pos, sites):
+    """query_sites against its oracle, bit for bit; the mask of rows that took
+    the 6D lookup."""
+    got, slow = m._query_sites(pos, sites)
+    assert got.shape == slow.shape == (len(pos), len(sites))
+    assert np.array_equal(got.view(np.int64), site_rows(m, pos, sites).view(np.int64))
+    assert np.array_equal(m.query_sites(pos, sites).view(np.int64), got.view(np.int64))
+    return slow
+
+
+def uniform_points(rng, grid=False):
+    """n -> (n, 3) random points in a 100 m cube, or on a small-integer lattice
+    whose distances tie exactly."""
+    if grid:
+        return lambda n: rng.integers(0, 6, (n, 3)).astype(float)
+    return lambda n: rng.uniform(0, 100, (n, 3))
+
+
+def site_map(rng, sites, partners, k, extra=0, grid=False):
+    """A map of one sample between each site and each partner it is given,
+    in a random orientation, plus `extra` samples between random points."""
+    rows = []
+    for s, own in zip(sites, partners):
+        for q in own:
+            rows.append([*s, *q] if rng.random() < 0.5 else [*q, *s])
+    draw = uniform_points(rng, grid)
+    rows += [np.concatenate([a, b]) for a, b in zip(draw(extra), draw(extra))]
+    rows = np.array(rows).reshape(-1, 6)
+    samples = SampleSet(np.column_stack([rows, rng.uniform(-120, -60, len(rows))]), sites)
+    return build_map(samples, k_neighbors=k)
+
+
+@pytest.fixture(scope="module")
+def documented_world():
+    from aeris.harness import build_world
+    return build_world(gen_default_scenario(0), 0)
+
+
+class TestQuerySites:
+    """query_sites answers rows with a fixed site at one end from a 3D search;
+    query_many, the 6D lookup, is its oracle and must agree bit for bit."""
+
+    def test_planner_rows_of_the_documented_scenario(self, documented_world):
+        w = documented_world
+        uniq = np.unique(w.graph.positions.reshape(-1, 3), axis=0)
+        assert uniq.shape == (14402, 3) and w.sens_pos.shape == (5, 3)
+        check_sites(w.radio_map, uniq, w.sens_pos)
+
+    def test_few_site_rows_of_a_build_fall_back(self, documented_world):
+        # a change that quietly turned the 3D path off would pass the oracle
+        # tests and only slow the build down; the planner's and the graph's
+        # site rows each fall back less than 1% of the time per site
+        w = documented_world
+        planner = np.unique(w.graph.positions.reshape(-1, 3), axis=0)
+        ground = np.array([w.ground_positions[e].as_array() for e in w.graph.node_ids
+                           if e not in w.realized])
+        aircraft = np.array([w.graph.positions[:, i] for i, e in enumerate(w.graph.node_ids)
+                             if e in w.realized]).reshape(-1, 3)
+        assert ground.shape == (2, 3) and aircraft.shape == (12 * 1200, 3)
+        for pos, sites in ((planner, w.sens_pos), (aircraft, ground)):
+            slow = w.radio_map._query_sites(pos, sites)[1]
+            assert slow.mean(axis=0).max() < 0.01, slow.sum(axis=0)
+
+    def test_merged_duplicate_samples(self):
+        # two shadow seeds sample the same positions: every point merges a pair
+        cfg, peers = mini_world_inputs()
+        trajs, scene, params = list(cfg.trajectories), cfg.scene, cfg.pathloss
+        samples = (sample_along(trajs, scene, params, 1, 1.0, peers)
+                   + sample_along(trajs, scene, params, 2, 1.0, peers)
+                   + sample_ground_pairs(scene, params, 1, peers)
+                   + sample_between(trajs, scene, params, 1, 1.0))
+        m = build_map(samples)
+        assert len(m._points) < 2 * len(samples)
+        sites = np.array([p.as_array() for p in peers])
+        # planned positions between the sampling instants, and sample positions
+        pos = np.vstack([positions_at(t, cfg.grid.times()[::3]) for t in trajs]
+                        + [samples.rows[::7, :3]])
+        slow = check_sites(m, pos, sites)
+        assert slow.mean() < 0.5
+
+    def test_tie_at_the_kth_neighbour(self):
+        # partners every 10 m on a line: an interior midpoint's 3rd and 4th
+        # nearest are both 15 m away, a tie at the k-th neighbour for k = 3
+        site = np.array([[50.0, 30.0, 0.0]])
+        track = np.array([[x, 0.0, 50.0] for x in range(0, 201, 10)])
+        m = site_map(np.random.default_rng(0), site, [track], k=3)
+        mid = 0.5 * (track[:-1] + track[1:])
+        slow = check_sites(m, np.vstack([mid, track + [3.0, 0.0, 0.0]]), site)
+        assert slow[1:len(mid) - 1].all() and not slow[len(mid):].all()
+
+    def test_position_at_a_site(self):
+        rng = np.random.default_rng(1)
+        sites = rng.uniform(0, 100, (3, 3))
+        m = site_map(rng, sites, [rng.uniform(0, 100, (40, 3))] * 3, k=4)
+        slow = check_sites(m, np.vstack([sites, rng.uniform(0, 100, (50, 3))]), sites)
+        assert slow[:3].all() and not slow[3:].all()
+
+    def test_site_no_sample_pairs(self):
+        rng = np.random.default_rng(2)
+        sites = rng.uniform(0, 100, (2, 3))
+        m = site_map(rng, sites, [rng.uniform(0, 100, (40, 3))] * 2, k=4, extra=20)
+        stranger = np.vstack([sites, [[17.0, 23.0, 5.0]]])
+        slow = check_sites(m, rng.uniform(0, 100, (60, 3)), stranger)
+        assert slow[:, 2].all() and not slow[:, :2].all()
+        # a map that records no site answers every row through query_many
+        bare = build_map(list(m.samples), k_neighbors=4)
+        assert check_sites(bare, rng.uniform(0, 100, (20, 3)), sites).all()
+
+    def test_certificate_fails_near_a_second_site(self):
+        # a second site 1 m from the first, with partners hundreds of metres off:
+        # a point of the other site's group can be nearer than the k-th partner
+        rng = np.random.default_rng(3)
+        sites = np.array([[500.0, 500.0, 0.0], [501.0, 500.0, 0.0]])
+        far = rng.uniform([0, 0, 50], [1000, 1000, 150], (60, 3))
+        m = site_map(rng, sites, [far, far[::2]], k=5)
+        assert m._sites.clear.max() <= 1.0
+        slow = check_sites(m, rng.uniform([0, 0, 50], [1000, 1000, 150], (40, 3)), sites)
+        assert slow.all()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(0, 30), st.integers(1, 10), st.integers(0, 40),
+           st.booleans(), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    @example(2, 12, 3, 0, True, 64, 0)  # small-integer lattice: exact ties
+    @example(1, 3, 8, 0, False, 64, 1)  # fewer partners than k + 1
+    def test_matches_6d_lookup(self, n_sites, n_partners, k, extra, grid, block, seed):
+        # each site keeps a random share of the shared partners and may own
+        # more; positions include sites, partners and random points, in blocks
+        rng = np.random.default_rng(seed)
+        draw = uniform_points(rng, grid)
+        sites = np.unique(draw(n_sites), axis=0)
+        shared = draw(n_partners)
+        partners = [np.vstack([shared[rng.random(n_partners) < 0.9], draw(int(rng.integers(0, 3)))])
+                    for _ in sites]
+        if not sum(len(p) for p in partners) + extra:
+            partners[0] = draw(1)
+        m = site_map(rng, sites, partners, k, extra=extra, grid=grid)
+        pos = np.vstack([draw(30), sites, shared[:5]])
+        with mock.patch.object(radio_env, "_QUERY_BLOCK_ROWS", block):
+            check_sites(m, pos, np.vstack([sites, draw(1)]))

@@ -65,9 +65,9 @@ def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
                range_cutoff: float = RANGE_CUTOFF_M) -> ChannelGraph:
     """Build the graph: weights[t, i, j] = map mean gain at the planned slot-t
     positions for every pair within range_cutoff; ground nodes are static.
-    Aircraft and ground nodes share one index, in id order. Aircraft pairs take
-    query_many; an aircraft's rows toward every ground node take one
-    query_sites call, and a pair of ground nodes one row for all slots."""
+    Aircraft and ground nodes share one index, in id order. Aircraft pairs and
+    ground pairs take query_many; an aircraft's rows toward every ground node
+    take one query_sites call."""
     times = grid.times()
     nodes = [(t.aircraft_id, positions_at(t, times)) for t in trajs]
     nodes += [(g.id, g.pos.as_array()) for g in ground_nodes]
@@ -86,22 +86,15 @@ def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
     iu, ju = np.triu_indices(n, k=1)
     d = np.linalg.norm(pos[:, iu, :] - pos[:, ju, :], axis=2)
     near = (d <= range_cutoff) & (d > 0.0)
-    # aircraft pairs: rows pair-major, slots ascending within a pair; the map's
-    # lookups run faster in this order than slot-major
-    moving = np.flatnonzero(~ground[iu] & ~ground[ju])
-    pair, ks = np.nonzero(near[:, moving].T)
+    # aircraft pairs and ground pairs: rows pair-major, slots ascending within
+    # a pair; the map's lookups run faster in this order than slot-major
+    same = np.flatnonzero(ground[iu] == ground[ju])
+    pair, ks = np.nonzero(near[:, same].T)
     if ks.size:
-        ii, jj = iu[moving[pair]], ju[moving[pair]]
+        ii, jj = iu[same[pair]], ju[same[pair]]
         means = radio_map.query_many(pos[ks, ii], pos[ks, jj])
         weights[ks, ii, jj] = means
         weights[ks, jj, ii] = means
-    # ground pairs: both ends static, so one row serves every slot
-    static = np.flatnonzero(ground[iu] & ground[ju])
-    if static.size:
-        ii, jj = iu[static], ju[static]
-        means = np.where(near[:, static], radio_map.query_many(pos[0, ii], pos[0, jj]), np.nan)
-        weights[:, ii, jj] = means
-        weights[:, jj, ii] = means
     # aircraft to ground: aircraft-major, slots ascending, every ground node a site
     if air.size and sites.size:
         pair_of = np.zeros((n, n), dtype=np.intp)

@@ -51,9 +51,9 @@ _FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M, "plan_shield_margin_db": _SHIEL
                "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT}
 # keys older documents carry that no run ever read: they load at any value
 _REMOVED_KEYS = {"central_horizon_s", "individual_horizon_s", "map_residual_std_db"}
-# the most slot x node x node cells a scenario's graph may have: the graph's
-# weights and each planner table hold one float per cell, 16 MB each at the cap
-_MAX_GRAPH_CELLS = 1 << 21
+# the most slot x node x node cells a scenario's graph may have: a world build
+# peaks near 85 bytes per cell over a 70 MB base, so about 1.4 GB at the cap
+_MAX_GRAPH_CELLS = 1 << 24
 # the fields build_world never reads: a run's config may differ from its world's
 _RUN_FIELDS = ("load_per_min", "frac_short_deadline", "deadline_short_s", "deadline_long_s",
                "local_horizon_s", "region_radius_m", "blockage_threshold_db")

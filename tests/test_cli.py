@@ -55,7 +55,7 @@ class TestGenScenario:
                                              ("--horizon", "1e400"), ("--horizon", "inf"),
                                              ("--dt", "1e-4"), ("--dt", "1e-300")])
     def test_out_of_range_value_exit_code(self, tmp_path, flag, value, capsys):
-        # 1e-4 s slots would need 1.9 GB of graph weights, and 1e-300 s a
+        # 1e-4 s slots would need about 20 GB to build, and 1e-300 s a
         # 303-digit slot count; both are rejected before anything is built
         out = tmp_path / "x.json"
         code = cli.main(["gen-scenario", "--out", str(out), "--seed", "1", flag, value])
@@ -63,12 +63,17 @@ class TestGenScenario:
         if value in ("1e-4", "1e-300"):
             assert "grid" in capsys.readouterr().err
 
-    def test_long_horizon_within_the_grid_cap(self, tmp_path):
-        # 6 000 slots x 14^2 graph nodes: well under the cap
+    @pytest.mark.parametrize("flag, value, slots, nodes", [
+        ("--horizon", "600", 6000, 14), ("--horizon", "1200", 12000, 14),
+        ("--dt", "0.01", 12000, 14), ("--aircraft", "40", 1200, 42)])
+    def test_large_grid_within_the_cap(self, tmp_path, flag, value, slots, nodes):
+        # 1.2 M to 2.4 M graph cells: larger than the documented scenario's
+        # 235 200, and builds of them stay under 300 MB
         out = tmp_path / "x.json"
-        assert cli.main(["gen-scenario", "--out", str(out), "--seed", "1",
-                         "--horizon", "600"]) == 0
-        assert ScenarioConfig.from_json(out.read_text()).grid.n_slots == 6000
+        assert cli.main(["gen-scenario", "--out", str(out), "--seed", "1", flag, value]) == 0
+        cfg = ScenarioConfig.from_json(out.read_text())
+        assert cfg.grid.n_slots == slots
+        assert len(cfg.trajectories) + 2 == nodes
 
     def test_negative_building_count_exit_code(self, tmp_path):
         code = cli.main(["gen-scenario", "--out", str(tmp_path / "x.json"), "--seed", "1",

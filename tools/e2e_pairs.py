@@ -10,12 +10,14 @@ alternates from pair to pair (the parent first in even pairs, counting from 0).
 It measures:
 
 * the acceptance sweep: `harness.sweep(gen_default_scenario(0), loads
-  1/2/4/8/16, all three methods, 20 seeds)` at AERIS_THREADS=1 and at 2, wall
-  time in the child, with the rows hashed (floats as hex) so sides and thread
-  counts can be compared;
-* Tier-1: ROADMAP's pytest command, wall time of the child and its summary;
-* perfbench: `perfbench/run.py --trace 0` per workload, pair and side, with
-  seeds 601, 602, ..., and one `--trace 1` run per workload and side.
+  1/2/4/8/16, all three methods, 20 seeds)` at AERIS_THREADS=1 and at 2, 3
+  pairs each, wall time in the child, with the rows hashed (floats as hex) so
+  sides and thread counts can be compared;
+* Tier-1: ROADMAP's pytest command, 2 pairs, wall time of the child and its
+  summary;
+* perfbench: 10 pairs of `perfbench/run.py --seconds 60 --trace 0` per
+  workload, with seeds 601, 602, ..., and one `--trace 1` run per workload and
+  side, with seed 700.
 
 Before each sweep and Tier-1 timing the host factor is measured as perfbench
 measures it: the median of five runs of its reference kernel over its nominal
@@ -42,6 +44,11 @@ ROOT = Path.cwd()
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import REFERENCE_NOMINAL_S, WORKLOADS, reference_kernel  # noqa: E402
 
+# perfbench's run length and the pairs taken of each measurement
+SECONDS = 60.0
+PERFBENCH_PAIRS = 10
+SWEEP_PAIRS = 3
+TIER1_PAIRS = 2
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 SWEEP = """
@@ -84,9 +91,9 @@ def tier1(root: Path) -> dict:
             "returncode": proc.returncode, "host_factor": host}
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
     proc = child(root, [sys.executable, "perfbench/run.py", "--workload", workload,
-                        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)])
+                        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)])
     if proc.returncode:
         raise RuntimeError(proc.stderr[-2000:])
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -132,10 +139,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--perfbench-pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=60.0)
-    ap.add_argument("--sweep-pairs", type=int, default=3)
-    ap.add_argument("--tier1-pairs", type=int, default=2)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -146,9 +149,9 @@ def main(argv=None) -> int:
 
     for wl in WORKLOADS:
         print(f"perfbench {wl}", file=sys.stderr)
-        untraced = pairs(args.perfbench_pairs, sides, lambda root, i, wl=wl: perfbench(
-            root, wl, 601 + i, args.seconds, 0))
-        traced = pairs(1, sides, lambda root, i, wl=wl: perfbench(root, wl, 700, args.seconds, 1))
+        untraced = pairs(PERFBENCH_PAIRS, sides, lambda root, i, wl=wl: perfbench(
+            root, wl, 601 + i, 0))
+        traced = pairs(1, sides, lambda root, i, wl=wl: perfbench(root, wl, 700, 1))
         record["perfbench"][wl] = {"untraced": untraced, "traced": traced}
         record["summary"][wl] = {
             m["name"]: summary(untraced, lambda r, n=m["name"]: r["metrics"][n], m["better"])
@@ -160,7 +163,7 @@ def main(argv=None) -> int:
 
     for threads in (1, 2):
         print(f"acceptance sweep, AERIS_THREADS={threads}", file=sys.stderr)
-        runs = pairs(args.sweep_pairs, sides, lambda root, i, t=threads: sweep(root, t))
+        runs = pairs(SWEEP_PAIRS, sides, lambda root, i, t=threads: sweep(root, t))
         record[f"acceptance_sweep_threads{threads}"] = runs
         record["summary"][f"acceptance_sweep_threads{threads}"] = {
             "wall_s": summary(runs, lambda r: r["wall_s"], "lower"),
@@ -168,7 +171,7 @@ def main(argv=None) -> int:
             "rows_sha256": sorted({p[s]["rows_sha256"] for p in runs for s in sides})}
 
     print("tier-1", file=sys.stderr)
-    runs = pairs(args.tier1_pairs, sides, lambda root, i: tier1(root))
+    runs = pairs(TIER1_PAIRS, sides, lambda root, i: tier1(root))
     record["tier1"] = runs
     record["summary"]["tier1"] = {
         "wall_s": summary(runs, lambda r: r["wall_s"], "lower"),

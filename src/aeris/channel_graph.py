@@ -20,9 +20,8 @@ RANGE_CUTOFF_M = 1500.0  # synthesize's default link range
 
 @dataclass(frozen=True)
 class SlotGrid:
-    """Uniform time discretization: slot k covers [t0 + k*dt, t0 + (k+1)*dt)."""
+    """Uniform time discretization from t = 0: slot k covers [k*dt, (k+1)*dt)."""
 
-    t0: float = 0.0
     dt: float = 0.1
     n_slots: int = 1200
 
@@ -33,13 +32,13 @@ class SlotGrid:
             raise ValueError("n_slots must be >= 1")
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_slots)
+        return self.dt * np.arange(self.n_slots)
 
     def t_of(self, slot: int) -> float:
-        return self.t0 + self.dt * slot
+        return self.dt * slot
 
     def slot_of(self, t: float) -> int:
-        k = int(np.floor((t - self.t0) / self.dt + 1e-9))
+        k = int(np.floor(t / self.dt + 1e-9))
         return min(max(k, 0), self.n_slots - 1)
 
     def slots_in(self, span_s: float) -> int:

@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -41,60 +41,62 @@ from .units import db_to_lin, lin_to_db
 
 METHODS = ("predictive", "baseline_aggregate", "baseline_spacetime")
 
-# the most shielding, below line of sight, the planner credits a spot with
-# toward a sensitive site (strategic.prepare_planner's shield_margin_db)
-_SHIELD_MARGIN_DB = 6.0
+# the documented scenario's fixed values: aircraft deviation, the truth's path
+# loss, the link budget (p_max is set near what the direct ground hop between
+# the pads needs, so the corridor is mostly a relaying problem; in some worlds
+# the hop still closes: seed 0, run seed 0 needs 26.84 dBm), the received-power
+# cap at each sensitive site and the two deadline classes. The local tier
+# forecasts over the long deadline, the most a hop window can span.
+DEVIATION = DeviationParams()
+PATHLOSS = PathLossParams()
+BUDGET = LinkBudget(p_max_dbm=27.0)
+SENSITIVE_CAP_DBM = -60.0
+DEADLINE_SHORT_S = 2.0
+DEADLINE_LONG_S = 20.0
 
 # keys older documents carry, with the values now fixed: a document loads only
-# with each at its fixed value, so none silently changes meaning
-_FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M, "plan_shield_margin_db": _SHIELD_MARGIN_DB,
-               "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT}
+# with each at its fixed value, so none silently changes meaning. Every such
+# document held a 30 s local horizon, and "grid.t0" is the grid's start time.
+_FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M,
+               "plan_shield_margin_db": strategic.SHIELD_MARGIN_DB,
+               "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT,
+               "deviation": asdict(DEVIATION), "pathloss": asdict(PATHLOSS),
+               "budget": asdict(BUDGET), "sensitive_cap_dbm": SENSITIVE_CAP_DBM,
+               "local_horizon_s": 30.0, "deadline_short_s": DEADLINE_SHORT_S,
+               "deadline_long_s": DEADLINE_LONG_S, "grid.t0": 0.0}
 # keys older documents carry that no run ever read: they load at any value
 _REMOVED_KEYS = {"central_horizon_s", "individual_horizon_s", "map_residual_std_db"}
 # the most slot x node x node cells a scenario's graph may have: a world build
 # peaks near 85 bytes per cell over a 70 MB base, so about 1.4 GB at the cap
 _MAX_GRAPH_CELLS = 1 << 24
 # the fields build_world never reads: a run's config may differ from its world's
-_RUN_FIELDS = ("load_per_min", "frac_short_deadline", "deadline_short_s", "deadline_long_s",
-               "local_horizon_s", "region_radius_m", "blockage_threshold_db")
+_RUN_FIELDS = ("load_per_min", "frac_short_deadline", "region_radius_m", "blockage_threshold_db")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a run needs; serializes to a single JSON document. The
-    defaults are the documented scenario's, and a config checks itself when
-    it is built, so replace() and from_json check too."""
+    """Everything a run needs that a caller may set; serializes to a single
+    JSON document. The defaults are the documented scenario's, and a config
+    checks itself when it is built, so replace() and from_json check too."""
 
     scene: Scene
     trajectories: tuple
-    deviation: DeviationParams = DeviationParams()
     grid: SlotGrid = SlotGrid()
-    pathloss: PathLossParams = PathLossParams()
-    # p_max is set near what the direct ground hop between the pads needs, so
-    # the corridor is mostly a relaying problem; in some worlds the hop still
-    # closes (seed 0, run seed 0: 26.84 dBm)
-    budget: LinkBudget = LinkBudget(p_max_dbm=27.0)
-    sensitive_cap_dbm: float = -60.0
     sampling_period_s: float = 1.0
-    local_horizon_s: float = 30.0
     region_radius_m: float = 400.0
     blockage_threshold_db: float = -97.0
     load_per_min: float = 4.0
     frac_short_deadline: float = 0.15
-    deadline_short_s: float = 2.0
-    deadline_long_s: float = 20.0
     seed: int = 0
 
     def __post_init__(self):
         # NaN fails every comparison, so the range checks below would pass it;
         # ints are exact, and a huge one (a seed, say) is no float to test
-        for f in fields(self)[2:]:
-            value = getattr(self, f.name)
-            named = ([(f"{f.name}.{g.name}", getattr(value, g.name)) for g in fields(value)]
-                     if is_dataclass(value) else [(f.name, value)])
-            for name, v in named:
-                if not isinstance(v, int) and not math.isfinite(v):
-                    raise ConfigInvalid(name, f"must be finite, not {v!r}")
+        named = [(f"grid.{g.name}", getattr(self.grid, g.name)) for g in fields(self.grid)]
+        named += [(f.name, getattr(self, f.name)) for f in fields(self)[3:]]
+        for name, v in named:
+            if not isinstance(v, int) and not math.isfinite(v):
+                raise ConfigInvalid(name, f"must be finite, not {v!r}")
         nodes = (len(self.trajectories) + len(self.scene.ground_sources)
                  + len(self.scene.ground_destinations))
         if self.grid.n_slots * nodes ** 2 > _MAX_GRAPH_CELLS:
@@ -103,14 +105,10 @@ class ScenarioConfig:
         if not 0.0 <= self.frac_short_deadline <= 1.0:
             raise ConfigInvalid("frac_short_deadline", "class fractions must sum to 1 in [0,1]")
         _check_load("load_per_min", self.load_per_min)
-        if self.deadline_short_s < self.grid.dt or self.deadline_long_s < self.deadline_short_s:
-            raise ConfigInvalid("deadline_short_s", "deadlines must be >= dt and ordered")
-        if self.deadline_long_s >= self.grid.dt * self.grid.n_slots:
-            raise ConfigInvalid("deadline_long_s", "deadline exceeds the horizon")
-        if self.local_horizon_s < self.deadline_long_s:
-            # a hop window can span a whole deadline, and the local tier
-            # forecasts over it
-            raise ConfigInvalid("local_horizon_s", "local horizon shorter than the long deadline")
+        if DEADLINE_SHORT_S < self.grid.dt:
+            raise ConfigInvalid("grid", f"slots longer than the {DEADLINE_SHORT_S} s deadline")
+        if DEADLINE_LONG_S >= self.grid.dt * self.grid.n_slots:
+            raise ConfigInvalid("grid", f"horizon within the {DEADLINE_LONG_S} s deadline")
         if self.sampling_period_s <= 0:
             raise ConfigInvalid("sampling_period_s", "sampling period must be positive")
         if not self.trajectories:
@@ -119,10 +117,9 @@ class ScenarioConfig:
             raise ConfigInvalid("scene", "need at least one source and one destination")
 
     def to_json_dict(self) -> dict:
-        # past scene and trajectories, every field is a JSON value or a flat
-        # parameter dataclass
-        d = {f.name: getattr(self, f.name) for f in fields(self)[2:]}
-        d = {k: asdict(v) if is_dataclass(v) else v for k, v in d.items()}
+        # past scene, trajectories and grid, every field is a JSON value
+        d = {f.name: getattr(self, f.name) for f in fields(self)[3:]}
+        d["grid"] = asdict(self.grid)
         d["scene"] = self.scene.to_json_dict()
         d["trajectories"] = [
             {
@@ -148,10 +145,13 @@ class ScenarioConfig:
                 )
                 for td in d["trajectories"]
             )
-            # older documents carry pathloss.noise_dbm, which nothing read (the
-            # SNR reads budget.noise_dbm); any other unknown nested key is an error
-            d = {**d, "pathloss": {k: v for k, v in dict(d["pathloss"]).items()
-                                   if k != "noise_dbm"}}
+            grid = dict(d["grid"])
+            d = {**d, "grid.t0": grid.pop("t0", 0.0)}
+            if "pathloss" in d:
+                # older documents carry pathloss.noise_dbm, which nothing read
+                # (the SNR reads budget.noise_dbm)
+                d["pathloss"] = {k: v for k, v in dict(d["pathloss"]).items()
+                                 if k != "noise_dbm"}
             for key, fixed in _FIXED_KEYS.items():
                 if key in d and d[key] != fixed:
                     raise ConfigInvalid(key, f"is fixed at {fixed!r}, not {d[key]!r}")
@@ -159,9 +159,9 @@ class ScenarioConfig:
                              - _FIXED_KEYS.keys() - _REMOVED_KEYS)
             if unknown:
                 raise ConfigInvalid(unknown[0], "is not a scenario field")
-            kw = {f.name: type(f.default)(**d[f.name]) if is_dataclass(f.default)
-                  else d[f.name] for f in fields(ScenarioConfig)[2:]}
-            return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, **kw)
+            kw = {f.name: d[f.name] for f in fields(ScenarioConfig)[3:]}
+            return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, SlotGrid(**grid),
+                                  **kw)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ConfigInvalid("config", f"malformed scenario document: {e}") from None
 
@@ -352,7 +352,7 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
         if not 0.0 < value < math.inf:
             raise ConfigInvalid(name, f"must be finite and positive, not {value!r}")
     try:
-        grid = SlotGrid(0.0, dt, int(round(horizon_s / dt)))
+        grid = SlotGrid(dt, int(round(horizon_s / dt)))
         city = gen_city(n_buildings, seed)
     except ValueError as e:
         raise ConfigInvalid("scenario", str(e)) from None
@@ -428,28 +428,26 @@ def _stream(config: ScenarioConfig, run_seed: int, *tags) -> np.random.SeedSeque
 def build_world(config: ScenarioConfig, run_seed: int) -> World:
     """Deterministic per-seed world: shadow field, realized paths, map, graph."""
     shadow_ss = _stream(config, run_seed, 1)
-    truth = GroundTruthChannel(config.scene, config.pathloss, shadow_ss)
+    truth = GroundTruthChannel(config.scene, PATHLOSS, shadow_ss)
     realized = {}
     for a, traj in enumerate(config.trajectories):
         realized[traj.aircraft_id] = trajectory.realize(
-            traj, config.deviation, config.grid, _stream(config, run_seed, 2, a)
+            traj, DEVIATION, config.grid, _stream(config, run_seed, 2, a)
         )
     comm_ground = tuple(config.scene.ground_sources) + tuple(config.scene.ground_destinations)
     peers = [n.pos for n in comm_ground + tuple(config.scene.sensitive_nodes)]
-    samples = sample_along(config.trajectories, config.scene, config.pathloss, shadow_ss,
+    samples = sample_along(config.trajectories, config.scene, PATHLOSS, shadow_ss,
                            config.sampling_period_s, peers)
-    samples += sample_between(config.trajectories, config.scene, config.pathloss, shadow_ss,
+    samples += sample_between(config.trajectories, config.scene, PATHLOSS, shadow_ss,
                               config.sampling_period_s)
-    samples += sample_ground_pairs(config.scene, config.pathloss, shadow_ss, peers)
+    samples += sample_ground_pairs(config.scene, PATHLOSS, shadow_ss, peers)
     radio_map = build_map(samples)
     graph = synthesize(config.trajectories, comm_ground, radio_map, config.grid)
-    tables = prepare_planner(graph, radio_map, config.scene.sensitive_nodes, config.budget,
-                             per_node_cap_dbm=config.sensitive_cap_dbm,
-                             shield_margin_db=_SHIELD_MARGIN_DB,
-                             pathloss=config.pathloss)
+    tables = prepare_planner(graph, radio_map, config.scene.sensitive_nodes, BUDGET,
+                             per_node_cap_dbm=SENSITIVE_CAP_DBM, pathloss=PATHLOSS)
     sens = [n.pos.as_array() for n in config.scene.sensitive_nodes]
     world = World(
-        now_s=config.grid.t0, truth=truth, deviation=config.deviation, grid=config.grid,
+        now_s=0.0, truth=truth, deviation=DEVIATION, grid=config.grid,
         trajectories={t.aircraft_id: t for t in config.trajectories}, realized=realized,
         ground_positions={n.id: n.pos for n in config.scene.all_nodes()},
         config=config, radio_map=radio_map, graph=graph, tables=tables,
@@ -477,7 +475,7 @@ def draw_flows(config: ScenarioConfig, run_seed: int, load_per_min: float = None
         return []
     rng = np.random.default_rng(_stream(config, run_seed, 3, int(round(load * 1000))))
     grid = config.grid
-    window_end = grid.dt * grid.n_slots - config.deadline_long_s - grid.dt
+    window_end = grid.dt * grid.n_slots - DEADLINE_LONG_S - grid.dt
     sources = [n.id for n in config.scene.ground_sources]
     dests = [n.id for n in config.scene.ground_destinations]
     flows, t = [], 0.0
@@ -488,7 +486,7 @@ def draw_flows(config: ScenarioConfig, run_seed: int, load_per_min: float = None
         src = sources[rng.integers(len(sources))]
         dst = dests[rng.integers(len(dests))]
         short = bool(rng.random() < config.frac_short_deadline)
-        deadline = config.deadline_short_s if short else config.deadline_long_s
+        deadline = DEADLINE_SHORT_S if short else DEADLINE_LONG_S
         flows.append(FlowRequest(src, dst, grid.slot_of(t), deadline))
     return flows
 
@@ -544,8 +542,8 @@ class _Accounting:
         self.interference += contrib
         g_true = self.measured_gain(tx, rx, slot) if gain_db is None else gain_db
         h = float(fade_rng.standard_exponential())
-        snr = p_lin * db_to_lin(g_true) * h / db_to_lin(cfg.budget.noise_dbm)
-        success = bool(snr >= db_to_lin(cfg.budget.snr_threshold_db))
+        snr = p_lin * db_to_lin(g_true) * h / db_to_lin(BUDGET.noise_dbm)
+        success = bool(snr >= db_to_lin(BUDGET.snr_threshold_db))
         energy = p_lin * cfg.grid.dt
         self.events.append({
             "type": "transmission", "flow": flow_idx, "hop": hop_idx, "slot": slot,
@@ -578,10 +576,9 @@ class _Accounting:
 # the predictive cascade
 
 
-def _local_view(world: World, center: np.ndarray, radius: float,
-                cfg: ScenarioConfig) -> EchelonView:
+def _local_view(world: World, center: np.ndarray, radius: float) -> EchelonView:
     return EchelonView(
-        tier=LOCAL, map_snapshot=world.radio_map, horizon_s=cfg.local_horizon_s,
+        tier=LOCAL, map_snapshot=world.radio_map, horizon_s=DEADLINE_LONG_S,
         region_center=Position3.from_array(center),
         region_radius=radius,
     )
@@ -599,8 +596,7 @@ def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: 
     reconnect, (lo, mid), (_, hi) = tactical.detour_halves(hop, tail)
     relays = [m for m in members if m not in (hop.tx, hop.rx, reconnect)]
     slots = np.arange(lo, hi + 1)
-    pos = echelon.local_positions(view, world, members,
-                                  cfg.grid.t0 + cfg.grid.dt * slots.astype(float))
+    pos = echelon.local_positions(view, world, members, cfg.grid.dt * slots.astype(float))
     at = dict(zip(members, pos))
     h, n_relay = mid + 1 - lo, len(relays)  # slots in the first half-span, relays
     tx_first, rc_second = at[hop.tx][:h], at[reconnect][h:]
@@ -624,7 +620,7 @@ def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: 
     for r, m in enumerate(relays):
         mean[(hop.tx, m)], mean[(m, reconnect)] = link[0, r], link[1, r]
     return tactical.LocalGraphSlice(slots, mean, dict(zip([hop.tx, *relays], weight)),
-                                    cfg.budget, cfg.grid.dt)
+                                    BUDGET, cfg.grid.dt)
 
 
 def _cluster_members(world: World, slot: int, center: np.ndarray, radius: float,
@@ -657,7 +653,7 @@ class _Cascade:
         rx_pos = world.realized_position(hop.rx, now_slot)
         center = 0.5 * (tx_pos + rx_pos)
         radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
-        view = _local_view(world, center, radius, cfg)
+        view = _local_view(world, center, radius)
         # one local forecast over the hop's window serves the blockage check and
         # the timing
         slots, series = acct.hop_forecast(view, world, hop, now_slot)
@@ -671,7 +667,7 @@ class _Cascade:
                                for e in (hop.tx, hop.rx, reconnect)])
             center = anchor.mean(axis=0)
             radius = max(radius, float(np.linalg.norm(anchor - center, axis=1).max()) + 50.0)
-            view = _local_view(world, center, radius, cfg)
+            view = _local_view(world, center, radius)
             members = _cluster_members(world, now_slot, center, radius,
                                        (hop.tx, hop.rx, reconnect))
             cluster = tactical.LocalCluster(members, {}, frozenset({(hop.tx, hop.rx)}),
@@ -687,7 +683,7 @@ class _Cascade:
                     remaining_s = (self.final_slot - now_slot) * grid.dt
                     res = reserve_path(world.graph, world.radio_map, hop.tx, self.flow.dest,
                                        max(remaining_s, grid.dt), cfg.scene.sensitive_nodes,
-                                       cfg.budget, injection_slot=now_slot,
+                                       BUDGET, injection_slot=now_slot,
                                        tables=world.tables)
                 except NoFeasiblePath:
                     return None
@@ -706,11 +702,11 @@ class _Cascade:
                             "slot": int(chosen), "revision": self.revision})
         for s in range(int(chosen), hop.window[1] + 1):
             measured = acct.measured_gain(hop.tx, hop.rx, s)
-            required = required_power_dbm(measured, cfg.budget)
-            if required > cfg.budget.p_max_dbm:
+            required = required_power_dbm(measured, BUDGET)
+            if required > BUDGET.p_max_dbm:
                 continue
             decision = cap_power(required, acct.row(site_map_max, s, hop.tx),
-                                 cfg.sensitive_cap_dbm, cfg.budget.p_max_dbm)
+                                 SENSITIVE_CAP_DBM, BUDGET.p_max_dbm)
             if decision.transmit:
                 return s, decision.power_dbm, measured
         return None
@@ -730,7 +726,6 @@ def baseline_aggregate(world: World, flow: FlowRequest):
     """Reactive snapshot route: min-hop on the currently measured topology with
     per-hop powers from the measured gains; no foresight, no interference term,
     no caps. Returns (node sequence, powers) or raises NoFeasiblePath."""
-    budget = world.config.budget
     ids = world.graph.node_ids
     if flow.source not in ids or flow.dest not in ids:
         raise NoFeasiblePath("flow endpoint is not a communicating node")
@@ -741,8 +736,8 @@ def baseline_aggregate(world: World, flow: FlowRequest):
     tx, rx = tx[keep], rx[keep]
     gain = np.full((len(ids), len(ids)), -np.inf)
     gain[tx, rx] = gain[rx, tx] = world.truth.gain_db_many(pos[tx], pos[rx])
-    power = required_power_dbm(gain, budget)
-    feasible = power <= budget.p_max_dbm
+    power = required_power_dbm(gain, BUDGET)
+    feasible = power <= BUDGET.p_max_dbm
     # hop counts to dest by BFS over feasible[tx, rx], then a forward walk that
     # takes the lowest sorted-id next hop: the lexicographically least min-hop route
     src, dst = ids.index(flow.source), ids.index(flow.dest)

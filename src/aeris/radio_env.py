@@ -258,11 +258,11 @@ class _SiteIndex:
     `tree` is a 3D kd-tree over U, the lex-sorted union of the sites' partners.
     For the site in row j (`row` maps a site to it), points[j, 0, u] and
     points[j, 1, u] are the map indices of the points (site, U[u]) and (U[u],
-    site), -1 where U[u] is no partner of the site; size[j] counts its
-    partners and lack[j] the rest of U. clear[j] is its distance to the
-    nearest other half of any map point, so every point outside its group
-    differs from a row anchored at it by at least that much in the anchored
-    half. Sites with no point in the map get no row.
+    site), -1 where U[u] is no partner of the site, and size[j] counts its
+    partners. clear[j] is its distance to the nearest other half of any map
+    point, so every point outside its group differs from a row anchored at it
+    by at least that much in the anchored half. Sites with no point in the map
+    get no row.
     """
 
     def __init__(self, points: np.ndarray, sites: np.ndarray):
@@ -291,7 +291,6 @@ class _SiteIndex:
             sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
             self.clear[j] = np.sqrt(np.min(sq, initial=np.inf))
         self.size = (self.points[:, 0] >= 0).sum(axis=1)
-        self.lack = ranks.size - self.size
 
 
 @dataclass(frozen=True)
@@ -396,15 +395,14 @@ class RadioMap:
         """query_sites' means, and the (m, p) mask of rows that took query_many.
 
         Positions go through in blocks of _QUERY_BLOCK_ROWS // p. Each makes
-        one search of _SiteIndex.tree for k + 1 neighbours plus the most
-        partners an asked site lacks, so a row meets at least k + 1 points of
-        its site's group, in 6D distance order. A row is certified when its
-        k-th and (k+1)-th group distances differ and the (k+1)-th is below the
-        site's clearance: then no point outside the group is as near, and its k
-        nearest are the 6D lookup's. Every other row takes query_many, as does
-        every row toward a site the map does not index, that has fewer than
-        k + 1 partners, or that lacks more than k + 1 points of U (it would
-        widen every search).
+        one search of _SiteIndex.tree for its k + 1 nearest points of U; toward
+        a site, a row meets those that are the site's partners as points of its
+        group, in 6D distance order. A row is certified when all k + 1 are
+        partners, its k-th and (k+1)-th distances differ and the (k+1)-th is
+        below the site's clearance: then no point outside the group is as near,
+        and its k nearest are the 6D lookup's. Every other row takes
+        query_many, as does every row toward a site the map does not index or
+        that has fewer than k + 1 partners.
         """
         pos = np.asarray(pos, dtype=float).reshape(-1, 3)
         sites = np.asarray(sites, dtype=float).reshape(-1, 3)
@@ -415,14 +413,12 @@ class RadioMap:
         cols = []
         if index is not None and m:
             rows = [index.row.get(tuple(s), -1) for s in sites]
-            cols = [c for c, j in enumerate(rows)
-                    if j >= 0 and index.size[j] > k and index.lack[j] <= k + 1]
+            cols = [c for c, j in enumerate(rows) if j >= 0 and index.size[j] > k]
         if cols:
-            wide = k + 1 + max(index.lack[rows[c]] for c in cols)
             step = max(1, _QUERY_BLOCK_ROWS // p)
             for lo in range(0, m, step):
                 blk = pos[lo:lo + step]
-                dist, near = index.tree.query(blk, k=wide)  # (b, wide): wide >= 2
+                dist, near = index.tree.query(blk, k=k + 1)  # (b, k + 1): k + 1 >= 2
                 for c in cols:
                     ok, means = self._certified(blk, sites[c], rows[c], dist, near, k)
                     out[lo:lo + step, c][ok] = means
@@ -439,18 +435,9 @@ class RadioMap:
         table = index.points[j].reshape(-1)
         # a row's point has the site first exactly where _canonical swaps
         off = np.where(np.sign(blk - site) @ _LEX > 0.0, 0, index.tree.n)[:, None]
-        idx, d = table[near[:, :k + 1] + off], dist[:, :k + 1]
-        # a row that meets a point of U outside the group in its first k + 1
-        # takes the first k + 1 it meets in the group instead
-        gap = np.flatnonzero((idx < 0).any(axis=1))
-        if gap.size:
-            cand = table[near[gap] + off[gap]]
-            pick = np.argsort(cand < 0, axis=1, kind="stable")[:, :k + 1]
-            idx[gap] = np.take_along_axis(cand, pick, axis=1)
-            d = d.copy()
-            d[gap] = np.take_along_axis(dist[gap], pick, axis=1)
-        ok = (idx[:, k] >= 0) & (d[:, k - 1] < d[:, k]) & (d[:, k] < index.clear[j])
-        d, idx = d[ok], idx[ok]
+        idx = table[near + off]
+        ok = (idx >= 0).all(axis=1) & (dist[:, k - 1] < dist[:, k]) & (dist[:, k] < index.clear[j])
+        d, idx = dist[ok], idx[ok]
         _by_distance_then_index(d[:, :k], idx[:, :k])
         means = np.empty(d.shape[0])
         self._idw(d[:, :k], idx[:, :k], means)

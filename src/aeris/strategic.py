@@ -51,6 +51,9 @@ from .radio_env import RadioMap
 from .units import db_to_lin
 
 _BIG = np.iinfo(np.int64).max // 4
+# the most shielding, below line of sight, the planner credits a spot with
+# toward a sensitive site (see prepare_planner)
+SHIELD_MARGIN_DB = 6.0
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,14 @@ class PlannerTables:
 
 def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
                     budget: LinkBudget, per_node_cap_dbm: float = None,
-                    shield_margin_db: float = None, pathloss=None) -> PlannerTables:
+                    pathloss=None) -> PlannerTables:
     """Vectorized edge powers, feasibility and interference costs over the grid.
 
-    With shield_margin_db set (and the path-loss model it needs), predicted
-    gains toward sensitive nodes are clamped from below at the unobstructed
-    line-of-sight level minus the margin: the planner may credit a spot with at
-    most that much shielding, which keeps interpolation artifacts near
-    LoS/NLoS boundaries from minting phantom quiet spots.
+    With a path-loss model given, predicted gains toward sensitive nodes are
+    clamped from below at its unobstructed line-of-sight level minus
+    SHIELD_MARGIN_DB: the planner may credit a spot with at most that much
+    shielding, which keeps interpolation artifacts near LoS/NLoS boundaries
+    from minting phantom quiet spots.
     """
     w = graph.weights
     n_slots, n, _ = w.shape
@@ -167,11 +170,11 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
                                   return_inverse=True)
         sens_pos = np.array([node.pos.as_array() for node in nodes])
         gains = radio_map.query_sites(uniq, sens_pos)
-        if shield_margin_db is not None and pathloss is not None:
+        if pathloss is not None:
             d = np.linalg.norm(uniq[:, None] - sens_pos, axis=2)
             los = -(pathloss.pl0_db + 10.0 * pathloss.n_los
                     * np.log10(np.maximum(d, pathloss.d0) / pathloss.d0))
-            gains = np.maximum(gains, los - shield_margin_db)
+            gains = np.maximum(gains, los - SHIELD_MARGIN_DB)
         sens_lin = np.sum(db_to_lin(gains), axis=1)[inverse].reshape(n_slots, n)
         if per_node_cap_dbm is not None:
             allowed = (per_node_cap_dbm - gains.max(axis=1))[inverse].reshape(n_slots, n)

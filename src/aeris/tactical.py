@@ -61,7 +61,7 @@ def hop_forecast(view: EchelonView, world: WorldState, hop: HopReservation) -> t
     aligned (slots, mean_db) arrays: the one series that both the blockage
     check and the hop's timing read."""
     slots = np.arange(hop.window[0], hop.window[1] + 1)
-    times = world.grid.t0 + world.grid.dt * slots
+    times = world.grid.dt * slots
     return slots, local_mean_series(view, world, (hop.tx, hop.rx), times)
 
 

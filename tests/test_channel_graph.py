@@ -28,7 +28,7 @@ def random_map(seed=0, n=80):
     return build_map(samples)
 
 
-GRID = SlotGrid(0.0, 0.5, 60)
+GRID = SlotGrid(0.5, 60)
 
 
 def series(graph, i, j):
@@ -39,18 +39,18 @@ def series(graph, i, j):
 class TestSlotGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SlotGrid(0.0, 0.0, 10)
+            SlotGrid(0.0, 10)
         with pytest.raises(ValueError):
-            SlotGrid(0.0, 0.1, 0)
+            SlotGrid(0.1, 0)
 
     def test_slot_of_clamps(self):
-        g = SlotGrid(0.0, 0.1, 100)
+        g = SlotGrid(0.1, 100)
         assert g.slot_of(-5.0) == 0
         assert g.slot_of(0.25) == 2
         assert g.slot_of(1e9) == 99
 
     def test_deadline_slot_conversion_is_stable(self):
-        g = SlotGrid(0.0, 0.1, 100)
+        g = SlotGrid(0.1, 100)
         assert int(np.floor(2.0 / g.dt + 1e-9)) == 20
         assert int(np.floor(20.0 / g.dt + 1e-9)) == 200
         assert (g.slots_in(2.0), g.slots_in(20.0), g.slots_in(0.05)) == (20, 200, 0)
@@ -94,7 +94,7 @@ class TestSynthesize:
 
     def test_flyby_peaks_at_closest_approach(self):
         # distance-only map: gains sampled exactly at the slot positions
-        grid = SlotGrid(0.0, 0.5, 100)
+        grid = SlotGrid(0.5, 100)
         traj = straight("a0", (0, 200, 50), (500, 200, 50), t1=grid.dt * grid.n_slots)
         node = SceneNode("g0", P(260, 0, 0))
         times = grid.times()

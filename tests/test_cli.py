@@ -9,7 +9,7 @@ import pytest
 
 from aeris import cli, harness, tactical
 from aeris.harness import ScenarioConfig, gen_default_scenario
-from test_harness import OLD_FIXED_KEYS
+from test_harness import OLD_FIXED_KEYS, old_document
 from test_scene import west_strip_city
 
 
@@ -125,40 +125,33 @@ class TestRunCommand:
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
-    def test_local_horizon_shorter_than_long_deadline_exit_code(self, config_file, tmp_path):
-        doc = json.loads(config_file.read_text())
-        doc["local_horizon_s"] = doc["deadline_long_s"] / 2
-        short = tmp_path / "short.json"
-        short.write_text(json.dumps(doc))
-        code = cli.main(["run", "--config", str(short), "--method", "predictive",
-                         "--seed", "0", "--out", str(tmp_path / "m.json")])
-        assert code == 2
-
     def test_unknown_nested_key_exit_code(self, config_file, tmp_path):
         doc = json.loads(config_file.read_text())
-        doc["pathloss"]["bogus"] = 1.0
+        doc["grid"]["bogus"] = 1.0
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps(doc))
         code = cli.main(["run", "--config", str(bogus), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
-    # a fixed key at another value, a NaN long deadline, which would leave
-    # draw_flows' arrival loop without an end, or a misspelt field
-    @pytest.mark.parametrize("key, value", [("range_cutoff_m", 800.0),
-                                            ("plan_shield_margin_db", 3.0),
-                                            ("map_k_neighbors", 4),
-                                            ("map_idw_exponent", 1.0),
-                                            ("deadline_long_s", float("nan")),
-                                            ("load_per_mni", 99.0)])
-    def test_rejected_document_exit_code(self, config_file, tmp_path, monkeypatch, key, value):
-        doc = {**json.loads(config_file.read_text()), **OLD_FIXED_KEYS, key: value}
+    # a fixed key at another value (NaN inside a fixed parameter set included),
+    # a NaN load, which would leave draw_flows' arrival loop without an end, or
+    # a misspelt field
+    @pytest.mark.parametrize("key, value", [
+        ("range_cutoff_m", 800.0), ("plan_shield_margin_db", 3.0), ("map_k_neighbors", 4),
+        ("map_idw_exponent", 1.0), ("local_horizon_s", 10.0), ("deadline_long_s", float("nan")),
+        ("pathloss", {**OLD_FIXED_KEYS["pathloss"], "decorr_dist": float("nan")}),
+        ("grid.t0", 1.0), ("load_per_min", float("nan")), ("load_per_mni", 99.0)])
+    def test_rejected_document_exit_code(self, config_file, tmp_path, monkeypatch, capsys,
+                                         key, value):
+        doc = old_document(ScenarioConfig.from_json(config_file.read_text()), key, value)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the document loaded"))
         code = cli.main(["run", "--config", str(bad), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
     def test_unschedulable_hop_exit_code(self, tmp_path, monkeypatch):
         # a hop whose local forecast holds no finite slot cannot be timed

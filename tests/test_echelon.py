@@ -48,7 +48,7 @@ def small_world(seed=0, sigma_dev=3.0, stale_until=30.0):
                          1.0, peers)
     fresh_map = build_map(fresh)
     stale_map = build_map(stale)
-    grid = SlotGrid(0.0, 0.5, 240)
+    grid = SlotGrid(0.5, 240)
     dev = DeviationParams(sigma_dev=sigma_dev, reversion_rate=0.2)
     realized = {t.aircraft_id: realize(t, dev, grid, np.random.SeedSequence([seed, 6, k]))
                 for k, t in enumerate(trajs)}
@@ -166,7 +166,7 @@ class TestDetectBlockage:
         world, views, *_ = small_world()
         hop = HopReservation("a0", "g1", (120, 130), 15.0)
         slots, series = hop_forecast(views[LOCAL], world, hop)
-        times = world.grid.t0 + world.grid.dt * np.arange(120, 131)
+        times = world.grid.dt * np.arange(120, 131)
         assert slots.tolist() == list(range(120, 131))
         assert series.tolist() == local_mean_series(views[LOCAL], world, ("a0", "g1"),
                                                     times).tolist()

@@ -19,7 +19,7 @@ from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            gen_default_scenario, plot_data, replay_metrics, run, sweep,
                            sweep_from_csv, sweep_to_csv)
 from aeris.operational import LinkBudget, cap_power, required_power_dbm
-from aeris.radio_env import GroundTruthChannel, PathLossParams, RadioMap
+from aeris.radio_env import GroundTruthChannel, RadioMap
 from aeris.units import db_to_lin
 from test_strategic import oracle_search
 
@@ -35,34 +35,48 @@ def mini_world(mini_config):
     return build_world(mini_config, 0)
 
 
-# the four keys a scenario document held before their values were fixed, at
-# the values every document then held
+# the top-level keys a scenario document held before their values were fixed,
+# at the values every document then held; such a document also held grid.t0 0.0
 OLD_FIXED_KEYS = {"range_cutoff_m": 1500.0, "plan_shield_margin_db": 6.0,
-                  "map_k_neighbors": 8, "map_idw_exponent": 2.0}
+                  "map_k_neighbors": 8, "map_idw_exponent": 2.0,
+                  "deviation": {"sigma_dev": 3.0, "reversion_rate": 0.2},
+                  "pathloss": {"pl0_db": 40.0, "d0": 1.0, "n_los": 2.0, "n_nlos": 3.2,
+                               "sigma_sh_los_db": 4.0, "sigma_sh_nlos_db": 8.0,
+                               "decorr_dist": 50.0},
+                  "budget": {"snr_threshold_db": 10.0, "outage_eps": 0.05, "noise_dbm": -90.0,
+                             "p_max_dbm": 27.0},
+                  "sensitive_cap_dbm": -60.0, "local_horizon_s": 30.0,
+                  "deadline_short_s": 2.0, "deadline_long_s": 20.0}
 SCALAR_FIELDS = [f.name for f in fields(ScenarioConfig)[2:] if not is_dataclass(f.default)]
 
 
+def old_document(config, key=None, value=None) -> dict:
+    """config's document as an older version wrote it, every fixed key at its
+    value, with key ("grid.t0" for the grid's) then set to value."""
+    doc = {**json.loads(config.to_json()), **OLD_FIXED_KEYS}
+    doc["grid"] = {**doc["grid"], "t0": 0.0}
+    if key == "grid.t0":
+        doc["grid"]["t0"] = value
+    elif key is not None:
+        doc[key] = value
+    return doc
+
+
 class TestConfigValidation:
-    def test_horizon_ordering_flagged(self, mini_config):
-        # a hop window can span a whole long deadline, so a shorter local
-        # horizon would leave the predictive run's forecasts out of range
-        with pytest.raises(ConfigInvalid) as e:
-            replace(mini_config, local_horizon_s=mini_config.deadline_long_s - 0.1)
-        assert e.value.field == "local_horizon_s"
-
-    def test_local_horizon_equal_to_long_deadline_runs(self, mini_config):
-        cfg = replace(mini_config, local_horizon_s=mini_config.deadline_long_s)
-        report = run(cfg, "predictive", 0, load_per_min=30.0)
-        assert report.n_flows > 0
-
     def test_fraction_out_of_range(self, mini_config):
         with pytest.raises(ConfigInvalid) as e:
             replace(mini_config, frac_short_deadline=1.5)
         assert e.value.field == "frac_short_deadline"
 
-    def test_deadline_beyond_horizon(self, mini_config):
-        with pytest.raises(ConfigInvalid):
-            replace(mini_config, deadline_long_s=1e6)
+    # a 20 s horizon leaves a long-deadline flow no slot to start in, and a
+    # 2.5 s slot is longer than the short deadline
+    @pytest.mark.parametrize("bad, good", [(SlotGrid(0.1, 200), SlotGrid(0.1, 201)),
+                                           (SlotGrid(2.5, 100), SlotGrid(2.0, 100))])
+    def test_grid_must_fit_both_deadlines(self, mini_config, bad, good):
+        with pytest.raises(ConfigInvalid) as e:
+            replace(mini_config, grid=bad)
+        assert e.value.field == "grid"
+        assert replace(mini_config, grid=good).grid == good
 
     @pytest.mark.parametrize("load", [math.inf, -math.inf, math.nan, -1.0])
     def test_load_must_be_finite_and_non_negative(self, mini_config, load):
@@ -70,11 +84,13 @@ class TestConfigValidation:
             replace(mini_config, load_per_min=load)
         assert e.value.field == "load_per_min"
 
-    def test_json_infinite_load_rejected(self, mini_config):
+    # draw_flows' arrival loop would never end at a NaN or infinite rate
+    @pytest.mark.parametrize("load, token", [(math.inf, "Infinity"), (math.nan, "NaN")])
+    def test_json_non_finite_load_rejected(self, mini_config, load, token):
         doc = json.loads(mini_config.to_json())
-        doc["load_per_min"] = math.inf
+        doc["load_per_min"] = load
         text = json.dumps(doc)
-        assert '"load_per_min": Infinity' in text  # what json.loads accepts
+        assert f'"load_per_min": {token}' in text  # what json.loads accepts
         with pytest.raises(ConfigInvalid) as e:
             ScenarioConfig.from_json(text)
         assert e.value.field == "load_per_min"
@@ -86,29 +102,37 @@ class TestConfigValidation:
 
     def test_documents_with_removed_keys_load(self, mini_config):
         doc = json.loads(mini_config.to_json())
-        assert "noise_dbm" not in doc["pathloss"]
+        assert "pathloss" not in doc
         # pathloss.noise_dbm was never read (the SNR reads budget.noise_dbm)
         old = {**doc, "central_horizon_s": 600.0, "individual_horizon_s": 2.0,
                "map_residual_std_db": 4.0,
-               "pathloss": {**doc["pathloss"], "noise_dbm": -90.0}}
+               "pathloss": {**OLD_FIXED_KEYS["pathloss"], "noise_dbm": -90.0}}
         again = ScenarioConfig.from_json(json.dumps(old))
         assert again == ScenarioConfig.from_json(json.dumps(doc))
         assert again.to_json() == ScenarioConfig.from_json(json.dumps(doc)).to_json()
 
     def test_documents_with_fixed_keys_at_their_values_load(self, mini_config):
         doc = json.loads(mini_config.to_json())
-        assert not OLD_FIXED_KEYS.keys() & doc.keys()
-        again = ScenarioConfig.from_json(json.dumps({**doc, **OLD_FIXED_KEYS}))
+        assert not OLD_FIXED_KEYS.keys() & doc.keys() and "t0" not in doc["grid"]
+        again = ScenarioConfig.from_json(json.dumps(old_document(mini_config)))
         assert again == mini_config
         assert again.to_json() == mini_config.to_json()
 
-    @pytest.mark.parametrize("key, value", [("range_cutoff_m", 800.0),
-                                            ("plan_shield_margin_db", 3.0),
-                                            ("map_k_neighbors", 4),
-                                            ("map_idw_exponent", 1.0),
-                                            ("map_k_neighbors", math.nan)])
+    @pytest.mark.parametrize("key, value", [
+        ("range_cutoff_m", 800.0), ("plan_shield_margin_db", 3.0), ("map_k_neighbors", 4),
+        ("map_idw_exponent", 1.0), ("map_k_neighbors", math.nan),
+        ("deviation", {**OLD_FIXED_KEYS["deviation"], "sigma_dev": 6.0}),
+        ("pathloss", {**OLD_FIXED_KEYS["pathloss"], "n_nlos": 3.0}),
+        ("budget", {**OLD_FIXED_KEYS["budget"], "p_max_dbm": 30.0}),
+        ("budget", {k: v for k, v in OLD_FIXED_KEYS["budget"].items() if k != "noise_dbm"}),
+        ("sensitive_cap_dbm", -50.0), ("local_horizon_s", 10.0), ("local_horizon_s", 20.0),
+        ("deadline_short_s", 1.0), ("deadline_long_s", math.nan), ("grid.t0", 1.0),
+        ("grid.t0", math.nan),
+        # a NaN at each number of a fixed parameter set
+        *((outer, {**OLD_FIXED_KEYS[outer], name: math.nan})
+          for outer in ("deviation", "pathloss", "budget") for name in OLD_FIXED_KEYS[outer])])
     def test_fixed_key_at_another_value_rejected(self, mini_config, key, value):
-        doc = {**json.loads(mini_config.to_json()), **OLD_FIXED_KEYS, key: value}
+        doc = old_document(mini_config, key, value)
         with pytest.raises(ConfigInvalid) as e:
             ScenarioConfig.from_json(json.dumps(doc))
         assert e.value.field == key
@@ -121,27 +145,12 @@ class TestConfigValidation:
         assert e.value.field == name
 
     # every nested number that its own parameter class lets NaN through
-    # (LinkBudget rejects a NaN outage_eps or p_max_dbm itself)
-    @pytest.mark.parametrize("outer, name", [
-        ("grid", "t0"), ("grid", "dt"), ("grid", "n_slots"),
-        *(("pathloss", f.name) for f in fields(PathLossParams)),
-        ("deviation", "sigma_dev"), ("deviation", "reversion_rate"),
-        ("budget", "snr_threshold_db"), ("budget", "noise_dbm")])
+    @pytest.mark.parametrize("outer, name", [("grid", "dt"), ("grid", "n_slots")])
     def test_non_finite_nested_number_rejected_at_construction(self, mini_config, outer, name):
         inner = replace(getattr(mini_config, outer), **{name: math.nan})
         with pytest.raises(ConfigInvalid) as e:
             replace(mini_config, **{outer: inner})
         assert e.value.field == f"{outer}.{name}"
-
-    def test_json_nan_deadline_rejected(self, mini_config):
-        # draw_flows' arrival loop would never end on a NaN window end
-        doc = json.loads(mini_config.to_json())
-        doc["deadline_long_s"] = math.nan
-        text = json.dumps(doc)
-        assert '"deadline_long_s": NaN' in text  # what json.loads accepts
-        with pytest.raises(ConfigInvalid) as e:
-            ScenarioConfig.from_json(text)
-        assert e.value.field == "deadline_long_s"
 
     def test_json_huge_seed_loads(self, mini_config):
         # an int too large for a float is still exact, and a seed takes it
@@ -157,17 +166,17 @@ class TestConfigValidation:
     def test_grid_over_the_graph_cell_cap_rejected(self, mini_config):
         # 1.2 M slots of 1e-4 s and 10 graph nodes: 120 M cells
         nodes = len(mini_config.trajectories) + 2
-        over = SlotGrid(0.0, 1e-4, 1_200_000)
+        over = SlotGrid(1e-4, 1_200_000)
         assert over.n_slots * nodes ** 2 > harness._MAX_GRAPH_CELLS
         with pytest.raises(ConfigInvalid) as e:
             replace(mini_config, grid=over)
         assert e.value.field == "grid"
         fits = harness._MAX_GRAPH_CELLS // nodes ** 2
-        assert replace(mini_config, grid=SlotGrid(0.0, 0.1, fits)).grid.n_slots == fits
+        assert replace(mini_config, grid=SlotGrid(0.1, fits)).grid.n_slots == fits
 
     def test_unknown_nested_key_rejected(self, mini_config):
         doc = json.loads(mini_config.to_json())
-        doc["pathloss"]["bogus"] = 1.0
+        doc["grid"]["bogus"] = 1.0
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json(json.dumps(doc))
 
@@ -232,7 +241,7 @@ class TestRun:
         with pytest.raises(ConfigInvalid):
             run(mini_config, "psychic", 0)
 
-    @pytest.mark.parametrize("name, value", [("budget", LinkBudget(p_max_dbm=35.0)),
+    @pytest.mark.parametrize("name, value", [("grid", SlotGrid(0.1, 300)),
                                              ("seed", 7), ("sampling_period_s", 1.0)])
     def test_world_of_another_scenario_rejected(self, mini_config, mini_world, name, value):
         # the world's tables, map and truth come from these fields, so a run
@@ -302,14 +311,14 @@ class TestRun:
             for node in mini_config.scene.sensitive_nodes:
                 g = float(mini_world.radio_map.query_many(tx[None],
                                                           node.pos.as_array()[None])[0])
-                assert t["power_dbm"] + g <= mini_config.sensitive_cap_dbm + 1e-9
+                assert t["power_dbm"] + g <= harness.SENSITIVE_CAP_DBM + 1e-9
 
-    def test_one_slot_deadline(self, mini_config, mini_world):
+    def test_one_slot_deadline(self, mini_config, mini_world, monkeypatch):
         # the direct ground hop does not close, so no route fits in one slot:
         # the snapshot baseline sends its first hop and is then out of time,
         # the planners find nothing to send
-        tight = replace(mini_config, frac_short_deadline=1.0,
-                        deadline_short_s=mini_config.grid.dt)
+        monkeypatch.setattr(harness, "DEADLINE_SHORT_S", mini_config.grid.dt)
+        tight = replace(mini_config, frac_short_deadline=1.0)
         sent = {}
         for method in METHODS:
             events = []
@@ -460,10 +469,9 @@ class TestWorld:
         assert graph.weights.tobytes() == want.weights.tobytes()
         assert graph.positions.tobytes() == want.positions.tobytes()
         tables = strategic.prepare_planner(graph, mini_world.radio_map, scene.sensitive_nodes,
-                                           mini_config.budget,
-                                           per_node_cap_dbm=mini_config.sensitive_cap_dbm,
-                                           shield_margin_db=harness._SHIELD_MARGIN_DB,
-                                           pathloss=mini_config.pathloss)
+                                           harness.BUDGET,
+                                           per_node_cap_dbm=harness.SENSITIVE_CAP_DBM,
+                                           pathloss=harness.PATHLOSS)
         requests = [(f.source, f.dest, f.deadline_s, f.injection_slot)
                     for f in draw_flows(mini_config, 0, 30.0)]
         got = strategic.reserve_paths(graph, requests, tables)
@@ -606,7 +614,7 @@ def full_span_slice(world, cfg, view, members, hop, tail):
     sensitive-node weight, each over the detour's whole span."""
     reconnect, (lo, _), (_, hi) = tactical.detour_halves(hop, tail)
     slots = np.arange(lo, hi + 1)
-    times = cfg.grid.t0 + cfg.grid.dt * slots.astype(float)
+    times = cfg.grid.dt * slots.astype(float)
     links = []
     for m in members:
         if m not in (hop.tx, reconnect, hop.rx):
@@ -624,7 +632,7 @@ def full_span_slice(world, cfg, view, members, hop, tail):
         sens = dict(zip(ents, np.sum(lin, axis=2)))
     else:
         sens = {e: np.zeros(slots.size) for e in ents}
-    return tactical.LocalGraphSlice(slots, mean, sens, cfg.budget, cfg.grid.dt)
+    return tactical.LocalGraphSlice(slots, mean, sens, harness.BUDGET, cfg.grid.dt)
 
 
 def _spy(monkeypatch, owner, name, before, after=None):
@@ -834,24 +842,24 @@ class TestCascadeLookups:
 
 
 class TestBaselines:
-    def test_aggregate_prefers_direct_hop(self, mini_config, mini_world):
-        generous = replace(mini_config, budget=LinkBudget(p_max_dbm=80.0))
+    def test_aggregate_prefers_direct_hop(self, mini_config, mini_world, monkeypatch):
+        monkeypatch.setattr(harness, "BUDGET", LinkBudget(p_max_dbm=80.0))
         flows = draw_flows(mini_config, 0, 12.0)
-        route, powers = baseline_aggregate(replace(mini_world, config=generous), flows[0])
+        route, powers = baseline_aggregate(mini_world, flows[0])
         assert route == [flows[0].source, flows[0].dest]
         assert len(powers) == 1
 
-    def test_aggregate_disconnected_raises(self, mini_config, mini_world):
-        starved = replace(mini_config, budget=LinkBudget(p_max_dbm=-120.0))
+    def test_aggregate_disconnected_raises(self, mini_config, mini_world, monkeypatch):
+        monkeypatch.setattr(harness, "BUDGET", LinkBudget(p_max_dbm=-120.0))
         flows = draw_flows(mini_config, 0, 12.0)
         with pytest.raises(NoFeasiblePath):
-            baseline_aggregate(replace(mini_world, config=starved), flows[0])
+            baseline_aggregate(mini_world, flows[0])
 
     def test_aggregate_route_is_least_min_hop_on_truth_snapshot(self, mini_config, mini_world):
         # each ordered pair's gain from its own truth call at the injection slot;
         # routes from an enumeration that tries fewer hops first and, within a hop
         # count, relays in lexicographic order
-        budget = mini_config.budget
+        budget = harness.BUDGET
         ground = mini_config.scene.ground_sources + mini_config.scene.ground_destinations
         nodes = sorted(list(mini_world.realized) + [n.id for n in ground])
         multi_hop = 0
@@ -936,12 +944,11 @@ class TestBaselines:
         assert any(t["tx"] in ground for t in sent)
         assert all(t["interference_mw_s"].hex() == (0.0).hex() for t in sent)
         # with no site to protect the ceiling is p_max itself
-        p_max = bare.budget.p_max_dbm
+        p_max, cap = harness.BUDGET.p_max_dbm, harness.SENSITIVE_CAP_DBM
         for e in ground:
             gain = world.row(harness.site_map_max, 0, e)
-            assert cap_power(p_max, gain, bare.sensitive_cap_dbm, p_max).transmit
-            assert not cap_power(np.nextafter(p_max, np.inf), gain, bare.sensitive_cap_dbm,
-                                 p_max).transmit
+            assert cap_power(p_max, gain, cap, p_max).transmit
+            assert not cap_power(np.nextafter(p_max, np.inf), gain, cap, p_max).transmit
 
 
 class TestSweep:

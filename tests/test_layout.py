@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+from aeris.harness import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -174,3 +177,24 @@ def unread_fields() -> list:
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == sorted(UNREAD_FIELDS_KEPT)
+
+
+def settable_numbers() -> list:
+    """ScenarioConfig's numbers past the scene and trajectories, nested
+    parameter fields flattened as `outer.inner`."""
+    out = []
+    for f in fields(ScenarioConfig)[2:]:
+        out += ([f"{f.name}.{g.name}" for g in fields(f.default)] if is_dataclass(f.default)
+                else [f.name])
+    return out
+
+
+def test_settable_numbers_are_those_callers_set():
+    # each is set outside the unit tests: the grid, seed, load and short share
+    # by the CLI (the load and share by the benchmark too), the sampling period
+    # by acceptance criterion 8, and the region radius and blockage threshold
+    # by tests/golden.py's cascade grid; with gen_city's building count these
+    # are the scenario's 9 settable values, and any other value is a constant
+    assert settable_numbers() == ["grid.dt", "grid.n_slots", "sampling_period_s",
+                                  "region_radius_m", "blockage_threshold_db", "load_per_min",
+                                  "frac_short_deadline", "seed"]

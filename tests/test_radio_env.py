@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 
 from aeris import radio_env
 from aeris.errors import DegenerateLink, EmptySampleSet
-from aeris.harness import gen_default_scenario
+from aeris.harness import PATHLOSS, gen_default_scenario
 from aeris.radio_env import (ChannelSample, GroundTruthChannel, PathLossParams, RadioMap,
                              SampleSet, ShadowField, _canonical, build_map, sample_along,
                              sample_between, sample_ground_pairs)
@@ -243,7 +243,7 @@ class TestSampleSet:
     @pytest.mark.parametrize("kind", ["along", "between", "ground_pairs"])
     def test_item_i_is_the_per_sample_oracle_bitwise(self, kind):
         cfg, peers = mini_world_inputs()
-        trajs, scene, params, seed = list(cfg.trajectories), cfg.scene, cfg.pathloss, 17
+        trajs, scene, params, seed = list(cfg.trajectories), cfg.scene, PATHLOSS, 17
         got, want = {
             "along": lambda: (sample_along(trajs, scene, params, seed, 2.0, peers),
                               along_oracle(trajs, scene, params, seed, 2.0, peers)),
@@ -264,8 +264,8 @@ class TestSampleSet:
 
     def test_add_concatenates_rows(self):
         cfg, peers = mini_world_inputs()
-        a = sample_ground_pairs(cfg.scene, cfg.pathloss, 3, peers)
-        b = sample_between(list(cfg.trajectories), cfg.scene, cfg.pathloss, 3, 2.0)
+        a = sample_ground_pairs(cfg.scene, PATHLOSS, 3, peers)
+        b = sample_between(list(cfg.trajectories), cfg.scene, PATHLOSS, 3, 2.0)
         both = a + b
         assert len(both) == len(a) + len(b)
         assert both.rows.tobytes() == np.vstack([a.rows, b.rows]).tobytes()
@@ -275,7 +275,7 @@ class TestSampleSet:
         # sample_along records its peers, sample_ground_pairs its points, and
         # + unites them; air-to-air samples have no site
         cfg, peers = mini_world_inputs()
-        trajs, scene, params = list(cfg.trajectories), cfg.scene, cfg.pathloss
+        trajs, scene, params = list(cfg.trajectories), cfg.scene, PATHLOSS
         along = sample_along(trajs, scene, params, 3, 2.0, peers[:3])
         pairs = sample_ground_pairs(scene, params, 3, peers[2:])
         between = sample_between(trajs, scene, params, 3, 2.0)
@@ -404,8 +404,8 @@ class TestMapDedupe:
     def test_row_set_and_sample_list_match_unique_oracle(self):
         cfg, peers = mini_world_inputs()
         trajs = list(cfg.trajectories)
-        base = (sample_along(trajs, cfg.scene, cfg.pathloss, 5, 2.0, peers)
-                + sample_between(trajs, cfg.scene, cfg.pathloss, 5, 2.0)).rows
+        base = (sample_along(trajs, cfg.scene, PATHLOSS, 5, 2.0, peers)
+                + sample_between(trajs, cfg.scene, PATHLOSS, 5, 2.0)).rows
         rng = np.random.default_rng(21)
         # exact duplicates with other gains, three per point (so that the order of
         # summation shows in the mean's last bit), in both orientations
@@ -689,7 +689,7 @@ class TestQuerySites:
     def test_merged_duplicate_samples(self):
         # two shadow seeds sample the same positions: every point merges a pair
         cfg, peers = mini_world_inputs()
-        trajs, scene, params = list(cfg.trajectories), cfg.scene, cfg.pathloss
+        trajs, scene, params = list(cfg.trajectories), cfg.scene, PATHLOSS
         samples = (sample_along(trajs, scene, params, 1, 1.0, peers)
                    + sample_along(trajs, scene, params, 2, 1.0, peers)
                    + sample_ground_pairs(scene, params, 1, peers)

@@ -259,7 +259,7 @@ def random_instance(seed):
     """A small random world: <=5 entities, <=8 slots, roughly half feasible edges."""
     rng = np.random.default_rng(seed)
     n_slots = int(rng.integers(4, 9))
-    grid = SlotGrid(0.0, 1.0, n_slots)
+    grid = SlotGrid(1.0, n_slots)
     n_air = int(rng.integers(1, 3))
     n_ground = int(rng.integers(2, 4 - (n_air > 1)))
     trajs = []
@@ -580,7 +580,7 @@ def corridor(seed):
         ground_destinations=(SceneNode("dst", P(1000, 0, 0)),),
         sensitive_nodes=(SceneNode("sens", P(500, 60, 0)),),
     )
-    grid = SlotGrid(0.0, 0.5, 60)
+    grid = SlotGrid(0.5, 60)
     ferry = Trajectory4D("f", (
         Waypoint(0.0, P(50, 0, 80)), Waypoint(18.0, P(950, 0, 80)),
         Waypoint(30.0, P(950, 0, 80)),
@@ -639,9 +639,10 @@ class TestCorridorOracle:
             assert got[0].delivery_slot - injection < 10
 
 
-def per_node_tables(graph, radio_map, nodes, budget, cap, margin, pathloss):
+def per_node_tables(graph, radio_map, nodes, budget, cap, pathloss):
     """Reference for prepare_planner's sensitive-node tables: one map lookup per
-    sensitive node over every (slot, entity) position, clamped column by column.
+    sensitive node over every (slot, entity) position, clamped column by column
+    when pathloss is given.
     Returns (edge_cost, capped_price), each with free carries on its diagonal."""
     w = graph.weights
     n_slots, n, _ = w.shape
@@ -656,11 +657,11 @@ def per_node_tables(graph, radio_map, nodes, budget, cap, margin, pathloss):
         for node in nodes:
             rx = np.broadcast_to(node.pos.as_array(), flat_tx.shape)
             g = radio_map.query_many(flat_tx, rx)
-            if margin is not None:
+            if pathloss is not None:
                 d = np.linalg.norm(flat_tx - rx, axis=1)
                 los = -(pathloss.pl0_db + 10.0 * pathloss.n_los
                         * np.log10(np.maximum(d, pathloss.d0) / pathloss.d0))
-                g = np.maximum(g, los - margin)
+                g = np.maximum(g, los - strategic.SHIELD_MARGIN_DB)
             cols.append(g)
         gains = np.stack(cols, axis=1)
         sens_lin = np.sum(db_to_lin(gains), axis=1).reshape(n_slots, n)
@@ -678,16 +679,15 @@ def per_node_tables(graph, radio_map, nodes, budget, cap, margin, pathloss):
 
 class TestPlannerTables:
     @pytest.mark.parametrize("which", ["none", "sensitive", "all"])
-    @pytest.mark.parametrize("margin", [None, 6.0])
+    @pytest.mark.parametrize("pathloss", [None, PathLossParams()], ids=["no_clamp", "clamp"])
     @pytest.mark.parametrize("cap", [None, -75.0])
-    def test_matches_per_node_oracle(self, which, margin, cap):
+    def test_matches_per_node_oracle(self, which, pathloss, cap):
         graph, rmap, scene, budget = corridor(0)
         nodes = {"none": (), "sensitive": scene.sensitive_nodes,
                  "all": scene.all_nodes()}[which]
-        pathloss = PathLossParams()
         got = strategic.prepare_planner(graph, rmap, nodes, budget, per_node_cap_dbm=cap,
-                                        shield_margin_db=margin, pathloss=pathloss)
-        want = per_node_tables(graph, rmap, nodes, budget, cap, margin, pathloss)
+                                        pathloss=pathloss)
+        want = per_node_tables(graph, rmap, nodes, budget, cap, pathloss)
         for a, b in zip((got.edge_cost, got.capped_price), want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         if cap is not None and nodes:

@@ -84,7 +84,7 @@ def ou_oracle(dev, dt, n_slots, seed):
 
 
 class TestRealize:
-    GRID = SlotGrid(0.0, 0.5, 80)
+    GRID = SlotGrid(0.5, 80)
 
     @pytest.mark.parametrize("n_slots", [1, 2, 1200])
     @pytest.mark.parametrize("seed", [0, 1, 977, np.random.SeedSequence([0, 3, 2, 5])])
@@ -95,7 +95,7 @@ class TestRealize:
             assert got.tobytes() == ou_oracle(dev, dt, n_slots, seed).tobytes()
 
     def test_realize_is_plan_plus_oracle_offsets_bitwise(self):
-        grid, dev = SlotGrid(0.0, 0.1, 1200), DeviationParams()
+        grid, dev = SlotGrid(0.1, 1200), DeviationParams()
         want = positions_at(STRAIGHT, grid.times()) + ou_oracle(dev, grid.dt, grid.n_slots, 8)
         assert realize(STRAIGHT, dev, grid, 8).tobytes() == want.tobytes()
 

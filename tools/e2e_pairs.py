@@ -19,9 +19,10 @@ It measures:
   workload, with seeds 601, 602, ..., and one `--trace 1` run per workload and
   side, with seed 700.
 
-Before each sweep and Tier-1 timing the host factor is measured as perfbench
-measures it: the median of five runs of its reference kernel over its nominal
-time. perfbench's own figures are host-scaled already. The result, with a
+Before and after each sweep and Tier-1 timing the host factor is measured as
+perfbench measures it: the median of five runs of its reference kernel over
+its nominal time. Both readings are recorded, and the timing is host-scaled
+by their mean. perfbench's own figures are host-scaled already. The result, with a
 summary per metric (medians, quartiles, the pairs the change wins), is
 written to --out as JSON. Nothing under perfbench/ is changed.
 """
@@ -69,26 +70,34 @@ def host_factor() -> float:
     return statistics.median(reference_kernel() for _ in range(5)) / REFERENCE_NOMINAL_S
 
 
+def host_read(before: float) -> dict:
+    """The host factors read before and now, after a timing, and their mean."""
+    after = host_factor()
+    return {"host_factor_before": before, "host_factor_after": after,
+            "host_factor": 0.5 * (before + after)}
+
+
 def child(root: Path, cmd: list, threads: int = 1) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "AERIS_THREADS": str(threads)}
     return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
 
 
 def sweep(root: Path, threads: int) -> dict:
-    host = host_factor()
+    before = host_factor()
     proc = child(root, [sys.executable, "-c", SWEEP], threads)
+    host = host_read(before)
     if proc.returncode:
         raise RuntimeError(proc.stderr[-2000:])
-    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "host_factor": host}
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), **host}
 
 
 def tier1(root: Path) -> dict:
-    host = host_factor()
+    before = host_factor()
     t0 = time.perf_counter()
     proc = child(root, TIER1)
     wall = time.perf_counter() - t0
     return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1],
-            "returncode": proc.returncode, "host_factor": host}
+            "returncode": proc.returncode, **host_read(before)}
 
 
 def perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:

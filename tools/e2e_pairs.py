@@ -22,9 +22,9 @@ It measures:
 Before and after each sweep and Tier-1 timing the host factor is measured as
 perfbench measures it: the median of five runs of its reference kernel over
 its nominal time. Both readings are recorded, and the timing is host-scaled
-by their mean. perfbench's own figures are host-scaled already. The result, with a
-summary per metric (medians, quartiles, the pairs the change wins), is
-written to --out as JSON. Nothing under perfbench/ is changed.
+by their mean. perfbench's own figures are host-scaled already. The result,
+with a summary per metric (medians, quartiles, the pairs the change wins),
+is written to --out as JSON. Nothing under perfbench/ is changed.
 """
 
 from __future__ import annotations

@@ -517,17 +517,25 @@ class _Accounting:
             self.memo[key] = self.world.row(kernel, slot, *nodes)
         return self.memo[key]
 
-    def hop_forecast(self, view: EchelonView, world: World, hop: HopReservation,
-                     now_slot: int) -> tuple:
-        """tactical.hop_forecast, computed once per run per (tx, rx, window,
-        now_slot): the key fixes the view's region and the world's clock. Other
-        flows share the arrays, so they are read-only."""
-        key = (hop.tx, hop.rx, hop.window, now_slot)
-        if key not in self.memo:
-            slots, series = tactical.hop_forecast(view, world, hop)
-            slots.flags.writeable = series.flags.writeable = False
-            self.memo[key] = slots, series
-        return self.memo[key]
+    def hop_forecasts(self, decisions) -> list:
+        """tactical.hop_forecasts for (hop, now_slot) decisions, each from the
+        world at now_slot and _hop_view's region, computed once per run per
+        (tx, rx, window, now_slot): the key fixes the region and the clock.
+        The keys the memo lacks are computed in one batch. Other flows share
+        the arrays, so they are read-only."""
+        todo = {}
+        for hop, now_slot in decisions:
+            key = (hop.tx, hop.rx, hop.window, now_slot)
+            if key not in self.memo:
+                todo[key] = hop, now_slot
+        if todo:
+            hops, now_slots = zip(*todo.values())
+            worlds = [self.world.at_time(self.config.grid.t_of(s)) for s in now_slots]
+            views = [_hop_view(self.world, self.config, hop, s) for hop, s in todo.values()]
+            for key, (slots, series) in zip(todo, tactical.hop_forecasts(views, worlds, hops)):
+                slots.flags.writeable = series.flags.writeable = False
+                self.memo[key] = slots, series
+        return [self.memo[hop.tx, hop.rx, hop.window, now_slot] for hop, now_slot in decisions]
 
     def measured_gain(self, tx: str, rx: str, slot: int) -> float:
         return self.row(link_truth, slot, tx, rx)
@@ -582,6 +590,17 @@ def _local_view(world: World, center: np.ndarray, radius: float) -> EchelonView:
         region_center=Position3.from_array(center),
         region_radius=radius,
     )
+
+
+def _hop_view(world: World, cfg: ScenarioConfig, hop: HopReservation,
+              now_slot: int) -> EchelonView:
+    """The local view of a hop decided at now_slot: centered between its two
+    ends' realized positions, with the scenario's region radius, widened to
+    hold both ends with 50 m to spare."""
+    tx_pos = world.realized_position(hop.tx, now_slot)
+    rx_pos = world.realized_position(hop.rx, now_slot)
+    radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
+    return _local_view(world, 0.5 * (tx_pos + rx_pos), radius)
 
 
 def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: tuple,
@@ -648,25 +667,22 @@ class _Cascade:
         grid = cfg.grid
         hop = hops[k]
         now_slot = max(hop.window[0], last_slot + 1)
-        world = acct.world.at_time(grid.t_of(now_slot))
-        tx_pos = world.realized_position(hop.tx, now_slot)
-        rx_pos = world.realized_position(hop.rx, now_slot)
-        center = 0.5 * (tx_pos + rx_pos)
-        radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
-        view = _local_view(world, center, radius)
+        view = _hop_view(acct.world, cfg, hop, now_slot)
         # one local forecast over the hop's window serves the blockage check and
-        # the timing
-        slots, series = acct.hop_forecast(view, world, hop, now_slot)
+        # the timing; a planned hop's was computed with the run's plans
+        (slots, series), = acct.hop_forecasts([(hop, now_slot)])
         blocked = (not self.skip_blockage) and tactical.detect_blockage(
             view, series, cfg.blockage_threshold_db)
         self.skip_blockage = False
         if blocked:
+            world = acct.world.at_time(grid.t_of(now_slot))
             tail = hops[k + 1:k + 2]
             reconnect = tactical.detour_halves(hop, tail)[0]
             anchor = np.array([world.realized_position(e, now_slot)
                                for e in (hop.tx, hop.rx, reconnect)])
             center = anchor.mean(axis=0)
-            radius = max(radius, float(np.linalg.norm(anchor - center, axis=1).max()) + 50.0)
+            radius = max(view.region_radius,
+                         float(np.linalg.norm(anchor - center, axis=1).max()) + 50.0)
             view = _local_view(world, center, radius)
             members = _cluster_members(world, now_slot, center, radius,
                                        (hop.tx, hop.rx, reconnect))
@@ -786,6 +802,11 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
         plans = min_delay_reservation(world.graph, requests, world.tables)
         return lambda flow, flow_idx: (list(_reservation_of(plans, flow_idx).hops), _planned)
     plans = reserve_paths(world.graph, requests, world.tables)
+    # a planned hop is decided at its window's start, since the hop before it
+    # ends the slot before: every planned hop's forecast is fixed here, so the
+    # run computes them in one batch
+    acct.hop_forecasts([(hop, hop.window[0]) for res in plans
+                        if not isinstance(res, Exception) for hop in res.hops])
 
     def predictive(flow, flow_idx):
         res = _reservation_of(plans, flow_idx)

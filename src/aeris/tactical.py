@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echelon import EchelonView, WorldState, local_mean_series, LOCAL
+from .echelon import EchelonView, local_mean_series, LOCAL
 from .errors import EscalateToStrategic, InfeasibleSchedule
 from .operational import required_power_dbm
 from .strategic import HopReservation
@@ -56,19 +56,21 @@ class Schedule:
                 raise ValueError("chosen slot outside the reserved window")
 
 
-def hop_forecast(view: EchelonView, world: WorldState, hop: HopReservation) -> tuple:
-    """The local forecast of the hop's link over its reserved window, as
-    aligned (slots, mean_db) arrays: the one series that both the blockage
-    check and the hop's timing read."""
-    slots = np.arange(hop.window[0], hop.window[1] + 1)
-    times = world.grid.dt * slots
-    return slots, local_mean_series(view, world, (hop.tx, hop.rx), times)
+def hop_forecasts(views, worlds, hops) -> list:
+    """The local forecast of each hop's link over its reserved window, from
+    its own view and world, as aligned (slots, mean_db) arrays: the one series
+    that both the blockage check and the hop's timing read. All of them come
+    from one local_mean_series batch."""
+    slots = [np.arange(hop.window[0], hop.window[1] + 1) for hop in hops]
+    means = local_mean_series(views, worlds, [(hop.tx, hop.rx) for hop in hops],
+                              [world.grid.dt * s for world, s in zip(worlds, slots)])
+    return list(zip(slots, np.split(means, np.cumsum([s.size for s in slots[:-1]]))))
 
 
 def detect_blockage(view: EchelonView, means: np.ndarray, gain_threshold_db: float) -> bool:
     """True iff the local forecast mean over a hop's window (the means of its
-    hop_forecast) is strictly below the threshold; a forecast exactly at the
-    threshold is not blocked."""
+    hop_forecasts entry) is strictly below the threshold; a forecast exactly
+    at the threshold is not blocked."""
     if view.tier != LOCAL:
         raise ValueError("blockage detection uses the local tier")
     return bool(np.mean(means) < gain_threshold_db)

@@ -158,8 +158,8 @@ class TestRunCommand:
         config = tmp_path / "busy.json"
         assert cli.main(["gen-scenario", "--out", str(config), "--seed", "1", "--aircraft", "8",
                          "--buildings", "8", "--horizon", "40", "--load", "12"]) == 0
-        monkeypatch.setattr(tactical, "local_mean_series",
-                            lambda view, world, link, times: np.full(len(times), np.nan))
+        monkeypatch.setattr(tactical, "local_mean_series", lambda view, world, link, times:
+                            np.full(sum(len(t) for t in times), np.nan))
         code = cli.main(["run", "--config", str(config), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 3

@@ -1,21 +1,55 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aeris.channel_graph import SlotGrid
 from aeris.echelon import (CENTRAL, INDIVIDUAL, LOCAL, EchelonView, WorldState, forecast_gain,
-                           local_mean_series)
+                           local_mean_series, local_positions)
 from aeris.errors import OutOfRange, OutOfRegion
 from aeris.radio_env import GroundTruthChannel, PathLossParams, build_map, sample_along
 from aeris.scene import ObstacleBox, Position3, Scene, SceneNode
 from aeris.strategic import HopReservation
-from aeris.tactical import detect_blockage, hop_forecast
+from aeris.tactical import detect_blockage, hop_forecasts
 from aeris.trajectory import DeviationParams, Trajectory4D, Waypoint, positions_at, realize
 
 
 def P(x, y, z):
     return Position3(x, y, z)
+
+
+def local_positions_loop(view, world, nodes, times):
+    """The local tier's placement one node at a time, each node's realized
+    position read axis by axis: the reference that local_positions, and every
+    local_mean_series batch, must match bit for bit."""
+    if view.tier != LOCAL:
+        raise ValueError("series helper is for the local tier")
+    times = np.asarray(times, dtype=float)
+    if times.size and float(times.max()) - world.now_s > view.horizon_s + 1e-9:
+        raise OutOfRange("series extends beyond the local horizon")
+    now = []
+    for node in nodes:
+        if node in world.trajectories:
+            pos = np.empty(3)
+            for ax in range(3):
+                pos[ax] = np.interp(world.now_s, world.grid.times(), world.realized[node][:, ax])
+        else:
+            pos = world.ground_positions[node].as_array()
+        if np.linalg.norm(pos - view.region_center.as_array()) > view.region_radius:
+            raise OutOfRegion(f"{node} outside local region")
+        now.append(pos)
+    at_now = np.array([world.now_s])
+    return np.array([pos + (world.planned_pos(node, times) - world.planned_pos(node, at_now)[0])
+                     for node, pos in zip(nodes, now)])
+
+
+def hop_forecast(view, world, hop):
+    """The oracle of tactical.hop_forecasts for one hop: the local forecast of
+    its link over its reserved window, as aligned (slots, mean_db) arrays,
+    from one local_mean_series call of its own."""
+    slots = np.arange(hop.window[0], hop.window[1] + 1)
+    return slots, local_mean_series(view, world, (hop.tx, hop.rx), world.grid.dt * slots)
 
 
 def crop(traj, t1, n=8):
@@ -122,6 +156,100 @@ class TestForecastGain:
         for k, t in enumerate(times):
             fc = forecast_gain(views[LOCAL], world, ("a0", "g1"), float(t))
             assert series[k] == fc.mean_db
+
+
+class TestLocalBatch:
+    """A batch of local forecasts is its forecasts made one by one."""
+
+    def mixed(self):
+        """Forecasts that mix aircraft and ground endpoints, regions, clocks
+        (on and off the slot grid) and window lengths, one of a single slot."""
+        world, views, fresh_map, _ = small_world()
+        items = []
+        for k, (now, link, center, first, n) in enumerate([
+                (60.0, ("a0", "g1"), P(400, 400, 0), 120, 11),
+                (61.5, ("a1", "a2"), P(300, 300, 50), 125, 30),
+                (60.25, ("g0", "a2"), P(200, 200, 0), 121, 1),
+                (75.0, ("a2", "a0"), P(400, 400, 0), 150, 40),
+                (61.5, ("a0", "g1"), P(420, 380, 0), 125, 20)]):
+            view = EchelonView(LOCAL, fresh_map, 30.0, region_center=center,
+                               region_radius=1500.0 + k)
+            w = world.at_time(now)
+            items.append((view, w, link, w.grid.dt * np.arange(first, first + n)))
+        return items
+
+    def test_mixed_batch_equals_its_items_alone(self):
+        items = self.mixed()
+        batch = local_mean_series(*(list(col) for col in zip(*items)))
+        alone = np.concatenate([local_mean_series(*item) for item in items])
+        assert batch.size == sum(item[3].size for item in items)
+        assert batch.dtype == alone.dtype and batch.tobytes() == alone.tobytes()
+
+    def test_hop_forecasts_equal_the_per_hop_oracle(self):
+        items = self.mixed()
+        hops = [HopReservation(*link, (round(t[0] / w.grid.dt), round(t[-1] / w.grid.dt)), 0.0)
+                for _, w, link, t in items]
+        views, worlds = [item[0] for item in items], [item[1] for item in items]
+        got = hop_forecasts(views, worlds, hops)
+        assert len(got) == len(hops)
+        for (slots, means), view, w, hop in zip(got, views, worlds, hops):
+            want_slots, want = hop_forecast(view, w, hop)
+            assert slots.tolist() == want_slots.tolist()
+            assert means.tobytes() == want.tobytes()
+
+    def test_each_item_equals_the_loop_reference(self):
+        for view, w, link, t in self.mixed():
+            want = local_positions_loop(view, w, link, t)
+            assert local_positions(view, w, link, t).tobytes() == want.tobytes()
+            means = view.map_snapshot.query_many(*want)
+            assert local_mean_series(view, w, link, t).tobytes() == means.tobytes()
+
+    def test_local_positions_equal_one_node_at_a_time(self):
+        world, views, *_ = small_world()
+        times = world.now_s + np.array([0.0, 0.5, 3.0, 10.0])
+        nodes = ("a0", "g0", "a2", "g1")
+        pos = local_positions(views[LOCAL], world, nodes, times)
+        assert pos.shape == (len(nodes), times.size, 3)
+        for node, row in zip(nodes, pos):
+            alone = local_positions(views[LOCAL], world, (node,), times)[0]
+            assert row.tobytes() == alone.tobytes()
+
+    def test_each_item_keeps_its_checks(self):
+        items = self.mixed()
+        view, w, link, t = items[1]
+        tight = EchelonView(LOCAL, view.map_snapshot, 30.0, region_center=P(0, 0, 0),
+                            region_radius=10.0)
+        short = EchelonView(LOCAL, view.map_snapshot, 1.0, region_center=view.region_center,
+                            region_radius=view.region_radius)
+        for bad, error in ((tight, OutOfRegion), (short, OutOfRange)):
+            with pytest.raises(error):
+                local_mean_series(bad, w, link, t)
+            batch = [list(col) for col in zip(*items)]
+            batch[0][1] = bad
+            with pytest.raises(error):
+                local_mean_series(*batch)
+
+    def test_region_edge_is_where_np_linalg_norm_puts_it(self):
+        # a node exactly at the radius is inside; at one ulp less it is outside
+        for view, w, link, t in self.mixed():
+            for node in link:
+                pos = local_positions_loop(view, w, (node,), [w.now_s])[0, 0]
+                edge = float(np.linalg.norm(pos - view.region_center.as_array()))
+                local_positions(replace(view, region_radius=edge), w, (node,), t)
+                with pytest.raises(OutOfRegion):
+                    local_positions(replace(view, region_radius=np.nextafter(edge, 0.0)), w,
+                                    (node,), t)
+
+    def test_batch_needs_one_map_and_one_world(self):
+        items = self.mixed()
+        other, other_views, _, stale_map = small_world(seed=1)
+        for k, swap in ((0, EchelonView(LOCAL, stale_map, 30.0, region_center=P(400, 400, 0),
+                                        region_radius=1500.0)),
+                        (1, other.at_time(items[2][1].now_s))):
+            batch = [list(col) for col in zip(*items)]
+            batch[k][2] = swap
+            with pytest.raises(ValueError, match="one map|one world"):
+                local_mean_series(*batch)
 
 
 class TestAccuracyOrdering:

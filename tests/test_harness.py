@@ -21,6 +21,7 @@ from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
 from aeris.operational import LinkBudget, cap_power, required_power_dbm
 from aeris.radio_env import GroundTruthChannel, RadioMap
 from aeris.units import db_to_lin
+from test_echelon import hop_forecast
 from test_strategic import oracle_search
 
 
@@ -348,8 +349,8 @@ class TestRun:
     def test_unusable_hop_forecast_raises(self, mini_config, mini_world, monkeypatch):
         # a hop whose local forecast holds no finite slot cannot be timed; the
         # run raises rather than drop or re-time the flow
-        monkeypatch.setattr(tactical, "local_mean_series",
-                            lambda view, world, link, times: np.full(len(times), np.nan))
+        monkeypatch.setattr(tactical, "local_mean_series", lambda view, world, link, times:
+                            np.full(sum(len(t) for t in times), np.nan))
         with pytest.raises(InfeasibleSchedule):
             run(mini_config, "predictive", 0, world=mini_world)
 
@@ -653,7 +654,7 @@ def _spy(monkeypatch, owner, name, before, after=None):
 class TestCascadeLookups:
     """A hop decision asks for one local forecast, and a detour slice holds
     only the rows reroute_local reads; the run's memo computes each row and
-    each forecast once."""
+    each forecast once, every planned hop's forecast in one batch."""
 
     def test_run_logs_match_full_span_slice(self, mini_config, mini_world, monkeypatch):
         replans = []
@@ -681,7 +682,8 @@ class TestCascadeLookups:
         world = build_world(cfg, 0)
         n_sens = len(cfg.scene.sensitive_nodes)
         log, requests = [], []
-        _spy(monkeypatch, tactical, "local_mean_series", lambda *a: log.append(("series",)))
+        _spy(monkeypatch, tactical, "local_mean_series",
+             lambda view, *a: log.append(("series", len(view))))
         # a query_sites call logs once; the rows it hands query_many are its own
         in_sites = []
         _spy(monkeypatch, RadioMap, "query_sites",
@@ -720,34 +722,65 @@ class TestCascadeLookups:
             monkeypatch.setattr(harness._Accounting, name, wrapped)
 
         memo_spy("row", lambda kernel, slot, *nodes: (kernel, slot, *nodes))
-        memo_spy("hop_forecast", lambda view, w, hop, now_slot: (hop.tx, hop.rx, hop.window,
-                                                                 now_slot))
-        events = []
+        memo_spy("hop_forecasts", lambda decisions: tuple(
+            (hop.tx, hop.rx, hop.window, now_slot) for hop, now_slot in decisions))
+
+        class Events(list):
+            def append(self, ev):
+                log.append(("event", ev["type"]))
+                super().append(ev)
+
+        events = Events()
         run(cfg, "predictive", 0, events=events, world=world, load_per_min=30.0)
         ground = set(world.ground_positions)
+
+        # one forecast batch runs before the first flow event: every planned
+        # hop's forecast, decided at its window's start, in one map lookup
+        head = log[:log.index(("event", "flow"))]
+        batch = [r for r in requests if r[0] == "hop_forecasts" and r[5] < len(head)]
+        assert len(batch) == 1
+        _, planned, decisions, _, calls, _ = batch[0]
+        decisions = decisions[0]
+        assert all(now_slot == hop.window[0] for hop, now_slot in decisions)
+        assert calls == [("series", len(set(planned))), ("map",)]
+        assert [c for c in head if c[0] in ("series", "map")] == calls
+        planned = set(planned)
+        decided = [r for r in requests if r[0] == "hop_forecasts" and r[5] >= len(head)]
+        assert all(len(r[1]) == 1 for r in decided)
+        # a planned hop's request is a memo hit; a rerouted hop's first request
+        # is a batch of one, with one map lookup; a repeat makes no call at all
+        seen, hits, made = set(planned), 0, 0
+        for _, (key,), _, _, calls, _ in decided:
+            if key in seen:
+                hits += key in planned
+                assert calls == [], key
+            else:
+                made += 1
+                seen.add(key)
+                assert calls == [("series", 1), ("map",)], key
+        assert hits > 0 and made > 0
 
         # the memo's contract: the first request of a key computes it once, with
         # the kernel call the run made before it had a memo (a ground-only row
         # is served from the world's table); a repeat makes no call at all
         shape = {harness.link_truth: [("truth", 1)], harness.site_map_max: [("map",)],
                  harness.site_interference: [("truth", n_sens)]}
-        first, first_at, repeats = set(), set(), {"row": 0, "hop_forecast": 0}
+        first, first_at, repeats = set(), set(), 0
         for name, key, args, out, calls, at in requests:
+            if name != "row":
+                continue
             if key in first:
-                repeats[name] += 1
+                repeats += 1
                 assert calls == [], key
                 continue
             first.add(key)
             first_at.add(at)
-            if name == "hop_forecast":
-                assert calls == [("series",), ("map",)], key
-            else:
-                assert calls == [("compute",)] + ([] if set(key[2:]) <= ground
-                                                  else shape[key[0]]), key
-        assert min(repeats.values()) > 0, repeats
+            assert calls == [("compute",)] + ([] if set(key[2:]) <= ground
+                                              else shape[key[0]]), key
+        assert repeats > 0
         # and nothing in the run computes a row or a forecast past the memo
         assert log.count(("compute",)) == len({r[1] for r in requests if r[0] == "row"})
-        assert log.count(("series",)) == len({r[1] for r in requests if r[0] != "row"})
+        assert sum(c[0] == "series" for c in log) == 1 + made
 
         def between(open_, close):
             """The log entries inside each open_ ... close pair; a pair nested
@@ -771,7 +804,7 @@ class TestCascadeLookups:
             outcomes[kind] += 1
             # a hop decision asks for its own forecast once; a detour's first
             # hop reads its series from the detour slice
-            assert sum(c[:2] == ("request", "hop_forecast") for c in calls) == 1
+            assert sum(c[:2] == ("request", "hop_forecasts") for c in calls) == 1
             assert calls.count(("slice",)) == (kind != "kept")
         assert min(outcomes.values()) > 0, outcomes
         # the detour slice is one map lookup of its links and one query_sites
@@ -813,13 +846,16 @@ class TestCascadeLookups:
                     scanned["ground" if from_ground else
                             "aircraft" if new else "aircraft_repeat"] += 1
         assert min(scanned.values()) > 0, scanned
-        # every value served is a fresh call's, bit for bit; forecasts are read-only
+        # every value served is a fresh call's, bit for bit; forecasts are
+        # read-only and equal the per-hop oracle's
         for name, key, args, out, _, _ in requests:
             if name == "row":
                 assert float.hex(out) == float.hex(world.row(*key)), key
-            else:
-                fresh = tactical.hop_forecast(*args[:3])
-                for got, want in zip(out, fresh):
+                continue
+            for (hop, now_slot), served in zip(args[0], out):
+                at = world.at_time(cfg.grid.t_of(now_slot))
+                fresh = hop_forecast(harness._hop_view(at, cfg, hop, now_slot), at, hop)
+                for got, want in zip(served, fresh):
                     assert not got.flags.writeable
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
 
@@ -839,6 +875,64 @@ class TestCascadeLookups:
             logs.append(json.dumps(events, sort_keys=True))
         assert tallies[0] == tallies[1] and min(tallies[0].values()) > 0, tallies
         assert logs[0] == logs[1]
+
+
+@pytest.fixture(scope="module", params=["mini", "peak-load"])
+def prefilled(request, mini_config, mini_world):
+    """(config, world, the decisions of a predictive run's forecast batch, the
+    memo right after it): on the mini world, and on the documented scenario
+    at peak load (64 flows/min, half of them short) on world 0, run seed 2."""
+    if request.param == "mini":
+        config, world, seed = mini_config, mini_world, 0
+    else:
+        config = gen_default_scenario(0, frac_short_deadline=0.5, load_per_min=64.0)
+        world, seed = build_world(config, 0), 2
+    batches = []
+    with pytest.MonkeyPatch.context() as mp:
+        kernel = harness._Accounting.hop_forecasts
+
+        def first_batch(self, decisions):
+            out = kernel(self, decisions)
+            if not batches:
+                batches.append((list(decisions), dict(self.memo)))
+            return out
+
+        mp.setattr(harness._Accounting, "hop_forecasts", first_batch)
+        run(config, "predictive", seed, world=world)
+    decisions, memo = batches[0]
+    return config, world, decisions, memo
+
+
+class TestPlannedForecasts:
+    """The forecasts a predictive run computes in one batch after planning."""
+
+    def test_each_prefilled_key_equals_the_scalar_oracle(self, prefilled):
+        config, world, decisions, memo = prefilled
+        keys = {(hop.tx, hop.rx, hop.window, now): (hop, now) for hop, now in decisions}
+        assert keys and set(keys) <= set(memo)
+        dt = config.grid.dt
+        for key, (hop, now) in keys.items():
+            tx, rx, window, _ = key
+            slots, means = memo[key]
+            want = np.arange(window[0], window[1] + 1)
+            at = world.at_time(config.grid.t_of(now))
+            view = harness._hop_view(at, config, hop, now)
+            oracle = echelon.local_mean_series(view, at, (tx, rx), dt * want)
+            assert slots.tolist() == want.tolist(), key
+            assert means.dtype == oracle.dtype and means.tobytes() == oracle.tobytes(), key
+            assert not slots.flags.writeable and not means.flags.writeable
+
+    def test_a_planned_hop_passes_the_region_and_horizon_checks(self, prefilled):
+        config, world, decisions, _ = prefilled
+        assert decisions and all(now == hop.window[0] for hop, now in decisions)
+        for hop, now in decisions:
+            at = world.at_time(config.grid.t_of(now))
+            view = harness._hop_view(at, config, hop, now)
+            center = view.region_center.as_array()
+            for node in (hop.tx, hop.rx):
+                gap = float(np.linalg.norm(at.realized_pos(node, at.now_s) - center))
+                assert gap <= view.region_radius - 50.0 + 1e-6, (hop, node)
+            assert config.grid.t_of(hop.window[1]) - at.now_s <= view.horizon_s, hop
 
 
 class TestBaselines:

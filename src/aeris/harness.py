@@ -90,6 +90,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed("seed", self.seed)
         # NaN fails every comparison, so the range checks below would pass it;
         # ints are exact, and a huge one (a seed, say) is no float to test
         named = [(f"grid.{g.name}", getattr(self.grid, g.name)) for g in fields(self.grid)]
@@ -348,6 +349,7 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
                                ("n_sensitive", n_sensitive, 0)):
         if count < least:
             raise ConfigInvalid(name, f"must be at least {least}, not {count!r}")
+    _check_seed("seed", seed)
     for name, value in (("horizon_s", horizon_s), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ConfigInvalid(name, f"must be finite and positive, not {value!r}")
@@ -460,6 +462,12 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
     return replace(world, ground_rows={key: world.row(key[0], 0, *key[1:]) for key in keys})
 
 
+def _check_seed(field: str, seed) -> None:
+    """A seed must be a non-negative integer, as np.random.SeedSequence takes."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigInvalid(field, f"must be a non-negative integer, not {seed!r}")
+
+
 def _check_load(field: str, load: float) -> None:
     """A flow load must be finite and non-negative: at an infinite rate the
     arrival clock never advances."""
@@ -517,38 +525,37 @@ class _Accounting:
             self.memo[key] = self.world.row(kernel, slot, *nodes)
         return self.memo[key]
 
-    def hop_forecasts(self, decisions) -> list:
-        """tactical.hop_forecasts for (hop, now_slot) decisions, each from the
-        world at now_slot and _hop_view's region, computed once per run per
-        (tx, rx, window, now_slot): the key fixes the region and the clock.
-        The keys the memo lacks are computed in one batch. Other flows share
-        the arrays, so they are read-only."""
+    def hop_forecasts(self, hops) -> list:
+        """tactical.hop_forecasts for hops, each decided at its window's start:
+        from the world at that slot and _hop_view's region, computed once per
+        run per (tx, rx, window), which fixes the region and the clock. The
+        keys the memo lacks are computed in one batch. Other flows share the
+        arrays, so they are read-only."""
         todo = {}
-        for hop, now_slot in decisions:
-            key = (hop.tx, hop.rx, hop.window, now_slot)
+        for hop in hops:
+            key = (hop.tx, hop.rx, hop.window)
             if key not in self.memo:
-                todo[key] = hop, now_slot
+                todo[key] = hop
         if todo:
-            hops, now_slots = zip(*todo.values())
-            worlds = [self.world.at_time(self.config.grid.t_of(s)) for s in now_slots]
-            views = [_hop_view(self.world, self.config, hop, s) for hop, s in todo.values()]
-            for key, (slots, series) in zip(todo, tactical.hop_forecasts(views, worlds, hops)):
+            new = list(todo.values())
+            worlds = [self.world.at_time(self.config.grid.t_of(hop.window[0])) for hop in new]
+            views = [_hop_view(self.world, self.config, hop) for hop in new]
+            for key, (slots, series) in zip(todo, tactical.hop_forecasts(views, worlds, new)):
                 slots.flags.writeable = series.flags.writeable = False
                 self.memo[key] = slots, series
-        return [self.memo[hop.tx, hop.rx, hop.window, now_slot] for hop, now_slot in decisions]
+        return [self.memo[hop.tx, hop.rx, hop.window] for hop in hops]
 
     def measured_gain(self, tx: str, rx: str, slot: int) -> float:
         return self.row(link_truth, slot, tx, rx)
 
     def transmit(self, flow_idx: int, hop_idx: int, slot: int, tx: str, rx: str,
-                 power_dbm: float, fade_rng, gain_db) -> bool:
-        """Send one hop. gain_db is the link's measured_gain at the slot, or None
-        when the caller has not measured it."""
+                 power_dbm: float, fade_rng) -> bool:
+        """Send one hop over the link's measured_gain at the slot."""
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
         contrib = float((p_lin * self.row(site_interference, slot, tx)) * cfg.grid.dt)
         self.interference += contrib
-        g_true = self.measured_gain(tx, rx, slot) if gain_db is None else gain_db
+        g_true = self.measured_gain(tx, rx, slot)
         h = float(fade_rng.standard_exponential())
         snr = p_lin * db_to_lin(g_true) * h / db_to_lin(BUDGET.noise_dbm)
         success = bool(snr >= db_to_lin(BUDGET.snr_threshold_db))
@@ -592,13 +599,12 @@ def _local_view(world: World, center: np.ndarray, radius: float) -> EchelonView:
     )
 
 
-def _hop_view(world: World, cfg: ScenarioConfig, hop: HopReservation,
-              now_slot: int) -> EchelonView:
-    """The local view of a hop decided at now_slot: centered between its two
-    ends' realized positions, with the scenario's region radius, widened to
-    hold both ends with 50 m to spare."""
-    tx_pos = world.realized_position(hop.tx, now_slot)
-    rx_pos = world.realized_position(hop.rx, now_slot)
+def _hop_view(world: World, cfg: ScenarioConfig, hop: HopReservation) -> EchelonView:
+    """The local view of a hop decided at its window's start: centered between
+    its two ends' realized positions then, with the scenario's region radius,
+    widened to hold both ends with 50 m to spare."""
+    tx_pos = world.realized_position(hop.tx, hop.window[0])
+    rx_pos = world.realized_position(hop.rx, hop.window[0])
     radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
     return _local_view(world, 0.5 * (tx_pos + rx_pos), radius)
 
@@ -656,32 +662,29 @@ class _Cascade:
     acct: _Accounting
     flow: FlowRequest
     flow_idx: int
-    final_slot: int
     revision: int = 0
-    skip_blockage: bool = False
 
-    def choose(self, hops: list, k: int, last_slot: int):
-        """Blockage check (local two-hop detour, or escalation to a strategic
-        replan), hop timing, then the cap-power scan for hop k."""
+    def choose(self, hops: list, k: int):
+        """Hop k's decision at its window's start, in one pass: its local
+        forecast's blockage check (on a block, a local two-hop detour, else a
+        strategic replan), the hop's timing, then the cap-power scan. Returns
+        (slot, power_dbm), or None to drop the flow; hops[k:] may be rewritten."""
         acct, cfg = self.acct, self.acct.config
         grid = cfg.grid
+        last = _last_slot(grid, self.flow)
         hop = hops[k]
-        now_slot = max(hop.window[0], last_slot + 1)
-        view = _hop_view(acct.world, cfg, hop, now_slot)
         # one local forecast over the hop's window serves the blockage check and
         # the timing; a planned hop's was computed with the run's plans
-        (slots, series), = acct.hop_forecasts([(hop, now_slot)])
-        blocked = (not self.skip_blockage) and tactical.detect_blockage(
-            view, series, cfg.blockage_threshold_db)
-        self.skip_blockage = False
-        if blocked:
+        (slots, series), = acct.hop_forecasts([hop])
+        if tactical.detect_blockage(series, cfg.blockage_threshold_db):
+            now_slot = hop.window[0]
             world = acct.world.at_time(grid.t_of(now_slot))
             tail = hops[k + 1:k + 2]
             reconnect = tactical.detour_halves(hop, tail)[0]
             anchor = np.array([world.realized_position(e, now_slot)
                                for e in (hop.tx, hop.rx, reconnect)])
             center = anchor.mean(axis=0)
-            radius = max(view.region_radius,
+            radius = max(_hop_view(world, cfg, hop).region_radius,
                          float(np.linalg.norm(anchor - center, axis=1).max()) + 50.0)
             view = _local_view(world, center, radius)
             members = _cluster_members(world, now_slot, center, radius,
@@ -691,40 +694,39 @@ class _Cascade:
             try:
                 slc = _build_slice(world, cfg, view, members, hop, tail)
                 repl = tactical.reroute_local(cluster, hop, tail, slc)
-                hops[k:k + 1 + len(tail)] = list(repl)
-                self._log_reroute(hops, k, hops[-1].rx)
-                hop = hops[k]
             except EscalateToStrategic:
                 try:
-                    remaining_s = (self.final_slot - now_slot) * grid.dt
                     res = reserve_path(world.graph, world.radio_map, hop.tx, self.flow.dest,
-                                       max(remaining_s, grid.dt), cfg.scene.sensitive_nodes,
-                                       BUDGET, injection_slot=now_slot,
-                                       tables=world.tables)
+                                       (last + 1 - now_slot) * grid.dt,
+                                       cfg.scene.sensitive_nodes, BUDGET,
+                                       injection_slot=now_slot, tables=world.tables)
                 except NoFeasiblePath:
                     return None
                 hops[k:] = list(res.hops)
                 self._log_reroute(hops, k, self.flow.dest)
-                self.skip_blockage = True
-                return self.choose(hops, k, last_slot)
-            # the detour's first hop is a new link; the slice holds its forecast
-            # over its window, the first half-span
-            slots, series = slc.slots, slc.gains(hop.tx, hop.rx)
-        # schedule_timing keeps only the slots from now_slot to the window's end
-        # and the deadline; with none, or none finite, it raises InfeasibleSchedule
-        chosen = tactical.schedule_timing([replace(hop, window=(now_slot, hop.window[1]))],
-                                          [(slots, series)], self.final_slot).hop_slots[0]
+                # the replan's first hop is timed on its own forecast, unchecked
+                hop = hops[k]
+                (slots, series), = acct.hop_forecasts([hop])
+            else:
+                hops[k:k + 1 + len(tail)] = list(repl)
+                self._log_reroute(hops, k, hops[-1].rx)
+                # the detour's first hop is a new link; the slice holds its
+                # forecast over its window, the first half-span
+                hop = hops[k]
+                slots, series = slc.slots, slc.gains(hop.tx, hop.rx)
+        # with no slot of the window by the deadline, or none finite,
+        # schedule_timing raises InfeasibleSchedule
+        chosen = tactical.schedule_timing([hop], [(slots, series)], last).hop_slots[0]
         acct.events.append({"type": "schedule", "flow": self.flow_idx, "hop": k,
                             "slot": int(chosen), "revision": self.revision})
         for s in range(int(chosen), hop.window[1] + 1):
-            measured = acct.measured_gain(hop.tx, hop.rx, s)
-            required = required_power_dbm(measured, BUDGET)
+            required = required_power_dbm(acct.measured_gain(hop.tx, hop.rx, s), BUDGET)
             if required > BUDGET.p_max_dbm:
                 continue
             decision = cap_power(required, acct.row(site_map_max, s, hop.tx),
                                  SENSITIVE_CAP_DBM, BUDGET.p_max_dbm)
             if decision.transmit:
-                return s, decision.power_dbm, measured
+                return s, decision.power_dbm
         return None
 
     def _log_reroute(self, hops: list, k: int, dest: str) -> None:
@@ -778,16 +780,15 @@ def baseline_aggregate(world: World, flow: FlowRequest):
 
 def _strategic_stage(acct: _Accounting, method: str, flows: list):
     """The method's strategic stage for a run's flows: stage(flow, flow_idx)
-    returns the flow's hops and its choice for hop k as choose(hops, k,
-    last_slot): (slot, power_dbm, the link's measured gain at the slot or None
-    if not yet measured), or None to drop the flow. choose may rewrite hops[k:]
+    returns the flow's hops and its choice for hop k as choose(hops, k):
+    (slot, power_dbm), or None to drop the flow. choose may rewrite hops[k:]
     before it answers for hop k.
 
     A reservation reads only the static planner tables, so the space-time and
     predictive stages plan every flow's (the predictive flow's first) at once,
     here, in one flow-batched call; each reservation event, or planning error,
     still comes at its flow's own turn."""
-    world, cfg = acct.world, acct.config
+    world = acct.world
     if method == "baseline_aggregate":
         def aggregate(flow, flow_idx):
             route, powers = baseline_aggregate(world, flow)
@@ -805,16 +806,14 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
     # a planned hop is decided at its window's start, since the hop before it
     # ends the slot before: every planned hop's forecast is fixed here, so the
     # run computes them in one batch
-    acct.hop_forecasts([(hop, hop.window[0]) for res in plans
-                        if not isinstance(res, Exception) for hop in res.hops])
+    acct.hop_forecasts([hop for res in plans if not isinstance(res, Exception)
+                        for hop in res.hops])
 
     def predictive(flow, flow_idx):
         res = _reservation_of(plans, flow_idx)
         acct.events.append({"type": "reservation", "flow": flow_idx,
                             "reservation": res.to_json_dict()})
-        final_slot = min(flow.injection_slot + cfg.grid.slots_in(flow.deadline_s),
-                         cfg.grid.n_slots - 1)
-        return list(res.hops), _Cascade(acct, flow, flow_idx, final_slot).choose
+        return list(res.hops), _Cascade(acct, flow, flow_idx).choose
     return predictive
 
 
@@ -826,9 +825,14 @@ def _reservation_of(plans: list, flow_idx: int) -> PathReservation:
     return res
 
 
-def _planned(hops: list, k: int, last_slot: int):
+def _planned(hops: list, k: int):
     """The baselines send each hop at its first slot with its planned power."""
-    return hops[k].window[0], hops[k].nominal_power_dbm, None
+    return hops[k].window[0], hops[k].nominal_power_dbm
+
+
+def _last_slot(grid: SlotGrid, flow: FlowRequest) -> int:
+    """The flow's deadline slot: the last one a transmission may take."""
+    return min(flow.injection_slot + grid.slots_in(flow.deadline_s), grid.n_slots) - 1
 
 
 def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rng) -> None:
@@ -836,9 +840,9 @@ def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rn
     fall after the deadline slot; the payload is delivered the slot after its
     last transmission."""
     grid = acct.config.grid
-    last_allowed = min(flow.injection_slot + grid.slots_in(flow.deadline_s), grid.n_slots) - 1
+    last = _last_slot(grid, flow)
     energy = 0.0
-    last_slot = flow.injection_slot - 1
+    slot = flow.injection_slot - 1
     k = 0
     try:
         hops, choose = stage(flow, flow_idx)
@@ -846,16 +850,15 @@ def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rn
     except NoFeasiblePath:
         hops, ok = [], False
     while ok and k < len(hops):
-        choice = choose(hops, k, last_slot)
-        if choice is None or choice[0] > last_allowed:
+        choice = choose(hops, k)
+        if choice is None or choice[0] > last:
             ok = False
             break
-        last_slot, power, gain = choice
-        ok = acct.transmit(flow_idx, k, last_slot, hops[k].tx, hops[k].rx, power, fade_rng,
-                           gain)
+        slot, power = choice
+        ok = acct.transmit(flow_idx, k, slot, hops[k].tx, hops[k].rx, power, fade_rng)
         energy += db_to_lin(power) * grid.dt
         k += 1
-    acct.finish_flow(flow_idx, flow, ok, last_slot + 1, energy)
+    acct.finish_flow(flow_idx, flow, ok, slot + 1, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +872,7 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
     config, up to the fields build_world never reads (_RUN_FIELDS)."""
     if method not in METHODS:
         raise ConfigInvalid("method", f"unknown method {method!r}")
+    _check_seed("seed", seed)
     flows = draw_flows(config, seed, load_per_min)  # checks the load before a world is built
     if world is None:
         world = build_world(config, seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echelon import EchelonView, local_mean_series, LOCAL
+from .echelon import local_mean_series
 from .errors import EscalateToStrategic, InfeasibleSchedule
 from .operational import required_power_dbm
 from .strategic import HopReservation
@@ -67,12 +67,10 @@ def hop_forecasts(views, worlds, hops) -> list:
     return list(zip(slots, np.split(means, np.cumsum([s.size for s in slots[:-1]]))))
 
 
-def detect_blockage(view: EchelonView, means: np.ndarray, gain_threshold_db: float) -> bool:
+def detect_blockage(means: np.ndarray, gain_threshold_db: float) -> bool:
     """True iff the local forecast mean over a hop's window (the means of its
     hop_forecasts entry) is strictly below the threshold; a forecast exactly
     at the threshold is not blocked."""
-    if view.tier != LOCAL:
-        raise ValueError("blockage detection uses the local tier")
     return bool(np.mean(means) < gain_threshold_db)
 
 

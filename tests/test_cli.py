@@ -94,6 +94,13 @@ class TestGenScenario:
                          "--load", load])
         assert code == 2
 
+    def test_negative_seed_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "gen_city", lambda *a: pytest.fail("generation ran"))
+        out = tmp_path / "x.json"
+        assert cli.main(["gen-scenario", "--out", str(out), "--seed", "-1"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: seed:")
+
     def test_generation_failure_exit_code(self, tmp_path, monkeypatch):
         # the corridor scene finds no clear spot for its source
         monkeypatch.setattr(harness, "gen_city", west_strip_city)
@@ -141,7 +148,8 @@ class TestRunCommand:
         ("range_cutoff_m", 800.0), ("plan_shield_margin_db", 3.0), ("map_k_neighbors", 4),
         ("map_idw_exponent", 1.0), ("local_horizon_s", 10.0), ("deadline_long_s", float("nan")),
         ("pathloss", {**OLD_FIXED_KEYS["pathloss"], "decorr_dist": float("nan")}),
-        ("grid.t0", 1.0), ("load_per_min", float("nan")), ("load_per_mni", 99.0)])
+        ("grid.t0", 1.0), ("load_per_min", float("nan")), ("load_per_mni", 99.0),
+        ("seed", -3), ("seed", 1.5)])
     def test_rejected_document_exit_code(self, config_file, tmp_path, monkeypatch, capsys,
                                          key, value):
         doc = old_document(ScenarioConfig.from_json(config_file.read_text()), key, value)
@@ -152,6 +160,13 @@ class TestRunCommand:
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+    def test_negative_run_seed_exit_code(self, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "build_world", lambda *a: pytest.fail("a world was built"))
+        code = cli.main(["run", "--config", str(config_file), "--method", "predictive",
+                         "--seed", "-1", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: seed:")
 
     def test_unschedulable_hop_exit_code(self, tmp_path, monkeypatch):
         # a hop whose local forecast holds no finite slot cannot be timed

@@ -290,7 +290,7 @@ class TestAccuracyOrdering:
 
 
 class TestDetectBlockage:
-    def hop_and_view(self):
+    def series_and_mean(self):
         world, views, *_ = small_world()
         hop = HopReservation("a0", "g1", (120, 130), 15.0)
         slots, series = hop_forecast(views[LOCAL], world, hop)
@@ -298,22 +298,16 @@ class TestDetectBlockage:
         assert slots.tolist() == list(range(120, 131))
         assert series.tolist() == local_mean_series(views[LOCAL], world, ("a0", "g1"),
                                                     times).tolist()
-        return views[LOCAL], series, float(np.mean(series))
+        return series, float(np.mean(series))
 
     def test_far_above_threshold_clear(self):
-        view, series, mean = self.hop_and_view()
-        assert detect_blockage(view, series, mean - 20.0) is False
+        series, mean = self.series_and_mean()
+        assert detect_blockage(series, mean - 20.0) is False
 
     def test_below_threshold_blocked(self):
-        view, series, mean = self.hop_and_view()
-        assert detect_blockage(view, series, mean + 20.0) is True
+        series, mean = self.series_and_mean()
+        assert detect_blockage(series, mean + 20.0) is True
 
     def test_boundary_is_not_blocked(self):
-        view, series, mean = self.hop_and_view()
-        assert detect_blockage(view, series, mean) is False
-
-    def test_requires_local_tier(self):
-        _, views, *_ = small_world()
-        _, series, _ = self.hop_and_view()
-        with pytest.raises(ValueError):
-            detect_blockage(views[CENTRAL], series, -90.0)
+        series, mean = self.series_and_mean()
+        assert detect_blockage(series, mean) is False

@@ -64,6 +64,16 @@ def old_document(config, key=None, value=None) -> dict:
 
 
 class TestConfigValidation:
+    # np.random.SeedSequence takes only a non-negative integer
+    @pytest.mark.parametrize("seed", [-3, 1.5, True, "3"])
+    def test_bad_seed(self, mini_config, mini_world, seed):
+        with pytest.raises(ConfigInvalid) as e:
+            replace(mini_config, seed=seed)
+        assert e.value.field == "seed"
+        with pytest.raises(ConfigInvalid) as e:
+            run(mini_config, "predictive", seed, world=mini_world)
+        assert e.value.field == "seed"
+
     def test_fraction_out_of_range(self, mini_config):
         with pytest.raises(ConfigInvalid) as e:
             replace(mini_config, frac_short_deadline=1.5)
@@ -354,15 +364,34 @@ class TestRun:
         with pytest.raises(InfeasibleSchedule):
             run(mini_config, "predictive", 0, world=mini_world)
 
-    def test_delivery_within_deadline(self, mini_config, mini_world):
+    # the documented settings, then the golden cascade grid's detour and
+    # escalation settings: (blockage threshold, region radius, load)
+    @pytest.mark.parametrize("setting", [None, *itertools.product((-70.0, -80.0), (50.0,),
+                                                                  (12.0, 30.0))])
+    def test_delivery_within_deadline(self, mini_config, mini_world, setting):
+        cfg, load = mini_config, None
+        if setting is not None:
+            threshold, radius, load = setting
+            cfg = replace(cfg, blockage_threshold_db=threshold, region_radius_m=radius)
         for method in METHODS:
             events = []
-            run(mini_config, method, 0, events=events, world=mini_world)
+            run(cfg, method, 0, events=events, world=mini_world, load_per_min=load)
             flows = {e["flow"]: e for e in events if e["type"] == "flow"}
-            for out in (e for e in events if e["type"] == "outcome" and e["delivered"]):
-                f = flows[out["flow"]]
-                slots = int(np.floor(f["deadline_s"] / mini_config.grid.dt + 1e-9))
-                assert out["delivery_slot"] - f["injection_slot"] <= slots
+            outcomes = {e["flow"]: e for e in events if e["type"] == "outcome"}
+            sent = {idx: [] for idx in flows}
+            for e in events:
+                if e["type"] == "transmission":
+                    sent[e["flow"]].append(e["slot"])
+            assert any(sent.values())
+            for idx, f in flows.items():
+                last = f["injection_slot"] + int(np.floor(f["deadline_s"] / cfg.grid.dt
+                                                          + 1e-9)) - 1
+                # a flow's transmissions, delivered or not, take strictly
+                # increasing slots, none after its deadline slot
+                assert all(a < b for a, b in zip(sent[idx], sent[idx][1:])), (method, idx)
+                assert all(s <= last for s in sent[idx]), (method, idx)
+                if outcomes[idx]["delivered"]:
+                    assert outcomes[idx]["delivery_slot"] <= last + 1, (method, idx)
 
 
 PLAN_ERRORS = (NoFeasiblePath, UnknownNode, ValueError)
@@ -652,8 +681,9 @@ def _spy(monkeypatch, owner, name, before, after=None):
 
 
 class TestCascadeLookups:
-    """A hop decision asks for one local forecast, and a detour slice holds
-    only the rows reroute_local reads; the run's memo computes each row and
+    """A hop decision asks for one local forecast (an escalated one also for
+    its replan's first hop), and a detour slice holds only the rows
+    reroute_local reads; the run's memo computes each row and
     each forecast once, every planned hop's forecast in one batch."""
 
     def test_run_logs_match_full_span_slice(self, mini_config, mini_world, monkeypatch):
@@ -705,6 +735,8 @@ class TestCascadeLookups:
         _spy(monkeypatch, harness._Cascade, "_log_reroute", lambda *a: log.append(("reroute",)))
         _spy(monkeypatch, harness, "reserve_path", lambda *a: log.append(("replan",)))
         _spy(monkeypatch, harness, "cap_power", lambda *a: log.append(("cap",)))
+        _spy(monkeypatch, tactical, "detect_blockage", lambda *a: log.append(("blockage",)))
+        _spy(monkeypatch, harness, "_hop_view", lambda *a: log.append(("view",)))
 
         def memo_spy(name, key_of):
             """Log each request to the run's memo as ("request", name, key),
@@ -722,8 +754,8 @@ class TestCascadeLookups:
             monkeypatch.setattr(harness._Accounting, name, wrapped)
 
         memo_spy("row", lambda kernel, slot, *nodes: (kernel, slot, *nodes))
-        memo_spy("hop_forecasts", lambda decisions: tuple(
-            (hop.tx, hop.rx, hop.window, now_slot) for hop, now_slot in decisions))
+        memo_spy("hop_forecasts", lambda hops: tuple((hop.tx, hop.rx, hop.window)
+                                                     for hop in hops))
 
         class Events(list):
             def append(self, ev):
@@ -735,15 +767,15 @@ class TestCascadeLookups:
         ground = set(world.ground_positions)
 
         # one forecast batch runs before the first flow event: every planned
-        # hop's forecast, decided at its window's start, in one map lookup
+        # hop's forecast, decided at its window's start, from one view per key
+        # and one map lookup
         head = log[:log.index(("event", "flow"))]
         batch = [r for r in requests if r[0] == "hop_forecasts" and r[5] < len(head)]
         assert len(batch) == 1
-        _, planned, decisions, _, calls, _ = batch[0]
-        decisions = decisions[0]
-        assert all(now_slot == hop.window[0] for hop, now_slot in decisions)
-        assert calls == [("series", len(set(planned))), ("map",)]
-        assert [c for c in head if c[0] in ("series", "map")] == calls
+        _, planned, _, _, calls, _ = batch[0]
+        assert calls == [("view",)] * len(set(planned)) + [("series", len(set(planned))),
+                                                          ("map",)]
+        assert [c for c in head if c[0] in ("view", "series", "map")] == calls
         planned = set(planned)
         decided = [r for r in requests if r[0] == "hop_forecasts" and r[5] >= len(head)]
         assert all(len(r[1]) == 1 for r in decided)
@@ -757,7 +789,7 @@ class TestCascadeLookups:
             else:
                 made += 1
                 seen.add(key)
-                assert calls == [("series", 1), ("map",)], key
+                assert calls == [("view",), ("series", 1), ("map",)], key
         assert hits > 0 and made > 0
 
         # the memo's contract: the first request of a key computes it once, with
@@ -783,12 +815,12 @@ class TestCascadeLookups:
         assert sum(c[0] == "series" for c in log) == 1 + made
 
         def between(open_, close):
-            """The log entries inside each open_ ... close pair; a pair nested
-            in another (a decision re-entered after a replan) holds its own
-            entries, not its parent's."""
+            """The log entries inside each open_ ... close pair; no pair opens
+            inside another of its kind (a decision is never re-entered)."""
             out, stack = [], []
             for entry in log:
                 if entry[0] == open_:
+                    assert not stack, entry
                     stack.append([])
                 elif entry[0] == close:
                     out.append(stack.pop())
@@ -802,23 +834,36 @@ class TestCascadeLookups:
             kind = ("escalation" if ("replan",) in calls
                     else "detour" if ("reroute",) in calls else "kept")
             outcomes[kind] += 1
-            # a hop decision asks for its own forecast once; a detour's first
-            # hop reads its series from the detour slice
-            assert sum(c[:2] == ("request", "hop_forecasts") for c in calls) == 1
+            # a hop decision asks for its own forecast once and checks it once;
+            # an escalated one then asks for its replan's first hop's, which it
+            # times with no second check, and a detour's first hop reads its
+            # series from the detour slice. A view is built for each forecast
+            # computed and for the blocked hop's detour radius, nowhere else
+            asked = [j for j, c in enumerate(calls) if c[:2] == ("request", "hop_forecasts")]
+            assert len(asked) == 1 + (kind == "escalation")
+            assert calls.count(("blockage",)) == 1
+            if kind == "escalation":
+                assert asked[0] < calls.index(("blockage",)) < calls.index(("replan",)) \
+                    < asked[1]
             assert calls.count(("slice",)) == (kind != "kept")
+            made_here = sum(c[1] for c in calls if c[0] == "series")
+            assert calls.count(("view",)) == made_here + (kind != "kept")
         assert min(outcomes.values()) > 0, outcomes
         # the detour slice is one map lookup of its links and one query_sites
         # call of its sensitive-site rows
         assert all(calls.count(("map",)) == calls.count(("sites",)) == 1
                    for calls in between("slice", "sliced"))
-        # a transmission asks for one row, its sender's sensitive-site row; its
-        # link gain is the one the cap-power scan measured last
+        # a transmission asks for two rows, its sender's sensitive-site row and
+        # its link's gain, the one the cap-power scan measured last: a memo hit
         sends = between("transmit", "sent")
         senders = [e[1:] for e in log if e[0] == "transmit"]
         assert len(sends) == sum(ev["type"] == "transmission" for ev in events) > 0
         for (tx, rx, slot), calls in zip(senders, sends):
             asked = [c[2] for c in calls if c[0] == "request"]
-            assert asked == [(harness.site_interference, slot, tx)], (tx, rx, slot)
+            link = (harness.link_truth, slot, tx, rx)
+            assert asked == [(harness.site_interference, slot, tx), link], (tx, rx, slot)
+            read = calls.index(("request", "row", link))
+            assert ("compute",) not in calls[read:], (tx, rx, slot)
         assert {tx in ground for tx, _, _ in senders} == {True, False}
         for k, entry in enumerate(log):
             if entry[0] == "transmit":
@@ -828,8 +873,10 @@ class TestCascadeLookups:
         # decision's end: an aircraft sender's cap check is one map query the
         # first time its row is asked for, a ground sender's none
         scanned = {"ground": 0, "aircraft": 0, "aircraft_repeat": 0}
+        sending = False
         for k, entry in enumerate(log):
-            if entry[0] == "measure":
+            sending = entry[0] == "transmit" or (sending and entry[0] != "sent")
+            if entry[0] == "measure" and not sending:
                 rest = list(itertools.takewhile(
                     lambda je: je[1][0] not in ("measure", "chosen", "choose"),
                     enumerate(log[k + 1:], k + 1)))
@@ -852,9 +899,9 @@ class TestCascadeLookups:
             if name == "row":
                 assert float.hex(out) == float.hex(world.row(*key)), key
                 continue
-            for (hop, now_slot), served in zip(args[0], out):
-                at = world.at_time(cfg.grid.t_of(now_slot))
-                fresh = hop_forecast(harness._hop_view(at, cfg, hop, now_slot), at, hop)
+            for hop, served in zip(args[0], out):
+                at = world.at_time(cfg.grid.t_of(hop.window[0]))
+                fresh = hop_forecast(harness._hop_view(at, cfg, hop), at, hop)
                 for got, want in zip(served, fresh):
                     assert not got.flags.writeable
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
@@ -879,9 +926,9 @@ class TestCascadeLookups:
 
 @pytest.fixture(scope="module", params=["mini", "peak-load"])
 def prefilled(request, mini_config, mini_world):
-    """(config, world, the decisions of a predictive run's forecast batch, the
-    memo right after it): on the mini world, and on the documented scenario
-    at peak load (64 flows/min, half of them short) on world 0, run seed 2."""
+    """(config, world, the hops of a predictive run's forecast batch, the memo
+    right after it): on the mini world, and on the documented scenario at peak
+    load (64 flows/min, half of them short) on world 0, run seed 2."""
     if request.param == "mini":
         config, world, seed = mini_config, mini_world, 0
     else:
@@ -891,43 +938,44 @@ def prefilled(request, mini_config, mini_world):
     with pytest.MonkeyPatch.context() as mp:
         kernel = harness._Accounting.hop_forecasts
 
-        def first_batch(self, decisions):
-            out = kernel(self, decisions)
+        def first_batch(self, hops):
+            out = kernel(self, hops)
             if not batches:
-                batches.append((list(decisions), dict(self.memo)))
+                batches.append((list(hops), dict(self.memo)))
             return out
 
         mp.setattr(harness._Accounting, "hop_forecasts", first_batch)
         run(config, "predictive", seed, world=world)
-    decisions, memo = batches[0]
-    return config, world, decisions, memo
+    hops, memo = batches[0]
+    return config, world, hops, memo
 
 
 class TestPlannedForecasts:
-    """The forecasts a predictive run computes in one batch after planning."""
+    """The forecasts a predictive run computes in one batch after planning,
+    each decided at its hop's window start."""
 
     def test_each_prefilled_key_equals_the_scalar_oracle(self, prefilled):
-        config, world, decisions, memo = prefilled
-        keys = {(hop.tx, hop.rx, hop.window, now): (hop, now) for hop, now in decisions}
+        config, world, hops, memo = prefilled
+        keys = {(hop.tx, hop.rx, hop.window): hop for hop in hops}
         assert keys and set(keys) <= set(memo)
         dt = config.grid.dt
-        for key, (hop, now) in keys.items():
-            tx, rx, window, _ = key
+        for key, hop in keys.items():
+            tx, rx, window = key
             slots, means = memo[key]
             want = np.arange(window[0], window[1] + 1)
-            at = world.at_time(config.grid.t_of(now))
-            view = harness._hop_view(at, config, hop, now)
+            at = world.at_time(config.grid.t_of(window[0]))
+            view = harness._hop_view(at, config, hop)
             oracle = echelon.local_mean_series(view, at, (tx, rx), dt * want)
             assert slots.tolist() == want.tolist(), key
             assert means.dtype == oracle.dtype and means.tobytes() == oracle.tobytes(), key
             assert not slots.flags.writeable and not means.flags.writeable
 
     def test_a_planned_hop_passes_the_region_and_horizon_checks(self, prefilled):
-        config, world, decisions, _ = prefilled
-        assert decisions and all(now == hop.window[0] for hop, now in decisions)
-        for hop, now in decisions:
-            at = world.at_time(config.grid.t_of(now))
-            view = harness._hop_view(at, config, hop, now)
+        config, world, hops, _ = prefilled
+        assert hops
+        for hop in hops:
+            at = world.at_time(config.grid.t_of(hop.window[0]))
+            view = harness._hop_view(at, config, hop)
             center = view.region_center.as_array()
             for node in (hop.tx, hop.rx):
                 gap = float(np.linalg.norm(at.realized_pos(node, at.now_s) - center))

@@ -19,12 +19,11 @@ It measures:
   workload, with seeds 601, 602, ..., and one `--trace 1` run per workload and
   side, with seed 700.
 
-Before and after each sweep and Tier-1 timing the host factor is measured as
-perfbench measures it: the median of five runs of its reference kernel over
-its nominal time. Both readings are recorded, and the timing is host-scaled
-by their mean. perfbench's own figures are host-scaled already. The result,
-with a summary per metric (medians, quartiles, the pairs the change wins),
-is written to --out as JSON. Nothing under perfbench/ is changed.
+The sweep and Tier-1 timings are raw wall times: the alternating pairs,
+not a host reading, are what makes the two sides comparable. perfbench's own
+figures are recorded as it reports them. The result, with a summary per
+metric (medians, quartiles, the pairs the change wins), is written to --out
+as JSON. Nothing under perfbench/ is changed.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
@@ -43,7 +41,7 @@ import numpy as np
 
 ROOT = Path.cwd()
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import REFERENCE_NOMINAL_S, WORKLOADS, reference_kernel  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 # perfbench's run length and the pairs taken of each measurement
 SECONDS = 60.0
@@ -66,38 +64,24 @@ print(json.dumps({"wall_s": wall, "rows": len(rows),
 """
 
 
-def host_factor() -> float:
-    return statistics.median(reference_kernel() for _ in range(5)) / REFERENCE_NOMINAL_S
-
-
-def host_read(before: float) -> dict:
-    """The host factors read before and now, after a timing, and their mean."""
-    after = host_factor()
-    return {"host_factor_before": before, "host_factor_after": after,
-            "host_factor": 0.5 * (before + after)}
-
-
 def child(root: Path, cmd: list, threads: int = 1) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "AERIS_THREADS": str(threads)}
     return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
 
 
 def sweep(root: Path, threads: int) -> dict:
-    before = host_factor()
     proc = child(root, [sys.executable, "-c", SWEEP], threads)
-    host = host_read(before)
     if proc.returncode:
         raise RuntimeError(proc.stderr[-2000:])
-    return {**json.loads(proc.stdout.strip().splitlines()[-1]), **host}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def tier1(root: Path) -> dict:
-    before = host_factor()
     t0 = time.perf_counter()
     proc = child(root, TIER1)
     wall = time.perf_counter() - t0
     return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1],
-            "returncode": proc.returncode, **host_read(before)}
+            "returncode": proc.returncode}
 
 
 def perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -176,15 +160,12 @@ def main(argv=None) -> int:
         record[f"acceptance_sweep_threads{threads}"] = runs
         record["summary"][f"acceptance_sweep_threads{threads}"] = {
             "wall_s": summary(runs, lambda r: r["wall_s"], "lower"),
-            "host_scaled_wall_s": summary(runs, lambda r: r["wall_s"] / r["host_factor"], "lower"),
             "rows_sha256": sorted({p[s]["rows_sha256"] for p in runs for s in sides})}
 
     print("tier-1", file=sys.stderr)
     runs = pairs(TIER1_PAIRS, sides, lambda root, i: tier1(root))
     record["tier1"] = runs
-    record["summary"]["tier1"] = {
-        "wall_s": summary(runs, lambda r: r["wall_s"], "lower"),
-        "host_scaled_wall_s": summary(runs, lambda r: r["wall_s"] / r["host_factor"], "lower")}
+    record["summary"]["tier1"] = {"wall_s": summary(runs, lambda r: r["wall_s"], "lower")}
 
     record["machine"]["loadavg_after"] = os.getloadavg()
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigInvalid
 from .radio_env import RadioMap
 from .trajectory import positions_at
 
@@ -28,6 +29,9 @@ class SlotGrid:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        # a slot count sizes arrays, so 400.0 is no slot count either
+        if isinstance(self.n_slots, bool) or not isinstance(self.n_slots, (int, np.integer)):
+            raise ConfigInvalid("grid.n_slots", f"must be an integer, not {self.n_slots!r}")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
 

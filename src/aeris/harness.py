@@ -504,7 +504,9 @@ def draw_flows(config: ScenarioConfig, run_seed: int, load_per_min: float = None
 
 
 class _Accounting:
-    """Collects transmissions and flow outcomes; truth-at-realized positions only.
+    """Sends a run's transmissions, from the truth at realized positions only,
+    and logs each one and each flow's outcome as an event. It keeps no totals:
+    the run's report is replay_metrics of those events.
 
     Flows of one source and destination ride the same relays at the same
     slots, so the run's memo computes each row and each hop forecast once. It
@@ -514,8 +516,6 @@ class _Accounting:
         self.world = world
         self.config = config
         self.events = events
-        self.interference = 0.0
-        self.outcomes = []
         self.memo = {}
 
     def row(self, kernel, slot: int, *nodes: str) -> float:
@@ -554,7 +554,6 @@ class _Accounting:
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
         contrib = float((p_lin * self.row(site_interference, slot, tx)) * cfg.grid.dt)
-        self.interference += contrib
         g_true = self.measured_gain(tx, rx, slot)
         h = float(fade_rng.standard_exponential())
         snr = p_lin * db_to_lin(g_true) * h / db_to_lin(BUDGET.noise_dbm)
@@ -567,24 +566,13 @@ class _Accounting:
         })
         return success
 
-    def finish_flow(self, flow_idx: int, flow: FlowRequest, delivered: bool,
-                    delivery_slot, energy_mw_s: float) -> None:
-        delay = (delivery_slot - flow.injection_slot) * self.config.grid.dt \
-            if delivered else None
-        self.outcomes.append((delivered, delay, energy_mw_s))
+    def finish_flow(self, flow_idx: int, delivered: bool, delivery_slot,
+                    energy_mw_s: float) -> None:
         self.events.append({
             "type": "outcome", "flow": flow_idx, "delivered": delivered,
             "delivery_slot": delivery_slot if delivered else None,
             "energy_mw_s": energy_mw_s,
         })
-
-    def report(self, method: str) -> MetricsReport:
-        n = len(self.outcomes)
-        delivered = [o for o in self.outcomes if o[0]]
-        rate = len(delivered) / n if n else 1.0
-        delay = float(np.mean([o[1] for o in delivered])) if delivered else float("nan")
-        energy = float(np.mean([o[2] for o in delivered])) if delivered else float("nan")
-        return MetricsReport(method, n, len(delivered), self.interference, rate, delay, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +846,7 @@ def _execute(acct: _Accounting, stage, flow: FlowRequest, flow_idx: int, fade_rn
         ok = acct.transmit(flow_idx, k, slot, hops[k].tx, hops[k].rx, power, fade_rng)
         energy += db_to_lin(power) * grid.dt
         k += 1
-    acct.finish_flow(flow_idx, flow, ok, slot + 1, energy)
+    acct.finish_flow(flow_idx, ok, slot + 1, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +857,8 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
         world: World = None, load_per_min: float = None) -> MetricsReport:
     """One deterministic scenario run; interference is accounted from ground
     truth at realized positions for every method. A given world must come from
-    config, up to the fields build_world never reads (_RUN_FIELDS)."""
+    config, up to the fields build_world never reads (_RUN_FIELDS). The report
+    is replay_metrics of the events the run appends."""
     if method not in METHODS:
         raise ConfigInvalid("method", f"unknown method {method!r}")
     _check_seed("seed", seed)
@@ -882,6 +871,7 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
                     getattr(config, f.name) != getattr(world.config, f.name):
                 raise ConfigInvalid(f.name, "differs from the config the world was built from")
     events_list = events if events is not None else []
+    start = len(events_list)
     events_list.append({"type": "meta", "method": method, "seed": seed,
                         "dt_s": config.grid.dt})
     acct = _Accounting(world, config, events_list)
@@ -893,11 +883,12 @@ def run(config: ScenarioConfig, method: str, seed: int, events: list = None,
         })
         fade_rng = np.random.default_rng(_stream(config, seed, 4, idx))
         _execute(acct, stage, flow, idx, fade_rng)
-    return acct.report(method)
+    return replay_metrics(events_list[start:])
 
 
 def replay_metrics(events) -> MetricsReport:
-    """Recompute the metrics report from an emitted event log alone."""
+    """The metrics report of one run's event log alone, from its meta event
+    on; run returns exactly this for the events it appends."""
     method, dt = None, None
     interference = 0.0
     outcomes = []

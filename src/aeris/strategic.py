@@ -81,10 +81,14 @@ class HopReservation:
 
 @dataclass(frozen=True)
 class PathReservation:
+    """A flow's hops and delivery. predicted_cost is the predicted interference
+    of the schedule for the interference objective, None for the min-delay
+    objective, which prices none."""
+
     hops: tuple
     injection_slot: int
     delivery_slot: int
-    predicted_cost: InterferenceCost
+    predicted_cost: InterferenceCost | None
 
     def __post_init__(self):
         for a, b in zip(self.hops, self.hops[1:]):
@@ -119,7 +123,8 @@ class PathReservation:
             ],
             "injection_slot": self.injection_slot,
             "delivery_slot": self.delivery_slot,
-            "predicted_cost_mw_s": self.predicted_cost.value,
+            "predicted_cost_mw_s": (None if self.predicted_cost is None
+                                    else self.predicted_cost.value),
         }
 
 
@@ -127,20 +132,19 @@ class PathReservation:
 class PlannerTables:
     """Per-scenario precomputation shared by every reservation query.
 
-    Three price tables, one per objective, are what a step of the DP reads:
+    Two price tables, one per objective, are what a step of the DP reads:
     [t, i, j] prices the transmit edge (i, t) -> (j, t + 1), inf where there
     is none, and [t, i, i] the carry (i, t) -> (i, t + 1). An edge is feasible
-    when its nominal power `power_dbm` fits under p_max. `edge_cost` holds the
-    predicted interference energy of every feasible edge, with free carries;
-    `capped_price` keeps only the edges that also respect the predicted
-    per-sensitive-node received-power caps, and the interference objective
-    plans on it (without a cap it equals `edge_cost`); `delay_price` charges
-    one slot length for every feasible edge and every carry.
+    when its nominal power `power_dbm` fits under p_max. `capped_price` holds
+    the predicted interference energy of every feasible edge that also
+    respects the predicted per-sensitive-node received-power caps (every
+    feasible edge without a cap), with free carries, and the interference
+    objective plans on it; `delay_price` charges one slot length for every
+    feasible edge and every carry.
     """
 
     node_ids: tuple
     power_dbm: np.ndarray
-    edge_cost: np.ndarray
     capped_price: np.ndarray
     delay_price: np.ndarray
 
@@ -182,13 +186,12 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
         sens_lin = np.zeros((n_slots, n))
     with np.errstate(invalid="ignore"):
         feasible_capped = feasible & (power <= allowed[:, :, None])
-        edge_cost = (db_to_lin(power) * sens_lin[:, :, None]) * graph.grid.dt
-    edge_cost = np.where(feasible, edge_cost, np.inf)
-    if np.any(edge_cost[feasible] < 0):
+        cost = (db_to_lin(power) * sens_lin[:, :, None]) * graph.grid.dt
+    if np.any(cost[feasible] < 0):
         raise AssertionError("edge costs must be non-negative")
     dt = graph.grid.dt
-    capped_price = _with_carry(np.where(feasible_capped, edge_cost, np.inf), 0.0)
-    return PlannerTables(graph.node_ids, power, _with_carry(edge_cost, 0.0), capped_price,
+    capped_price = _with_carry(np.where(feasible_capped, cost, np.inf), 0.0)
+    return PlannerTables(graph.node_ids, power, capped_price,
                          _with_carry(np.where(feasible, dt, np.inf), dt))
 
 
@@ -375,10 +378,9 @@ def _window(grid: SlotGrid, tables: PlannerTables, source: str, dest: str,
         dst = tables.node_ids.index(dest)
     except ValueError as e:
         raise UnknownNode(str(e)) from None
-    n_slots = tables.edge_cost.shape[0]
-    if injection_slot < 0 or injection_slot >= n_slots:
+    if injection_slot < 0 or injection_slot >= grid.n_slots:
         raise ValueError("injection slot outside the grid")
-    t_slots = min(grid.slots_in(deadline_s), n_slots - 1 - injection_slot)
+    t_slots = min(grid.slots_in(deadline_s), grid.n_slots - 1 - injection_slot)
     if source != dest and t_slots < 1:
         raise NoFeasiblePath("no slots left before the deadline")
     return src, dst, t_slots
@@ -399,10 +401,7 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay=Fal
         except (NoFeasiblePath, UnknownNode, ValueError) as e:
             out[k] = e
             continue
-        if src == dst:
-            out[k] = PathReservation((), injection_slot, injection_slot, InterferenceCost(0.0))
-        else:
-            todo.append((k, src, dst, injection_slot, t_slots))
+        todo.append((k, src, dst, injection_slot, t_slots))
     if not todo:
         return out
     todo.sort(key=lambda job: -job[4])  # stable: longest window first, as _forward needs
@@ -415,16 +414,12 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay=Fal
             continue
         cost, t_star, seq, rel = plan
         transmissions = [(start + s, i, j) for s, i, j in zip(rel, seq, seq[1:])]
-        if min_delay:
-            # the reported cost is the schedule's interference, for comparison
-            cost = 0.0
-            for s, i, j in transmissions:
-                cost = cost + float(tables.edge_cost[s, i, j])
-        out[k] = _reservation(tables, transmissions, cost, start, start + t_star, t_slots)
+        out[k] = _reservation(tables, transmissions, None if min_delay else InterferenceCost(cost),
+                              start, start + t_star, t_slots)
     return out
 
 
-def _reservation(tables: PlannerTables, transmissions, cost_value, injection_slot,
+def _reservation(tables: PlannerTables, transmissions, cost, injection_slot,
                  delivery_slot, t_slots) -> PathReservation:
     hops = []
     last_window_end = injection_slot + t_slots - 1
@@ -434,7 +429,7 @@ def _reservation(tables: PlannerTables, transmissions, cost_value, injection_slo
             HopReservation(tables.node_ids[i], tables.node_ids[j], (s, end),
                            float(tables.power_dbm[s, i, j]))
         )
-    return PathReservation(tuple(hops), injection_slot, delivery_slot, InterferenceCost(cost_value))
+    return PathReservation(tuple(hops), injection_slot, delivery_slot, cost)
 
 
 def _one(results: list) -> PathReservation:
@@ -471,8 +466,8 @@ def min_delay_reservation(graph: ChannelGraph, requests, tables: PlannerTables) 
     for many (source, dest, deadline_s, injection_slot) requests in one
     flow-batched pass that stops once every flow has arrived.
 
-    Every edge (carry or transmit) costs one slot of delay; the reported
-    predicted cost is the interference of the chosen schedule, for comparison.
+    Every edge (carry or transmit) costs one slot of delay. The objective
+    prices no interference, so each reservation's predicted_cost is None.
     Entry k is request k's PathReservation, or the NoFeasiblePath, UnknownNode
     or ValueError that planning it alone raises, returned rather than raised.
     """

@@ -34,9 +34,6 @@ class LocalCluster:
             if a not in members or b not in members:
                 raise ValueError("blocked pairs must join cluster members")
 
-    def is_blocked(self, a: str, b: str) -> bool:
-        return (a, b) in self.blocked_pairs or (b, a) in self.blocked_pairs
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -130,25 +127,22 @@ def _best_slot_cost(slice_: LocalGraphSlice, tx: str, rx: str, lo: int, hi: int)
 
 def reroute_local(cluster: LocalCluster, blocked_hop: HopReservation, directive_tail,
                   graph_slice: LocalGraphSlice):
-    """Replace a blocked hop with the cheapest 2-hop detour through a cluster
-    member, reconnecting to the directive at the node after the blocked link.
+    """Replace a blocked hop, which the caller found blocked, with the cheapest
+    2-hop detour through any other cluster member, reconnecting to the
+    directive at the node after the blocked link.
     The detour's first hop takes a slot of the first half-span of
     detour_halves, its second hop one of the second half-span.
 
-    Returns the replacement hop tuple (identity when the hop is not actually
-    flagged blocked); raises EscalateToStrategic when no detour fits.
+    Returns the replacement hop tuple; raises EscalateToStrategic when no
+    detour fits.
     """
     a, b = blocked_hop.tx, blocked_hop.rx
-    if not cluster.is_blocked(a, b):
-        return (blocked_hop,)
     reconnect, first_half, second_half = detour_halves(blocked_hop, directive_tail)
     if second_half[1] - first_half[0] < 1:
         raise EscalateToStrategic("window too short for a two-hop detour")
     best = None
     for m in sorted(cluster.member_ids):
         if m in (a, b, reconnect):
-            continue
-        if cluster.is_blocked(a, m) or cluster.is_blocked(m, reconnect):
             continue
         first = _best_slot_cost(graph_slice, a, m, *first_half)
         second = _best_slot_cost(graph_slice, m, reconnect, *second_half)

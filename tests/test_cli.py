@@ -161,6 +161,21 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
+    # a slot count sizes the grid's arrays: one that is no integer once ended
+    # the run in a TypeError
+    @pytest.mark.parametrize("n_slots", [400.0, 400.5, True])
+    def test_non_integer_slot_count_exit_code(self, config_file, tmp_path, monkeypatch, capsys,
+                                              n_slots):
+        doc = json.loads(config_file.read_text())
+        doc["grid"]["n_slots"] = n_slots
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the document loaded"))
+        code = cli.main(["run", "--config", str(bad), "--method", "predictive",
+                         "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: grid.n_slots:")
+
     def test_negative_run_seed_exit_code(self, config_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "build_world", lambda *a: pytest.fail("a world was built"))
         code = cli.main(["run", "--config", str(config_file), "--method", "predictive",

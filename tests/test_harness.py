@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -156,12 +156,19 @@ class TestConfigValidation:
         assert e.value.field == name
 
     # every nested number that its own parameter class lets NaN through
-    @pytest.mark.parametrize("outer, name", [("grid", "dt"), ("grid", "n_slots")])
+    @pytest.mark.parametrize("outer, name", [("grid", "dt")])
     def test_non_finite_nested_number_rejected_at_construction(self, mini_config, outer, name):
         inner = replace(getattr(mini_config, outer), **{name: math.nan})
         with pytest.raises(ConfigInvalid) as e:
             replace(mini_config, **{outer: inner})
         assert e.value.field == f"{outer}.{name}"
+
+    # the grid itself takes only an integer slot count, as a seed must be one
+    @pytest.mark.parametrize("n_slots", [math.nan, math.inf, 400.0, 400.5, True, "400"])
+    def test_non_integer_slot_count_rejected(self, mini_config, n_slots):
+        with pytest.raises(ConfigInvalid) as e:
+            replace(mini_config.grid, n_slots=n_slots)
+        assert e.value.field == "grid.n_slots"
 
     def test_json_huge_seed_loads(self, mini_config):
         # an int too large for a float is still exact, and a seed takes it
@@ -293,11 +300,18 @@ class TestRun:
         assert logs["predictive"] == logs["baseline_aggregate"] == logs["baseline_spacetime"]
 
     def test_replay_reproduces_report(self, mini_config, mini_world):
+        # the log as `aeris run --events` writes it, one JSON line per event,
+        # replays to the report's bits; runs that share one list report only
+        # their own events
+        shared = []
         for method in METHODS:
             events = []
             rep = run(mini_config, method, 0, events=events, world=mini_world)
-            again = replay_metrics(events)
-            assert again.to_json() == rep.to_json()
+            lines = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in events)
+            again = replay_metrics([json.loads(line) for line in lines.splitlines()])
+            assert report_bits(again) == report_bits(rep)
+            assert report_bits(run(mini_config, method, 0, events=shared,
+                                   world=mini_world)) == report_bits(rep)
 
     def test_interference_accounted_from_truth_at_realized(self, mini_config, mini_world):
         events = []
@@ -356,6 +370,31 @@ class TestRun:
         with pytest.raises(ValueError, match="replan fault"):
             run(eager, "predictive", 0, world=mini_world)
 
+    def test_replan_without_a_path_drops_the_flow(self, mini_config, mini_world, monkeypatch):
+        # an escalation whose replan finds no path ends the flow undelivered,
+        # with no transmission for the escalated hop or any hop after it
+        eager = replace(mini_config, blockage_threshold_db=-70.0, region_radius_m=50.0)
+        plan = harness.reserve_path
+        escalated = []
+
+        def no_replan(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "choose":
+                escalated.append((caller.f_locals["self"].flow_idx, caller.f_locals["k"]))
+                raise NoFeasiblePath("no replan")
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reserve_path", no_replan)
+        events = []
+        run(eager, "predictive", 0, events=events, world=mini_world)
+        assert escalated
+        assert len({flow for flow, _ in escalated}) == len(escalated)
+        outcomes = {e["flow"]: e for e in events if e["type"] == "outcome"}
+        for flow, k in escalated:
+            assert not outcomes[flow]["delivered"]
+            assert all(e["hop"] < k for e in events
+                       if e["type"] in ("transmission", "schedule") and e["flow"] == flow)
+
     def test_unusable_hop_forecast_raises(self, mini_config, mini_world, monkeypatch):
         # a hop whose local forecast holds no finite slot cannot be timed; the
         # run raises rather than drop or re-time the flow
@@ -395,6 +434,11 @@ class TestRun:
 
 
 PLAN_ERRORS = (NoFeasiblePath, UnknownNode, ValueError)
+
+
+def report_bits(rep) -> dict:
+    """A metrics report with its floats as exact hex strings."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in asdict(rep).items()}
 
 
 def plan_each(graph, requests, tables):
@@ -572,9 +616,8 @@ class TestBatchedPlanning:
         requests += [("src0", "dst0", 20.0, last), ("src0", "dst0", 2.0, last - 3),
                      ("src0", "src0", 2.0, 5), ("src0", "nowhere", 20.0, 0),
                      ("src0", "dst0", 0.05, 0), ("src0", "dst0", 20.0, last + 1)]
-        no_edges = np.full_like(tables.edge_cost, np.inf)
-        carry_only = strategic._with_carry(no_edges.copy(), 0.0)
-        dead = replace(tables, edge_cost=carry_only, capped_price=carry_only,
+        no_edges = np.full_like(tables.capped_price, np.inf)
+        dead = replace(tables, capped_price=strategic._with_carry(no_edges.copy(), 0.0),
                        delay_price=strategic._with_carry(no_edges, mini_config.grid.dt))
         for tabs in (tables, dead):
             plan = batch_planner(graph, tabs, objective)

@@ -140,6 +140,10 @@ UNREAD_FIELDS_KEPT = {
     # queries it through RadioMap.query, so the map's stated error figure stays
     # an input and query reports it
     "radio_env.LargeScaleStats.shadow_std_db",
+    # acceptance criterion 7 builds a LocalCluster from four positional
+    # arguments, the blocked pair among them; the cascade's cluster blocks only
+    # the hop it reroutes, so reroute_local need not read it back
+    "tactical.LocalCluster.blocked_pairs",
 }
 
 

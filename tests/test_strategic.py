@@ -179,9 +179,14 @@ def oracle_search(price, src, dst, start, t_slots, first_arrival=False):
     """strategic._search flow by flow from the scalar oracles: the full-window
     search over the flow's own slots of price (transmit edges where finite off
     the diagonal, the carry cost on it), then lex_sequence and earliest_slots.
-    It sweeps every window whole, so it ignores first_arrival."""
+    A flow whose source is its destination is delivered at once, with no hop,
+    even in a window of 0 slots. It sweeps every window whole, so it ignores
+    first_arrival."""
     out = []
     for s, d, entry, t_slots_b in zip(src, dst, start, t_slots):
+        if s == d:
+            out.append((0.0, 0, [int(s)], []))
+            continue
         cost = price[entry:entry + t_slots_b]
         n = cost.shape[1]
         feas = np.isfinite(cost) & ~np.eye(n, dtype=bool)
@@ -558,6 +563,9 @@ class TestMinDelay:
                     assert want is None
                     continue
                 _, hops, delivery, seq, slots = want
+                # the objective prices no interference, so no cost is reported
+                assert res.predicted_cost is None
+                assert res.to_json_dict()["predicted_cost_mw_s"] is None
                 assert res.delivery_slot == delivery
                 assert len(res.hops) == hops
                 assert tuple([a] + [h.rx for h in res.hops]) == seq
@@ -643,7 +651,9 @@ def per_node_tables(graph, radio_map, nodes, budget, cap, pathloss):
     """Reference for prepare_planner's sensitive-node tables: one map lookup per
     sensitive node over every (slot, entity) position, clamped column by column
     when pathloss is given.
-    Returns (edge_cost, capped_price), each with free carries on its diagonal."""
+    Returns (edge_cost, capped_price), each with free carries on its diagonal:
+    the interference cost of every p_max-feasible edge, and of those that also
+    respect the caps."""
     w = graph.weights
     n_slots, n, _ = w.shape
     with np.errstate(invalid="ignore"):
@@ -687,16 +697,16 @@ class TestPlannerTables:
                  "all": scene.all_nodes()}[which]
         got = strategic.prepare_planner(graph, rmap, nodes, budget, per_node_cap_dbm=cap,
                                         pathloss=pathloss)
-        want = per_node_tables(graph, rmap, nodes, budget, cap, pathloss)
-        for a, b in zip((got.edge_cost, got.capped_price), want, strict=True):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        uncapped, want = per_node_tables(graph, rmap, nodes, budget, cap, pathloss)
+        assert got.capped_price.dtype == want.dtype
+        assert got.capped_price.tobytes() == want.tobytes()
         if cap is not None and nodes:
             # the cap binds somewhere, so the comparison covers it
-            assert (got.capped_price != got.edge_cost).any()
+            assert (got.capped_price != uncapped).any()
 
-    def test_without_a_cap_capped_price_is_edge_cost(self):
+    def test_without_a_cap_capped_price_is_the_uncapped_cost(self):
         # reserve_path without tables plans on capped_price, which then prices
-        # every p_max-feasible edge as edge_cost does
+        # every p_max-feasible edge
         def cases():
             for seed in range(100):
                 graph, rmap, _, _, _, sens, budget = random_instance(seed)
@@ -707,7 +717,8 @@ class TestPlannerTables:
 
         for graph, rmap, sens, budget in cases():
             tables = strategic.prepare_planner(graph, rmap, sens, budget)
-            assert tables.capped_price.tobytes() == tables.edge_cost.tobytes()
+            uncapped, _ = per_node_tables(graph, rmap, sens, budget, None, None)
+            assert tables.capped_price.tobytes() == uncapped.tobytes()
 
 
 class TestReservationJson:

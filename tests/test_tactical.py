@@ -35,11 +35,6 @@ class TestRerouteLocal:
     def cluster(self, members, blocked):
         return LocalCluster(tuple(members), {}, frozenset(blocked), None)
 
-    def test_identity_when_not_flagged(self):
-        hop = HopReservation("2", "6", (0, 10), 12.0)
-        out = reroute_local(self.cluster(["2", "5", "6", "7"], []), hop, [], None)
-        assert out == (hop,)
-
     def test_substitutes_available_relay(self):
         # directive 2 -> 6 -> 7 with the first link blocked and node 5 free
         blocked_hop = HopReservation("2", "6", (0, 9), 15.0)

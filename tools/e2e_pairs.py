@@ -19,6 +19,9 @@ It measures:
   workload, with seeds 601, 602, ..., and one `--trace 1` run per workload and
   side, with seed 700.
 
+It also records each side's line counts, as `wc -l` gives them, of
+`src/aeris/*.py` and `tests/*.py`: per file and in total.
+
 The sweep and Tier-1 timings are raw wall times: the alternating pairs,
 not a host reading, are what makes the two sides comparable. perfbench's own
 figures are recorded as it reports them. The result, with a summary per
@@ -98,6 +101,16 @@ def perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def line_counts(root: Path) -> dict:
+    """Newlines per file, as `wc -l` counts them, and their total, for each
+    of src/aeris/*.py and tests/*.py."""
+    out = {}
+    for pattern in ("src/aeris/*.py", "tests/*.py"):
+        files = {p.name: p.read_bytes().count(b"\n") for p in sorted(root.glob(pattern))}
+        out[pattern] = {"files": files, "total": sum(files.values())}
+    return out
+
+
 def pairs(n: int, sides: dict, measure) -> list:
     """n alternating pairs of measure(root) over the two sides."""
     out = []
@@ -138,7 +151,8 @@ def main(argv=None) -> int:
     record = {"what": __doc__.split("\n\n")[2].replace("\n", " "),
               "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                           "numpy": np.__version__, "loadavg_before": os.getloadavg()},
-              "perfbench": {}, "summary": {}}
+              "perfbench": {}, "summary": {},
+              "lines": {side: line_counts(root) for side, root in sides.items()}}
 
     for wl in WORKLOADS:
         print(f"perfbench {wl}", file=sys.stderr)

@@ -16,7 +16,7 @@ from .errors import ConfigInvalid
 from .radio_env import RadioMap
 from .trajectory import positions_at
 
-RANGE_CUTOFF_M = 1500.0  # synthesize's default link range
+RANGE_CUTOFF_M = 1500.0  # the longest link synthesize puts in the graph
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,10 @@ class SlotGrid:
     n_slots: int = 1200
 
     def __post_init__(self):
+        # bool is an int, and NaN fails every comparison
+        real = isinstance(self.dt, (int, float, np.integer, np.floating))
+        if isinstance(self.dt, bool) or not (real and -math.inf < self.dt < math.inf):
+            raise ConfigInvalid("grid.dt", f"must be a finite number, not {self.dt!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         # a slot count sizes arrays, so 400.0 is no slot count either
@@ -64,10 +68,9 @@ class ChannelGraph:
     positions: np.ndarray = field(repr=False, compare=False)
 
 
-def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
-               range_cutoff: float = RANGE_CUTOFF_M) -> ChannelGraph:
+def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid) -> ChannelGraph:
     """Build the graph: weights[t, i, j] = map mean gain at the planned slot-t
-    positions for every pair within range_cutoff; ground nodes are static.
+    positions for every pair within RANGE_CUTOFF_M; ground nodes are static.
     Aircraft and ground nodes share one index, in id order. Aircraft pairs and
     ground pairs take query_many; an aircraft's rows toward every ground node
     take one query_sites call."""
@@ -88,7 +91,7 @@ def synthesize(trajs, ground_nodes, radio_map: RadioMap, grid: SlotGrid,
     weights = np.full((grid.n_slots, n, n), np.nan)
     iu, ju = np.triu_indices(n, k=1)
     d = np.linalg.norm(pos[:, iu, :] - pos[:, ju, :], axis=2)
-    near = (d <= range_cutoff) & (d > 0.0)
+    near = (d <= RANGE_CUTOFF_M) & (d > 0.0)
     # aircraft pairs and ground pairs: rows pair-major, slots ascending within
     # a pair; the map's lookups run faster in this order than slot-major
     same = np.flatnonzero(ground[iu] == ground[ju])

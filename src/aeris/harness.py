@@ -93,11 +93,10 @@ class ScenarioConfig:
         _check_seed("seed", self.seed)
         # NaN fails every comparison, so the range checks below would pass it;
         # ints are exact, and a huge one (a seed, say) is no float to test
-        named = [(f"grid.{g.name}", getattr(self.grid, g.name)) for g in fields(self.grid)]
-        named += [(f.name, getattr(self, f.name)) for f in fields(self)[3:]]
-        for name, v in named:
+        for f in fields(self)[3:]:
+            v = getattr(self, f.name)
             if not isinstance(v, int) and not math.isfinite(v):
-                raise ConfigInvalid(name, f"must be finite, not {v!r}")
+                raise ConfigInvalid(f.name, f"must be finite, not {v!r}")
         nodes = (len(self.trajectories) + len(self.scene.ground_sources)
                  + len(self.scene.ground_destinations))
         if self.grid.n_slots * nodes ** 2 > _MAX_GRAPH_CELLS:
@@ -672,7 +671,7 @@ class _Cascade:
             anchor = np.array([world.realized_position(e, now_slot)
                                for e in (hop.tx, hop.rx, reconnect)])
             center = anchor.mean(axis=0)
-            radius = max(_hop_view(world, cfg, hop).region_radius,
+            radius = max(cfg.region_radius_m,
                          float(np.linalg.norm(anchor - center, axis=1).max()) + 50.0)
             view = _local_view(world, center, radius)
             members = _cluster_members(world, now_slot, center, radius,
@@ -692,16 +691,13 @@ class _Cascade:
                     return None
                 hops[k:] = list(res.hops)
                 self._log_reroute(hops, k, self.flow.dest)
-                # the replan's first hop is timed on its own forecast, unchecked
-                hop = hops[k]
-                (slots, series), = acct.hop_forecasts([hop])
             else:
                 hops[k:k + 1 + len(tail)] = list(repl)
                 self._log_reroute(hops, k, hops[-1].rx)
-                # the detour's first hop is a new link; the slice holds its
-                # forecast over its window, the first half-span
-                hop = hops[k]
-                slots, series = slc.slots, slc.gains(hop.tx, hop.rx)
+            # the new first hop, a detour's or a replan's, is timed on its own
+            # forecast over its window, with no second blockage check
+            hop = hops[k]
+            (slots, series), = acct.hop_forecasts([hop])
         # with no slot of the window by the deadline, or none finite,
         # schedule_timing raises InfeasibleSchedule
         chosen = tactical.schedule_timing([hop], [(slots, series)], last).hop_slots[0]

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_graph import ChannelGraph, SlotGrid
+from .channel_graph import ChannelGraph
 from .errors import NoFeasiblePath, UnknownNode
 from .operational import LinkBudget, required_power_dbm
 from .radio_env import RadioMap
@@ -135,16 +135,16 @@ class PlannerTables:
     Two price tables, one per objective, are what a step of the DP reads:
     [t, i, j] prices the transmit edge (i, t) -> (j, t + 1), inf where there
     is none, and [t, i, i] the carry (i, t) -> (i, t + 1). An edge is feasible
-    when its nominal power `power_dbm` fits under p_max. `capped_price` holds
-    the predicted interference energy of every feasible edge that also
-    respects the predicted per-sensitive-node received-power caps (every
-    feasible edge without a cap), with free carries, and the interference
-    objective plans on it; `delay_price` charges one slot length for every
-    feasible edge and every carry.
+    when its nominal power, required_power_dbm of the graph weight under
+    budget, fits under p_max. `capped_price` holds the predicted interference
+    energy of every feasible edge that also respects the predicted
+    per-sensitive-node received-power caps (every feasible edge without a
+    cap), with free carries, and the interference objective plans on it;
+    `delay_price` charges one slot length for every feasible edge and every
+    carry. Nodes are indexed in the graph's node_ids order.
     """
 
-    node_ids: tuple
-    power_dbm: np.ndarray
+    budget: LinkBudget
     capped_price: np.ndarray
     delay_price: np.ndarray
 
@@ -191,8 +191,7 @@ def prepare_planner(graph: ChannelGraph, radio_map: RadioMap, sensitive_nodes,
         raise AssertionError("edge costs must be non-negative")
     dt = graph.grid.dt
     capped_price = _with_carry(np.where(feasible_capped, cost, np.inf), 0.0)
-    return PlannerTables(graph.node_ids, power, capped_price,
-                         _with_carry(np.where(feasible, dt, np.inf), dt))
+    return PlannerTables(budget, capped_price, _with_carry(np.where(feasible, dt, np.inf), dt))
 
 
 def _with_carry(price: np.ndarray, carry_cost: float) -> np.ndarray:
@@ -368,14 +367,15 @@ def _search(price, src, dst, start, t_slots, first_arrival=False) -> list:
     return res
 
 
-def _window(grid: SlotGrid, tables: PlannerTables, source: str, dest: str,
-            deadline_s: float, injection_slot: int):
+def _window(graph: ChannelGraph, source: str, dest: str, deadline_s: float,
+            injection_slot: int):
     """A request's node indices and its window length in slots, or its error."""
+    grid = graph.grid
     if deadline_s < grid.dt:
         raise ValueError("deadline must cover at least one slot")
     try:
-        src = tables.node_ids.index(source)
-        dst = tables.node_ids.index(dest)
+        src = graph.node_ids.index(source)
+        dst = graph.node_ids.index(dest)
     except ValueError as e:
         raise UnknownNode(str(e)) from None
     if injection_slot < 0 or injection_slot >= grid.n_slots:
@@ -386,7 +386,7 @@ def _window(grid: SlotGrid, tables: PlannerTables, source: str, dest: str,
     return src, dst, t_slots
 
 
-def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay=False) -> list:
+def _reserve_many(graph: ChannelGraph, tables: PlannerTables, requests, min_delay=False) -> list:
     """Shared engine: least predicted interference under the caps, or with
     min_delay earliest delivery, for each (source, dest, deadline_s,
     injection_slot) request, with one batched search over every request that
@@ -397,7 +397,7 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay=Fal
     todo = []
     for k, (source, dest, deadline_s, injection_slot) in enumerate(requests):
         try:
-            src, dst, t_slots = _window(grid, tables, source, dest, deadline_s, injection_slot)
+            src, dst, t_slots = _window(graph, source, dest, deadline_s, injection_slot)
         except (NoFeasiblePath, UnknownNode, ValueError) as e:
             out[k] = e
             continue
@@ -414,21 +414,21 @@ def _reserve_many(grid: SlotGrid, tables: PlannerTables, requests, min_delay=Fal
             continue
         cost, t_star, seq, rel = plan
         transmissions = [(start + s, i, j) for s, i, j in zip(rel, seq, seq[1:])]
-        out[k] = _reservation(tables, transmissions, None if min_delay else InterferenceCost(cost),
+        out[k] = _reservation(graph, tables.budget, transmissions,
+                              None if min_delay else InterferenceCost(cost),
                               start, start + t_star, t_slots)
     return out
 
 
-def _reservation(tables: PlannerTables, transmissions, cost, injection_slot,
-                 delivery_slot, t_slots) -> PathReservation:
+def _reservation(graph: ChannelGraph, budget: LinkBudget, transmissions, cost,
+                 injection_slot, delivery_slot, t_slots) -> PathReservation:
     hops = []
     last_window_end = injection_slot + t_slots - 1
     for k, (s, i, j) in enumerate(transmissions):
         end = transmissions[k + 1][0] - 1 if k + 1 < len(transmissions) else last_window_end
-        hops.append(
-            HopReservation(tables.node_ids[i], tables.node_ids[j], (s, end),
-                           float(tables.power_dbm[s, i, j]))
-        )
+        # bit for bit the value prepare_planner checked against p_max
+        power = required_power_dbm(graph.weights[s, i, j], budget)
+        hops.append(HopReservation(graph.node_ids[i], graph.node_ids[j], (s, end), float(power)))
     return PathReservation(tuple(hops), injection_slot, delivery_slot, cost)
 
 
@@ -444,7 +444,7 @@ def reserve_paths(graph: ChannelGraph, requests, tables: PlannerTables) -> list:
     on shared tables, in one flow-batched forward pass. Entry k is request k's
     PathReservation, or the NoFeasiblePath, UnknownNode or ValueError that
     reserve_path raises for it alone, returned rather than raised."""
-    return _reserve_many(graph.grid, tables, requests)
+    return _reserve_many(graph, tables, requests)
 
 
 def reserve_path(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: str,
@@ -471,4 +471,4 @@ def min_delay_reservation(graph: ChannelGraph, requests, tables: PlannerTables) 
     Entry k is request k's PathReservation, or the NoFeasiblePath, UnknownNode
     or ValueError that planning it alone raises, returned rather than raised.
     """
-    return _reserve_many(graph.grid, tables, requests, min_delay=True)
+    return _reserve_many(graph, tables, requests, min_delay=True)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from aeris.channel_graph import SlotGrid, synthesize
+from aeris.channel_graph import RANGE_CUTOFF_M, SlotGrid, synthesize
 from aeris.radio_env import (ChannelSample, build_map, sample_along, sample_between,
                              sample_ground_pairs)
-from aeris.scene import Position3, SceneNode
+from aeris.scene import ObstacleBox, Position3, Scene, SceneNode
 from aeris.trajectory import Trajectory4D, Waypoint, positions_at
-from test_radio_env import EMPTY, NOSHADOW
+from test_radio_env import NOSHADOW
 
 
 def P(x, y, z):
@@ -29,6 +29,8 @@ def random_map(seed=0, n=80):
 
 
 GRID = SlotGrid(0.5, 60)
+# an empty block wide enough for pairs beyond the link range
+WIDE = Scene(ObstacleBox(P(-500, -500, 0), P(3000, 3000, 300)))
 
 
 def series(graph, i, j):
@@ -59,7 +61,7 @@ class TestSlotGrid:
 class TestSynthesize:
     def test_static_nodes_constant_forecast(self):
         ground = [SceneNode("g0", P(0, 0, 0)), SceneNode("g1", P(200, 0, 0))]
-        graph = synthesize([], ground, random_map(), GRID, 1500.0)
+        graph = synthesize([], ground, random_map(), GRID)
         gains = series(graph, "g0", "g1")
         assert np.all(np.isfinite(gains))
         assert np.all(gains == gains[0])
@@ -69,7 +71,7 @@ class TestSynthesize:
                  straight("a1", (700, 0, 60), (0, 500, 110))]
         ground = [SceneNode("g0", P(350, 350, 0))]
         rmap = random_map(3)
-        graph = synthesize(trajs, ground, rmap, GRID, 1500.0)
+        graph = synthesize(trajs, ground, rmap, GRID)
         rng = np.random.default_rng(9)
         by_id = {t.aircraft_id: t for t in trajs}
         for _ in range(80):
@@ -88,7 +90,7 @@ class TestSynthesize:
     def test_symmetry_of_stored_weights(self):
         trajs = [straight("a0", (0, 0, 80), (700, 100, 80))]
         ground = [SceneNode("g0", P(350, 350, 0))]
-        graph = synthesize(trajs, ground, random_map(1), GRID, 1500.0)
+        graph = synthesize(trajs, ground, random_map(1), GRID)
         w = graph.weights
         assert np.array_equal(w, np.swapaxes(w, 1, 2), equal_nan=True)
 
@@ -102,7 +104,7 @@ class TestSynthesize:
         gains = -np.linalg.norm(pos - node.pos.as_array(), axis=1) / 10.0
         samples = [ChannelSample(P(*pos[k]), node.pos, float(gains[k]))
                    for k in range(grid.n_slots)]
-        graph = synthesize([traj], [node], build_map(samples), grid, 5000.0)
+        graph = synthesize([traj], [node], build_map(samples), grid)
         gains = series(graph, "a0", "g0")
         # closest approach of the segment to the node (perpendicular foot)
         a, b = pos[0], positions_at(traj, np.array([grid.dt * grid.n_slots]))[0]
@@ -120,7 +122,7 @@ class TestSynthesize:
         ground = [SceneNode(name, P(*xy, 0)) for name, xy in
                   (("s0", (0, 300)), ("d0", (700, 300)), ("x0", (350, 600)))]
         rmap = random_map(7)
-        want = synthesize(trajs, ground, rmap, GRID, 1500.0)
+        want = synthesize(trajs, ground, rmap, GRID)
         assert want.node_ids == ("d0", "s0", "u0", "u10", "u2", "x0")
         if order == "reversed":
             trajs, ground = trajs[::-1], ground[::-1]
@@ -128,32 +130,32 @@ class TestSynthesize:
             rng = np.random.default_rng(5)
             trajs = [trajs[k] for k in rng.permutation(len(trajs))]
             ground = [ground[k] for k in rng.permutation(len(ground))]
-        got = synthesize(trajs, ground, rmap, GRID, 1500.0)
+        got = synthesize(trajs, ground, rmap, GRID)
         assert got.node_ids == want.node_ids
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.positions.tobytes() == want.positions.tobytes()
 
     def test_every_weight_is_its_rows_map_query(self):
         # a map that indexes the ground nodes, so rows toward them take the 3D
-        # search; a 500 m cutoff drops some aircraft-ground slots and the far
+        # search; the cutoff drops some aircraft-ground slots and the far
         # ground pair, and keeps the near one
-        trajs = [straight("a0", (0, 0, 80), (700, 100, 80)),
-                 straight("a1", (700, 0, 60), (0, 500, 110)),
-                 straight("a2", (100, 600, 90), (650, 50, 70))]
-        ground = [SceneNode("g0", P(350, 350, 0)), SceneNode("g1", P(0, 900, 0)),
-                  SceneNode("g2", P(300, 420, 0))]
+        trajs = [straight("a0", (0, 0, 80), (2100, 300, 80)),
+                 straight("a1", (2100, 0, 60), (0, 1500, 110)),
+                 straight("a2", (300, 1800, 90), (1950, 150, 70))]
+        ground = [SceneNode("g0", P(1050, 1050, 0)), SceneNode("g1", P(0, 2700, 0)),
+                  SceneNode("g2", P(900, 1260, 0))]
         peers = [g.pos for g in ground]
-        rmap = build_map(sample_along(trajs, EMPTY, NOSHADOW, 4, 1.0, peers)
-                         + sample_between(trajs, EMPTY, NOSHADOW, 4, 1.0)
-                         + sample_ground_pairs(EMPTY, NOSHADOW, 4, peers))
+        rmap = build_map(sample_along(trajs, WIDE, NOSHADOW, 4, 1.0, peers)
+                         + sample_between(trajs, WIDE, NOSHADOW, 4, 1.0)
+                         + sample_ground_pairs(WIDE, NOSHADOW, 4, peers))
         assert rmap._sites is not None
-        graph = synthesize(trajs, ground, rmap, GRID, 500.0)
+        graph = synthesize(trajs, ground, rmap, GRID)
         pos = graph.positions
         want = np.full(graph.weights.shape, np.nan)
         for i in range(len(graph.node_ids)):
             for j in range(len(graph.node_ids)):
                 d = np.linalg.norm(pos[:, i] - pos[:, j], axis=1)
-                ks = np.flatnonzero((d <= 500.0) & (d > 0.0))
+                ks = np.flatnonzero((d <= RANGE_CUTOFF_M) & (d > 0.0))
                 if i != j and ks.size:
                     want[ks, i, j] = rmap.query_many(pos[ks, i], pos[ks, j])
         assert np.array_equal(graph.weights.view(np.int64), want.view(np.int64))
@@ -166,12 +168,18 @@ class TestSynthesize:
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValueError):
             synthesize([straight("g0", (0, 0, 80), (700, 100, 80))],
-                       [SceneNode("g0", P(0, 0, 0))], random_map(), GRID, 1500.0)
+                       [SceneNode("g0", P(0, 0, 0))], random_map(), GRID)
 
     def test_range_cutoff_prunes(self):
-        ground = [SceneNode("g0", P(0, 0, 0)), SceneNode("g1", P(400, 0, 0))]
-        graph = synthesize([], ground, random_map(), GRID, range_cutoff=100.0)
+        # g0 to g2 is exactly RANGE_CUTOFF_M, which keeps the link; g0 to g1 is
+        # 100 m more, which drops it
+        assert RANGE_CUTOFF_M == 1500.0
+        ground = [SceneNode("g0", P(0, 0, 0)), SceneNode("g1", P(1600, 0, 0)),
+                  SceneNode("g2", P(1500, 0, 0))]
+        graph = synthesize([], ground, random_map(), GRID)
         assert np.all(np.isnan(series(graph, "g0", "g1")))
+        assert np.all(np.isfinite(series(graph, "g0", "g2")))
+        assert np.all(np.isfinite(series(graph, "g1", "g2")))
 
 
 class TestLinkForecast:
@@ -179,7 +187,7 @@ class TestLinkForecast:
         self.trajs = [straight("a0", (0, 0, 80), (700, 100, 80)),
                       straight("a1", (700, 0, 60), (0, 500, 110))]
         self.ground = [SceneNode("g0", P(350, 350, 0)), SceneNode("g1", P(10, 600, 0))]
-        self.graph = synthesize(self.trajs, self.ground, random_map(5), GRID, 1500.0)
+        self.graph = synthesize(self.trajs, self.ground, random_map(5), GRID)
 
     def test_symmetric_pair_order(self):
         f1 = series(self.graph, "a0", "g0")

@@ -176,6 +176,19 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: grid.n_slots:")
 
+    # True is an int, but no slot length
+    def test_boolean_slot_length_exit_code(self, config_file, tmp_path, monkeypatch, capsys):
+        doc = json.loads(config_file.read_text())
+        doc["grid"]["dt"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert '"dt": true' in bad.read_text()
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the document loaded"))
+        code = cli.main(["run", "--config", str(bad), "--method", "predictive",
+                         "--seed", "0", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: grid.dt:")
+
     def test_negative_run_seed_exit_code(self, config_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "build_world", lambda *a: pytest.fail("a world was built"))
         code = cli.main(["run", "--config", str(config_file), "--method", "predictive",

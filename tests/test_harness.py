@@ -155,13 +155,17 @@ class TestConfigValidation:
             replace(mini_config, **{name: value})
         assert e.value.field == name
 
-    # every nested number that its own parameter class lets NaN through
-    @pytest.mark.parametrize("outer, name", [("grid", "dt")])
-    def test_non_finite_nested_number_rejected_at_construction(self, mini_config, outer, name):
-        inner = replace(getattr(mini_config, outer), **{name: math.nan})
+    # the grid itself takes only a finite real slot length; True is an int
+    @pytest.mark.parametrize("dt", [True, math.nan, math.inf, -math.inf, "0.1"])
+    def test_non_number_slot_length_rejected(self, mini_config, dt):
         with pytest.raises(ConfigInvalid) as e:
-            replace(mini_config, **{outer: inner})
-        assert e.value.field == f"{outer}.{name}"
+            replace(mini_config.grid, dt=dt)
+        assert e.value.field == "grid.dt"
+        doc = json.loads(mini_config.to_json())
+        doc["grid"]["dt"] = dt
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(doc))
+        assert e.value.field == "grid.dt"
 
     # the grid itself takes only an integer slot count, as a seed must be one
     @pytest.mark.parametrize("n_slots", [math.nan, math.inf, 400.0, 400.5, True, "400"])
@@ -519,7 +523,7 @@ class TestWorld:
     def test_node_ids_and_sensitive_sites(self, mini_config, mini_world):
         scene = mini_config.scene
         assert isinstance(mini_world, WorldState)
-        assert mini_world.graph.node_ids == mini_world.tables.node_ids == tuple(sorted(
+        assert mini_world.graph.node_ids == tuple(sorted(
             [t.aircraft_id for t in mini_config.trajectories]
             + [n.id for n in scene.ground_sources + scene.ground_destinations]))
         want = np.array([n.pos.as_array() for n in scene.sensitive_nodes])
@@ -724,10 +728,10 @@ def _spy(monkeypatch, owner, name, before, after=None):
 
 
 class TestCascadeLookups:
-    """A hop decision asks for one local forecast (an escalated one also for
-    its replan's first hop), and a detour slice holds only the rows
-    reroute_local reads; the run's memo computes each row and
-    each forecast once, every planned hop's forecast in one batch."""
+    """A hop decision asks for one local forecast (a rerouted one, detour or
+    replan, also for its new first hop), and a detour slice holds only the
+    rows reroute_local reads; the run's memo computes each row and each
+    forecast once, every planned hop's forecast in one batch."""
 
     def test_run_logs_match_full_span_slice(self, mini_config, mini_world, monkeypatch):
         replans = []
@@ -856,6 +860,9 @@ class TestCascadeLookups:
         # and nothing in the run computes a row or a forecast past the memo
         assert log.count(("compute",)) == len({r[1] for r in requests if r[0] == "row"})
         assert sum(c[0] == "series" for c in log) == 1 + made
+        # _hop_view runs only inside the memo's forecast batches
+        assert log.count(("view",)) == sum(r[4].count(("view",)) for r in requests
+                                           if r[0] == "hop_forecasts")
 
         def between(open_, close):
             """The log entries inside each open_ ... close pair; no pair opens
@@ -878,19 +885,20 @@ class TestCascadeLookups:
                     else "detour" if ("reroute",) in calls else "kept")
             outcomes[kind] += 1
             # a hop decision asks for its own forecast once and checks it once;
-            # an escalated one then asks for its replan's first hop's, which it
-            # times with no second check, and a detour's first hop reads its
-            # series from the detour slice. A view is built for each forecast
-            # computed and for the blocked hop's detour radius, nowhere else
+            # a rerouted one, detour or replan, then asks for its new first
+            # hop's, through the memo, which it times with no second check. A
+            # view is built for each forecast computed, nowhere else
             asked = [j for j, c in enumerate(calls) if c[:2] == ("request", "hop_forecasts")]
-            assert len(asked) == 1 + (kind == "escalation")
+            assert len(asked) == 1 + (kind != "kept")
             assert calls.count(("blockage",)) == 1
-            if kind == "escalation":
-                assert asked[0] < calls.index(("blockage",)) < calls.index(("replan",)) \
+            if kind != "kept":
+                assert asked[0] < calls.index(("blockage",)) < calls.index(("sliced",)) \
                     < asked[1]
+            if kind == "escalation":
+                assert calls.index(("sliced",)) < calls.index(("replan",)) < asked[1]
             assert calls.count(("slice",)) == (kind != "kept")
             made_here = sum(c[1] for c in calls if c[0] == "series")
-            assert calls.count(("view",)) == made_here + (kind != "kept")
+            assert calls.count(("view",)) == made_here
         assert min(outcomes.values()) > 0, outcomes
         # the detour slice is one map lookup of its links and one query_sites
         # call of its sensitive-site rows
@@ -949,6 +957,42 @@ class TestCascadeLookups:
                     assert not got.flags.writeable
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
 
+    def test_detour_first_hop_forecast_equals_its_slice(self, mini_config, mini_world,
+                                                       monkeypatch):
+        # golden's detour settings: the forecast the memo serves a detour's
+        # first hop is the one its slice looked up over the first half-span
+        detours, served = [], {}
+        reroute, forecasts = tactical.reroute_local, harness._Accounting.hop_forecasts
+
+        def spy_reroute(cluster, hop, tail, slc):
+            repl = reroute(cluster, hop, tail, slc)
+            detours.append((repl[0], slc))
+            return repl
+
+        def spy_forecasts(self, hops):
+            out = forecasts(self, hops)
+            for hop, value in zip(hops, out):
+                served.setdefault(id(self), {})[hop.tx, hop.rx, hop.window] = value
+            return out
+
+        monkeypatch.setattr(tactical, "reroute_local", spy_reroute)
+        monkeypatch.setattr(harness._Accounting, "hop_forecasts", spy_forecasts)
+        cfg = replace(mini_config, blockage_threshold_db=-70.0, region_radius_m=50.0)
+        checked = 0
+        for load in (12.0, 30.0):
+            detours.clear()
+            served.clear()
+            run(cfg, "predictive", 0, world=mini_world, load_per_min=load)
+            (memo,) = served.values()
+            for hop, slc in detours:
+                slots, series = memo[hop.tx, hop.rx, hop.window]
+                first = (slc.slots >= hop.window[0]) & (slc.slots <= hop.window[1])
+                assert slots.tolist() == slc.slots[first].tolist()
+                want = slc.gains(hop.tx, hop.rx)[first]
+                assert series.dtype == want.dtype and series.tobytes() == want.tobytes(), hop
+                checked += 1
+        assert checked > 0
+
     def test_memo_does_not_outlive_its_run(self, mini_config, monkeypatch):
         cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
         world = build_world(cfg, 0)
@@ -967,16 +1011,27 @@ class TestCascadeLookups:
         assert logs[0] == logs[1]
 
 
+@pytest.fixture(scope="module")
+def peak_load():
+    """The documented scenario at peak load (64 flows/min, half of them short)
+    and its world 0."""
+    config = gen_default_scenario(0, frac_short_deadline=0.5, load_per_min=64.0)
+    return config, build_world(config, 0)
+
+
+def world_and_seed(request, name):
+    """(config, world, run seed): the mini world's run seed 0, or world 0 at
+    peak load with run seed 2."""
+    if name == "mini":
+        return request.getfixturevalue("mini_config"), request.getfixturevalue("mini_world"), 0
+    return (*request.getfixturevalue("peak_load"), 2)
+
+
 @pytest.fixture(scope="module", params=["mini", "peak-load"])
-def prefilled(request, mini_config, mini_world):
+def prefilled(request):
     """(config, world, the hops of a predictive run's forecast batch, the memo
-    right after it): on the mini world, and on the documented scenario at peak
-    load (64 flows/min, half of them short) on world 0, run seed 2."""
-    if request.param == "mini":
-        config, world, seed = mini_config, mini_world, 0
-    else:
-        config = gen_default_scenario(0, frac_short_deadline=0.5, load_per_min=64.0)
-        world, seed = build_world(config, 0), 2
+    right after it), on each world of world_and_seed."""
+    config, world, seed = world_and_seed(request, request.param)
     batches = []
     with pytest.MonkeyPatch.context() as mp:
         kernel = harness._Accounting.hop_forecasts
@@ -1024,6 +1079,24 @@ class TestPlannedForecasts:
                 gap = float(np.linalg.norm(at.realized_pos(node, at.now_s) - center))
                 assert gap <= view.region_radius - 50.0 + 1e-6, (hop, node)
             assert config.grid.t_of(hop.window[1]) - at.now_s <= view.horizon_s, hop
+
+
+@pytest.mark.parametrize("planner", [strategic.reserve_paths, strategic.min_delay_reservation])
+@pytest.mark.parametrize("name", ["mini", "peak-load"])
+def test_hop_power_is_its_graph_weights_required_power(request, name, planner):
+    # the planner keeps no power table: each hop's nominal power is computed
+    # from its graph weight, bit for bit the elementwise table's entry
+    config, world, seed = world_and_seed(request, name)
+    power = required_power_dbm(world.graph.weights, harness.BUDGET)
+    ids = world.graph.node_ids
+    requests = [(f.source, f.dest, f.deadline_s, f.injection_slot)
+                for f in draw_flows(config, seed)]
+    hops = [hop for res in planner(world.graph, requests, world.tables)
+            if not isinstance(res, Exception) for hop in res.hops]
+    assert hops
+    for hop in hops:
+        want = power[hop.window[0], ids.index(hop.tx), ids.index(hop.rx)]
+        assert float.hex(hop.nominal_power_dbm) == float.hex(float(want)), hop
 
 
 class TestBaselines:

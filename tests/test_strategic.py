@@ -280,7 +280,7 @@ def random_instance(seed):
                              float(rng.uniform(-105, -65)))
                for _ in range(25)]
     rmap = build_map(samples, k_neighbors=4)
-    graph = synthesize(trajs, ground, rmap, grid, 2000.0)
+    graph = synthesize(trajs, ground, rmap, grid)
     finite = graph.weights[np.isfinite(graph.weights)]
     # p_max at the median required power leaves about half the edges usable
     median_gain = float(np.median(finite))
@@ -606,7 +606,7 @@ def corridor(seed):
     samples += sample_between(trajs, scene, params, shadow, 0.5)
     samples += sample_ground_pairs(scene, params, shadow, peers)
     rmap = build_map(samples)
-    graph = synthesize(trajs, scene.all_nodes()[:2], rmap, grid, 2000.0)
+    graph = synthesize(trajs, scene.all_nodes()[:2], rmap, grid)
     # 250 m chain hops fit under p_max; any three-hop split of the corridor
     # needs a >=370 m leg, which does not
     budget = LinkBudget(p_max_dbm=23.0)

@@ -159,8 +159,7 @@ def _place(views, worlds, nodes, times) -> np.ndarray:
     for node, es in zip(index, groups):
         here[es] = base.realized_pos(node, now[es])
     off = here - np.array([view.region_center.as_array() for view in views])
-    # each row's distance by the dot product np.linalg.norm takes of one vector
-    dist = np.sqrt((off[:, None, :] @ off[:, :, None]).ravel())
+    dist = np.linalg.norm(off, axis=1)
     outside = np.flatnonzero(dist > np.array([view.region_radius for view in views]))
     if outside.size:
         raise OutOfRegion(f"{nodes[outside[0]]} outside local region")

@@ -526,10 +526,10 @@ class _Accounting:
 
     def hop_forecasts(self, hops) -> list:
         """tactical.hop_forecasts for hops, each decided at its window's start:
-        from the world at that slot and _hop_view's region, computed once per
-        run per (tx, rx, window), which fixes the region and the clock. The
-        keys the memo lacks are computed in one batch. Other flows share the
-        arrays, so they are read-only."""
+        from the world at that slot and the _local_view of its two ends,
+        computed once per run per (tx, rx, window), which fixes the region and
+        the clock. The keys the memo lacks are computed in one batch. Other
+        flows share the arrays, so they are read-only."""
         todo = {}
         for hop in hops:
             key = (hop.tx, hop.rx, hop.window)
@@ -538,7 +538,8 @@ class _Accounting:
         if todo:
             new = list(todo.values())
             worlds = [self.world.at_time(self.config.grid.t_of(hop.window[0])) for hop in new]
-            views = [_hop_view(self.world, self.config, hop) for hop in new]
+            views = [_local_view(self.world, self.config, hop.window[0], (hop.tx, hop.rx))
+                     for hop in new]
             for key, (slots, series) in zip(todo, tactical.hop_forecasts(views, worlds, new)):
                 slots.flags.writeable = series.flags.writeable = False
                 self.memo[key] = slots, series
@@ -578,22 +579,17 @@ class _Accounting:
 # the predictive cascade
 
 
-def _local_view(world: World, center: np.ndarray, radius: float) -> EchelonView:
+def _local_view(world: World, cfg: ScenarioConfig, slot: int, ends) -> EchelonView:
+    """The local tier's view of a decision at slot: centered on the mean of
+    ends' realized positions then, with the scenario's region radius, widened
+    to hold every end with 50 m to spare."""
+    pos = np.array([world.realized_position(e, slot) for e in ends])
+    center = pos.mean(axis=0)
+    radius = max(cfg.region_radius_m, float(np.linalg.norm(pos - center, axis=1).max()) + 50.0)
     return EchelonView(
         tier=LOCAL, map_snapshot=world.radio_map, horizon_s=DEADLINE_LONG_S,
-        region_center=Position3.from_array(center),
-        region_radius=radius,
+        region_center=Position3.from_array(center), region_radius=radius,
     )
-
-
-def _hop_view(world: World, cfg: ScenarioConfig, hop: HopReservation) -> EchelonView:
-    """The local view of a hop decided at its window's start: centered between
-    its two ends' realized positions then, with the scenario's region radius,
-    widened to hold both ends with 50 m to spare."""
-    tx_pos = world.realized_position(hop.tx, hop.window[0])
-    rx_pos = world.realized_position(hop.rx, hop.window[0])
-    radius = max(cfg.region_radius_m, float(np.linalg.norm(tx_pos - rx_pos)) / 2 + 50.0)
-    return _local_view(world, 0.5 * (tx_pos + rx_pos), radius)
 
 
 def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: tuple,
@@ -635,11 +631,12 @@ def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: 
                                     BUDGET, cfg.grid.dt)
 
 
-def _cluster_members(world: World, slot: int, center: np.ndarray, radius: float,
-                     must_include) -> tuple:
-    near = [e for e in world.graph.node_ids
-            if np.linalg.norm(world.realized_position(e, slot) - center) <= radius]
-    return tuple(sorted({*must_include, *near}))
+def _cluster_members(world: World, slot: int, view: EchelonView, ends) -> tuple:
+    """ends and every graph node whose realized position at slot lies in view's region."""
+    ids = world.graph.node_ids
+    pos = np.array([world.realized_position(e, slot) for e in ids])
+    inside = np.linalg.norm(pos - view.region_center.as_array(), axis=1) <= view.region_radius
+    return tuple(sorted({*ends, *(e for e, ok in zip(ids, inside) if ok)}))
 
 
 @dataclass
@@ -667,15 +664,9 @@ class _Cascade:
             now_slot = hop.window[0]
             world = acct.world.at_time(grid.t_of(now_slot))
             tail = hops[k + 1:k + 2]
-            reconnect = tactical.detour_halves(hop, tail)[0]
-            anchor = np.array([world.realized_position(e, now_slot)
-                               for e in (hop.tx, hop.rx, reconnect)])
-            center = anchor.mean(axis=0)
-            radius = max(cfg.region_radius_m,
-                         float(np.linalg.norm(anchor - center, axis=1).max()) + 50.0)
-            view = _local_view(world, center, radius)
-            members = _cluster_members(world, now_slot, center, radius,
-                                       (hop.tx, hop.rx, reconnect))
+            ends = (hop.tx, hop.rx, tactical.detour_halves(hop, tail)[0])
+            view = _local_view(world, cfg, now_slot, ends)
+            members = _cluster_members(world, now_slot, view, ends)
             cluster = tactical.LocalCluster(members, {}, frozenset({(hop.tx, hop.rx)}),
                                             world.radio_map)
             try:
@@ -690,10 +681,10 @@ class _Cascade:
                 except NoFeasiblePath:
                     return None
                 hops[k:] = list(res.hops)
-                self._log_reroute(hops, k, self.flow.dest)
+                self._log_reroute(hops, k)
             else:
                 hops[k:k + 1 + len(tail)] = list(repl)
-                self._log_reroute(hops, k, hops[-1].rx)
+                self._log_reroute(hops, k)
             # the new first hop, a detour's or a replan's, is timed on its own
             # forecast over its window, with no second blockage check
             hop = hops[k]
@@ -713,11 +704,11 @@ class _Cascade:
                 return s, decision.power_dbm
         return None
 
-    def _log_reroute(self, hops: list, k: int, dest: str) -> None:
+    def _log_reroute(self, hops: list, k: int) -> None:
         self.revision += 1
         self.acct.events.append({"type": "reroute", "flow": self.flow_idx, "hop": k,
                                  "revision": self.revision,
-                                 "route": [h.tx for h in hops[k:]] + [dest]})
+                                 "route": [h.tx for h in hops[k:]] + [self.flow.dest]})
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ escalation replan, is a batch of one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,14 +201,6 @@ def _with_carry(price: np.ndarray, carry_cost: float) -> np.ndarray:
     return price
 
 
-@functools.lru_cache(maxsize=None)
-def _hops(n: int) -> np.ndarray:
-    """The hop count each (i, j) entry of a step adds: none for the carry."""
-    hops = 1 - np.eye(n, dtype=np.int64)
-    hops.flags.writeable = False
-    return hops
-
-
 def _forward(price, src, dst, start, t_slots, first_arrival=False):
     """The layered DP's forward pass for a batch of flows, one step per slot.
 
@@ -237,7 +228,7 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False):
     H[rows, 0, src] = 0
     absorb = np.zeros(F[:, 0].shape)
     absorb[rows, dst] = np.inf  # adding it makes the destination absorb
-    hops = _hops(n)
+    hops = 1 - np.eye(n, dtype=np.int64)  # the hop count a step's (i, j) adds: none for the carry
     k, sink, done = src.size, (rows, dst), np.zeros(src.size, dtype=bool)
     tight = np.zeros((src.size, ends[0], n, (n + 7) // 8), dtype=np.uint8)
     # rows padded to whole bytes, so one flat packbits packs each row

@@ -21,7 +21,8 @@ def P(x, y, z):
 
 def local_positions_loop(view, world, nodes, times):
     """The local tier's placement one node at a time, each node's realized
-    position read axis by axis: the reference that local_positions, and every
+    position read axis by axis and its distance from the region's center summed
+    axis by axis: the reference that local_positions, and every
     local_mean_series batch, must match bit for bit."""
     if view.tier != LOCAL:
         raise ValueError("series helper is for the local tier")
@@ -36,7 +37,8 @@ def local_positions_loop(view, world, nodes, times):
                 pos[ax] = np.interp(world.now_s, world.grid.times(), world.realized[node][:, ax])
         else:
             pos = world.ground_positions[node].as_array()
-        if np.linalg.norm(pos - view.region_center.as_array()) > view.region_radius:
+        dx, dy, dz = pos - view.region_center.as_array()
+        if math.sqrt((dx * dx + dy * dy) + dz * dz) > view.region_radius:
             raise OutOfRegion(f"{node} outside local region")
         now.append(pos)
     at_now = np.array([world.now_s])
@@ -230,15 +232,17 @@ class TestLocalBatch:
                 local_mean_series(*batch)
 
     def test_region_edge_is_where_np_linalg_norm_puts_it(self):
-        # a node exactly at the radius is inside; at one ulp less it is outside
+        # a node whose axis-wise norm from the center equals the radius is
+        # inside, for the batch and the loop reference; one ulp less, outside
         for view, w, link, t in self.mixed():
             for node in link:
-                pos = local_positions_loop(view, w, (node,), [w.now_s])[0, 0]
-                edge = float(np.linalg.norm(pos - view.region_center.as_array()))
-                local_positions(replace(view, region_radius=edge), w, (node,), t)
-                with pytest.raises(OutOfRegion):
-                    local_positions(replace(view, region_radius=np.nextafter(edge, 0.0)), w,
-                                    (node,), t)
+                pos = local_positions_loop(view, w, (node,), [w.now_s])[0]
+                edge = float(np.linalg.norm(pos - view.region_center.as_array(), axis=1)[0])
+                for place in (local_positions, local_positions_loop):
+                    place(replace(view, region_radius=edge), w, (node,), t)
+                    with pytest.raises(OutOfRegion):
+                        place(replace(view, region_radius=np.nextafter(edge, 0.0)), w,
+                              (node,), t)
 
     def test_batch_needs_one_map_and_one_world(self):
         items = self.mixed()

@@ -783,7 +783,7 @@ class TestCascadeLookups:
         _spy(monkeypatch, harness, "reserve_path", lambda *a: log.append(("replan",)))
         _spy(monkeypatch, harness, "cap_power", lambda *a: log.append(("cap",)))
         _spy(monkeypatch, tactical, "detect_blockage", lambda *a: log.append(("blockage",)))
-        _spy(monkeypatch, harness, "_hop_view", lambda *a: log.append(("view",)))
+        _spy(monkeypatch, harness, "_local_view", lambda *a: log.append(("view",)))
 
         def memo_spy(name, key_of):
             """Log each request to the run's memo as ("request", name, key),
@@ -860,9 +860,11 @@ class TestCascadeLookups:
         # and nothing in the run computes a row or a forecast past the memo
         assert log.count(("compute",)) == len({r[1] for r in requests if r[0] == "row"})
         assert sum(c[0] == "series" for c in log) == 1 + made
-        # _hop_view runs only inside the memo's forecast batches
+        # a view is built for each forecast key the memo computes and for each
+        # blocked decision's detour, nowhere else
+        blocked = log.count(("slice",))
         assert log.count(("view",)) == sum(r[4].count(("view",)) for r in requests
-                                           if r[0] == "hop_forecasts")
+                                           if r[0] == "hop_forecasts") + blocked
 
         def between(open_, close):
             """The log entries inside each open_ ... close pair; no pair opens
@@ -887,7 +889,8 @@ class TestCascadeLookups:
             # a hop decision asks for its own forecast once and checks it once;
             # a rerouted one, detour or replan, then asks for its new first
             # hop's, through the memo, which it times with no second check. A
-            # view is built for each forecast computed, nowhere else
+            # view is built for each forecast computed, and a blocked hop's
+            # detour region is one more, built after the check
             asked = [j for j, c in enumerate(calls) if c[:2] == ("request", "hop_forecasts")]
             assert len(asked) == 1 + (kind != "kept")
             assert calls.count(("blockage",)) == 1
@@ -898,7 +901,9 @@ class TestCascadeLookups:
                 assert calls.index(("sliced",)) < calls.index(("replan",)) < asked[1]
             assert calls.count(("slice",)) == (kind != "kept")
             made_here = sum(c[1] for c in calls if c[0] == "series")
-            assert calls.count(("view",)) == made_here
+            assert calls.count(("view",)) == made_here + (kind != "kept")
+            if kind != "kept":
+                assert ("view",) in calls[calls.index(("blockage",)):calls.index(("slice",))]
         assert min(outcomes.values()) > 0, outcomes
         # the detour slice is one map lookup of its links and one query_sites
         # call of its sensitive-site rows
@@ -952,7 +957,8 @@ class TestCascadeLookups:
                 continue
             for hop, served in zip(args[0], out):
                 at = world.at_time(cfg.grid.t_of(hop.window[0]))
-                fresh = hop_forecast(harness._hop_view(at, cfg, hop), at, hop)
+                view = harness._local_view(at, cfg, hop.window[0], (hop.tx, hop.rx))
+                fresh = hop_forecast(view, at, hop)
                 for got, want in zip(served, fresh):
                     assert not got.flags.writeable
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
@@ -992,6 +998,31 @@ class TestCascadeLookups:
                 assert series.dtype == want.dtype and series.tobytes() == want.tobytes(), hop
                 checked += 1
         assert checked > 0
+
+    def test_cluster_members_equal_a_per_node_scalar_oracle(self, mini_config, mini_world,
+                                                            monkeypatch):
+        # golden's detour settings: a blocked hop's cluster is its three ends
+        # and every node whose realized position then lies in their region
+        calls = []
+        _spy(monkeypatch, harness, "_cluster_members", lambda *a: calls.append(a),
+             lambda out: calls.append(out))
+        cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
+        for load in (12.0, 30.0):
+            run(cfg, "predictive", 0, world=mini_world, load_per_min=load)
+        assert calls
+        near, far = 0, 0
+        for (world, slot, view, ends), members in zip(calls[::2], calls[1::2]):
+            cx, cy, cz = view.region_center.as_array()
+            inside = set()
+            for node in world.graph.node_ids:
+                x, y, z = world.realized_position(node, slot)
+                dx, dy, dz = x - cx, y - cy, z - cz
+                if math.sqrt((dx * dx + dy * dy) + dz * dz) <= view.region_radius:
+                    inside.add(node)
+            assert members == tuple(sorted(inside | set(ends))), (slot, ends)
+            near += len(inside - set(ends))
+            far += len(world.graph.node_ids) - len(members)
+        assert near > 0 and far > 0, (near, far)
 
     def test_memo_does_not_outlive_its_run(self, mini_config, monkeypatch):
         cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
@@ -1062,23 +1093,28 @@ class TestPlannedForecasts:
             slots, means = memo[key]
             want = np.arange(window[0], window[1] + 1)
             at = world.at_time(config.grid.t_of(window[0]))
-            view = harness._hop_view(at, config, hop)
+            view = harness._local_view(at, config, window[0], (tx, rx))
             oracle = echelon.local_mean_series(view, at, (tx, rx), dt * want)
             assert slots.tolist() == want.tolist(), key
             assert means.dtype == oracle.dtype and means.tobytes() == oracle.tobytes(), key
             assert not slots.flags.writeable and not means.flags.writeable
 
     def test_a_planned_hop_passes_the_region_and_horizon_checks(self, prefilled):
+        # the view a planned hop's forecast is computed from: centered at the
+        # midpoint of its ends then, bit for bit, and wide enough to hold both
+        # with 50 m to spare, inside the local tier's horizon
         config, world, hops, _ = prefilled
-        assert hops
-        for hop in hops:
-            at = world.at_time(config.grid.t_of(hop.window[0]))
-            view = harness._hop_view(at, config, hop)
+        keys = {(hop.tx, hop.rx, hop.window) for hop in hops}
+        assert keys
+        for tx, rx, window in keys:
+            at = world.at_time(config.grid.t_of(window[0]))
+            view = harness._local_view(at, config, window[0], (tx, rx))
+            ends = [at.realized_pos(node, at.now_s) for node in (tx, rx)]
             center = view.region_center.as_array()
-            for node in (hop.tx, hop.rx):
-                gap = float(np.linalg.norm(at.realized_pos(node, at.now_s) - center))
-                assert gap <= view.region_radius - 50.0 + 1e-6, (hop, node)
-            assert config.grid.t_of(hop.window[1]) - at.now_s <= view.horizon_s, hop
+            assert center.tobytes() == (0.5 * (ends[0] + ends[1])).tobytes(), (tx, rx, window)
+            gaps = [math.sqrt((dx * dx + dy * dy) + dz * dz) for dx, dy, dz in ends - center]
+            assert view.region_radius == max(config.region_radius_m, max(gaps) + 50.0)
+            assert config.grid.t_of(window[1]) - at.now_s <= view.horizon_s, (tx, rx, window)
 
 
 @pytest.mark.parametrize("planner", [strategic.reserve_paths, strategic.min_delay_reservation])

@@ -23,8 +23,10 @@ A third check covers the fields themselves: every public field of an aeris
 dataclass must be read by live code, as an attribute load (`obj.f`) or a
 string constant, in the same places as above. A read inside the field's own
 class's `__post_init__` does not count, since checking a value is not using
-it. Matching is again by name, so a field is read when any attribute of its
-name is loaded.
+it. Several dataclasses share some field names (`positions`, `radio_map`,
+`tx`, ...), so where annotations make the class of x known, a load `x.f`
+counts only for the owners of `f` in that class's line of bases and
+subclasses; elsewhere it counts for every owner of the name (see _FieldReads).
 """
 
 from __future__ import annotations
@@ -144,39 +146,184 @@ UNREAD_FIELDS_KEPT = {
     # arguments, the blocked pair among them; the cascade's cluster blocks only
     # the hop it reroutes, so reroute_local need not read it back
     "tactical.LocalCluster.blocked_pairs",
+    # criterion 7's four positional arguments also fill the cluster's positions
+    # and its map; the cascade passes an empty dict and the world's map, and
+    # neither reroute_local nor the run reads them back
+    "tactical.LocalCluster.positions",
+    "tactical.LocalCluster.radio_map",
 }
 
 
+def _annotated(ann, classes) -> str | None:
+    """The aeris class an annotation names (`X`, `mod.X` or "X"), else None."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    name = ann.attr if isinstance(ann, ast.Attribute) else getattr(ann, "id", None)
+    return name if name in classes else None
 
-def _reads(nodes) -> Counter:
-    """Attribute loads and identifier-like string constants per name."""
-    out = Counter()
-    for node in nodes:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                out[n.attr] += 1
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-                out[n.value] += 1
-    return out
+
+def _one(kinds: set) -> str | None:
+    return next(iter(kinds)) if len(kinds) == 1 else None
+
+
+class _FieldReads(ast.NodeVisitor):
+    """Counts each attribute load `x.f` of a dataclass field name f for the
+    dataclasses that x can be. Where x's class is known, those are the owners
+    of f among that class, its bases and its subclasses; elsewhere, every owner
+    of f. A class is known for `self` in a method, an annotated parameter, a
+    name whose every assignment has one known class, a constructor call, a
+    call of a function or of a method name with one annotated return class,
+    and an annotated field of a known class. An identifier-like string
+    constant counts for every owner of its name."""
+
+    def __init__(self, classes: dict, functions: dict):
+        self.classes, self.functions = classes, functions
+        methods, self.owners = {}, {}
+        for name, info in classes.items():
+            for m, ret in info["methods"].items():
+                methods.setdefault(m, set()).add(ret)
+            for f in info["fields"]:
+                self.owners.setdefault(f, []).append(name)
+        self.methods = {m: _one(kinds) for m, kinds in methods.items()}
+        self.reads = Counter()
+        self.scopes, self.cls, self.post_init_of = [], None, None
+
+    def related(self, a: str, b: str) -> bool:
+        def line(c):
+            while c in self.classes:
+                yield c
+                c = self.classes[c]["base"]
+        return a in line(b) or b in line(a)
+
+    def type_of(self, e) -> str | None:
+        if isinstance(e, ast.Name):
+            return next((s[e.id] for s in reversed(self.scopes) if e.id in s), None)
+        if isinstance(e, ast.Call):
+            f = e.func
+            if isinstance(f, ast.Name):
+                return f.id if f.id in self.classes else self.functions.get(f.id)
+            if isinstance(f, ast.Attribute):
+                return f.attr if f.attr in self.classes else self.methods.get(f.attr)
+        if isinstance(e, ast.Attribute):
+            c = self.type_of(e.value)
+            while c in self.classes and e.attr not in self.classes[c]["fields"]:
+                c = self.classes[c]["base"]
+            return self.classes[c]["fields"][e.attr] if c in self.classes else None
+        return None
+
+    def bind(self, target, kind) -> None:
+        scope = self.scopes[-1]
+        if isinstance(target, ast.Name):
+            scope[target.id] = kind if scope.get(target.id, kind) == kind else None
+        else:
+            scope.update({n.id: None for n in ast.walk(target) if isinstance(n, ast.Name)})
+
+    def visit_Module(self, node):
+        self.scopes = [{}]
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node):
+        outer, self.cls = self.cls, node.name
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_FunctionDef(self, node):
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        scope = {a.arg: _annotated(a.annotation, self.classes) for a in args}
+        if self.cls is not None and args and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list):
+            scope[args[0].arg] = self.cls
+        outer = self.cls, self.post_init_of
+        if node.name == "__post_init__":
+            self.post_init_of = self.cls
+        self.cls = None
+        self.scopes.append(scope)
+        self.generic_visit(node)
+        self.scopes.pop()
+        self.cls, self.post_init_of = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        self.scopes.append({a.arg: None for a in node.args.posonlyargs + node.args.args
+                            + node.args.kwonlyargs})
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_Assign(self, node):
+        self.visit(node.value)
+        for target in node.targets:
+            if (isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    and len(target.elts) == len(node.value.elts)):
+                for t, v in zip(target.elts, node.value.elts):
+                    self.bind(t, self.type_of(v))
+            else:
+                self.bind(target, self.type_of(node.value))
+            self.visit_stored(target)
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+        if self.cls is None:  # not a class body's field
+            self.bind(node.target, _annotated(node.annotation, self.classes))
+        self.visit_stored(node.target)
+
+    def visit_stored(self, target):
+        """Visit the loads inside an assignment's target, which bind has bound."""
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for t in target.elts:
+                self.visit_stored(t)
+        elif isinstance(target, ast.Starred):
+            self.visit_stored(target.value)
+        elif not isinstance(target, ast.Name):
+            self.visit(target)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Store):  # a loop, with or comprehension target
+            self.bind(node, None)
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+        if isinstance(node.ctx, ast.Load) and node.attr in self.owners:
+            c = self.type_of(node.value)
+            for owner in self.owners[node.attr]:
+                if (c is None or self.related(owner, c)) and owner != self.post_init_of:
+                    self.reads[owner, node.attr] += 1
+
+    def visit_Constant(self, node):
+        for owner in self.owners.get(node.value, []) if isinstance(node.value, str) else []:
+            self.reads[owner, node.value] += 1
 
 
 def unread_fields() -> list:
     """Public dataclass fields of src/aeris that live code never reads."""
-    sources = [p for p in sorted((ROOT / "src" / "aeris").glob("*.py")) if p.name != "__init__.py"]
-    sources += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
-    reads = _reads([ast.parse(p.read_text()) for p in sources])
-    out = []
-    for p in sorted((ROOT / "src" / "aeris").glob("*.py")):
-        for cls in ast.parse(p.read_text()).body:
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
-                continue
-            own = _reads([m for m in cls.body if isinstance(m, ast.FunctionDef)
-                          and m.name == "__post_init__"])
-            out += [f"{p.stem}.{cls.name}.{s.target.id}" for s in cls.body
-                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                    and not s.target.id.startswith("_")
-                    and reads[s.target.id] == own[s.target.id]]
-    return sorted(out)
+    modules = [p for p in sorted((ROOT / "src" / "aeris").glob("*.py")) if p.name != "__init__.py"]
+    sources = modules + [ROOT / "tests" / "test_acceptance.py",
+                         *sorted((ROOT / "perfbench").glob("*.py"))]
+    trees = {p: ast.parse(p.read_text()) for p in sources}
+    classes, functions, public = {}, {}, []
+    for p in modules:
+        for stmt in trees[p].body:
+            if isinstance(stmt, ast.FunctionDef):
+                functions.setdefault(stmt.name, []).append(stmt.returns)
+            elif isinstance(stmt, ast.ClassDef):
+                own = [s for s in stmt.body if isinstance(s, ast.AnnAssign)
+                       and isinstance(s.target, ast.Name)] if _is_dataclass(stmt) else []
+                classes[stmt.name] = {
+                    "base": next((b.id for b in stmt.bases if isinstance(b, ast.Name)), None),
+                    "fields": {s.target.id: s.annotation for s in own},
+                    "methods": {m.name: m.returns for m in stmt.body
+                                if isinstance(m, ast.FunctionDef)}}
+                public += [(p.stem, stmt.name, s.target.id) for s in own
+                           if not s.target.id.startswith("_")]
+    for info in classes.values():
+        for part in ("fields", "methods"):
+            info[part] = {k: _annotated(a, classes) for k, a in info[part].items()}
+    visitor = _FieldReads(classes, {f: _one({_annotated(r, classes) for r in rets})
+                                    for f, rets in functions.items()})
+    for tree in trees.values():
+        visitor.visit(tree)
+    return sorted(f"{mod}.{cls}.{f}" for mod, cls, f in public if not visitor.reads[cls, f])
 
 
 def test_every_dataclass_field_is_read():

@@ -631,12 +631,13 @@ def _build_slice(world: World, cfg: ScenarioConfig, view: EchelonView, members: 
                                     BUDGET, cfg.grid.dt)
 
 
-def _cluster_members(world: World, slot: int, view: EchelonView, ends) -> tuple:
-    """ends and every graph node whose realized position at slot lies in view's region."""
+def _cluster_members(world: World, slot: int, view: EchelonView) -> tuple:
+    """Every graph node, in node_ids' sorted order, whose realized position at
+    slot lies in view's region; _local_view's region holds the decision's ends."""
     ids = world.graph.node_ids
     pos = np.array([world.realized_position(e, slot) for e in ids])
     inside = np.linalg.norm(pos - view.region_center.as_array(), axis=1) <= view.region_radius
-    return tuple(sorted({*ends, *(e for e, ok in zip(ids, inside) if ok)}))
+    return tuple(e for e, ok in zip(ids, inside) if ok)
 
 
 @dataclass
@@ -666,7 +667,7 @@ class _Cascade:
             tail = hops[k + 1:k + 2]
             ends = (hop.tx, hop.rx, tactical.detour_halves(hop, tail)[0])
             view = _local_view(world, cfg, now_slot, ends)
-            members = _cluster_members(world, now_slot, view, ends)
+            members = _cluster_members(world, now_slot, view)
             cluster = tactical.LocalCluster(members, {}, frozenset({(hop.tx, hop.rx)}),
                                             world.radio_map)
             try:
@@ -718,30 +719,44 @@ class _Cascade:
 def baseline_aggregate(world: World, flow: FlowRequest):
     """Reactive snapshot route: min-hop on the currently measured topology with
     per-hop powers from the measured gains; no foresight, no interference term,
-    no caps. Returns (node sequence, powers) or raises NoFeasiblePath."""
+    no caps. Returns (node sequence, powers) or raises NoFeasiblePath.
+
+    The snapshot is measured one BFS level at a time from dest, and only as far
+    as the search reads it: each level's one truth call holds the links from
+    the unvisited nodes to the new frontier, and the search stops once source
+    has a level. A truth row does not depend on the other rows of a call of two
+    or more, but a one-row call takes another BLAS path, so a level with one
+    link measures its mirror too."""
     ids = world.graph.node_ids
     if flow.source not in ids or flow.dest not in ids:
         raise NoFeasiblePath("flow endpoint is not a communicating node")
     pos = np.array([world.realized_position(e, flow.injection_slot) for e in ids])
-    # one truth row per unordered pair, mirrored: the truth is reciprocal bit for bit
-    tx, rx = np.triu_indices(len(ids), k=1)
-    keep = np.linalg.norm(pos[tx] - pos[rx], axis=1) > 0
-    tx, rx = tx[keep], rx[keep]
-    gain = np.full((len(ids), len(ids)), -np.inf)
-    gain[tx, rx] = gain[rx, tx] = world.truth.gain_db_many(pos[tx], pos[rx])
-    power = required_power_dbm(gain, BUDGET)
-    feasible = power <= BUDGET.p_max_dbm
-    # hop counts to dest by BFS over feasible[tx, rx], then a forward walk that
-    # takes the lowest sorted-id next hop: the lexicographically least min-hop route
     src, dst = ids.index(flow.source), ids.index(flow.dest)
+    # power[tx, rx] from tx's level on; a link never measured, or between
+    # coincident nodes, stays infeasible
+    power = np.full((len(ids), len(ids)), np.inf)
     dist = np.full(len(ids), -1)
     frontier, level = np.arange(len(ids)) == dst, 0
     while frontier.any():
         dist[frontier] = level
-        frontier = feasible[:, frontier].any(axis=1) & (dist < 0)
+        if frontier[src]:
+            break
+        tx, rx = np.nonzero((dist < 0)[:, None] & frontier)
+        keep = np.linalg.norm(pos[tx] - pos[rx], axis=1) > 0
+        tx, rx = tx[keep], rx[keep]
+        if tx.size == 1:
+            tx, rx = np.append(tx, rx), np.append(rx, tx)
+        if tx.size:
+            power[tx, rx] = required_power_dbm(world.truth.gain_db_many(pos[tx], pos[rx]),
+                                               BUDGET)
+        frontier = (power[:, frontier] <= BUDGET.p_max_dbm).any(axis=1) & (dist < 0)
         level += 1
     if dist[src] < 0:
         raise NoFeasiblePath("snapshot topology does not connect the flow")
+    # a forward walk that takes the lowest sorted-id next hop: the
+    # lexicographically least min-hop route; it reads only links measured at
+    # their tail's level
+    feasible = power <= BUDGET.p_max_dbm
     route = [src]
     while route[-1] != dst:
         u = route[-1]

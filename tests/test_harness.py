@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1001,11 +1002,13 @@ class TestCascadeLookups:
 
     def test_cluster_members_equal_a_per_node_scalar_oracle(self, mini_config, mini_world,
                                                             monkeypatch):
-        # golden's detour settings: a blocked hop's cluster is its three ends
-        # and every node whose realized position then lies in their region
-        calls = []
-        _spy(monkeypatch, harness, "_cluster_members", lambda *a: calls.append(a),
-             lambda out: calls.append(out))
+        # golden's detour settings: a blocked hop's cluster is every node whose
+        # realized position then lies in the region, which holds its three ends
+        # each call's ends: those of the view drawn just before it
+        ends_of_views, calls = [], []
+        _spy(monkeypatch, harness, "_local_view", lambda *a: ends_of_views.append(set(a[3])))
+        _spy(monkeypatch, harness, "_cluster_members",
+             lambda *a: calls.append((*a, ends_of_views[-1])), lambda out: calls.append(out))
         cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
         for load in (12.0, 30.0):
             run(cfg, "predictive", 0, world=mini_world, load_per_min=load)
@@ -1019,8 +1022,9 @@ class TestCascadeLookups:
                 dx, dy, dz = x - cx, y - cy, z - cz
                 if math.sqrt((dx * dx + dy * dy) + dz * dz) <= view.region_radius:
                     inside.add(node)
-            assert members == tuple(sorted(inside | set(ends))), (slot, ends)
-            near += len(inside - set(ends))
+            assert members == tuple(sorted(inside)), slot
+            assert ends <= inside, (slot, ends)
+            near += len(inside - ends)
             far += len(world.graph.node_ids) - len(members)
         assert near > 0 and far > 0, (near, far)
 
@@ -1050,11 +1054,21 @@ def peak_load():
     return config, build_world(config, 0)
 
 
+@pytest.fixture(scope="module")
+def peak_load_world_1(peak_load):
+    """Peak load's world 1, whose pads need a relay at the link budget."""
+    return build_world(peak_load[0], 1)
+
+
 def world_and_seed(request, name):
-    """(config, world, run seed): the mini world's run seed 0, or world 0 at
-    peak load with run seed 2."""
+    """(config, world, run seed): the mini world's run seed 0, or a world at
+    peak load with its benchmark run seed: world 0 with 2, or ("peak-load-1")
+    world 1 with 3."""
     if name == "mini":
         return request.getfixturevalue("mini_config"), request.getfixturevalue("mini_world"), 0
+    if name == "peak-load-1":
+        config, _ = request.getfixturevalue("peak_load")
+        return config, request.getfixturevalue("peak_load_world_1"), 3
     return (*request.getfixturevalue("peak_load"), 2)
 
 
@@ -1135,6 +1149,48 @@ def test_hop_power_is_its_graph_weights_required_power(request, name, planner):
         assert float.hex(hop.nominal_power_dbm) == float.hex(float(want)), hop
 
 
+def all_pairs_aggregate(world, flow):
+    """The aggregate baseline on a snapshot priced whole, kept as an oracle:
+    one truth call with one row per unordered pair of distinct positions,
+    mirrored, a BFS from dest over every level, then the walk that takes the
+    lowest sorted-id next hop."""
+    budget = harness.BUDGET
+    ids = world.graph.node_ids
+    if flow.source not in ids or flow.dest not in ids:
+        raise NoFeasiblePath("flow endpoint is not a communicating node")
+    pos = np.array([world.realized_position(e, flow.injection_slot) for e in ids])
+    tx, rx = np.triu_indices(len(ids), k=1)
+    keep = np.linalg.norm(pos[tx] - pos[rx], axis=1) > 0
+    tx, rx = tx[keep], rx[keep]
+    gain = np.full((len(ids), len(ids)), -np.inf)
+    gain[tx, rx] = gain[rx, tx] = world.truth.gain_db_many(pos[tx], pos[rx])
+    power = required_power_dbm(gain, budget)
+    feasible = power <= budget.p_max_dbm
+    src, dst = ids.index(flow.source), ids.index(flow.dest)
+    dist = np.full(len(ids), -1)
+    frontier, level = np.arange(len(ids)) == dst, 0
+    while frontier.any():
+        dist[frontier] = level
+        frontier = feasible[:, frontier].any(axis=1) & (dist < 0)
+        level += 1
+    if dist[src] < 0:
+        raise NoFeasiblePath("snapshot topology does not connect the flow")
+    route = [src]
+    while route[-1] != dst:
+        u = route[-1]
+        route.append(int(np.flatnonzero(feasible[u] & (dist == dist[u] - 1))[0]))
+    return [ids[i] for i in route], [float(power[a, b]) for a, b in zip(route, route[1:])]
+
+
+def aggregate_outcome(fn, world, flow):
+    """fn's route and the hex of each hop power, or None on NoFeasiblePath."""
+    try:
+        route, powers = fn(world, flow)
+    except NoFeasiblePath:
+        return None
+    return route, [float.hex(p) for p in powers]
+
+
 class TestBaselines:
     def test_aggregate_prefers_direct_hop(self, mini_config, mini_world, monkeypatch):
         monkeypatch.setattr(harness, "BUDGET", LinkBudget(p_max_dbm=80.0))
@@ -1180,33 +1236,91 @@ class TestBaselines:
             multi_hop += len(hops) > 1
         assert multi_hop > 0
 
-    def test_aggregate_snapshot_is_symmetric_and_matches_ordered_pair_call(
-            self, mini_config, mini_world, monkeypatch):
-        # the gain matrix the snapshot prices, caught on its way to
-        # required_power_dbm, against one truth call over all ordered pairs
-        snapshots = []
-
-        def spy(gain, budget):
-            snapshots.append(gain.copy())
-            return required_power_dbm(gain, budget)
-
-        monkeypatch.setattr(harness, "required_power_dbm", spy)
-        ground = mini_config.scene.ground_sources + mini_config.scene.ground_destinations
-        nodes = sorted(list(mini_world.realized) + [n.id for n in ground])
-        for f in draw_flows(mini_config, 0, 12.0):
-            snapshots.clear()
+    @pytest.mark.parametrize("name", ["mini", "peak-load", "peak-load-1"])
+    def test_aggregate_measures_each_link_once_bit_equal_to_an_ordered_pair_call(
+            self, request, monkeypatch, name):
+        # each decision's truth calls against one call over every ordered node
+        # pair at its injection slot: no call has one row, no link is measured
+        # twice, and each measured row is that call's row bit for bit
+        config, world, seed = world_and_seed(request, name)
+        calls = []
+        _spy(monkeypatch, GroundTruthChannel, "gain_db_many",
+             lambda _, tx, rx: calls.append([tx.copy(), rx.copy()]),
+             lambda out: calls[-1].append(out))
+        ids = world.graph.node_ids
+        decisions, measured = 0, 0
+        for f in draw_flows(config, seed):
+            pos = np.array([world.realized_position(e, f.injection_slot) for e in ids])
+            index = {p.tobytes(): i for i, p in enumerate(pos)}
+            assert len(index) == len(ids)
+            tx, rx = np.nonzero(~np.eye(len(ids), dtype=bool))
+            want = np.full((len(ids), len(ids)), np.nan)
+            want[tx, rx] = world.truth.gain_db_many(pos[tx], pos[rx])
+            assert want.tobytes() == want.T.tobytes()
+            calls.clear()
             try:
-                baseline_aggregate(mini_world, f)
+                baseline_aggregate(world, f)
             except NoFeasiblePath:
                 pass
-            (gain,) = snapshots
-            pos = np.array([mini_world.realized_position(e, f.injection_slot) for e in nodes])
-            tx, rx = np.nonzero(~np.eye(len(nodes), dtype=bool))
-            keep = np.linalg.norm(pos[tx] - pos[rx], axis=1) > 0
-            want = np.full((len(nodes), len(nodes)), -np.inf)
-            want[tx[keep], rx[keep]] = mini_world.truth.gain_db_many(pos[tx[keep]], pos[rx[keep]])
-            assert gain.tobytes() == gain.T.tobytes()
-            assert gain.tobytes() == want.tobytes()
+            links = []
+            for tx, rx, gain in calls:
+                rows = [(index[a.tobytes()], index[b.tobytes()]) for a, b in zip(tx, rx)]
+                assert len(rows) >= 2, (f, rows)
+                pairs = {frozenset(r) for r in rows}
+                mirrored = len(rows) == 2 and rows[0] == rows[1][::-1]
+                assert len(pairs) == len(rows) or mirrored, (f, rows)
+                links += pairs
+                want_rows = np.array([want[r] for r in rows])
+                assert gain.tobytes() == want_rows.tobytes(), (f, rows)
+                measured += len(rows)
+            assert len(links) == len(set(links)), f
+            decisions += 1
+        # the all-pairs snapshot measured every unordered pair per decision
+        assert 0 < measured < decisions * len(ids) * (len(ids) - 1) // 2
+
+    @pytest.mark.parametrize("p_max", [None, -120.0])
+    @pytest.mark.parametrize("name", ["mini", "peak-load", "peak-load-1"])
+    def test_aggregate_matches_the_all_pairs_snapshot_oracle(self, request, monkeypatch,
+                                                             name, p_max):
+        # route and power bits for every flow, routed or not: world 0 at peak
+        # load closes the direct hop, the others relay. At -120 dBm no link
+        # closes, so every flow raises NoFeasiblePath
+        config, world, seed = world_and_seed(request, name)
+        if p_max is not None:
+            monkeypatch.setattr(harness, "BUDGET", LinkBudget(p_max_dbm=p_max))
+        outcomes = []
+        for f in draw_flows(config, seed):
+            got, want = (aggregate_outcome(fn, world, f)
+                         for fn in (baseline_aggregate, all_pairs_aggregate))
+            assert got == want, f
+            outcomes.append(got)
+        assert outcomes and any(outcomes) == (p_max is None)
+
+    def test_the_search_stops_at_the_source_and_mirrors_a_lone_link(self, mini_world,
+                                                                     monkeypatch):
+        # four points in the mini world's truth: a, b and c 300 m apart on a
+        # line 120 m up, d 300 m behind a and 150 m up. At the 27 dBm budget
+        # the links that close are d-a, a-b and b-c. From a, the search stops
+        # at level 2, where a is; from d, level 2 has the single link d -> a,
+        # which goes out as a two-row call with its mirror a -> d
+        at = {"a": [0.0, 0.0, 120.0], "b": [300.0, 0.0, 120.0], "c": [600.0, 0.0, 120.0],
+              "d": [-300.0, 0.0, 150.0]}
+        world = SimpleNamespace(graph=SimpleNamespace(node_ids=("a", "b", "c", "d")),
+                                truth=mini_world.truth,
+                                realized_position=lambda node, slot: np.array(at[node]))
+        calls = []
+        _spy(monkeypatch, GroundTruthChannel, "gain_db_many",
+             lambda _, tx, rx: calls.append((tx.tolist(), rx.tolist())))
+        a, b, c, d = (at[n] for n in "abcd")
+        levels = [([a, b, d], [c, c, c]), ([a, d], [b, b])]
+        lone = ([d, a], [a, d])
+        for source, route, last in (("a", list("abc"), []), ("d", list("dabc"), [lone])):
+            flow = FlowRequest(source, "c", 0, harness.DEADLINE_LONG_S)
+            calls.clear()
+            got = aggregate_outcome(baseline_aggregate, world, flow)
+            assert calls == levels + last, source
+            assert got[0] == route
+            assert got == aggregate_outcome(all_pairs_aggregate, world, flow)
 
     def test_spacetime_delay_no_worse_than_predictive(self, mini_config, mini_world):
         requests = [(f.source, f.dest, f.deadline_s, f.injection_slot)

@@ -101,6 +101,36 @@ class TestTrueGain:
         assert clear == pytest.approx(want_los, abs=1e-9)
         assert blocked == pytest.approx(want_nlos, abs=1e-9)
 
+    def test_a_rows_bits_do_not_depend_on_the_other_rows_of_its_call(self, documented_world):
+        # the aggregate baseline measures its snapshot in several calls and
+        # relies on this for calls of two or more rows: subsets, permutations
+        # and mirrored rows give each row the bits of one call over them all.
+        # A one-row call takes BLAS's matrix-vector path and is not covered.
+        w = documented_world
+        ids = w.graph.node_ids
+        rows = []
+        for slot in (0, 150, 400, 650, 900, 1150):
+            pos = np.array([w.realized_position(e, slot) for e in ids])
+            tx, rx = np.nonzero(~np.eye(len(ids), dtype=bool))
+            rows.append(np.hstack([pos[tx], pos[rx]]))
+        rows = np.vstack(rows)
+        tx, rx = rows[:, :3], rows[:, 3:]
+        pair = _canonical(tx, rx)
+        los = los_clear(w.truth.scene, pair[:, :3], pair[:, 3:])
+        assert 0 < los.sum() < len(rows)
+        full = w.truth.gain_db_many(tx, rx)
+        assert w.truth.gain_db_many(rx, tx).tobytes() == full.tobytes()
+        rng = np.random.default_rng(29)
+        perm = rng.permutation(len(rows))
+        assert w.truth.gain_db_many(tx[perm], rx[perm]).tobytes() == full[perm].tobytes()
+        for size in (2, 3, 5, 8, 17, 64, 129, 500):
+            pick = rng.choice(len(rows), size, replace=False)
+            got = w.truth.gain_db_many(tx[pick], rx[pick])
+            assert got.tobytes() == full[pick].tobytes(), size
+        for i in np.concatenate([np.flatnonzero(los)[:10], np.flatnonzero(~los)[:10]]):
+            got = w.truth.gain_db_many(np.stack([tx[i], rx[i]]), np.stack([rx[i], tx[i]]))
+            assert got.tobytes() == full[[i, i]].tobytes(), i
+
 
 class TestShadowField:
     def test_correlation_at_decorrelation_distance(self):

@@ -73,6 +73,13 @@ _MAX_GRAPH_CELLS = 1 << 24
 _RUN_FIELDS = ("load_per_min", "frac_short_deadline", "region_radius_m", "blockage_threshold_db")
 
 
+def _check_graph_cells(n_slots, nodes: int) -> None:
+    """Rejects a graph of over _MAX_GRAPH_CELLS slot x node x node cells, or inf slots."""
+    if not n_slots * nodes ** 2 <= _MAX_GRAPH_CELLS:
+        raise ConfigInvalid("grid", f"{n_slots} slots x {nodes}^2 graph nodes is "
+                                    f"over {_MAX_GRAPH_CELLS} cells")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run needs that a caller may set; serializes to a single
@@ -97,11 +104,8 @@ class ScenarioConfig:
             v = getattr(self, f.name)
             if not isinstance(v, int) and not math.isfinite(v):
                 raise ConfigInvalid(f.name, f"must be finite, not {v!r}")
-        nodes = (len(self.trajectories) + len(self.scene.ground_sources)
-                 + len(self.scene.ground_destinations))
-        if self.grid.n_slots * nodes ** 2 > _MAX_GRAPH_CELLS:
-            raise ConfigInvalid("grid", f"{self.grid.n_slots} slots x {nodes}^2 graph nodes is "
-                                        f"over {_MAX_GRAPH_CELLS} cells")
+        _check_graph_cells(self.grid.n_slots, len(self.trajectories)
+                           + len(self.scene.ground_sources) + len(self.scene.ground_destinations))
         if not 0.0 <= self.frac_short_deadline <= 1.0:
             raise ConfigInvalid("frac_short_deadline", "class fractions must sum to 1 in [0,1]")
         _check_load("load_per_min", self.load_per_min)
@@ -352,8 +356,12 @@ def gen_default_scenario(seed: int, n_buildings: int = 20, n_aircraft: int = 12,
     for name, value in (("horizon_s", horizon_s), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ConfigInvalid(name, f"must be finite and positive, not {value!r}")
+    # checked before anything is generated; round() cannot take an inf slot count
+    n_slots = horizon_s / dt
+    n_slots = round(n_slots) if n_slots < math.inf else n_slots
+    _check_graph_cells(n_slots, n_aircraft + n_sources + n_destinations)
     try:
-        grid = SlotGrid(dt, int(round(horizon_s / dt)))
+        grid = SlotGrid(dt, n_slots)
         city = gen_city(n_buildings, seed)
     except ValueError as e:
         raise ConfigInvalid("scenario", str(e)) from None
@@ -682,10 +690,9 @@ class _Cascade:
                 except NoFeasiblePath:
                     return None
                 hops[k:] = list(res.hops)
-                self._log_reroute(hops, k)
             else:
                 hops[k:k + 1 + len(tail)] = list(repl)
-                self._log_reroute(hops, k)
+            self._log_reroute(hops, k)
             # the new first hop, a detour's or a replan's, is timed on its own
             # forecast over its window, with no second blockage check
             hop = hops[k]

@@ -20,8 +20,9 @@ whatever the kd-tree's build options and whatever the order of query rows.
 Rows with a fixed site at one end (`query_sites`) have a shortcut. The points
 with that site as the same half differ from such a row only in the other half,
 whose 3D distance is the row's 6D distance bit for bit, so one 3D search per
-position over the sites' sample partners serves every site. A row whose
-neighbours this cannot certify takes the 6D lookup instead.
+position over the sites' sample partners serves every site. Mirrored samples,
+merged in gain order, let the points with the site second serve either end.
+A row whose neighbours this cannot certify takes the 6D lookup instead.
 """
 
 from __future__ import annotations
@@ -253,16 +254,17 @@ def _by_distance_then_index(dist: np.ndarray, idx: np.ndarray) -> None:
 class _SiteIndex:
     """A map's points grouped by fixed site, for RadioMap.query_sites.
 
-    A site's group is the points with the site as their first half, or as their
-    second; their other halves are the site's partners, the same set either way.
-    `tree` is a 3D kd-tree over U, the lex-sorted union of the sites' partners.
-    For the site in row j (`row` maps a site to it), points[j, 0, u] and
-    points[j, 1, u] are the map indices of the points (site, U[u]) and (U[u],
-    site), -1 where U[u] is no partner of the site, and size[j] counts its
-    partners. clear[j] is its distance to the nearest other half of any map
-    point, so every point outside its group differs from a row anchored at it
-    by at least that much in the anchored half. Sites with no point in the map
-    get no row.
+    A site's group is the points (partner, site). `tree` is a 3D kd-tree over
+    U, the lex-sorted union of the sites' partners. For the site in row j
+    (`row` maps a site to it), points[j, u] is the map index of the point
+    (U[u], site), -1 where U[u] is no partner of the site, and size[j] counts
+    its partners. The group serves rows with the site at either end: the map
+    stores every sample mirrored and merges a point's gains in gain order, so
+    (site, U[u]) has (U[u], site)'s gain bit for bit and the same index order
+    in u. clear[j] is its distance to the nearest other half of any map point,
+    so every point outside its group differs from a row anchored at it by at
+    least that much in the anchored half. Sites with no point in the map get
+    no row.
     """
 
     def __init__(self, points: np.ndarray, sites: np.ndarray):
@@ -273,24 +275,20 @@ class _SiteIndex:
         halves = points[new, :3]
         sites = [s for s in sites if (halves == s).all(axis=1).any()]
         self.row = {tuple(s): j for j, s in enumerate(sites)}
-        # sorted, the points with a site first and those with it second both
-        # run through its partners in ascending order
-        firsts = [np.flatnonzero((points[:, :3] == s).all(axis=1)) for s in sites]
-        seconds = [np.flatnonzero((points[:, 3:] == s).all(axis=1)) for s in sites]
+        groups = [np.flatnonzero((points[:, 3:] == s).all(axis=1)) for s in sites]
         # U by rank: a partner is the first half of the point (partner, site)
-        ranks = np.unique(np.concatenate([rank[:0]] + [rank[g] for g in seconds]))
+        ranks = np.unique(np.concatenate([rank[:0]] + [rank[g] for g in groups]))
         self.tree = cKDTree(halves[ranks])
-        self.points = np.full((len(sites), 2, ranks.size), -1, dtype=np.intp)
+        self.points = np.full((len(sites), ranks.size), -1, dtype=np.intp)
         self.clear = np.empty(len(sites))
         for j, s in enumerate(sites):
-            u = np.searchsorted(ranks, rank[seconds[j]])
-            self.points[j, 0, u], self.points[j, 1, u] = firsts[j], seconds[j]
+            self.points[j, np.searchsorted(ranks, rank[groups[j]])] = groups[j]
             # summed in the kd-tree's order: a 6D distance only adds non-negative
             # terms to this sum, so the bound holds after rounding too
             d = halves[(halves != s).any(axis=1)] - s
             sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
             self.clear[j] = np.sqrt(np.min(sq, initial=np.inf))
-        self.size = (self.points[:, 0] >= 0).sum(axis=1)
+        self.size = (self.points >= 0).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -396,13 +394,13 @@ class RadioMap:
 
         Positions go through in blocks of _QUERY_BLOCK_ROWS // p. Each makes
         one search of _SiteIndex.tree for its k + 1 nearest points of U; toward
-        a site, a row meets those that are the site's partners as points of its
-        group, in 6D distance order. A row is certified when all k + 1 are
-        partners, its k-th and (k+1)-th distances differ and the (k+1)-th is
-        below the site's clearance: then no point outside the group is as near,
-        and its k nearest are the 6D lookup's. Every other row takes
-        query_many, as does every row toward a site the map does not index or
-        that has fewer than k + 1 partners.
+        a site, at either end, a row meets those that are the site's partners
+        as points of its group, in 6D distance order. A row is certified when
+        all k + 1 are partners, its k-th and (k+1)-th distances differ and the
+        (k+1)-th is below the site's clearance: then no point outside the group
+        is as near, and its k nearest are the 6D lookup's. Every other row
+        takes query_many, as does every row toward a site the map does not
+        index or that has fewer than k + 1 partners.
         """
         pos = np.asarray(pos, dtype=float).reshape(-1, 3)
         sites = np.asarray(sites, dtype=float).reshape(-1, 3)
@@ -417,31 +415,22 @@ class RadioMap:
         if cols:
             step = max(1, _QUERY_BLOCK_ROWS // p)
             for lo in range(0, m, step):
-                blk = pos[lo:lo + step]
-                dist, near = index.tree.query(blk, k=k + 1)  # (b, k + 1): k + 1 >= 2
+                dist, near = index.tree.query(pos[lo:lo + step], k=k + 1)  # k + 1 >= 2
                 for c in cols:
-                    ok, means = self._certified(blk, sites[c], rows[c], dist, near, k)
+                    j = rows[c]
+                    idx = index.points[j][near]
+                    ok = ((idx >= 0).all(axis=1) & (dist[:, k - 1] < dist[:, k])
+                          & (dist[:, k] < index.clear[j]))
+                    d, idx = dist[ok], idx[ok]
+                    _by_distance_then_index(d[:, :k], idx[:, :k])
+                    means = np.empty(d.shape[0])
+                    self._idw(d[:, :k], idx[:, :k], means)
                     out[lo:lo + step, c][ok] = means
                     slow[lo:lo + step, c][ok] = False
         r, c = np.nonzero(slow)
         if r.size:
             out[r, c] = self.query_many(pos[r], sites[c])
         return out, slow
-
-    def _certified(self, blk, site, j, dist, near, k):
-        """The rows of blk toward site (row j of the site index) that the 3D
-        search (dist, near) certifies, as a mask, and their means."""
-        index = self._sites
-        table = index.points[j].reshape(-1)
-        # a row's point has the site first exactly where _canonical swaps
-        off = np.where(np.sign(blk - site) @ _LEX > 0.0, 0, index.tree.n)[:, None]
-        idx = table[near + off]
-        ok = (idx >= 0).all(axis=1) & (dist[:, k - 1] < dist[:, k]) & (dist[:, k] < index.clear[j])
-        d, idx = dist[ok], idx[ok]
-        _by_distance_then_index(d[:, :k], idx[:, :k])
-        means = np.empty(d.shape[0])
-        self._idw(d[:, :k], idx[:, :k], means)
-        return ok, means
 
     def query(self, tx: Position3, rx: Position3) -> LargeScaleStats:
         """Expected large-scale stats between two points."""

@@ -73,7 +73,7 @@ def detect_blockage(means: np.ndarray, gain_threshold_db: float) -> bool:
 
 @dataclass(frozen=True)
 class LocalGraphSlice:
-    """Per-slot local predictions for candidate links over a slot span.
+    """Per-slot local predictions for candidate (tx, rx) links over a slot span.
 
     A row that was not looked up holds NaN; reading one is an error.
     """
@@ -85,7 +85,7 @@ class LocalGraphSlice:
     dt_s: float
 
     def gains(self, a: str, b: str) -> np.ndarray:
-        return self.mean_gain_db[(a, b) if (a, b) in self.mean_gain_db else (b, a)]
+        return self.mean_gain_db[(a, b)]
 
 
 def detour_halves(blocked_hop: HopReservation, directive_tail) -> tuple:

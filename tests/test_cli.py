@@ -53,15 +53,17 @@ class TestGenScenario:
 
     @pytest.mark.parametrize("flag, value", [("--dt", "-0.1"), ("--dt", "0"),
                                              ("--horizon", "1e400"), ("--horizon", "inf"),
-                                             ("--dt", "1e-4"), ("--dt", "1e-300")])
+                                             ("--dt", "1e-4"), ("--dt", "1e-300"),
+                                             ("--horizon", "1e308"), ("--dt", "1e-320")])
     def test_out_of_range_value_exit_code(self, tmp_path, flag, value, capsys):
-        # 1e-4 s slots would need about 20 GB to build, and 1e-300 s a
-        # 303-digit slot count; both are rejected before anything is built
+        # 1e-4 s slots would need about 20 GB to build, 1e-300 s a 303-digit
+        # slot count, and the last two a slot count past the largest float;
+        # all are rejected before anything is built
         out = tmp_path / "x.json"
         code = cli.main(["gen-scenario", "--out", str(out), "--seed", "1", flag, value])
         assert code == 2 and not out.exists()
-        if value in ("1e-4", "1e-300"):
-            assert "grid" in capsys.readouterr().err
+        if value in ("1e-4", "1e-300", "1e308", "1e-320"):
+            assert "config error: grid:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, slots, nodes", [
         ("--horizon", "600", 6000, 14), ("--horizon", "1200", 12000, 14),

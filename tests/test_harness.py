@@ -224,6 +224,18 @@ class TestConfigValidation:
             gen_default_scenario(1, **{name: value})
         assert e.value.field == name
 
+    @pytest.mark.parametrize("kw", [{"horizon_s": 1e9}, {"horizon_s": 1e308},
+                                    {"dt": 1e-320}, {"horizon_s": 1e300, "dt": 1.0}])
+    def test_graph_cap_checked_before_generation(self, monkeypatch, kw):
+        # the trajectories run out to the horizon, so a long one would fill
+        # memory before the config's own check; an overflowing slot count is inf
+        monkeypatch.setattr(harness, "gen_city", lambda *a: pytest.fail("generation ran"))
+        monkeypatch.setattr(harness, "_corridor_trajectories",
+                            lambda *a: pytest.fail("trajectories generated"))
+        with pytest.raises(ConfigInvalid) as e:
+            gen_default_scenario(1, **kw)
+        assert e.value.field == "grid"
+
 
 class TestDrawFlows:
     def test_zero_load(self, mini_config):

@@ -685,6 +685,19 @@ def site_map(rng, sites, partners, k, extra=0, grid=False):
     return build_map(samples, k_neighbors=k)
 
 
+def merged_duplicate_map():
+    """A map of the mini world's samples under two shadow seeds, which merge
+    in pairs at every point, plus its ground pairs and air-to-air samples;
+    with the world's config and peers."""
+    cfg, peers = mini_world_inputs()
+    trajs, scene, params = list(cfg.trajectories), cfg.scene, PATHLOSS
+    samples = (sample_along(trajs, scene, params, 1, 1.0, peers)
+               + sample_along(trajs, scene, params, 2, 1.0, peers)
+               + sample_ground_pairs(scene, params, 1, peers)
+               + sample_between(trajs, scene, params, 1, 1.0))
+    return build_map(samples), cfg, peers
+
+
 @pytest.fixture(scope="module")
 def documented_world():
     from aeris.harness import build_world
@@ -718,20 +731,33 @@ class TestQuerySites:
 
     def test_merged_duplicate_samples(self):
         # two shadow seeds sample the same positions: every point merges a pair
-        cfg, peers = mini_world_inputs()
-        trajs, scene, params = list(cfg.trajectories), cfg.scene, PATHLOSS
-        samples = (sample_along(trajs, scene, params, 1, 1.0, peers)
-                   + sample_along(trajs, scene, params, 2, 1.0, peers)
-                   + sample_ground_pairs(scene, params, 1, peers)
-                   + sample_between(trajs, scene, params, 1, 1.0))
-        m = build_map(samples)
+        m, cfg, peers = merged_duplicate_map()
+        samples = m.samples
         assert len(m._points) < 2 * len(samples)
         sites = np.array([p.as_array() for p in peers])
         # planned positions between the sampling instants, and sample positions
-        pos = np.vstack([positions_at(t, cfg.grid.times()[::3]) for t in trajs]
+        pos = np.vstack([positions_at(t, cfg.grid.times()[::3]) for t in cfg.trajectories]
                         + [samples.rows[::7, :3]])
         slow = check_sites(m, pos, sites)
         assert slow.mean() < 0.5
+
+    def test_each_site_point_has_a_bit_equal_mirror(self, documented_world):
+        # the site index keeps only the points (partner, site), and serves rows
+        # with the site first from them too: that needs each (site, partner)
+        # with the same partners in the same index order and bit-equal gains
+        for m in (documented_world.radio_map, merged_duplicate_map()[0]):
+            bits = m._gains.view(np.int64)
+            assert m._sites.row
+            for s, j in m._sites.row.items():
+                firsts = np.flatnonzero((m._points[:, :3] == s).all(axis=1))
+                seconds = np.flatnonzero((m._points[:, 3:] == s).all(axis=1))
+                partners = m._points[seconds, :3]
+                assert np.array_equal(m._points[firsts, 3:], partners)
+                # in index order, strictly ascending in u (lex order), both ways
+                assert np.array_equal(np.unique(partners, axis=0), partners)
+                assert np.array_equal(bits[firsts], bits[seconds])
+                table = m._sites.points[j]
+                assert np.array_equal(table[table >= 0], seconds)
 
     def test_tie_at_the_kth_neighbour(self):
         # partners every 10 m on a line: an interior midpoint's 3rd and 4th

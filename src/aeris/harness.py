@@ -27,12 +27,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import echelon, strategic, tactical, trajectory
-from .channel_graph import RANGE_CUTOFF_M, ChannelGraph, SlotGrid, synthesize
+from .channel_graph import ChannelGraph, SlotGrid, synthesize
 from .echelon import EchelonView, WorldState, LOCAL
 from .errors import ConfigInvalid, EscalateToStrategic, GenerationFailed, NoFeasiblePath
 from .operational import LinkBudget, cap_power, required_power_dbm
-from .radio_env import (IDW_EXPONENT, K_NEIGHBORS, GroundTruthChannel, PathLossParams,
-                        build_map, sample_along, sample_between, sample_ground_pairs)
+from .radio_env import (GroundTruthChannel, PathLossParams, build_map, sample_along,
+                        sample_between, sample_ground_pairs)
 from .scene import Position3, Scene, SceneNode, gen_city
 from .strategic import (HopReservation, PathReservation, prepare_planner, reserve_path,
                         reserve_paths, min_delay_reservation)
@@ -54,18 +54,6 @@ SENSITIVE_CAP_DBM = -60.0
 DEADLINE_SHORT_S = 2.0
 DEADLINE_LONG_S = 20.0
 
-# keys older documents carry, with the values now fixed: a document loads only
-# with each at its fixed value, so none silently changes meaning. Every such
-# document held a 30 s local horizon, and "grid.t0" is the grid's start time.
-_FIXED_KEYS = {"range_cutoff_m": RANGE_CUTOFF_M,
-               "plan_shield_margin_db": strategic.SHIELD_MARGIN_DB,
-               "map_k_neighbors": K_NEIGHBORS, "map_idw_exponent": IDW_EXPONENT,
-               "deviation": asdict(DEVIATION), "pathloss": asdict(PATHLOSS),
-               "budget": asdict(BUDGET), "sensitive_cap_dbm": SENSITIVE_CAP_DBM,
-               "local_horizon_s": 30.0, "deadline_short_s": DEADLINE_SHORT_S,
-               "deadline_long_s": DEADLINE_LONG_S, "grid.t0": 0.0}
-# keys older documents carry that no run ever read: they load at any value
-_REMOVED_KEYS = {"central_horizon_s", "individual_horizon_s", "map_residual_std_db"}
 # the most slot x node x node cells a scenario's graph may have: a world build
 # peaks near 85 bytes per cell over a 70 MB base, so about 1.4 GB at the cap
 _MAX_GRAPH_CELLS = 1 << 24
@@ -149,24 +137,13 @@ class ScenarioConfig:
                 )
                 for td in d["trajectories"]
             )
-            grid = dict(d["grid"])
-            d = {**d, "grid.t0": grid.pop("t0", 0.0)}
-            if "pathloss" in d:
-                # older documents carry pathloss.noise_dbm, which nothing read
-                # (the SNR reads budget.noise_dbm)
-                d["pathloss"] = {k: v for k, v in dict(d["pathloss"]).items()
-                                 if k != "noise_dbm"}
-            for key, fixed in _FIXED_KEYS.items():
-                if key in d and d[key] != fixed:
-                    raise ConfigInvalid(key, f"is fixed at {fixed!r}, not {d[key]!r}")
-            unknown = sorted(d.keys() - {f.name for f in fields(ScenarioConfig)}
-                             - _FIXED_KEYS.keys() - _REMOVED_KEYS)
+            unknown = sorted(d.keys() - {f.name for f in fields(ScenarioConfig)})
             if unknown:
                 raise ConfigInvalid(unknown[0], "is not a scenario field")
             kw = {f.name: d[f.name] for f in fields(ScenarioConfig)[3:]}
-            return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs, SlotGrid(**grid),
-                                  **kw)
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs,
+                                  SlotGrid(**d["grid"]), **kw)
+        except (LookupError, TypeError, ValueError, OverflowError) as e:
             raise ConfigInvalid("config", f"malformed scenario document: {e}") from None
 
     @staticmethod
@@ -1001,6 +978,8 @@ def sweep_from_csv(path) -> list:
                         d[k] = int(d[k]) if k == "seed" else float(d[k])
             except (KeyError, ValueError) as e:
                 raise ConfigInvalid("sweep csv", f"malformed row {line}: {e}") from None
+            if d.get("method") not in METHODS:
+                raise ConfigInvalid("sweep csv", f"unknown method in row {line}")
             rows.append(d)
     return rows
 

@@ -32,7 +32,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateLink, EmptySampleSet
 from .scene import Position3, Scene, los_clear
@@ -268,6 +267,8 @@ class _SiteIndex:
     """
 
     def __init__(self, points: np.ndarray, sites: np.ndarray):
+        from scipy.spatial import cKDTree
+
         # the sorted points' first halves, each numbered by its rank among them
         new = np.ones(points.shape[0], dtype=bool)
         new[1:] = (points[1:, :3] != points[:-1, :3]).any(axis=1)
@@ -300,10 +301,13 @@ class RadioMap:
     residual_std_db: float = 4.0
     _points: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _gains: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _tree: cKDTree = field(init=False, repr=False, compare=False, default=None)
+    _tree: object = field(init=False, repr=False, compare=False, default=None)
     _sites: _SiteIndex = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        # scipy loads with the first map, so the CLI's other paths never pay for it
+        from scipy.spatial import cKDTree
+
         if not self.samples:
             raise EmptySampleSet("a radio map needs at least one sample")
         if self.k_neighbors < 1:

@@ -9,7 +9,7 @@ import pytest
 
 from aeris import cli, harness, tactical
 from aeris.harness import ScenarioConfig, gen_default_scenario
-from test_harness import OLD_FIXED_KEYS, old_document
+from test_harness import RETIRED_KEYS
 from test_scene import west_strip_city
 
 
@@ -22,16 +22,30 @@ def config_file(tmp_path_factory):
     return path
 
 
-def test_module_entry_point_runs_without_runtime_warning():
-    # `python -m aeris.cli` runs the module as __main__; the package must not
-    # have imported aeris.cli first
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that finds this checkout's aeris first."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "aeris.cli",
-                           "--help"], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # `python -m aeris.cli` runs the module as __main__; the package must not
+    # have imported aeris.cli first
+    proc = _python("-W", "error::RuntimeWarning", "-m", "aeris.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "gen-scenario" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy loads with the first radio map: --help, gen-scenario, plot-data and
+    # a config error never build one
+    proc = _python("-c", "import sys, aeris.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestGenScenario:
@@ -127,36 +141,41 @@ class TestRunCommand:
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
-    def test_malformed_config_exit_code(self, tmp_path):
+    # a waypoint of three numbers once ended the run in an IndexError
+    @pytest.mark.parametrize("short_waypoint", [False, True])
+    def test_malformed_config_exit_code(self, config_file, tmp_path, capsys, short_waypoint):
+        doc = {"scene": {}}
+        if short_waypoint:
+            doc = json.loads(config_file.read_text())
+            doc["trajectories"][0]["waypoints"][1] = [0.0, 1.0, 2.0]
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"scene\": {}}")
+        bad.write_text(json.dumps(doc))
         code = cli.main(["run", "--config", str(bad), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config: malformed")
 
-    def test_unknown_nested_key_exit_code(self, config_file, tmp_path):
+    # grid.t0 is the grid start time older documents held
+    @pytest.mark.parametrize("key", ["bogus", "t0"])
+    def test_unknown_nested_key_exit_code(self, config_file, tmp_path, key):
         doc = json.loads(config_file.read_text())
-        doc["grid"]["bogus"] = 1.0
+        doc["grid"][key] = 0.0
         bogus = tmp_path / "bogus.json"
         bogus.write_text(json.dumps(doc))
         code = cli.main(["run", "--config", str(bogus), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
-    # a fixed key at another value (NaN inside a fixed parameter set included),
-    # a NaN load, which would leave draw_flows' arrival loop without an end, or
-    # a misspelt field
+    # a key older documents held, a NaN load, which would leave draw_flows'
+    # arrival loop without an end, a misspelt field, or a seed that is no
+    # non-negative integer
     @pytest.mark.parametrize("key, value", [
-        ("range_cutoff_m", 800.0), ("plan_shield_margin_db", 3.0), ("map_k_neighbors", 4),
-        ("map_idw_exponent", 1.0), ("local_horizon_s", 10.0), ("deadline_long_s", float("nan")),
-        ("pathloss", {**OLD_FIXED_KEYS["pathloss"], "decorr_dist": float("nan")}),
-        ("grid.t0", 1.0), ("load_per_min", float("nan")), ("load_per_mni", 99.0),
+        *RETIRED_KEYS.items(), ("load_per_min", float("nan")), ("load_per_mni", 99.0),
         ("seed", -3), ("seed", 1.5)])
     def test_rejected_document_exit_code(self, config_file, tmp_path, monkeypatch, capsys,
                                          key, value):
-        doc = old_document(ScenarioConfig.from_json(config_file.read_text()), key, value)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps({**json.loads(config_file.read_text()), key: value}))
         monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the document loaded"))
         code = cli.main(["run", "--config", str(bad), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
@@ -279,6 +298,9 @@ class TestSweepAndPlot:
         "load,method,seed\n6.0,predictive,0\n",
         "load,method,seed,interference_mw_s,interference_db,delivery_rate,mean_delay_s,"
         "energy_mj\nsix,predictive,0,1.0,0.0,1.0,1.0,1.0\n",
+        # a method plot-data cannot order once ended it in a ValueError
+        "load,method,seed,interference_mw_s,interference_db,delivery_rate,mean_delay_s,"
+        "energy_mj\n6.0,foo,0,1.0,0.0,1.0,1.0,1.0\n",
     ])
     def test_malformed_sweep_csv_exit_code(self, tmp_path, body):
         bad = tmp_path / "sweep.csv"

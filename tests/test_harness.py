@@ -37,31 +37,16 @@ def mini_world(mini_config):
     return build_world(mini_config, 0)
 
 
-# the top-level keys a scenario document held before their values were fixed,
-# at the values every document then held; such a document also held grid.t0 0.0
-OLD_FIXED_KEYS = {"range_cutoff_m": 1500.0, "plan_shield_margin_db": 6.0,
-                  "map_k_neighbors": 8, "map_idw_exponent": 2.0,
-                  "deviation": {"sigma_dev": 3.0, "reversion_rate": 0.2},
-                  "pathloss": {"pl0_db": 40.0, "d0": 1.0, "n_los": 2.0, "n_nlos": 3.2,
-                               "sigma_sh_los_db": 4.0, "sigma_sh_nlos_db": 8.0,
-                               "decorr_dist": 50.0},
-                  "budget": {"snr_threshold_db": 10.0, "outage_eps": 0.05, "noise_dbm": -90.0,
-                             "p_max_dbm": 27.0},
-                  "sensitive_cap_dbm": -60.0, "local_horizon_s": 30.0,
-                  "deadline_short_s": 2.0, "deadline_long_s": 20.0}
+# the top-level keys scenario documents once held, each at a value such a
+# document held; none is a scenario field now, so a document holding one is
+# rejected, whatever its value
+RETIRED_KEYS = {"range_cutoff_m": 1500.0, "plan_shield_margin_db": 6.0, "map_k_neighbors": 8,
+                "map_idw_exponent": 2.0, "deviation": {"sigma_dev": 3.0, "reversion_rate": 0.2},
+                "pathloss": {"n_nlos": 3.2}, "budget": {"p_max_dbm": 27.0},
+                "sensitive_cap_dbm": -60.0, "local_horizon_s": 30.0, "deadline_short_s": 2.0,
+                "deadline_long_s": 20.0, "central_horizon_s": 600.0,
+                "individual_horizon_s": 2.0, "map_residual_std_db": 4.0}
 SCALAR_FIELDS = [f.name for f in fields(ScenarioConfig)[2:] if not is_dataclass(f.default)]
-
-
-def old_document(config, key=None, value=None) -> dict:
-    """config's document as an older version wrote it, every fixed key at its
-    value, with key ("grid.t0" for the grid's) then set to value."""
-    doc = {**json.loads(config.to_json()), **OLD_FIXED_KEYS}
-    doc["grid"] = {**doc["grid"], "t0": 0.0}
-    if key == "grid.t0":
-        doc["grid"]["t0"] = value
-    elif key is not None:
-        doc[key] = value
-    return doc
 
 
 class TestConfigValidation:
@@ -112,43 +97,6 @@ class TestConfigValidation:
         again = ScenarioConfig.from_json(doc)
         assert again.to_json() == doc
 
-    def test_documents_with_removed_keys_load(self, mini_config):
-        doc = json.loads(mini_config.to_json())
-        assert "pathloss" not in doc
-        # pathloss.noise_dbm was never read (the SNR reads budget.noise_dbm)
-        old = {**doc, "central_horizon_s": 600.0, "individual_horizon_s": 2.0,
-               "map_residual_std_db": 4.0,
-               "pathloss": {**OLD_FIXED_KEYS["pathloss"], "noise_dbm": -90.0}}
-        again = ScenarioConfig.from_json(json.dumps(old))
-        assert again == ScenarioConfig.from_json(json.dumps(doc))
-        assert again.to_json() == ScenarioConfig.from_json(json.dumps(doc)).to_json()
-
-    def test_documents_with_fixed_keys_at_their_values_load(self, mini_config):
-        doc = json.loads(mini_config.to_json())
-        assert not OLD_FIXED_KEYS.keys() & doc.keys() and "t0" not in doc["grid"]
-        again = ScenarioConfig.from_json(json.dumps(old_document(mini_config)))
-        assert again == mini_config
-        assert again.to_json() == mini_config.to_json()
-
-    @pytest.mark.parametrize("key, value", [
-        ("range_cutoff_m", 800.0), ("plan_shield_margin_db", 3.0), ("map_k_neighbors", 4),
-        ("map_idw_exponent", 1.0), ("map_k_neighbors", math.nan),
-        ("deviation", {**OLD_FIXED_KEYS["deviation"], "sigma_dev": 6.0}),
-        ("pathloss", {**OLD_FIXED_KEYS["pathloss"], "n_nlos": 3.0}),
-        ("budget", {**OLD_FIXED_KEYS["budget"], "p_max_dbm": 30.0}),
-        ("budget", {k: v for k, v in OLD_FIXED_KEYS["budget"].items() if k != "noise_dbm"}),
-        ("sensitive_cap_dbm", -50.0), ("local_horizon_s", 10.0), ("local_horizon_s", 20.0),
-        ("deadline_short_s", 1.0), ("deadline_long_s", math.nan), ("grid.t0", 1.0),
-        ("grid.t0", math.nan),
-        # a NaN at each number of a fixed parameter set
-        *((outer, {**OLD_FIXED_KEYS[outer], name: math.nan})
-          for outer in ("deviation", "pathloss", "budget") for name in OLD_FIXED_KEYS[outer])])
-    def test_fixed_key_at_another_value_rejected(self, mini_config, key, value):
-        doc = old_document(mini_config, key, value)
-        with pytest.raises(ConfigInvalid) as e:
-            ScenarioConfig.from_json(json.dumps(doc))
-        assert e.value.field == key
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", SCALAR_FIELDS)
     def test_non_finite_scalar_rejected_at_construction(self, mini_config, name, value):
@@ -197,22 +145,31 @@ class TestConfigValidation:
         fits = harness._MAX_GRAPH_CELLS // nodes ** 2
         assert replace(mini_config, grid=SlotGrid(0.1, fits)).grid.n_slots == fits
 
-    def test_unknown_nested_key_rejected(self, mini_config):
+    # the grid starts at 0, so the start time older documents held is no field
+    @pytest.mark.parametrize("key", ["bogus", "t0"])
+    def test_unknown_nested_key_rejected(self, mini_config, key):
         doc = json.loads(mini_config.to_json())
-        doc["grid"]["bogus"] = 1.0
+        doc["grid"][key] = 0.0
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json(json.dumps(doc))
 
-    def test_unknown_top_level_key_rejected(self, mini_config):
-        # a misspelt field would otherwise leave its default in force
-        doc = {**json.loads(mini_config.to_json()), "load_per_mni": 99.0}
+    # a misspelt field would otherwise leave its default in force
+    @pytest.mark.parametrize("key, value", [("load_per_mni", 99.0), *RETIRED_KEYS.items()])
+    def test_unknown_top_level_key_rejected(self, mini_config, key, value):
+        doc = {**json.loads(mini_config.to_json()), key: value}
         with pytest.raises(ConfigInvalid) as e:
             ScenarioConfig.from_json(json.dumps(doc))
-        assert e.value.field == "load_per_mni"
+        assert (e.value.field, e.value.message) == (key, "is not a scenario field")
 
-    def test_malformed_document(self):
+    def test_malformed_document(self, mini_config):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json("{\"scene\": {}}")
+        # a waypoint is four numbers (t, x, y, z)
+        doc = json.loads(mini_config.to_json())
+        doc["trajectories"][0]["waypoints"][1] = [0.0, 1.0, 2.0]
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(doc))
+        assert e.value.field == "config"
 
     @pytest.mark.parametrize("name, value", [("n_sources", 0), ("n_destinations", 0),
                                              ("n_sensitive", -1), ("dt", 0.0), ("dt", -0.1),

@@ -42,7 +42,11 @@ def mini_world(mini_config):
 # rejected, whatever its value
 RETIRED_KEYS = {"range_cutoff_m": 1500.0, "plan_shield_margin_db": 6.0, "map_k_neighbors": 8,
                 "map_idw_exponent": 2.0, "deviation": {"sigma_dev": 3.0, "reversion_rate": 0.2},
-                "pathloss": {"n_nlos": 3.2}, "budget": {"p_max_dbm": 27.0},
+                "pathloss": {"pl0_db": 40.0, "d0": 1.0, "n_los": 2.0, "n_nlos": 3.2,
+                             "sigma_sh_los_db": 4.0, "sigma_sh_nlos_db": 8.0,
+                             "decorr_dist": 50.0},
+                "budget": {"snr_threshold_db": 10.0, "outage_eps": 0.05, "noise_dbm": -90.0,
+                           "p_max_dbm": 27.0},
                 "sensitive_cap_dbm": -60.0, "local_horizon_s": 30.0, "deadline_short_s": 2.0,
                 "deadline_long_s": 20.0, "central_horizon_s": 600.0,
                 "individual_horizon_s": 2.0, "map_residual_std_db": 4.0}
@@ -160,6 +164,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid) as e:
             ScenarioConfig.from_json(json.dumps(doc))
         assert (e.value.field, e.value.message) == (key, "is not a scenario field")
+
+    # the rejection compares no value: a retired key at another value, or a NaN
+    # at any number of a retired parameter set, is rejected as at its old value
+    @pytest.mark.parametrize("key, value", [
+        ("range_cutoff_m", 800.0), ("plan_shield_margin_db", 3.0), ("map_k_neighbors", 4),
+        ("map_idw_exponent", 1.0), ("map_k_neighbors", math.nan),
+        ("deviation", {**RETIRED_KEYS["deviation"], "sigma_dev": 6.0}),
+        ("pathloss", {**RETIRED_KEYS["pathloss"], "n_nlos": 3.0}),
+        ("budget", {**RETIRED_KEYS["budget"], "p_max_dbm": 30.0}),
+        ("budget", {k: v for k, v in RETIRED_KEYS["budget"].items() if k != "noise_dbm"}),
+        ("sensitive_cap_dbm", -50.0), ("local_horizon_s", 10.0), ("local_horizon_s", 20.0),
+        ("deadline_short_s", 1.0), ("deadline_long_s", math.nan),
+        *((outer, {**RETIRED_KEYS[outer], name: math.nan})
+          for outer in ("deviation", "pathloss", "budget") for name in RETIRED_KEYS[outer])])
+    def test_retired_key_at_another_value_rejected(self, mini_config, key, value):
+        doc = {**json.loads(mini_config.to_json()), key: value}
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(doc))
+        assert (e.value.field, e.value.message) == (key, "is not a scenario field")
+
+    def test_old_document_rejected(self, mini_config):
+        # a document as older versions wrote it, every retired key at the value
+        # it then held and the grid starting at 0, is regenerated, not loaded
+        doc = {**json.loads(mini_config.to_json()), **RETIRED_KEYS}
+        doc["grid"] = {**doc["grid"], "t0": 0.0}
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(doc))
+        assert (e.value.field, e.value.message) == (min(RETIRED_KEYS), "is not a scenario field")
 
     def test_malformed_document(self, mini_config):
         with pytest.raises(ConfigInvalid):

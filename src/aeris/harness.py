@@ -129,17 +129,24 @@ class ScenarioConfig:
     @staticmethod
     def from_json_dict(d: dict) -> "ScenarioConfig":
         try:
+            _check_keys("", d, [f.name for f in fields(ScenarioConfig)])
+            _check_keys("grid", d["grid"], [f.name for f in fields(SlotGrid)])
+            _check_keys("scene", d["scene"], ("bounds", "obstacles", "nodes"))
+            _check_keys("scene.bounds", d["scene"]["bounds"], ("min", "max"))
+            for k, box in enumerate(d["scene"]["obstacles"]):
+                _check_keys(f"scene.obstacles[{k}]", box, ("min", "max"))
+            for k, node in enumerate(d["scene"]["nodes"]):
+                _check_keys(f"scene.nodes[{k}]", node, ("id", "role", "pos"))
+            for k, td in enumerate(d["trajectories"]):
+                _check_keys(f"trajectories[{k}]", td, ("aircraft_id", "v_max", "waypoints"))
             trajs = tuple(
                 Trajectory4D(
                     td["aircraft_id"],
                     tuple(Waypoint(w[0], Position3(w[1], w[2], w[3])) for w in td["waypoints"]),
-                    v_max=td.get("v_max", 60.0),
+                    v_max=td["v_max"],
                 )
                 for td in d["trajectories"]
             )
-            unknown = sorted(d.keys() - {f.name for f in fields(ScenarioConfig)})
-            if unknown:
-                raise ConfigInvalid(unknown[0], "is not a scenario field")
             kw = {f.name: d[f.name] for f in fields(ScenarioConfig)[3:]}
             return ScenarioConfig(Scene.from_json_dict(d["scene"]), trajs,
                                   SlotGrid(**d["grid"]), **kw)
@@ -446,6 +453,18 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
     return replace(world, ground_rows={key: world.row(key[0], 0, *key[1:]) for key in keys})
 
 
+def _check_keys(path: str, d: dict, known) -> None:
+    """Rejects a scenario document's object at path ("" for the document), d,
+    if it holds a key other than known: a misspelt or retired field would
+    otherwise leave its default in force, or go unread."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{path or 'the document'} is not a JSON object")
+    unknown = sorted(d.keys() - set(known))
+    if unknown:
+        raise ConfigInvalid(f"{path}.{unknown[0]}" if path else unknown[0],
+                            "is not a scenario field")
+
+
 def _check_seed(field: str, seed) -> None:
     """A seed must be a non-negative integer, as np.random.SeedSequence takes."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -530,16 +549,13 @@ class _Accounting:
                 self.memo[key] = slots, series
         return [self.memo[hop.tx, hop.rx, hop.window] for hop in hops]
 
-    def measured_gain(self, tx: str, rx: str, slot: int) -> float:
-        return self.row(link_truth, slot, tx, rx)
-
     def transmit(self, flow_idx: int, hop_idx: int, slot: int, tx: str, rx: str,
                  power_dbm: float, fade_rng) -> bool:
-        """Send one hop over the link's measured_gain at the slot."""
+        """Send one hop over the link's truth gain at the slot."""
         cfg = self.config
         p_lin = db_to_lin(power_dbm)
         contrib = float((p_lin * self.row(site_interference, slot, tx)) * cfg.grid.dt)
-        g_true = self.measured_gain(tx, rx, slot)
+        g_true = self.row(link_truth, slot, tx, rx)
         h = float(fade_rng.standard_exponential())
         snr = p_lin * db_to_lin(g_true) * h / db_to_lin(BUDGET.noise_dbm)
         success = bool(snr >= db_to_lin(BUDGET.snr_threshold_db))
@@ -680,7 +696,7 @@ class _Cascade:
         acct.events.append({"type": "schedule", "flow": self.flow_idx, "hop": k,
                             "slot": int(chosen), "revision": self.revision})
         for s in range(int(chosen), hop.window[1] + 1):
-            required = required_power_dbm(acct.measured_gain(hop.tx, hop.rx, s), BUDGET)
+            required = required_power_dbm(acct.row(link_truth, s, hop.tx, hop.rx), BUDGET)
             if required > BUDGET.p_max_dbm:
                 continue
             decision = cap_power(required, acct.row(site_map_max, s, hop.tx),
@@ -956,11 +972,9 @@ SWEEP_COLUMNS = ("load", "method", "seed", "interference_mw_s", "interference_db
 
 def sweep_to_csv(rows, path) -> None:
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            w.writerow([r["method"] if c == "method" else repr(r[c]) if isinstance(r[c], float)
-                        else r[c] for c in SWEEP_COLUMNS])
+        w = csv.DictWriter(f, SWEEP_COLUMNS)
+        w.writeheader()
+        w.writerows(rows)
 
 
 def sweep_from_csv(path) -> list:
@@ -999,11 +1013,18 @@ def plot_data(rows) -> list:
             "interference_mw_s_q25": float(q25),
             "interference_mw_s_q75": float(q75),
             "interference_db_median": float(lin_to_db(q50)) if q50 > 0 else float("-inf"),
-            "delivery_rate_median": float(np.nanmedian([r["delivery_rate"] for r in sel])),
-            "mean_delay_s_median": float(np.nanmedian([r["mean_delay_s"] for r in sel])),
-            "energy_mj_median": float(np.nanmedian([r["energy_mj"] for r in sel])),
+            "delivery_rate_median": _median([r["delivery_rate"] for r in sel]),
+            "mean_delay_s_median": _median([r["mean_delay_s"] for r in sel]),
+            "energy_mj_median": _median([r["energy_mj"] for r in sel]),
         })
     return out
+
+
+def _median(values) -> float:
+    """The median of the values that are not NaN, and NaN with no warning when
+    none is: a (load, method) that delivered no flow has no delay or energy."""
+    values = [v for v in values if not math.isnan(v)]
+    return float(np.median(values)) if values else math.nan
 
 
 PLOT_COLUMNS = ("load", "method", "interference_mw_s_median", "interference_mw_s_q25",
@@ -1013,7 +1034,6 @@ PLOT_COLUMNS = ("load", "method", "interference_mw_s_median", "interference_mw_s
 
 def plot_data_to_csv(rows, path) -> None:
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(PLOT_COLUMNS)
-        for r in rows:
-            w.writerow([r[c] if c == "method" else repr(float(r[c])) for c in PLOT_COLUMNS])
+        w = csv.DictWriter(f, PLOT_COLUMNS)
+        w.writeheader()
+        w.writerows(rows)

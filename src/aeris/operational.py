@@ -56,10 +56,6 @@ class PowerDecision:
     def transmit(self) -> bool:
         return self.power_dbm is not None
 
-    @staticmethod
-    def defer() -> "PowerDecision":
-        return PowerDecision(None)
-
 def cap_power(required_p_dbm: float, max_site_gain_db: float, per_node_cap_dbm: float,
               p_max_dbm: float) -> PowerDecision:
     """Clip the request against the received-power cap at each sensitive site,
@@ -73,4 +69,4 @@ def cap_power(required_p_dbm: float, max_site_gain_db: float, per_node_cap_dbm: 
     """
     if min(p_max_dbm, per_node_cap_dbm - max_site_gain_db) >= required_p_dbm:
         return PowerDecision(required_p_dbm)
-    return PowerDecision.defer()
+    return PowerDecision(None)

@@ -389,12 +389,7 @@ class RadioMap:
     def query_sites(self, pos: np.ndarray, sites: np.ndarray) -> np.ndarray:
         """Mean gains from each of m positions to each of p fixed sites, as (m, p):
         bit for bit query_many(np.repeat(pos, p, axis=0), np.tile(sites, (m, 1)))
-        reshaped, in one 3D search per position for the sites the map indexes
-        (see _query_sites)."""
-        return self._query_sites(pos, sites)[0]
-
-    def _query_sites(self, pos: np.ndarray, sites: np.ndarray):
-        """query_sites' means, and the (m, p) mask of rows that took query_many.
+        reshaped, in one 3D search per position for the sites the map indexes.
 
         Positions go through in blocks of _QUERY_BLOCK_ROWS // p. Each makes
         one search of _SiteIndex.tree for its k + 1 nearest points of U; toward
@@ -434,7 +429,7 @@ class RadioMap:
         r, c = np.nonzero(slow)
         if r.size:
             out[r, c] = self.query_many(pos[r], sites[c])
-        return out, slow
+        return out
 
     def query(self, tx: Position3, rx: Position3) -> LargeScaleStats:
         """Expected large-scale stats between two points."""

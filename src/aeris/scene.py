@@ -94,12 +94,8 @@ class Scene:
             for box in self.obstacles:
                 if box.contains(node.pos, strict=True):
                     raise ValueError(f"node {node.id} inside an obstacle")
-        if self.obstacles:
-            lo = np.array([[b.lo.x, b.lo.y, b.lo.z] for b in self.obstacles])
-            hi = np.array([[b.hi.x, b.hi.y, b.hi.z] for b in self.obstacles])
-        else:
-            lo = np.zeros((0, 3))
-            hi = np.zeros((0, 3))
+        lo = np.array([[b.lo.x, b.lo.y, b.lo.z] for b in self.obstacles]).reshape(-1, 3)
+        hi = np.array([[b.hi.x, b.hi.y, b.hi.z] for b in self.obstacles]).reshape(-1, 3)
         object.__setattr__(self, "_obs_lo", lo)
         object.__setattr__(self, "_obs_hi", hi)
 

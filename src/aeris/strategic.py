@@ -209,47 +209,49 @@ def _forward(price, src, dst, start, t_slots, first_arrival=False):
     the step matrix at absolute slot s: [s, i, j] prices the transmit edge
     (i, s) -> (j, s + 1), inf where there is none, and [s, i, i] the carry.
     Step t gathers the matrices at start + t of the flows whose window is still
-    open, a prefix of the batch, so a flow's rows are those of a sweep of it
-    alone. With first_arrival (the min-delay objective) the pass ends once
-    every flow has reached its destination. Returns F, H, (batch, T + 1, n)
-    for the last step swept T, and tight: F[b, t, i] is the minimum path cost
-    reaching (i, start[b] + t), H the hop count among those paths (inf and
-    _BIG where nothing reaches); rows past a flow's own window are left unset.
-    tight[b, t], of shape (n, ceil(n / 8)), holds flow b's step-t edges whose
-    price carries both F and H exactly into their head, packed along the head.
+    open, a prefix of the batch, so a flow's layers are those of a sweep of it
+    alone. Layer t holds F, the minimum path cost reaching (i, start[b] + t),
+    and H, the hop count among those paths (inf and _BIG where nothing
+    reaches). With first_arrival (the min-delay objective) the pass ends once
+    every flow has reached its destination. Returns fd, hd, (batch, T + 1) for
+    the last step swept T, each flow's F and H at its destination (inf and
+    _BIG past its own window), and tight: tight[b, t], of shape (n, ceil(n /
+    8)), holds flow b's step-t edges whose price carries both F and H exactly
+    into their head, packed along the head.
     """
     src, dst, start = np.array([src, dst, start], dtype=np.int64)
     ends = [int(e) for e in t_slots]
     rows, n = np.arange(src.size), price.shape[-1]
-    F = np.empty((src.size, ends[0] + 1, n))
-    H = np.empty(F.shape, dtype=np.int64)
-    F[:, 0], H[:, 0] = np.inf, _BIG
-    F[rows, 0, src] = 0.0
-    H[rows, 0, src] = 0
-    absorb = np.zeros(F[:, 0].shape)
+    f = np.full((src.size, n), np.inf)
+    f[rows, src] = 0.0
+    h = np.where(np.isfinite(f), 0, _BIG)
+    fd = np.full((src.size, ends[0] + 1), np.inf)
+    hd = np.full(fd.shape, _BIG, dtype=np.int64)
+    fd[:, 0], hd[:, 0] = f[rows, dst], h[rows, dst]
+    absorb = np.zeros(f.shape)
     absorb[rows, dst] = np.inf  # adding it makes the destination absorb
     hops = 1 - np.eye(n, dtype=np.int64)  # the hop count a step's (i, j) adds: none for the carry
     k, sink, done = src.size, (rows, dst), np.zeros(src.size, dtype=bool)
     tight = np.zeros((src.size, ends[0], n, (n + 7) // 8), dtype=np.uint8)
     # rows padded to whole bytes, so one flat packbits packs each row
     bits = np.zeros((src.size, n, 8 * tight.shape[-1]), dtype=bool)
-    for t in range(F.shape[1] - 1):
+    for t in range(ends[0]):
         if ends[k - 1] <= t:
             while ends[k - 1] <= t:
                 k -= 1
             sink, done = (rows[:k], dst[:k]), done[:k]
-        m = (F[:k, t] + absorb[:k])[:, :, None] + price[start[:k] + t]
-        fn = m.min(axis=1)
-        hm = np.where(m == fn[:, None, :], H[:k, t][:, :, None] + hops, _BIG)
+        m = (f[:k] + absorb[:k])[:, :, None] + price[start[:k] + t]
+        f = m.min(axis=1)
+        hm = np.where(m == f[:, None, :], h[:k][:, :, None] + hops, _BIG)
         hn = hm.min(axis=1)
         np.equal(hm, hn[:, None, :], out=bits[:k, :, :n])
         tight[:k, t] = np.packbits(bits[:k]).reshape(k, n, -1)
-        F[:k, t + 1] = fn
-        H[:k, t + 1] = np.where(np.isfinite(fn), hn, _BIG)
+        h = np.where(np.isfinite(f), hn, _BIG)
+        fd[:k, t + 1], hd[:k, t + 1] = f[sink], h[sink]
         if first_arrival and np.count_nonzero(
-                np.logical_or(done, np.isfinite(fn[sink]), out=done)) == k:
-            return F[:, :t + 2], H[:, :t + 2], tight
-    return F, H, tight
+                np.logical_or(done, np.isfinite(f[sink]), out=done)) == k:
+            return fd[:, :t + 2], hd[:, :t + 2], tight
+    return fd, hd, tight
 
 
 def _search(price, src, dst, start, t_slots, first_arrival=False) -> list:
@@ -273,11 +275,9 @@ def _search(price, src, dst, start, t_slots, first_arrival=False) -> list:
     else (f*, t*, node sequence, transmit slots relative to start).
     """
     nb, n = src.size, price.shape[-1]
-    F, H, tight = _forward(price, src, dst, start, t_slots, first_arrival)
-    swept = np.arange(F.shape[1]) <= np.minimum(t_slots, F.shape[1] - 1)[:, None]
-    fd = np.where(swept, F[np.arange(nb), :, dst], np.inf)
+    fd, hd, tight = _forward(price, src, dst, start, t_slots, first_arrival)
     f_star = fd.min(axis=1)
-    hd = np.where(fd == f_star[:, None], H[np.arange(nb), :, dst], _BIG)
+    hd = np.where(fd == f_star[:, None], hd, _BIG)
     h_star = hd.min(axis=1)
     t_star = np.argmax(hd == h_star[:, None], axis=1)
 
@@ -423,13 +423,6 @@ def _reservation(graph: ChannelGraph, budget: LinkBudget, transmissions, cost,
     return PathReservation(tuple(hops), injection_slot, delivery_slot, cost)
 
 
-def _one(results: list) -> PathReservation:
-    (res,) = results
-    if isinstance(res, Exception):
-        raise res
-    return res
-
-
 def reserve_paths(graph: ChannelGraph, requests, tables: PlannerTables) -> list:
     """reserve_path for many (source, dest, deadline_s, injection_slot) requests
     on shared tables, in one flow-batched forward pass. Entry k is request k's
@@ -449,7 +442,10 @@ def reserve_path(graph: ChannelGraph, radio_map: RadioMap, source: str, dest: st
     """
     if tables is None:
         tables = prepare_planner(graph, radio_map, sensitive_nodes, budget)
-    return _one(reserve_paths(graph, [(source, dest, deadline_s, injection_slot)], tables))
+    (res,) = reserve_paths(graph, [(source, dest, deadline_s, injection_slot)], tables)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def min_delay_reservation(graph: ChannelGraph, requests, tables: PlannerTables) -> list:

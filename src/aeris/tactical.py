@@ -84,9 +84,6 @@ class LocalGraphSlice:
     budget: object
     dt_s: float
 
-    def gains(self, a: str, b: str) -> np.ndarray:
-        return self.mean_gain_db[(a, b)]
-
 
 def detour_halves(blocked_hop: HopReservation, directive_tail) -> tuple:
     """Where a two-hop detour around blocked_hop reconnects to the directive
@@ -105,12 +102,12 @@ def detour_halves(blocked_hop: HopReservation, directive_tail) -> tuple:
 def _best_slot_cost(slice_: LocalGraphSlice, tx: str, rx: str, lo: int, hi: int):
     """Cheapest feasible transmit (interference) for tx->rx within [lo, hi].
 
-    Returns (cost, slot, power_dbm) or None when no slot fits under p_max.
+    Returns (cost, power_dbm) or None when no slot fits under p_max.
     """
     mask = (slice_.slots >= lo) & (slice_.slots <= hi)
     if not np.any(mask):
         return None
-    gains = slice_.gains(tx, rx)[mask]
+    gains = slice_.mean_gain_db[(tx, rx)][mask]
     sens = slice_.sens_lin[tx][mask]
     if np.isnan(gains).any() or np.isnan(sens).any():
         raise ValueError(f"no local prediction for {tx}->{rx} in slots {lo}..{hi}")
@@ -118,11 +115,10 @@ def _best_slot_cost(slice_: LocalGraphSlice, tx: str, rx: str, lo: int, hi: int)
     ok = np.isfinite(gains) & (power <= slice_.budget.p_max_dbm)
     if not np.any(ok):
         return None
-    slots = slice_.slots[mask]
     cost = (db_to_lin(power) * sens) * slice_.dt_s
     cost = np.where(ok, cost, np.inf)
     k = int(np.argmin(cost))
-    return float(cost[k]), int(slots[k]), float(power[k])
+    return float(cost[k]), float(power[k])
 
 
 def reroute_local(cluster: LocalCluster, blocked_hop: HopReservation, directive_tail,
@@ -155,8 +151,8 @@ def reroute_local(cluster: LocalCluster, blocked_hop: HopReservation, directive_
         raise EscalateToStrategic("no feasible detour relay in the cluster")
     _, m, first, second = best
     return (
-        HopReservation(a, m, first_half, first[2]),
-        HopReservation(m, reconnect, second_half, second[2]),
+        HopReservation(a, m, first_half, first[1]),
+        HopReservation(m, reconnect, second_half, second[1]),
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from aeris import cli, harness, tactical
 from aeris.harness import ScenarioConfig, gen_default_scenario
-from test_harness import RETIRED_KEYS
+from test_harness import NESTED_KEYS, RETIRED_KEYS, with_nested_key
 from test_scene import west_strip_city
 
 
@@ -155,16 +155,18 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: config: malformed")
 
-    # grid.t0 is the grid start time older documents held
-    @pytest.mark.parametrize("key", ["bogus", "t0"])
-    def test_unknown_nested_key_exit_code(self, config_file, tmp_path, key):
-        doc = json.loads(config_file.read_text())
-        doc["grid"][key] = 0.0
+    # grid.t0 is the grid start time older documents held, and a misspelt
+    # v_max once left its aircraft at 60 m/s
+    @pytest.mark.parametrize("path", NESTED_KEYS)
+    def test_unknown_nested_key_exit_code(self, config_file, tmp_path, monkeypatch, capsys,
+                                          path):
         bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps(doc))
+        bogus.write_text(json.dumps(with_nested_key(config_file.read_text(), path)))
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the document loaded"))
         code = cli.main(["run", "--config", str(bogus), "--method", "predictive",
                          "--seed", "0", "--out", str(tmp_path / "m.json")])
         assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: is not a scenario field")
 
     # a key older documents held, a NaN load, which would leave draw_flows'
     # arrival loop without an end, a misspelt field, or a seed that is no

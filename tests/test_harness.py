@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, is_dataclass, replace
 from types import SimpleNamespace
 
@@ -51,6 +52,22 @@ RETIRED_KEYS = {"range_cutoff_m": 1500.0, "plan_shield_margin_db": 6.0, "map_k_n
                 "deadline_long_s": 20.0, "central_horizon_s": 600.0,
                 "individual_horizon_s": 2.0, "map_residual_std_db": 4.0}
 SCALAR_FIELDS = [f.name for f in fields(ScenarioConfig)[2:] if not is_dataclass(f.default)]
+# a key in each kind of object nested in a scenario document, by its path
+NESTED_KEYS = ["grid.bogus", "grid.t0", "scene.bogus", "scene.bounds.centre",
+               "scene.obstacles[1].colour", "scene.nodes[0].colour", "trajectories[0].v_maks",
+               "trajectories[3].speed"]
+
+
+def with_nested_key(document: str, path: str) -> dict:
+    """The scenario document with 0.0 under path, a dotted key path whose
+    parts may index a list, as "scene.nodes[0].colour" does."""
+    doc = json.loads(document)
+    *outer, key = path.replace("[", ".").replace("]", "").split(".")
+    obj = doc
+    for part in outer:
+        obj = obj[int(part)] if part.isdecimal() else obj[part]
+    obj[key] = 0.0
+    return doc
 
 
 class TestConfigValidation:
@@ -149,13 +166,21 @@ class TestConfigValidation:
         fits = harness._MAX_GRAPH_CELLS // nodes ** 2
         assert replace(mini_config, grid=SlotGrid(0.1, fits)).grid.n_slots == fits
 
-    # the grid starts at 0, so the start time older documents held is no field
-    @pytest.mark.parametrize("key", ["bogus", "t0"])
-    def test_unknown_nested_key_rejected(self, mini_config, key):
+    # the grid starts at 0, so the start time older documents held is no
+    # field; a misspelt v_max once left the aircraft at 60 m/s
+    @pytest.mark.parametrize("path", NESTED_KEYS)
+    def test_unknown_nested_key_rejected(self, mini_config, path):
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(with_nested_key(mini_config.to_json(), path)))
+        assert (e.value.field, e.value.message) == (path, "is not a scenario field")
+
+    def test_trajectory_speed_limit_is_required(self, mini_config):
         doc = json.loads(mini_config.to_json())
-        doc["grid"][key] = 0.0
-        with pytest.raises(ConfigInvalid):
+        del doc["trajectories"][1]["v_max"]
+        with pytest.raises(ConfigInvalid) as e:
             ScenarioConfig.from_json(json.dumps(doc))
+        assert (e.value.field, e.value.message) == ("config", "malformed scenario document: "
+                                                              "'v_max'")
 
     # a misspelt field would otherwise leave its default in force
     @pytest.mark.parametrize("key, value", [("load_per_mni", 99.0), *RETIRED_KEYS.items()])
@@ -772,8 +797,6 @@ class TestCascadeLookups:
         _spy(monkeypatch, GroundTruthChannel, "gain_db_many",
              lambda self, a, b: log.append(("truth", len(a))))
         _spy(monkeypatch, harness.World, "row", lambda *a: log.append(("compute",)))
-        _spy(monkeypatch, harness._Accounting, "measured_gain",
-             lambda self, *key: log.append(("measure", *key)))
         _spy(monkeypatch, harness._Accounting, "transmit",
              lambda self, f, k, slot, tx, rx, *rest: log.append(("transmit", tx, rx, slot)),
              lambda out: log.append(("sent",)))
@@ -805,6 +828,11 @@ class TestCascadeLookups:
         memo_spy("row", lambda kernel, slot, *nodes: (kernel, slot, *nodes))
         memo_spy("hop_forecasts", lambda hops: tuple((hop.tx, hop.rx, hop.window)
                                                      for hop in hops))
+        # a link's truth gain, asked for through the memo, logs its measurement
+        # ahead of the request
+        _spy(monkeypatch, harness._Accounting, "row",
+             lambda self, kernel, slot, *nodes: kernel is harness.link_truth
+             and log.append(("measure", *nodes, slot)))
 
         class Events(list):
             def append(self, ev):
@@ -996,7 +1024,7 @@ class TestCascadeLookups:
                 slots, series = memo[hop.tx, hop.rx, hop.window]
                 first = (slc.slots >= hop.window[0]) & (slc.slots <= hop.window[1])
                 assert slots.tolist() == slc.slots[first].tolist()
-                want = slc.gains(hop.tx, hop.rx)[first]
+                want = slc.mean_gain_db[(hop.tx, hop.rx)][first]
                 assert series.dtype == want.dtype and series.tobytes() == want.tobytes(), hop
                 checked += 1
         assert checked > 0
@@ -1148,6 +1176,25 @@ def test_hop_power_is_its_graph_weights_required_power(request, name, planner):
     for hop in hops:
         want = power[hop.window[0], ids.index(hop.tx), ids.index(hop.rx)]
         assert float.hex(hop.nominal_power_dbm) == float.hex(float(want)), hop
+
+
+@pytest.mark.parametrize("planner", [strategic.reserve_paths, strategic.min_delay_reservation])
+def test_planning_batch_traced_peak_is_bounded(peak_load, planner):
+    # the forward pass keeps one layer and each flow's destination column;
+    # with whole (flows, slots, nodes) cost and hop tables, this batch of 123
+    # first reservations peaked at 8.7 MB (6.9 MB for the min-delay objective)
+    config, world = peak_load
+    requests = [(f.source, f.dest, f.deadline_s, f.injection_slot)
+                for f in draw_flows(config, 2)]
+    assert len(requests) == 123
+    tracemalloc.start()
+    try:
+        plans = planner(world.graph, requests, world.tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(isinstance(res, strategic.PathReservation) for res in plans) > 100
+    assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def all_pairs_aggregate(world, flow):
@@ -1421,6 +1468,36 @@ class TestPlotData:
         assert out[0]["interference_mw_s_median"] == 2.5
         assert out[0]["interference_mw_s_q25"] == 1.75
         assert out[0]["interference_mw_s_q75"] == 3.25
+
+    def test_cells_that_delivered_no_flow(self, mini_config, monkeypatch, tmp_path):
+        # at load 0 no flow is delivered, so each method's delay and energy
+        # medians are NaN, with no all-NaN warning (pytest makes one an
+        # error); the CSVs write the nan and -inf cells as repr does
+        monkeypatch.setenv("AERIS_THREADS", "1")
+        rows = sweep(mini_config, [0.0, 6.0, 12.0], list(METHODS), 2)
+        out = plot_data(rows)
+        assert [r["load"] for r in out] == [0.0] * 3 + [6.0] * 3 + [12.0] * 3
+        for r in out:
+            sel = [x for x in rows if (x["load"], x["method"]) == (r["load"], r["method"])]
+            for c in ("delivery_rate", "mean_delay_s", "energy_mj"):
+                values = [x[c] for x in sel]
+                want = math.nan if all(map(math.isnan, values)) else np.nanmedian(values)
+                assert float.hex(r[f"{c}_median"]) == float.hex(float(want)), (r, c)
+            if r["load"] == 0.0:
+                assert math.isnan(r["mean_delay_s_median"]) and math.isnan(r["energy_mj_median"])
+                assert r["interference_db_median"] == -math.inf
+        for write, table, columns in ((sweep_to_csv, rows, harness.SWEEP_COLUMNS),
+                                      (harness.plot_data_to_csv, out, harness.PLOT_COLUMNS)):
+            path = tmp_path / "table.csv"
+            write(table, path)
+            want = [",".join(columns)] + [",".join(r[c] if c == "method" else repr(r[c])
+                                                   for c in columns) for r in table]
+            assert path.read_text().splitlines() == want
+            assert "-inf" in path.read_text() and "nan" in path.read_text()
+        path = tmp_path / "sweep.csv"
+        sweep_to_csv(rows, path)
+        again = sweep_from_csv(path)
+        assert json.dumps(again, sort_keys=True) == json.dumps(rows, sort_keys=True)
 
 
 class TestMetricsReport:

@@ -109,7 +109,7 @@ def per_site_cap(required_p_dbm, tx_pos, sens_pos, per_node_cap_dbm, radio_map, 
         p_allowed = min(p_allowed, per_node_cap_dbm - float(gain))
     if p_allowed >= required_p_dbm:
         return PowerDecision(required_p_dbm), p_allowed
-    return PowerDecision.defer(), p_allowed
+    return PowerDecision(None), p_allowed
 
 
 class TestCapPower:
@@ -133,7 +133,7 @@ class TestCapPower:
         rmap = one_point_map(Position3(*self.TX), Position3(*site[0]), -55.0)
         d = cap_power(10.0, max_site_gain(rmap, self.TX, site), -60.0, self.BUDGET.p_max_dbm)
         assert not d.transmit
-        assert d == PowerDecision.defer()
+        assert d == PowerDecision(None)
 
     def test_scalar_cap_tight_and_loose(self):
         site = np.array([[100.0, 0.0, 0.0]])

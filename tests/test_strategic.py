@@ -424,29 +424,31 @@ class TestForward:
         feas, cost, src, dst, t_slots, _ = inst
         carry = 0.0 if dt is None else dt
         tensor = cost if dt is None else np.where(feas, dt, np.inf)
-        F, H, _ = strategic._forward(step_prices(feas, tensor, carry), [src], [dst], [0],
-                                     [t_slots], first_arrival=dt is not None)
+        fd, hd, _ = strategic._forward(step_prices(feas, tensor, carry), [src], [dst], [0],
+                                       [t_slots], first_arrival=dt is not None)
         want_F, want_H = full_window_forward(tensor, feas, carry, src, dst, t_slots)
         rows = swept_rows(want_F, dst, t_slots, dt is not None)
         # the min-delay pass stops at the first arrival
-        assert F.shape[1] == H.shape[1] == rows
-        assert F[0].tobytes() == want_F[:rows].tobytes()
-        assert H[0].tobytes() == want_H[:rows].tobytes()
+        assert fd.shape == hd.shape == (1, rows)
+        assert fd[0].tobytes() == want_F[:rows, dst].tobytes()
+        assert hd[0].tobytes() == want_H[:rows, dst].tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_dp_batch(), st.booleans())
     def test_batch_rows_match_each_flow_alone(self, inst, min_delay):
         feas, cost, flows = inst
         carry = 0.5 if min_delay else 0.0
-        F, H, _ = strategic._forward(step_prices(feas, None if min_delay else cost, carry),
-                                     *zip(*flows), first_arrival=min_delay)
+        fd, hd, _ = strategic._forward(step_prices(feas, None if min_delay else cost, carry),
+                                       *zip(*flows), first_arrival=min_delay)
         for b, (src, dst, start, t_slots) in enumerate(flows):
             sl = slice(start, start + t_slots)
             tensor = np.where(feas[sl], carry, np.inf) if min_delay else cost[sl]
             want_F, want_H = full_window_forward(tensor, feas[sl], carry, src, dst, t_slots)
             rows = swept_rows(want_F, dst, t_slots, min_delay)
-            assert F[b, :rows].tobytes() == want_F[:rows].tobytes()
-            assert H[b, :rows].tobytes() == want_H[:rows].tobytes()
+            assert fd[b, :rows].tobytes() == want_F[:rows, dst].tobytes()
+            assert hd[b, :rows].tobytes() == want_H[:rows, dst].tobytes()
+            # past its own window a flow reaches nothing
+            assert np.isposinf(fd[b, t_slots + 1:]).all() and (hd[b, t_slots + 1:] == _BIG).all()
         # the search over the batch plans each flow as the scalar oracles do
         # for it alone
         price = step_prices(feas, None if min_delay else cost, carry)

@@ -11,8 +11,9 @@ It measures:
 
 * the acceptance sweep: `harness.sweep(gen_default_scenario(0), loads
   1/2/4/8/16, all three methods, 20 seeds)` at AERIS_THREADS=1 and at 2, 3
-  pairs each, wall time in the child, with the rows hashed (floats as hex) so
-  sides and thread counts can be compared;
+  pairs each, wall time in the child from before aeris is imported (import
+  work a change moves into the run counts on both sides alike), with the rows
+  hashed (floats as hex) so sides and thread counts can be compared;
 * Tier-1: ROADMAP's pytest command, 2 pairs, wall time of the child and its
   summary;
 * perfbench: 10 pairs of `perfbench/run.py --seconds 60 --trace 0` per
@@ -55,9 +56,9 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 SWEEP = """
 import hashlib, json, time
+t0 = time.perf_counter()
 from aeris import harness
 cfg = harness.gen_default_scenario(0)
-t0 = time.perf_counter()
 rows = harness.sweep(cfg, [1.0, 2.0, 4.0, 8.0, 16.0], list(harness.METHODS), 20)
 wall = time.perf_counter() - t0
 blob = json.dumps([{k: v.hex() if isinstance(v, float) else v for k, v in r.items()}

@@ -174,6 +174,14 @@ class TestConfigValidation:
             ScenarioConfig.from_json(json.dumps(with_nested_key(mini_config.to_json(), path)))
         assert (e.value.field, e.value.message) == (path, "is not a scenario field")
 
+    # a value where an object belongs is malformed, as a missing key is
+    @pytest.mark.parametrize("path", ["grid", "scene", "scene.bounds"])
+    def test_value_where_an_object_belongs_rejected(self, mini_config, path):
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json(json.dumps(with_nested_key(mini_config.to_json(), path)))
+        assert (e.value.field, e.value.message) == (
+            "config", f"malformed scenario document: {path} is not a JSON object")
+
     def test_trajectory_speed_limit_is_required(self, mini_config):
         doc = json.loads(mini_config.to_json())
         del doc["trajectories"][1]["v_max"]
@@ -221,6 +229,9 @@ class TestConfigValidation:
     def test_malformed_document(self, mini_config):
         with pytest.raises(ConfigInvalid):
             ScenarioConfig.from_json("{\"scene\": {}}")
+        with pytest.raises(ConfigInvalid) as e:
+            ScenarioConfig.from_json("[]")
+        assert e.value.message == "malformed scenario document: the document is not a JSON object"
         # a waypoint is four numbers (t, x, y, z)
         doc = json.loads(mini_config.to_json())
         doc["trajectories"][0]["waypoints"][1] = [0.0, 1.0, 2.0]

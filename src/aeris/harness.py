@@ -29,7 +29,8 @@ import numpy as np
 from . import echelon, strategic, tactical, trajectory
 from .channel_graph import ChannelGraph, SlotGrid, synthesize
 from .echelon import EchelonView, WorldState, LOCAL
-from .errors import ConfigInvalid, EscalateToStrategic, GenerationFailed, NoFeasiblePath
+from .errors import (ConfigInvalid, EscalateToStrategic, GenerationFailed, InfeasibleSchedule,
+                     NoFeasiblePath)
 from .operational import LinkBudget, cap_power, required_power_dbm
 from .radio_env import (GroundTruthChannel, PathLossParams, build_map, sample_along,
                         sample_between, sample_ground_pairs)
@@ -380,38 +381,41 @@ class World(WorldState):
         return self.ground_positions[node_id].as_array()
 
     def row(self, kernel, slot: int, *nodes: str) -> float:
-        """kernel(world, *positions) for nodes at slot. Ground endpoints never
-        move, so a row of ground endpoints only is a constant of the world:
-        build_world computes it once, through this method, into ground_rows."""
+        """kernel's row for nodes at slot, as a batch of one: a row kernel takes
+        (m, 3) arrays of its ends' positions and returns m rows, each bit for
+        bit what a batch of one gives. Ground endpoints never move, so a row of
+        ground endpoints only is a constant of the world, in ground_rows."""
         value = self.ground_rows.get((kernel, *nodes))
         if value is None:
-            value = kernel(self, *(self.realized_position(e, slot) for e in nodes))
-        return value
+            value = kernel(self, *(self.realized_position(e, slot)[None] for e in nodes))[0]
+        return float(value)
 
 
-def site_interference(world: World, tx_pos: np.ndarray) -> float:
-    """Sum over the sensitive sites of the linear truth gain from tx_pos, in
-    one truth call with the sender broadcast; 0.0 with no site."""
-    sens_pos = world.sens_pos
-    if not len(sens_pos):
-        return 0.0
-    gains = world.truth.gain_db_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos)
-    return float(np.sum(db_to_lin(gains)))
+def site_interference(world: World, tx: np.ndarray) -> np.ndarray:
+    """Each sender's summed linear truth gain to the sensitive sites, in one
+    truth call over every (sender, site) row; 0.0 with no site. With one site
+    a row is a one-row call, so the call is rowwise."""
+    m, p = tx.shape[0], world.sens_pos.shape[0]
+    if not p:
+        return np.zeros(m)
+    gains = world.truth.gain_db_many(np.repeat(tx, p, axis=0), np.tile(world.sens_pos, (m, 1)),
+                                     rowwise=p == 1)
+    return np.sum(db_to_lin(gains.reshape(m, p)), axis=1)
 
 
-def site_map_max(world: World, tx_pos: np.ndarray) -> float:
-    """Largest map gain from tx_pos to any sensitive site, in one map query
-    with the sender broadcast; -inf with no site."""
-    sens_pos = world.sens_pos
-    if not len(sens_pos):
-        return -math.inf
-    gains = world.radio_map.query_many(np.broadcast_to(tx_pos, sens_pos.shape), sens_pos)
-    return float(gains.max())
+def site_map_max(world: World, tx: np.ndarray) -> np.ndarray:
+    """Each sender's largest map gain to any sensitive site, in one map query
+    over every (sender, site) row; -inf with no site."""
+    m, p = tx.shape[0], world.sens_pos.shape[0]
+    if not p:
+        return np.full(m, -math.inf)
+    gains = world.radio_map.query_many(np.repeat(tx, p, axis=0), np.tile(world.sens_pos, (m, 1)))
+    return gains.reshape(m, p).max(axis=1)
 
 
-def link_truth(world: World, tx_pos: np.ndarray, rx_pos: np.ndarray) -> float:
-    """The truth gain of one link, as a one-row call."""
-    return float(world.truth.gain_db_many(tx_pos[None], rx_pos[None])[0])
+def link_truth(world: World, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Each link's truth gain, in one rowwise truth call: a link is a one-row call."""
+    return world.truth.gain_db_many(tx, rx, rowwise=True)
 
 
 def _stream(config: ScenarioConfig, run_seed: int, *tags) -> np.random.SeedSequence:
@@ -446,11 +450,16 @@ def build_world(config: ScenarioConfig, run_seed: int) -> World:
         config=config, radio_map=radio_map, graph=graph, tables=tables,
         sens_pos=np.array(sens).reshape(-1, 3), ground_rows={})
     # each ground endpoint's sensitive-site rows, and the truth of every
-    # ground-to-ground link, in the call shapes an aircraft's rows still use
+    # ground-to-ground link, one kernel call each
     ground = [n.id for n in comm_ground]
-    keys = [(kernel, e) for kernel in (site_interference, site_map_max) for e in ground]
-    keys += [(link_truth, a, b) for a in ground for b in ground if a != b]
-    return replace(world, ground_rows={key: world.row(key[0], 0, *key[1:]) for key in keys})
+    at = np.array([n.pos.as_array() for n in comm_ground])
+    rows = {}
+    for kernel in (site_interference, site_map_max):
+        rows.update(zip([(kernel, e) for e in ground], kernel(world, at).tolist()))
+    a, b = np.nonzero(~np.eye(len(ground), dtype=bool))
+    rows.update(zip([(link_truth, ground[i], ground[j]) for i, j in zip(a, b)],
+                    link_truth(world, at[a], at[b]).tolist()))
+    return replace(world, ground_rows=rows)
 
 
 def _check_keys(path: str, d: dict, known) -> None:
@@ -513,7 +522,10 @@ class _Accounting:
 
     Flows of one source and destination ride the same relays at the same
     slots, so the run's memo computes each row and each hop forecast once. It
-    dies with the run: no run's work depends on the runs before it."""
+    dies with the run: no run's work depends on the runs before it. Once the
+    run has planned, most transmissions' slots are fixed, and warm computes
+    their rows in one kernel call each; a row no one warmed is computed when
+    it is first asked for."""
 
     def __init__(self, world: World, config: ScenarioConfig, events: list):
         self.world = world
@@ -527,6 +539,28 @@ class _Accounting:
         if key not in self.memo:
             self.memo[key] = self.world.row(kernel, slot, *nodes)
         return self.memo[key]
+
+    def warm(self, keys) -> None:
+        """Computes the rows of keys (kernel, slot, *nodes) that neither the
+        memo nor the world's ground rows hold, in one call per kernel, each
+        bit for bit what row computes. A key whose ends the truth would
+        reject (a sender on its receiver or on a sensitive site, a position
+        not finite or below ground) is left to row, to raise at its own turn."""
+        world, todo = self.world, {}
+        for key in keys:
+            if key not in self.memo and key[:1] + key[2:] not in world.ground_rows:
+                todo.setdefault(key[0], {})[key] = None
+        for kernel, group in todo.items():
+            # (keys, ends, 3), the sender first; a site row's other ends are the sites
+            pos = np.array([[world.realized_position(e, key[1]) for e in key[2:]]
+                            for key in group])
+            others = pos[:, 1:] if pos.shape[1] > 1 else world.sens_pos[None]
+            ok = ((pos[:, :1] != others).any(axis=2).all(axis=1)
+                  & np.isfinite(pos).all(axis=(1, 2)) & (pos[..., 2] >= 0).all(axis=1))
+            if ok.any():
+                ends = np.ascontiguousarray(pos[ok].transpose(1, 0, 2))
+                kept = [key for key, good in zip(group, ok) if good]
+                self.memo.update(zip(kept, kernel(world, *ends).tolist()))
 
     def hop_forecasts(self, hops) -> list:
         """tactical.hop_forecasts for hops, each decided at its window's start:
@@ -789,15 +823,31 @@ def _strategic_stage(acct: _Accounting, method: str, flows: list):
     requests = [(f.source, f.dest, f.deadline_s, f.injection_slot) for f in flows]
     if method == "baseline_spacetime":
         # delivery-time-optimal reservations on the predicted graph at their
-        # nominal powers: interference-agnostic
+        # nominal powers: interference-agnostic. Each hop is sent at its
+        # window's start, so the run computes every hop's rows here
         plans = min_delay_reservation(world.graph, requests, world.tables)
+        acct.warm([key for res in plans if not isinstance(res, Exception)
+                   for hop in res.hops for key in _sent_rows(hop, hop.window[0])])
         return lambda flow, flow_idx: (list(_reservation_of(plans, flow_idx).hops), _planned)
     plans = reserve_paths(world.graph, requests, world.tables)
     # a planned hop is decided at its window's start, since the hop before it
     # ends the slot before: every planned hop's forecast is fixed here, so the
-    # run computes them in one batch
-    acct.hop_forecasts([hop for res in plans if not isinstance(res, Exception)
-                        for hop in res.hops])
+    # run computes them in one batch. An unblocked one is timed on its forecast
+    # alone, so its rows at the timed slot, where its cap-power scan starts,
+    # are fixed too; a hop whose timing fails is left to raise at its turn
+    cfg, keys = acct.config, []
+    planned = [(flow, hop) for flow, res in zip(flows, plans) if not isinstance(res, Exception)
+               for hop in res.hops]
+    for (flow, hop), forecast in zip(planned, acct.hop_forecasts([h for _, h in planned])):
+        if tactical.detect_blockage(forecast[1], cfg.blockage_threshold_db):
+            continue
+        try:
+            timing = tactical.schedule_timing([hop], [forecast], _last_slot(cfg.grid, flow))
+        except InfeasibleSchedule:
+            continue
+        s = timing.hop_slots[0]
+        keys += [*_sent_rows(hop, s), (site_map_max, s, hop.tx)]
+    acct.warm(keys)
 
     def predictive(flow, flow_idx):
         res = _reservation_of(plans, flow_idx)
@@ -813,6 +863,11 @@ def _reservation_of(plans: list, flow_idx: int) -> PathReservation:
     if isinstance(res, Exception):
         raise res
     return res
+
+
+def _sent_rows(hop: HopReservation, slot: int) -> tuple:
+    """The row keys a transmission of hop at slot reads."""
+    return (site_interference, slot, hop.tx), (link_truth, slot, hop.tx, hop.rx)
 
 
 def _planned(hops: list, k: int):

@@ -127,9 +127,16 @@ class ShadowField:
         self._phases = rng.uniform(0.0, 2.0 * np.pi, _SHADOW_TERMS)
         self._scale = math.sqrt(2.0 / _SHADOW_TERMS)
 
-    def unit(self, points: np.ndarray) -> np.ndarray:
-        """Field values at points, shape (m, 3) -> (m,)."""
-        arg = np.atleast_2d(points) @ self._freqs.T
+    def unit(self, points: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """Field values at points, shape (m, 3) -> (m,). A product of one row
+        takes BLAS's vector-matrix path, whose last bits differ from a wider
+        call's; rowwise runs one such product per row, so each row has the
+        bits of its own one-row call."""
+        points = np.atleast_2d(points)
+        if rowwise:
+            arg = (points[:, None, :] @ self._freqs.T)[:, 0]
+        else:
+            arg = points @ self._freqs.T
         arg += self._phases
         return self._scale * np.cos(arg, out=arg).sum(axis=1)
 
@@ -154,10 +161,12 @@ class GroundTruthChannel:
         self.params = params
         self.field = ShadowField(params.decorr_dist, shadow_seed)
 
-    def gain_db_many(self, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    def gain_db_many(self, tx: np.ndarray, rx: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """Large-scale gains for (m, 3) position pairs, reciprocal by construction.
         The LoS test sees each pair in its canonical orientation: rounding can make
-        the slab test's answer depend on the end it starts from."""
+        the slab test's answer depend on the end it starts from. A row's gain does
+        not depend on the other rows of a call of two or more; a one-row call's
+        differs in its last bits, and rowwise gives every row those (ShadowField.unit)."""
         tx = np.atleast_2d(np.asarray(tx, dtype=float))
         rx = np.atleast_2d(np.asarray(rx, dtype=float))
         d = np.linalg.norm(tx - rx, axis=1)
@@ -171,7 +180,7 @@ class GroundTruthChannel:
         n_exp = np.where(los, p.n_los, p.n_nlos)
         pl = p.pl0_db + 10.0 * n_exp * np.log10(np.maximum(d, p.d0) / p.d0)
         sigma = np.where(los, p.sigma_sh_los_db, p.sigma_sh_nlos_db)
-        return -(pl + sigma * self.field.unit(0.5 * (tx + rx)))
+        return -(pl + sigma * self.field.unit(0.5 * (tx + rx), rowwise))
 
 
 def sample_along(trajs, scene: Scene, params: PathLossParams, shadow_seed, sampling_period: float,

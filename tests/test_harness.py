@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from aeris import echelon, harness, strategic, tactical
 from aeris.channel_graph import SlotGrid, synthesize
 from aeris.echelon import WorldState
-from aeris.errors import ConfigInvalid, InfeasibleSchedule, NoFeasiblePath, UnknownNode
+from aeris.errors import (ConfigInvalid, DegenerateLink, InfeasibleSchedule, NoFeasiblePath,
+                          UnknownNode)
 from aeris.harness import (METHODS, FlowRequest, MetricsReport, ScenarioConfig,
                            baseline_aggregate, build_world, draw_flows,
                            gen_default_scenario, plot_data, replay_metrics, run, sweep,
@@ -534,26 +535,32 @@ def corridor_world():
     return build_world(gen_default_scenario(0), 0)
 
 
+def one_key_row(world, kernel, tx, rx=None) -> float:
+    """The row of one key in the call shape each kernel made before the
+    kernels took batches: a link as a one-row truth call, and a sender's
+    sensitive sites as one truth call and one map query with the sender
+    broadcast. With no site nothing is received and nothing capped."""
+    sens = world.sens_pos
+    if kernel is harness.link_truth:
+        return float(world.truth.gain_db_many(tx[None], rx[None])[0])
+    if not sens.size:
+        return 0.0 if kernel is harness.site_interference else -math.inf
+    if kernel is harness.site_interference:
+        gains = world.truth.gain_db_many(np.broadcast_to(tx, sens.shape), sens)
+        return float(np.sum(db_to_lin(gains)))
+    return float(world.radio_map.query_many(np.broadcast_to(tx, sens.shape), sens).max())
+
+
 def fresh_ground_rows(world):
-    """Every ground-only row in the call shapes the run used before they were
-    computed per world: the sensitive-site truth call and map query with the
-    sender broadcast, and a one-row truth call per ordered ground-to-ground
-    link."""
+    """Every ground-only row as a one-key call (one_key_row)."""
     ground = [e for e in world.graph.node_ids if e not in world.realized]
     pos = {e: world.ground_positions[e].as_array() for e in ground}
-    sens = world.sens_pos
     out = {}
     for e in ground:
-        lin, peak = 0.0, -math.inf  # no site: nothing received, nothing capped
-        if sens.size:
-            gains = world.truth.gain_db_many(np.broadcast_to(pos[e], sens.shape), sens)
-            lin = float(np.sum(db_to_lin(gains)))
-            gains = world.radio_map.query_many(np.broadcast_to(pos[e], sens.shape), sens)
-            peak = float(gains.max())
-        out[(harness.site_interference, e)], out[(harness.site_map_max, e)] = lin, peak
+        for kernel in (harness.site_interference, harness.site_map_max):
+            out[(kernel, e)] = one_key_row(world, kernel, pos[e])
     for a, b in itertools.permutations(ground, 2):
-        out[(harness.link_truth, a, b)] = float(
-            world.truth.gain_db_many(pos[a][None], pos[b][None])[0])
+        out[(harness.link_truth, a, b)] = one_key_row(world, harness.link_truth, pos[a], pos[b])
     return out
 
 
@@ -614,6 +621,53 @@ class TestWorld:
             for s in range(grid.n_slots):
                 assert mini_world.realized_position(e, s).tobytes() == \
                     mini_world.realized_pos(e, grid.t_of(s)).tobytes(), (e, s)
+
+
+@pytest.fixture(scope="module", params=[5, 1, 0])
+def sites_world(request, mini_config, mini_world):
+    """The mini world, and the same scenario with one sensitive site and with none."""
+    if request.param == len(mini_config.scene.sensitive_nodes):
+        return mini_world
+    cfg = gen_default_scenario(seed=1, n_aircraft=8, n_buildings=8, horizon_s=40.0,
+                               n_sensitive=request.param)
+    return build_world(replace(cfg, sampling_period_s=2.0), 0)
+
+
+class TestRowKernels:
+    """Each row kernel computes m keys in one call, bit for bit what m one-key
+    calls give: map rows do not depend on their call, a truth row of a call
+    of two or more rows does not either, and a link (or a site row with one
+    site) is computed rowwise, with a one-row call's bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 97])
+    @pytest.mark.parametrize("senders", ["aircraft", "ground"])
+    def test_batch_equals_one_key_calls(self, sites_world, monkeypatch, m, senders):
+        world = sites_world
+        ids = world.graph.node_ids
+        pool = [e for e in ids if (e in world.realized) == (senders == "aircraft")]
+        rng = np.random.default_rng(m)
+        slots = rng.integers(0, world.grid.n_slots, m)
+        tx_ids = [pool[i] for i in rng.integers(0, len(pool), m)]
+        rx_ids = [str(rng.choice([e for e in ids if e != t])) for t in tx_ids]
+        tx = np.array([world.realized_position(e, s) for e, s in zip(tx_ids, slots)])
+        rx = np.array([world.realized_position(e, s) for e, s in zip(rx_ids, slots)])
+        calls = []
+        _spy(monkeypatch, GroundTruthChannel, "gain_db_many", lambda *a: calls.append("truth"))
+        _spy(monkeypatch, RadioMap, "query_many", lambda *a: calls.append("map"))
+        for kernel, ends in ((harness.link_truth, (tx, rx)), (harness.site_interference, (tx,)),
+                             (harness.site_map_max, (tx,))):
+            calls.clear()
+            got = kernel(world, *ends)
+            # one call, and none for a site row with no site
+            assert calls == ([] if kernel is not harness.link_truth and not world.sens_pos.size
+                             else ["map" if kernel is harness.site_map_max else "truth"])
+            want = [one_key_row(world, kernel, *row) for row in zip(*ends)]
+            assert got.dtype == np.float64 and got.shape == (m,)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], kernel.__name__
+            # World.row is a batch of one
+            for k in range(min(m, 5)):
+                nodes = (tx_ids[k], rx_ids[k])[:len(ends)]
+                assert world.row(kernel, int(slots[k]), *nodes).hex() == want[k].hex()
 
 
 class TestBatchedPlanning:
@@ -769,7 +823,8 @@ class TestCascadeLookups:
     """A hop decision asks for one local forecast (a rerouted one, detour or
     replan, also for its new first hop), and a detour slice holds only the
     rows reroute_local reads; the run's memo computes each row and each
-    forecast once, every planned hop's forecast in one batch."""
+    forecast once, every planned hop's forecast in one batch, and the rows of
+    every transmission that planning fixes in one call per kernel."""
 
     def test_run_logs_match_full_span_slice(self, mini_config, mini_world, monkeypatch):
         replans = []
@@ -820,6 +875,16 @@ class TestCascadeLookups:
         _spy(monkeypatch, harness, "cap_power", lambda *a: log.append(("cap",)))
         _spy(monkeypatch, tactical, "detect_blockage", lambda *a: log.append(("blockage",)))
         _spy(monkeypatch, harness, "_local_view", lambda *a: log.append(("view",)))
+        warmed, warm = set(), harness._Accounting.warm
+
+        def warm_spy(self, keys):
+            log.append(("warm",))
+            before = set(self.memo)
+            warm(self, keys)
+            warmed.update(set(self.memo) - before)
+            log.append(("warmed",))
+
+        monkeypatch.setattr(harness._Accounting, "warm", warm_spy)
 
         def memo_spy(name, key_of):
             """Log each request to the run's memo as ("request", name, key),
@@ -863,7 +928,17 @@ class TestCascadeLookups:
         _, planned, _, _, calls, _ = batch[0]
         assert calls == [("view",)] * len(set(planned)) + [("series", len(set(planned))),
                                                           ("map",)]
-        assert [c for c in head if c[0] in ("view", "series", "map")] == calls
+        # then one warm step: the rows planning fixed, one call per kernel
+        warm_at = head.index(("warm",))
+        assert [c for c in head[:warm_at] if c[0] in ("view", "series", "map")] == calls
+        assert head[-1] == ("warmed",) and head.count(("warm",)) == 1
+        per_kernel = {kernel: sum(key[0] is kernel for key in warmed)
+                      for kernel in (harness.link_truth, harness.site_interference,
+                                     harness.site_map_max)}
+        assert min(per_kernel.values()) > 0, per_kernel
+        assert sorted(c for c in head[warm_at:] if c[0] in ("truth", "map", "series")) == \
+            sorted([("truth", per_kernel[harness.link_truth]),
+                    ("truth", n_sens * per_kernel[harness.site_interference]), ("map",)])
         planned = set(planned)
         decided = [r for r in requests if r[0] == "hop_forecasts" and r[5] >= len(head)]
         assert all(len(r[1]) == 1 for r in decided)
@@ -880,26 +955,29 @@ class TestCascadeLookups:
                 assert calls == [("view",), ("series", 1), ("map",)], key
         assert hits > 0 and made > 0
 
-        # the memo's contract: the first request of a key computes it once, with
-        # the kernel call the run made before it had a memo (a ground-only row
-        # is served from the world's table); a repeat makes no call at all
+        # the memo's contract: the first request of a key the warm step did not
+        # compute computes it once, as a batch of one (a ground-only row is
+        # served from the world's table); a warmed key or a repeat makes no
+        # call at all
         shape = {harness.link_truth: [("truth", 1)], harness.site_map_max: [("map",)],
                  harness.site_interference: [("truth", n_sens)]}
-        first, first_at, repeats = set(), set(), 0
+        first, first_at, repeats, hits = set(), set(), 0, 0
         for name, key, args, out, calls, at in requests:
             if name != "row":
                 continue
-            if key in first:
-                repeats += 1
+            if key in first or key in warmed:
+                repeats += key in first
+                hits += key not in first
+                first.add(key)
                 assert calls == [], key
                 continue
             first.add(key)
             first_at.add(at)
             assert calls == [("compute",)] + ([] if set(key[2:]) <= ground
                                               else shape[key[0]]), key
-        assert repeats > 0
+        assert repeats > 0 and hits > 0 and first_at
         # and nothing in the run computes a row or a forecast past the memo
-        assert log.count(("compute",)) == len({r[1] for r in requests if r[0] == "row"})
+        assert log.count(("compute",)) == len(first_at)
         assert sum(c[0] == "series" for c in log) == 1 + made
         # a view is built for each forecast key the memo computes and for each
         # blocked decision's detour, nowhere else
@@ -1067,6 +1145,130 @@ class TestCascadeLookups:
             near += len(inside - ends)
             far += len(world.graph.node_ids) - len(members)
         assert near > 0 and far > 0, (near, far)
+
+    def test_a_planned_hop_whose_timing_fails_raises_at_its_flows_turn(self, mini_config,
+                                                                       mini_world, monkeypatch):
+        # a planned hop whose forecast holds no finite value: its blockage check
+        # passes (an all -inf one would be blocked and rerouted), and its
+        # timing raises. The warm step skips it, so the run raises at its
+        # flow's turn, after the same events as a run with no warm step
+        flows = draw_flows(mini_config, 0)
+        plans = strategic.reserve_paths(
+            mini_world.graph, [(f.source, f.dest, f.deadline_s, f.injection_slot) for f in flows],
+            mini_world.tables)
+        seen, target = set(), None
+        for j, res in enumerate(plans):
+            if isinstance(res, Exception) or not res.hops:
+                continue
+            hop = res.hops[0]
+            if seen and (hop.tx, hop.rx, hop.window) not in seen:
+                target = j, (hop.tx, hop.rx, hop.window)
+                break
+            seen.update((h.tx, h.rx, h.window) for h in res.hops)
+        assert target is not None
+        forecasts = tactical.hop_forecasts
+
+        def unusable(views, worlds, hops):
+            return [(slots, np.full(series.shape, np.nan)
+                     if (hop.tx, hop.rx, hop.window) == target[1] else series)
+                    for hop, (slots, series) in zip(hops, forecasts(views, worlds, hops))]
+
+        monkeypatch.setattr(tactical, "hop_forecasts", unusable)
+        timing, skipped = tactical.schedule_timing, []
+
+        def spy_timing(*args):
+            try:
+                return timing(*args)
+            except InfeasibleSchedule:
+                skipped.append(sys._getframe(1).f_code.co_name)
+                raise
+
+        monkeypatch.setattr(tactical, "schedule_timing", spy_timing)
+        logs = []
+        for warm in (harness._Accounting.warm, lambda self, keys: None):
+            monkeypatch.setattr(harness._Accounting, "warm", warm)
+            events = []
+            skipped.clear()
+            with pytest.raises(InfeasibleSchedule):
+                run(mini_config, "predictive", 0, events=events, world=mini_world)
+            assert events[-1]["type"] == "reservation" and events[-1]["flow"] == target[0]
+            # the planning stage skipped the hop (once per flow that plans it)
+            assert skipped[-1] == "choose" and set(skipped[:-1]) == {"_strategic_stage"}
+            logs.append(json.dumps(events, sort_keys=True))
+        assert logs[0] == logs[1]
+
+    def test_a_key_whose_ends_coincide_is_left_to_the_lazy_path(self, mini_config, mini_world):
+        # an aircraft on another at one slot, on a sensitive site at the next,
+        # and below ground at the one after: the truth rejects each of those
+        # rows, so the warm step leaves them to row, which raises
+        a, b = sorted(mini_world.realized)[:2]
+        slot = 10
+        track = mini_world.realized[a].copy()
+        track[slot], track[slot + 1] = mini_world.realized[b][slot], mini_world.sens_pos[0]
+        track[slot + 2, 2] = -1.0
+        world = replace(mini_world, realized={**mini_world.realized, a: track})
+        acct = harness._Accounting(world, mini_config, [])
+        rejected = [(harness.link_truth, slot, a, b), (harness.site_interference, slot + 1, a),
+                    (harness.link_truth, slot + 2, a, b), (harness.site_interference, slot + 2, a)]
+        fine = [(harness.link_truth, slot + 1, b, a), (harness.site_interference, slot, a),
+                (harness.site_map_max, slot, a)]
+        acct.warm(rejected + fine + [(harness.site_map_max, slot + 1, a)])
+        assert set(acct.memo) == set(fine)
+        for key in fine:
+            assert acct.memo[key].hex() == world.row(*key).hex()
+        for key, error in zip(rejected, [DegenerateLink] * 2 + [ValueError] * 2):
+            with pytest.raises(error):
+                acct.row(*key)
+        # a map row with its sender on a site is not rejected; it is computed
+        # when it is asked for
+        assert acct.row(harness.site_map_max, slot + 1, a).hex() == \
+            world.row(harness.site_map_max, slot + 1, a).hex()
+
+    @pytest.mark.parametrize("method", ["predictive", "baseline_spacetime"])
+    def test_a_planned_unblocked_hop_sent_at_its_timed_slot_makes_no_call(
+            self, mini_config, mini_world, monkeypatch, method):
+        # the detour settings, so that some decisions reroute or scan on: a
+        # decision on a planned hop that its blockage check keeps, sent at the
+        # slot it was timed to, finds every row it reads in the run's memo
+        cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
+        log = []
+        _spy(monkeypatch, GroundTruthChannel, "gain_db_many", lambda *a: log.append(("call",)))
+        _spy(monkeypatch, RadioMap, "query_many", lambda *a: log.append(("call",)))
+        _spy(monkeypatch, harness._Cascade, "choose",
+             lambda self, hops, k: log.append(("choose", self.flow_idx, k)))
+
+        class Events(list):
+            def append(self, ev):
+                log.append(("event", ev))
+                super().append(ev)
+
+        run(cfg, method, 0, events=Events(), world=mini_world, load_per_min=30.0)
+        start = next(k for k, e in enumerate(log) if e[0] == "event" and e[1]["type"] == "flow")
+        rest = log[start:]
+        if method == "baseline_spacetime":
+            # every hop is planned and sent at its window's start
+            assert ("call",) not in rest
+            assert sum(e[0] == "event" and e[1]["type"] == "transmission" for e in rest) > 0
+            return
+        rerouted, kinds = set(), {"warm": 0, "other": 0}
+        decisions = [k for k, e in enumerate(rest) if e[0] == "choose"] + [len(rest)]
+        for lo, hi in zip(decisions, decisions[1:]):
+            flow = rest[lo][1]
+            events = [e[1] for e in rest[lo:hi] if e[0] == "event"]
+            timed = [ev["slot"] for ev in events if ev["type"] == "schedule"]
+            sent = [ev["slot"] for ev in events if ev["type"] == "transmission"]
+            planned = flow not in rerouted and not any(ev["type"] == "reroute" for ev in events)
+            rerouted.update([flow] if not planned else [])
+            # the decision's own calls: up to the transmission or the outcome
+            end = next((j for j in range(lo, hi) if rest[j][0] == "event"
+                        and rest[j][1]["type"] in ("transmission", "outcome")), hi)
+            calls = rest[lo:end].count(("call",))
+            if planned and sent and sent == timed:
+                assert calls == 0, rest[lo]
+                kinds["warm"] += 1
+            else:
+                kinds["other"] += calls > 0
+        assert min(kinds.values()) > 0, kinds
 
     def test_memo_does_not_outlive_its_run(self, mini_config, monkeypatch):
         cfg = replace(mini_config, blockage_threshold_db=-80.0, region_radius_m=50.0)
